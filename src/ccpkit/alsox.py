@@ -1,23 +1,16 @@
 """Budget bisection that accepts hinge minimizers by their violation mass.
 
-The scheme brackets the optimal cost between the scenario-quantile lower
-bound and the value of a chance-feasible incumbent, then repeatedly solves
-the hinge lower level at the midpoint budget and keeps the minimizer
-whenever its violation probability is within eps (a tie at exactly eps
-counts as feasible).
-
-The starting incumbent comes from the tail (cvar) solution, or from the
-relax-and-scale point on covering instances where that is cheaper and
-carries its own guarantee. An empty tail program does not mean the chance
-constraint is empty (equality rows are the standard case), so that
-failure triggers a doubling search above the lower bound for a budget
-whose hinge minimizer already passes the violation check. The incumbent
-is only ever replaced by accepted probe minimizers, so the reported
-objective never exceeds the bound provider's value.
+The bracket runs from the scenario-quantile lower bound up to the cost of a
+chance-feasible incumbent: the tail (cvar) point, the relax-and-scale point
+on equiprobable covering instances, or, when the tail program is empty, the
+first budget whose hinge minimizer passes the violation check. Only accepted
+probe minimizers replace the incumbent, so the reported objective never
+exceeds the bound provider's value.
 """
 
 from __future__ import annotations
 
+from functools import partial
 from time import perf_counter
 from typing import Optional, Tuple
 
@@ -35,12 +28,14 @@ from .errors import (
 )
 from .lowerlevel import solve_lower_level
 from .model import CcpInstance, Covering, SolveReport, is_feasible, violation_probability
+from .search import bisect_budget
 from .subgrad import SgdConfig
 
 
 def bounds_with_anchor(
     instance: CcpInstance,
     sgd_config: Optional[SgdConfig] = None,
+    backend: str = "auto",
 ) -> Tuple[float, float, np.ndarray]:
     """(t_low, t_up, incumbent) with the incumbent chance-feasible at cost t_up."""
     t_low = quantile_lower_bound(instance, sgd_config)
@@ -58,28 +53,51 @@ def bounds_with_anchor(
             rep = cvar_solution(instance, sgd_config=sgd_config)
             anchor = (rep.objective, rep.x_star)
         except Infeasible:
-            anchor = _anchor_by_search(instance, t_low, sgd_config)
+            anchor = _anchor_by_search(instance, t_low, backend, sgd_config)
     return t_low, float(anchor[0]), anchor[1]
 
 
-def _anchor_by_search(instance, t_low, sgd_config):
+def _anchor_by_search(instance, t_low, backend, sgd_config):
     base = t_low if np.isfinite(t_low) else 0.0
-    width = max(1.0, abs(base) / 2.0)
-    for _ in range(60):
-        t = base + width
-        sol = _probe(instance, t, "auto", sgd_config)
-        if sol is not None and is_feasible(instance, sol.x):
-            return float(instance.cost @ sol.x), sol.x
-        width *= 2.0
-    raise NoFeasibleT("no budget produced a chance-feasible hinge minimizer")
+    accept = partial(_accepted, instance, backend, sgd_config, None)
+    found = bisect_budget(accept, base, np.inf, tol=np.inf, step=max(1.0, abs(base) / 2.0))
+    if found.witness is None:
+        raise NoFeasibleT("no budget produced a chance-feasible hinge minimizer")
+    return float(instance.cost @ found.witness), found.witness
 
 
-def _probe(instance, t, backend, sgd_config):
-    """Hinge minimizer at budget t, or None when S(t) is empty."""
+def _accepted(instance, backend, sgd_config, rescue, t) -> Optional[np.ndarray]:
+    """The hinge minimizer at budget t if it is chance-feasible, else what
+    rescue(t, minimizer) returns, if a rescue is given; None when S(t) is empty."""
     try:
-        return solve_lower_level(instance, t, None, backend=backend, sgd_config=sgd_config)
+        sol = solve_lower_level(instance, t, None, backend=backend, sgd_config=sgd_config)
     except BadStart:
         return None
+    if is_feasible(instance, sol.x):
+        return sol.x
+    return None if rescue is None else rescue(t, sol)
+
+
+def _bisect(instance, method, delta1, backend, sgd_config, max_bisections, rescue=None):
+    """The scheme of also_x, and of also_x_plus when given its rescue."""
+    start = perf_counter()
+    t_low, t_up, incumbent = bounds_with_anchor(instance, sgd_config, backend)
+    accept = partial(_accepted, instance, backend, sgd_config, rescue)
+    found = bisect_budget(accept, t_low, t_up, delta1, max(1.0, abs(t_up)), max_bisections)
+    if found.witness is not None:
+        incumbent = found.witness
+    return SolveReport(
+        method=method,
+        t_star=found.hi,
+        x_star=incumbent,
+        objective=float(instance.cost @ incumbent),
+        feasible=is_feasible(instance, incumbent),
+        violation_prob=violation_probability(instance, incumbent),
+        iterations=found.probes,
+        lower_bound_used=found.marched[0],
+        upper_bound_used=t_up,
+        wall_time=perf_counter() - start,
+    )
 
 
 def also_x(
@@ -90,42 +108,4 @@ def also_x(
     max_bisections: int = 200,
 ) -> SolveReport:
     """Bisect the budget, accepting chance-feasible hinge minimizers."""
-    start = perf_counter()
-    t_low, t_up, incumbent = bounds_with_anchor(instance, sgd_config)
-    lo0, up0 = t_low, t_up
-    probes = 0
-    if t_low == -np.inf:
-        # expand downward until a probe is rejected, then bisect as usual
-        width = max(1.0, abs(t_up))
-        t_low = t_up - width
-        for _ in range(60):
-            probes += 1
-            sol = _probe(instance, t_low, backend, sgd_config)
-            if sol is not None and is_feasible(instance, sol.x):
-                t_up, incumbent = t_low, sol.x
-                width *= 2.0
-                t_low = t_up - width
-            else:
-                break
-        lo0 = t_low
-    while t_up - t_low > delta1 and probes < max_bisections:
-        probes += 1
-        t = 0.5 * (t_low + t_up)
-        sol = _probe(instance, t, backend, sgd_config)
-        if sol is not None and is_feasible(instance, sol.x):
-            t_up, incumbent = t, sol.x
-        else:
-            t_low = t
-    value = float(instance.cost @ incumbent)
-    return SolveReport(
-        method="alsox",
-        t_star=t_up,
-        x_star=incumbent,
-        objective=value,
-        feasible=is_feasible(instance, incumbent),
-        violation_prob=violation_probability(instance, incumbent),
-        iterations=probes,
-        lower_bound_used=lo0,
-        upper_bound_used=up0,
-        wall_time=perf_counter() - start,
-    )
+    return _bisect(instance, "alsox", delta1, backend, sgd_config, max_bisections)

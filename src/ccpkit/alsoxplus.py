@@ -1,24 +1,20 @@
 """Budget bisection with relaxation-tightening rescue of rejected probes.
 
-Identical bracket and acceptance logic to the plain scheme, but a hinge
-minimizer that fails the violation check is not discarded: its hinge
-vector seeds the scenario weights and the alternating-minimization scheme
-(or the difference-of-convex scheme) tries to shift the remaining hinge
-mass onto a discardable eps-mass of scenarios. The probe budget is
+A hinge minimizer that fails the violation check is not discarded: its
+hinge vector seeds the scenario weights and the alternating-minimization
+scheme (or the difference-of-convex scheme) tries to shift the remaining
+hinge mass onto a discardable eps-mass of scenarios. The probe budget is
 accepted if the rescued point passes the violation check.
 """
 
 from __future__ import annotations
 
-from time import perf_counter
 from typing import Optional
 
-import numpy as np
-
-from .alsox import bounds_with_anchor, _probe
+from .alsox import _bisect
 from .errors import BadStart
 from .lowerlevel import am, dc_solve, z_update
-from .model import CcpInstance, SolveReport, is_feasible, violation_probability
+from .model import CcpInstance, SolveReport, is_feasible
 from .subgrad import SgdConfig
 
 
@@ -35,18 +31,9 @@ def also_x_plus(
     """Bisect the budget; rescue rejected hinge minimizers before giving up."""
     if rescue not in ("am", "dc"):
         raise ValueError(f"rescue must be 'am' or 'dc', got {rescue!r}")
-    start = perf_counter()
-    t_low, t_up, incumbent = bounds_with_anchor(instance, sgd_config)
-    lo0, up0 = t_low, t_up
-    probes = 0
 
-    def attempt(t: float):
-        """Accepted point at budget t, or None."""
-        sol = _probe(instance, t, backend, sgd_config)
-        if sol is None:
-            return None
-        if is_feasible(instance, sol.x):
-            return sol.x
+    def rescued(t: float, sol):
+        """The rescue's point from a rejected hinge minimizer, if it passes at t."""
         z0 = z_update(sol.s, instance.probabilities, instance.epsilon)
         try:
             if rescue == "am":
@@ -77,36 +64,5 @@ def also_x_plus(
             return res.x
         return None
 
-    if t_low == -np.inf:
-        width = max(1.0, abs(t_up))
-        t_low = t_up - width
-        for _ in range(60):
-            probes += 1
-            x = attempt(t_low)
-            if x is None:
-                break
-            t_up, incumbent = t_low, x
-            width *= 2.0
-            t_low = t_up - width
-        lo0 = t_low
-    while t_up - t_low > delta1 and probes < max_bisections:
-        probes += 1
-        t = 0.5 * (t_low + t_up)
-        x = attempt(t)
-        if x is not None:
-            t_up, incumbent = t, x
-        else:
-            t_low = t
-    value = float(instance.cost @ incumbent)
-    return SolveReport(
-        method="alsoxplus" if rescue == "am" else "dc",
-        t_star=t_up,
-        x_star=incumbent,
-        objective=value,
-        feasible=is_feasible(instance, incumbent),
-        violation_prob=violation_probability(instance, incumbent),
-        iterations=probes,
-        lower_bound_used=lo0,
-        upper_bound_used=up0,
-        wall_time=perf_counter() - start,
-    )
+    method = "alsoxplus" if rescue == "am" else "dc"
+    return _bisect(instance, method, delta1, backend, sgd_config, max_bisections, rescued)

@@ -13,7 +13,6 @@ the value at the (1-eps) quantile of the h distribution.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from time import perf_counter
 from typing import Iterable, Optional
@@ -22,6 +21,7 @@ import numpy as np
 
 from .errors import BackendUnavailable, BadStart, Infeasible, NonFinite, ValidationError
 from .geometry import as_polyhedron, dykstra_project, flatten_set
+from .lowerlevel import _norm_aux, affine_row_blocks, lattice_argmin
 from .lp import LpProblem, solve_lp
 from .model import (
     BinaryTiny,
@@ -33,10 +33,10 @@ from .model import (
     SolveReport,
     default_zero_tol,
     is_feasible,
-    scenario_losses,
     set_contains,
     violation_probability,
 )
+from .search import bisect_budget
 from .subgrad import SgdConfig, solve_hinge_sgd
 
 
@@ -140,8 +140,6 @@ def relax_and_scale(instance: CcpInstance) -> SolveReport:
 
 
 def _subset_min_cost_lp(instance: CcpInstance, keep: Iterable[int]):
-    from .lowerlevel import _norm_aux, affine_row_blocks
-
     model = instance.constraints
     blocks = affine_row_blocks(model)
     n = instance.n
@@ -202,20 +200,11 @@ def _subset_min_cost_lp(instance: CcpInstance, keep: Iterable[int]):
 def _subset_min_cost_enum(instance: CcpInstance, keep: Iterable[int]):
     keep = list(keep)
     tol = default_zero_tol(instance)
-    pieces = flatten_set(instance.x_set)
-    binary = next(p for p in pieces if isinstance(p, BinaryTiny))
-    others = [p for p in pieces if not isinstance(p, BinaryTiny)]
-    best = np.inf
-    best_x = None
-    for point in itertools.product((0.0, 1.0), repeat=binary.dim):
-        x = np.array(point)
-        if not all(set_contains(p, x) for p in others):
-            continue
-        losses = scenario_losses(instance, x)
-        if np.all(losses[keep] <= tol) and float(instance.cost @ x) < best - 1e-15:
-            best = float(instance.cost @ x)
-            best_x = x
-    return best, best_x
+
+    def kept_cost(points, costs, losses):
+        return np.where(np.all(losses[:, keep] <= tol, axis=1), costs, np.inf)
+
+    return lattice_argmin(instance, kept_cost) or (np.inf, None)
 
 
 def _subset_min_cost_sgd(
@@ -231,39 +220,19 @@ def _subset_min_cost_sgd(
     feas = solve_hinge_sgd(instance, np.inf, z, None, cfg)
     if feas.value > 1e-6:
         return np.inf, None
-    x_keep = feas.x
 
-    def satisfiable(t: float) -> bool:
-        nonlocal x_keep
+    def satisfiable(t: float):
         try:
             sol = solve_hinge_sgd(instance, t, z, None, cfg)
         except BadStart:
-            return False
-        if sol.value <= 1e-8:
-            x_keep = sol.x
-            return True
-        return False
+            return None
+        return sol.x if sol.value <= 1e-8 else None
 
     t_hi = float(instance.cost @ feas.x)
-    width = max(1.0, abs(t_hi) / 2.0)
-    t_lo = t_hi - width
-    for _ in range(60):
-        if not satisfiable(t_lo):
-            break
-        t_hi = t_lo
-        width *= 2.0
-        t_lo = t_hi - width
-    else:
+    found = bisect_budget(satisfiable, -np.inf, t_hi, 1e-5, max(1.0, abs(t_hi) / 2.0))
+    if found.lo == -np.inf:
         return -np.inf, None
-    x_hi = x_keep
-    while t_hi - t_lo > 1e-5:
-        mid = 0.5 * (t_lo + t_hi)
-        if satisfiable(mid):
-            t_hi = mid
-            x_hi = x_keep
-        else:
-            t_lo = mid
-    return t_hi, x_hi
+    return found.hi, feas.x if found.witness is None else found.witness
 
 
 def subset_min_cost(
@@ -283,8 +252,6 @@ def subset_min_cost(
     if any(isinstance(p, BinaryTiny) for p in flatten_set(instance.x_set)):
         pair = _subset_min_cost_enum(instance, keep)
         return pair if with_point else pair[0]
-    from .lowerlevel import affine_row_blocks
-
     model = instance.constraints
     linearizable = affine_row_blocks(model) is not None and not (
         isinstance(model, NormAugmented)

@@ -19,8 +19,6 @@ hinge value because the optimal beta pins to the cap.
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass
 from time import perf_counter
 from typing import Optional
 
@@ -28,6 +26,7 @@ import numpy as np
 
 from .errors import BackendUnavailable, BadStart, Infeasible, NonFinite
 from .geometry import as_polyhedron, flatten_set
+from .lowerlevel import _norm_aux, affine_row_blocks, lattice_argmin
 from .lp import LpProblem, solve_lp
 from .model import (
     BinaryTiny,
@@ -35,10 +34,9 @@ from .model import (
     NormAugmented,
     SolveReport,
     is_feasible,
-    scenario_losses,
-    set_contains,
     violation_probability,
 )
+from .search import bisect_from
 from .subgrad import SgdConfig, feasible_start, solve_cvar_lower_sgd
 
 
@@ -48,8 +46,6 @@ def _tail_lp(instance: CcpInstance, t: Optional[float], relaxed: bool):
     relaxed=False: min c'x subject to the tail condition (the upper bound).
     relaxed=True:  min eps*beta + p'w subject to c'x <= t (the lower level).
     """
-    from .lowerlevel import _norm_aux, affine_row_blocks
-
     model = instance.constraints
     blocks = affine_row_blocks(model)
     if blocks is None:
@@ -129,36 +125,28 @@ def _tail_lp(instance: CcpInstance, t: Optional[float], relaxed: bool):
     return out, n
 
 
-def _tail_value_at(instance: CcpInstance, x: np.ndarray) -> float:
-    """min over beta <= 0 of beta + (1/eps) E[(g - beta)_+] at fixed x."""
-    losses = scenario_losses(instance, x)
+def _tail_values(instance: CcpInstance, losses: np.ndarray) -> np.ndarray:
+    """min over beta <= 0 of beta + (1/eps) E[(g - beta)_+] for each row of
+    a (B, N) block of scenario losses; the minimum sits at a loss or at 0."""
     p = instance.probabilities
     eps = instance.epsilon
-    candidates = np.unique(np.concatenate([np.minimum(losses, 0.0), [0.0]]))
-    best = np.inf
-    for beta in candidates:
-        best = min(best, float(beta + (1.0 / eps) * np.sum(p * np.maximum(losses - beta, 0.0))))
+    betas = np.concatenate([np.minimum(losses, 0.0), np.zeros((losses.shape[0], 1))], axis=1)
+    best = np.full(losses.shape[0], np.inf)
+    for beta in betas.T:
+        tail = beta + (1.0 / eps) * np.sum(p * np.maximum(losses - beta[:, None], 0.0), axis=1)
+        best = np.minimum(best, tail)
     return best
 
 
 def _cvar_enum(instance: CcpInstance) -> tuple:
-    pieces = flatten_set(instance.x_set)
-    binary = next(p for p in pieces if isinstance(p, BinaryTiny))
-    others = [p for p in pieces if not isinstance(p, BinaryTiny)]
-    best = None
-    for point in itertools.product((0.0, 1.0), repeat=binary.dim):
-        x = np.array(point)
-        if not all(set_contains(p, x) for p in others):
-            continue
-        tail = _tail_value_at(instance, x)
-        if tail > 1e-9 * (1.0 + abs(tail)):
-            continue
-        value = float(instance.cost @ x)
-        if best is None or value < best[0] - 1e-15:
-            best = (value, x)
+    def tail_cost(points, costs, losses):
+        tail = _tail_values(instance, losses)
+        return np.where(tail <= 1e-9 * (1.0 + np.abs(tail)), costs, np.inf)
+
+    best = lattice_argmin(instance, tail_cost)
     if best is None:
         raise Infeasible("cvar: no binary point satisfies the tail condition")
-    return best
+    return (*best, 2**instance.n)
 
 
 def cvar_solution(
@@ -167,13 +155,9 @@ def cvar_solution(
     sgd_config: Optional[SgdConfig] = None,
 ) -> SolveReport:
     """Minimize c'x under the tail condition; raises Infeasible when empty."""
-    from .lowerlevel import affine_row_blocks
-
     start = perf_counter()
-    iterations = 0
     if any(isinstance(p, BinaryTiny) for p in flatten_set(instance.x_set)):
-        value, x = _cvar_enum(instance)
-        iterations = 2 ** instance.n
+        value, x, iterations = _cvar_enum(instance)
     elif affine_row_blocks(instance.constraints) is not None and backend != "sgd":
         try:
             out, n = _tail_lp(instance, None, relaxed=False)
@@ -208,50 +192,19 @@ def cvar_solution(
 def _cvar_bisect(instance: CcpInstance, sgd_config: Optional[SgdConfig], width: float = 1e-6):
     """Budget bisection against the subgradient tail lower level."""
     cfg = sgd_config or SgdConfig()
-    x_keep = None
 
     def accept(t: float):
-        nonlocal x_keep
         try:
             out = solve_cvar_lower_sgd(instance, t, None, None, cfg)
         except BadStart:
-            return False
-        if out.value <= 1e-6:
-            x_keep = out.x
-            return True
-        return False
+            return None
+        return out.x if out.value <= 1e-6 else None
 
-    x0 = feasible_start(instance.x_set, instance.cost, np.inf)
-    t_hi = float(instance.cost @ x0)
-    probes = 0
-    step = max(1.0, abs(t_hi) / 2.0)
-    for _ in range(60):
-        probes += 1
-        if accept(t_hi):
-            break
-        t_hi += step
-        step *= 2.0
-    else:
+    t0 = float(instance.cost @ feasible_start(instance.x_set, instance.cost, np.inf))
+    found = bisect_from(accept, t0, width)
+    if found.witness is None:
         raise Infeasible("cvar: tail condition unreachable within the bracket search")
-    step = max(1.0, abs(t_hi) / 2.0)
-    t_lo = t_hi - step
-    for _ in range(60):
-        probes += 1
-        if not accept(t_lo):
-            break
-        t_hi = t_lo
-        step *= 2.0
-        t_lo = t_hi - step
-    while t_hi - t_lo > width:
-        probes += 1
-        mid = 0.5 * (t_lo + t_hi)
-        if accept(mid):
-            t_hi = mid
-        else:
-            t_lo = mid
-    if x_keep is None:
-        raise Infeasible("cvar: bisection could not certify a tail-feasible point")
-    return t_hi, x_keep, probes
+    return found.hi, found.witness, found.probes
 
 
 def cvar_lower_value(
@@ -260,25 +213,17 @@ def cvar_lower_value(
     sgd_config: Optional[SgdConfig] = None,
 ) -> float:
     """Tail lower-level value at budget t, clamped below at zero."""
-    from .lowerlevel import affine_row_blocks
-
     if any(isinstance(p, BinaryTiny) for p in flatten_set(instance.x_set)):
         cap = t + 1e-9 * (1.0 + abs(t))
-        pieces = flatten_set(instance.x_set)
-        binary = next(p for p in pieces if isinstance(p, BinaryTiny))
-        others = [p for p in pieces if not isinstance(p, BinaryTiny)]
         eps = instance.epsilon
-        best = np.inf
-        for point in itertools.product((0.0, 1.0), repeat=binary.dim):
-            x = np.array(point)
-            if float(instance.cost @ x) > cap:
-                continue
-            if not all(set_contains(p, x) for p in others):
-                continue
-            best = min(best, eps * _tail_value_at(instance, x))
-        if not np.isfinite(best):
+
+        def tail(points, costs, losses):
+            return np.where(costs <= cap, eps * _tail_values(instance, losses), np.inf)
+
+        best = lattice_argmin(instance, tail)
+        if best is None:
             raise BadStart(f"cvar lower level: no lattice point satisfies c'x <= {t}")
-        return max(float(best), 0.0)
+        return max(best[0], 0.0)
     if affine_row_blocks(instance.constraints) is not None:
         try:
             out, _ = _tail_lp(instance, t, relaxed=True)

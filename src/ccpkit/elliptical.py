@@ -48,6 +48,7 @@ from .model import (
     norm_to_tag,
     set_dim,
 )
+from .search import bisect_budget, bisect_from
 from .subgrad import feasible_start
 
 _SQRT2 = math.sqrt(2.0)
@@ -66,14 +67,8 @@ def std_normal_quantile(q: float) -> float:
     """Inverse cdf by bracketed bisection; DomainError outside (0, 1)."""
     if not 0.0 < q < 1.0:
         raise DomainError(f"quantile needs q in (0, 1), got {q}")
-    lo, hi = -40.0, 40.0
-    while hi - lo > 1e-12:
-        mid = 0.5 * (lo + hi)
-        if std_normal_cdf(mid) < q:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    found = bisect_budget(lambda t: t if std_normal_cdf(t) >= q else None, -40.0, 40.0, 1e-12, 1.0)
+    return 0.5 * (found.lo + found.hi)
 
 
 def hinge_factor(alpha: float) -> float:
@@ -382,41 +377,17 @@ def exact_conic_solve(
             raise ValidationError("robust solve needs a wasserstein radius theta")
         r += ec.theta
 
-    def margin_at(t: float) -> Tuple[float, Optional[np.ndarray]]:
-        return _margin_ascent(ec, t, r)
+    def accept(t: float) -> Optional[np.ndarray]:
+        value, witness = _margin_ascent(ec, t, r)
+        return witness if value >= 0.0 else None
 
-    x0 = feasible_start(ec.domain(), ec.cost, np.inf)
-    t_hi = float(ec.cost @ x0)
-    value, witness = margin_at(t_hi)
-    step = max(1.0, abs(t_hi) / 2.0)
-    for _ in range(60):
-        if value >= 0.0:
-            break
-        t_hi += step
-        step *= 2.0
-        value, witness = margin_at(t_hi)
-    else:
+    t0 = float(ec.cost @ feasible_start(ec.domain(), ec.cost, np.inf))
+    found = bisect_from(accept, t0, tol, relative=True)
+    if found.witness is None:
         raise Infeasible("conic program: no feasible budget found")
-    best_x = witness
-    step = max(1.0, abs(t_hi) / 2.0)
-    t_lo = t_hi - step
-    for _ in range(60):
-        value, witness = margin_at(t_lo)
-        if value < 0.0:
-            break
-        t_hi, best_x = t_lo, witness
-        step *= 2.0
-        t_lo = t_hi - step
-    else:
+    if found.lo == -np.inf:
         raise NonFinite("conic program appears unbounded below")
-    while t_hi - t_lo > tol * (1.0 + abs(t_hi)):
-        mid = 0.5 * (t_lo + t_hi)
-        value, witness = margin_at(mid)
-        if value >= 0.0:
-            t_hi, best_x = mid, witness
-        else:
-            t_lo = mid
-    return t_hi, best_x
+    return found.hi, found.witness
 
 
 def also_x_elliptical(
@@ -426,55 +397,35 @@ def also_x_elliptical(
 ) -> SolveReport:
     """Hinge-based budget bisection with the closed-form feasibility check.
 
-    The lower end of the bracket is the exact conic value; the upper end is
-    found by widening the budget until the hinge minimizer itself passes
-    the margin check. Only hinge minimizers become incumbents, so the
-    report shows what the hinge scheme achieves, not the conic optimum.
+    The bracket starts at the exact conic value. Only hinge minimizers
+    become incumbents, so the report shows what the hinge scheme achieves,
+    not the conic optimum.
     """
     _require_gaussian(ec)
     start = perf_counter()
     margin = (lambda x: robust_conic_margin(ec, x)) if robust else (lambda x: conic_margin(ec, x))
 
-    def hinge_min(t: float) -> Optional[np.ndarray]:
+    def accept(t: float) -> Optional[np.ndarray]:
         try:
-            return _hinge_cut_min(ec, t)
+            x = _hinge_cut_min(ec, t)
         except BadStart:
             return None
+        return x if margin(x) >= 0.0 else None
 
     t_low, _ = exact_conic_solve(ec, robust=robust)
-    width = max(1.0, abs(t_low) / 2.0)
-    probes = 0
-    t_up = None
-    incumbent = None
-    for _ in range(60):
-        probes += 1
-        t = t_low + width
-        x = hinge_min(t)
-        if x is not None and margin(x) >= 0.0:
-            t_up, incumbent = t, x
-            break
-        width *= 2.0
-    if t_up is None:
+    found = bisect_budget(accept, t_low, np.inf, delta1, max(1.0, abs(t_low) / 2.0))
+    if found.witness is None:
         raise NoFeasibleT("no budget made the hinge minimizer chance-feasible")
-    up0 = t_up
-    while t_up - t_low > delta1:
-        probes += 1
-        t = 0.5 * (t_low + t_up)
-        x = hinge_min(t)
-        if x is not None and margin(x) >= 0.0:
-            t_up, incumbent = t, x
-        else:
-            t_low = t
     return SolveReport(
         method="alsox_elliptical",
-        t_star=t_up,
-        x_star=incumbent,
-        objective=float(ec.cost @ incumbent),
+        t_star=found.hi,
+        x_star=found.witness,
+        objective=float(ec.cost @ found.witness),
         feasible=True,
-        violation_prob=gaussian_violation(ec, incumbent),
-        iterations=probes,
-        lower_bound_used=t_low,
-        upper_bound_used=up0,
+        violation_prob=gaussian_violation(ec, found.witness),
+        iterations=found.probes,
+        lower_bound_used=found.lo,
+        upper_bound_used=found.marched[1],
         wall_time=perf_counter() - start,
     )
 

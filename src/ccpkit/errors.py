@@ -32,10 +32,6 @@ class NoConvergence(CcpError):
         self.best = best
 
 
-class DimensionError(CcpError):
-    """Array shapes passed to a numeric routine are inconsistent."""
-
-
 class CycleGuardTripped(CcpError):
     """Simplex iteration cap hit; signals a degeneracy bug, never silent."""
 
@@ -46,10 +42,6 @@ class BadStart(CcpError):
 
 class NonFinite(CcpError):
     """Objective or iterate became NaN/inf; signals bad data scaling."""
-
-
-class InfeasibleBudget(CcpError):
-    """The budgeted set {x in X : c'x <= t} is certifiably empty."""
 
 
 class BackendUnavailable(CcpError):

@@ -20,7 +20,6 @@ schemes are calibrated against; the lp backend returns vertices instead.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
@@ -44,6 +43,7 @@ from .model import (
     NormAugmented,
     SeparableConvexPower,
     Simplex,
+    _times,
     scenario_losses,
     set_contains,
 )
@@ -174,34 +174,50 @@ def _solve_hinge_lp(instance: CcpInstance, t: float, z: np.ndarray) -> LowerLeve
     return LowerLevelSolution(x=x, s=s, value=value, backend="lp", iterations=out.pivots)
 
 
-def _binary_lattice(x_set) -> Tuple[BinaryTiny, list]:
-    pieces = flatten_set(x_set)
-    binaries = [p for p in pieces if isinstance(p, BinaryTiny)]
-    if len(binaries) != 1:
-        raise BackendUnavailable("enum backend: needs exactly one binary set")
-    others = [p for p in pieces if not isinstance(p, BinaryTiny)]
-    return binaries[0], others
+# points of a lattice scan scored at once; a dim-20 scan holds one block at a time
+_LATTICE_BLOCK = 4096
+
+
+def lattice_argmin(instance: CcpInstance, score) -> Optional[Tuple[float, np.ndarray]]:
+    """(value, x) at the first minimizer of score over X cap {0,1}^n, or None.
+
+    Points come in itertools.product order, a block of rows at a time;
+    score(points, costs, losses) maps a block, its costs c'x and its scenario
+    losses to one value per point, inf to skip the point. A later point
+    replaces the best only when it is lower by more than 1e-15.
+    """
+    if sum(isinstance(p, BinaryTiny) for p in flatten_set(instance.x_set)) != 1:
+        raise BackendUnavailable("lattice scan: needs exactly one binary set")
+    n = instance.n
+    shifts = np.arange(n - 1, -1, -1)
+    best, best_x = np.inf, None
+    for first in range(0, 2**n, _LATTICE_BLOCK):
+        codes = np.arange(first, min(first + _LATTICE_BLOCK, 2**n))
+        points = ((codes[:, None] >> shifts) & 1).astype(float)
+        points = points[set_contains(instance.x_set, points)]
+        values = score(points, _times(instance.cost, points), scenario_losses(instance, points))
+        # a point that beats the best by the tie rule is below every earlier
+        # value, so only those running minima need the in-order check
+        earlier = np.minimum.accumulate(np.concatenate([[best], values]))[:-1]
+        for i in np.flatnonzero(values < earlier):
+            if values[i] < best - 1e-15:
+                best, best_x = float(values[i]), points[i].copy()
+    return None if best_x is None else (best, best_x)
 
 
 def _solve_hinge_enum(instance: CcpInstance, t: float, z: np.ndarray) -> LowerLevelSolution:
-    binary, others = _binary_lattice(instance.x_set)
     cap = t + 1e-9 * (1.0 + abs(t)) if np.isfinite(t) else np.inf
-    best: Optional[Tuple[float, np.ndarray, np.ndarray]] = None
-    checked = 0
-    for point in itertools.product((0.0, 1.0), repeat=binary.dim):
-        x = np.array(point)
-        checked += 1
-        if float(instance.cost @ x) > cap:
-            continue
-        if not all(set_contains(p, x) for p in others):
-            continue
-        s, value = _hinge_parts(instance, x, z)
-        if best is None or value < best[0] - 1e-15:
-            best = (value, x, s)
+    weights = instance.probabilities * z
+
+    def hinge(points, costs, losses):
+        return np.where(costs <= cap, np.sum(weights * np.maximum(losses, 0.0), axis=-1), np.inf)
+
+    best = lattice_argmin(instance, hinge)
     if best is None:
         raise BadStart(f"hinge enum: no lattice point satisfies c'x <= {t}")
-    value, x, s = best
-    return LowerLevelSolution(x=x, s=s, value=value, backend="enum", iterations=checked)
+    x = best[1]
+    s, value = _hinge_parts(instance, x, z)
+    return LowerLevelSolution(x=x, s=s, value=value, backend="enum", iterations=2**instance.n)
 
 
 def pick_backend(instance: CcpInstance) -> str:

@@ -254,23 +254,35 @@ def set_dim(s: FeasibleSet) -> int:
     return s.dim
 
 
-def set_contains(s: FeasibleSet, x, tol: float = 1e-7) -> bool:
+def _times(m: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """m @ x, or m @ each row of a (B, n) block x stacked in front; a stacked
+    matmul repeats the single product's arithmetic, so values match bit for bit."""
+    if x.ndim == 1:
+        return m @ x
+    column = x.reshape((x.shape[0],) + (1,) * max(m.ndim - 2, 0) + (x.shape[1], 1))
+    return (m @ column)[..., 0]
+
+
+def set_contains(s: FeasibleSet, x, tol: float = 1e-7):
+    """Membership of x; for a (B, n) block of points, a bool per row."""
     x = np.asarray(x, dtype=float)
     if isinstance(s, Box):
-        return bool(np.all(x >= s.lower - tol) and np.all(x <= s.upper + tol))
-    if isinstance(s, Halfspaces):
-        return bool(np.all(s.a @ x <= s.b + tol))
-    if isinstance(s, NonNegOrthant):
-        return bool(np.all(x >= -tol))
-    if isinstance(s, Simplex):
-        return bool(np.all(x >= -tol) and abs(float(np.sum(x)) - s.total) <= tol)
-    if isinstance(s, AffineEqualities):
-        return bool(np.all(np.abs(s.u.T @ x - s.h) <= tol))
-    if isinstance(s, BinaryTiny):
-        return bool(np.all(np.minimum(np.abs(x), np.abs(x - 1.0)) <= tol))
-    if isinstance(s, Intersection):
-        return all(set_contains(p, x, tol) for p in s.parts)
-    raise ValidationError(f"unknown feasible set {type(s).__name__}")
+        inside = np.all((x >= s.lower - tol) & (x <= s.upper + tol), axis=-1)
+    elif isinstance(s, Halfspaces):
+        inside = np.all(_times(s.a, x) <= s.b + tol, axis=-1)
+    elif isinstance(s, NonNegOrthant):
+        inside = np.all(x >= -tol, axis=-1)
+    elif isinstance(s, Simplex):
+        inside = np.all(x >= -tol, axis=-1) & (np.abs(np.sum(x, axis=-1) - s.total) <= tol)
+    elif isinstance(s, AffineEqualities):
+        inside = np.all(np.abs(_times(s.u.T, x) - s.h) <= tol, axis=-1)
+    elif isinstance(s, BinaryTiny):
+        inside = np.all(np.minimum(np.abs(x), np.abs(x - 1.0)) <= tol, axis=-1)
+    elif isinstance(s, Intersection):
+        inside = np.logical_and.reduce([set_contains(p, x, tol) for p in s.parts])
+    else:
+        raise ValidationError(f"unknown feasible set {type(s).__name__}")
+    return bool(inside) if x.ndim == 1 else inside
 
 
 # ---------------------------------------------------------------------------
@@ -507,23 +519,23 @@ class SolveReport:
 
 
 def scenario_losses(instance: CcpInstance, x) -> np.ndarray:
-    """Vector of g(x, xi^k) over scenarios (|.| for the equality model)."""
+    """Vector of g(x, xi^k) over scenarios (|.| for the equality model); for a
+    (B, n) block of points, a (B, N) array with one such vector per row."""
     x = np.asarray(x, dtype=float)
     model = instance.constraints
     if isinstance(model, BiAffine):
-        rows = model.mats @ x - model.offsets          # (N, I)
-        return np.max(rows, axis=1)
+        return np.max(_times(model.mats, x) - model.offsets, axis=-1)
     if isinstance(model, BiAffineEquality):
-        return np.abs(model.d @ x - model.e)
+        return np.abs(_times(model.d, x) - model.e)
     if isinstance(model, SeparableConvexPower):
         xx = np.maximum(x, 0.0) ** model.power
-        return model.weights @ xx - model.threshold
+        return _times(model.weights, xx) - model.threshold
     if isinstance(model, Covering):
-        rows = 1.0 - model.mats @ x                    # (N, m)
-        return np.max(rows, axis=1)
+        return np.max(1.0 - _times(model.mats, x), axis=-1)
     if isinstance(model, NormAugmented):
-        rows = model.mats @ x - model.offsets
-        return np.max(rows, axis=1) + model.theta * dual_norm(model.norm, x)
+        norms = [dual_norm(model.norm, point) for point in np.atleast_2d(x)]
+        column = np.reshape(norms, x.shape[:-1] + (1,))     # one norm per point
+        return np.max(_times(model.mats, x) - model.offsets, axis=-1) + model.theta * column
     raise ValidationError(f"unknown constraint model {type(model).__name__}")
 
 
@@ -539,17 +551,19 @@ def default_zero_tol(instance: CcpInstance) -> float:
 
 
 def violation_probability(instance: CcpInstance, x, tol_zero: Optional[float] = None) -> float:
-    """Probability mass of scenarios with g(x, xi^k) > tol_zero."""
+    """Probability mass of scenarios with g(x, xi^k) > tol_zero (per row of a block)."""
     if tol_zero is None:
         tol_zero = default_zero_tol(instance)
     if tol_zero < 0:
         raise ValidationError("tol_zero must be >= 0")
     losses = scenario_losses(instance, x)
+    if losses.ndim == 2:
+        return np.sum(np.where(losses > tol_zero, instance.probabilities, 0.0), axis=-1)
     return float(np.sum(instance.probabilities[losses > tol_zero]))
 
 
 def is_feasible(instance: CcpInstance, x, tol_zero: Optional[float] = None) -> bool:
-    """Chance feasibility; a violation probability of exactly epsilon passes."""
+    """Chance feasibility (per row of a block); a violation mass of exactly epsilon passes."""
     return violation_probability(instance, x, tol_zero) <= instance.epsilon + _FEAS_TOL
 
 

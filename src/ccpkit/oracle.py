@@ -22,6 +22,7 @@ import numpy as np
 from .covering import subset_min_cost
 from .errors import CapExceeded, Infeasible, NonFinite, ValidationError
 from .geometry import as_polyhedron, flatten_set
+from .lowerlevel import lattice_argmin
 from .lp import LpProblem, solve_lp
 from .model import (
     BiAffineEquality,
@@ -29,7 +30,6 @@ from .model import (
     CcpInstance,
     SolveReport,
     is_feasible,
-    set_contains,
     violation_probability,
 )
 from .subgrad import SgdConfig
@@ -38,32 +38,27 @@ from .subgrad import SgdConfig
 def exact_solve_binary(instance: CcpInstance) -> SolveReport:
     """Full lattice scan; first strict minimizer wins ties."""
     start = perf_counter()
-    pieces = flatten_set(instance.x_set)
-    binary = next(p for p in pieces if isinstance(p, BinaryTiny))
-    others = [p for p in pieces if not isinstance(p, BinaryTiny)]
-    best = np.inf
-    best_x = None
-    for point in itertools.product((0.0, 1.0), repeat=binary.dim):
-        x = np.array(point)
-        if not all(set_contains(p, x) for p in others):
-            continue
-        if not is_feasible(instance, x):
-            continue
-        val = float(instance.cost @ x)
-        if val < best - 1e-15:
-            best, best_x = val, x
-    if best_x is None:
+
+    def feasible_cost(points, costs, losses):
+        return np.where(is_feasible(instance, points), costs, np.inf)
+
+    found = lattice_argmin(instance, feasible_cost)
+    if found is None:
         raise Infeasible("no lattice point is chance-feasible")
+    return _exact_report(instance, *found, 2**instance.n, start)
+
+
+def _exact_report(instance, value, x, iterations, start) -> SolveReport:
     return SolveReport(
         method="oracle",
-        t_star=best,
-        x_star=best_x,
-        objective=best,
+        t_star=value,
+        x_star=x,
+        objective=value,
         feasible=True,
-        violation_prob=violation_probability(instance, best_x),
-        iterations=2 ** binary.dim,
-        lower_bound_used=best,
-        upper_bound_used=best,
+        violation_prob=violation_probability(instance, x),
+        iterations=iterations,
+        lower_bound_used=value,
+        upper_bound_used=value,
         wall_time=perf_counter() - start,
     )
 
@@ -141,18 +136,7 @@ def exact_solve(
             best, best_x = val, x
     if best_x is None:
         raise Infeasible("every droppable scenario set leaves an unsatisfiable core")
-    return SolveReport(
-        method="oracle",
-        t_star=best,
-        x_star=best_x,
-        objective=best,
-        feasible=True,
-        violation_prob=violation_probability(instance, best_x),
-        iterations=solves,
-        lower_bound_used=best,
-        upper_bound_used=best,
-        wall_time=perf_counter() - start,
-    )
+    return _exact_report(instance, best, best_x, solves, start)
 
 
 # ---------------------------------------------------------------------------

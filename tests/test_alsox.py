@@ -3,15 +3,22 @@
 import numpy as np
 import pytest
 
+import ccpkit.alsox as alsox_module
 from ccpkit import (
+    BiAffine,
+    Infeasible,
     NoFeasibleT,
+    NonNegOrthant,
     also_x,
+    also_x_plus,
     bounds_with_anchor,
     cvar_solution,
     exact_solve,
     is_feasible,
     violation_probability,
 )
+
+from conftest import equiprobable
 
 
 def check_report(inst, out):
@@ -86,3 +93,42 @@ def test_anchor_brackets_the_answer(scalar_chain):
     assert float(scalar_chain.cost @ incumbent) <= t_up + 1e-7
     v = also_x(scalar_chain).objective
     assert t_low - 1e-9 <= v <= t_up + 1e-2
+
+
+def make_unbounded_quantile_rows():
+    # x1 <= 1 (scenarios 1-2) and x2 <= 1 (scenarios 3-4) over the orthant:
+    # each scenario alone leaves the cost unbounded, so the quantile bound is -inf
+    mats = np.array([[[1.0, 0.0]], [[1.0, 0.0]], [[0.0, 1.0]], [[0.0, 1.0]]])
+    return equiprobable(2, BiAffine(mats, np.ones((4, 1))), NonNegOrthant(2), [-1.0, -2.0], 0.25)
+
+
+@pytest.mark.parametrize("method", [also_x, also_x_plus])
+def test_down_march_below_an_unbounded_quantile(method):
+    inst = make_unbounded_quantile_rows()
+    out = method(inst, backend="lp")
+    assert out.objective == -3.0
+    assert out.iterations == 10
+    assert out.lower_bound_used == -6.0
+    check_report(inst, out)
+    assert exact_solve(inst).objective == -3.0
+
+
+def test_anchor_search_probes_with_the_callers_backend(monkeypatch):
+    # x >= 1 in one scenario, x <= 0 in two: the tail program is empty, but
+    # dropping the first scenario leaves x = 0 chance-feasible
+    rows = BiAffine(np.array([[[-1.0]], [[1.0]], [[1.0]]]), np.array([[-1.0], [0.0], [0.0]]))
+    inst = equiprobable(1, rows, NonNegOrthant(1), [1.0], 1.0 / 3.0)
+    with pytest.raises(Infeasible):
+        cvar_solution(inst)
+    seen = []
+    real = alsox_module.solve_lower_level
+
+    def spy(*args, **kwargs):
+        seen.append(kwargs["backend"])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(alsox_module, "solve_lower_level", spy)
+    out = also_x(inst, backend="lp")
+    assert seen and set(seen) == {"lp"}
+    assert out.objective == pytest.approx(0.0)
+    check_report(inst, out)

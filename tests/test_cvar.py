@@ -3,7 +3,15 @@
 import numpy as np
 import pytest
 
-from ccpkit import Infeasible, cvar_lower_value, cvar_solution, is_feasible
+from ccpkit import (
+    Infeasible,
+    SgdConfig,
+    cvar_lower_value,
+    cvar_solution,
+    is_feasible,
+    scenario_losses,
+)
+from ccpkit.cli import generate_instance
 
 
 def test_scalar_chain_value(scalar_chain):
@@ -55,3 +63,17 @@ def test_binary_bridge(binary_pair_cover):
     v = cvar_solution(binary_pair_cover).objective
     assert cvar_lower_value(binary_pair_cover, v) <= 1e-9
     assert cvar_lower_value(binary_pair_cover, v - 0.5) > 0.0
+
+
+def test_subgradient_bisection_is_conservative():
+    inst = generate_instance("linear", 2, 5, 0.2, 1)
+    out = cvar_solution(inst, backend="sgd", sgd_config=SgdConfig(max_iter=300, stall_window=300))
+    assert out.objective >= cvar_solution(inst, backend="lp").objective - 1e-9
+    # tail condition at the point, by its breakpoints: probes accept a
+    # lower-level value eps * tail of at most 1e-6
+    losses = scenario_losses(inst, out.x_star)
+    p, eps = inst.probabilities, inst.epsilon
+    betas = np.append(np.minimum(losses, 0.0), 0.0)
+    tail = min(b + p @ np.maximum(losses - b, 0.0) / eps for b in betas)
+    assert tail <= 1e-6 / eps
+    assert is_feasible(inst, out.x_star)

@@ -5,6 +5,7 @@ import pytest
 
 from ccpkit import (
     BiAffine,
+    BinaryTiny,
     Box,
     DrccpSpec,
     L2,
@@ -15,6 +16,7 @@ from ccpkit import (
     SeparableConvexPower,
     ValidationError,
     also_x,
+    exact_solve,
     is_feasible,
     robustify,
     scenario_losses,
@@ -132,3 +134,36 @@ def test_worst_case_methods_keep_ordering():
     v_alsox = worst_case_solve(spec, method="alsox", backend="lp").objective
     v_cvar = worst_case_solve(spec, method="cvar", backend="lp").objective
     assert v_alsox <= v_cvar + 1e-2
+
+
+def _binary_robust_rows():
+    # four scenarios over {0,1}^2: a block of all 2**2 points is as tall as
+    # the scenario count, so a norm lined up with the scenario axis broadcasts
+    mats = np.array([[[2.0, 2.0]], [[-1.0, 1.0]], [[1.0, -2.0]], [[1.0, 1.0]]])
+    offsets = np.array([[2.0], [0.0], [2.0], [2.0]])
+    base = equiprobable(2, BiAffine(mats, offsets), BinaryTiny(2), [-1.0, -2.0], 0.25)
+    return DrccpSpec(base, 0.3, L2())
+
+
+def test_block_losses_add_each_points_own_norm():
+    robust = robustify(_binary_robust_rows())
+    for points in (np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]]),
+                   np.array([[0.0, 1.0], [1.0, 1.0]])):
+        block = scenario_losses(robust, points)
+        assert block.shape == (len(points), robust.scenario_count)
+        for row, x in zip(block, points):
+            assert np.array_equal(row, scenario_losses(robust, x))
+
+
+def test_binary_worst_case_matches_per_point_scan():
+    spec = _binary_robust_rows()
+    robust = robustify(spec)
+    points = [np.array(p, dtype=float) for p in ((0, 0), (0, 1), (1, 0), (1, 1))]
+    losses = [scenario_losses(robust, x) for x in points]
+    costs = [float(robust.cost @ x) for x in points]
+    chance = min(c for c, x in zip(costs, points) if is_feasible(robust, x))
+    # eps = 1/4 of four equal scenarios: the tail is the single worst loss
+    tail = min(c for c, g in zip(costs, losses) if g.max() <= 1e-9)
+    assert (chance, tail) == (-1.0, 0.0)
+    assert exact_solve(robust).objective == chance
+    assert worst_case_solve(spec, method="cvar").objective == tail
