@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import BackendUnavailable, BadStart, Infeasible, NonFinite, ValidationError
 from .geometry import as_polyhedron, dykstra_project, flatten_set
-from .lowerlevel import _norm_aux, affine_row_blocks, lattice_argmin
+from .lowerlevel import _norm_aux, affine_row_blocks, has_affine_rows, lattice_argmin
 from .lp import LpProblem, solve_lp
 from .model import (
     BinaryTiny,
@@ -141,7 +141,7 @@ def relax_and_scale(instance: CcpInstance) -> SolveReport:
 
 def _subset_min_cost_lp(instance: CcpInstance, keep: Iterable[int]):
     model = instance.constraints
-    blocks = affine_row_blocks(model)
+    blocks = affine_row_blocks(model, keep)
     n = instance.n
     n_aux, aux_kind = _norm_aux(model)
     theta = model.theta if isinstance(model, NormAugmented) else 0.0
@@ -149,8 +149,7 @@ def _subset_min_cost_lp(instance: CcpInstance, keep: Iterable[int]):
     ncol = n + n_aux
     rows = []
     rhs = []
-    for k in keep:
-        Rk, rk = blocks[k]
+    for Rk, rk in blocks:
         for i in range(Rk.shape[0]):
             row = np.zeros(ncol)
             row[:n] = Rk[i]
@@ -253,7 +252,7 @@ def subset_min_cost(
         pair = _subset_min_cost_enum(instance, keep)
         return pair if with_point else pair[0]
     model = instance.constraints
-    linearizable = affine_row_blocks(model) is not None and not (
+    linearizable = has_affine_rows(model) and not (
         isinstance(model, NormAugmented)
         and model.theta > 0.0
         and not isinstance(model.norm, (L1, LInf))

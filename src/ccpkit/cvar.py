@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import BackendUnavailable, BadStart, Infeasible, NonFinite
 from .geometry import as_polyhedron, flatten_set
-from .lowerlevel import _norm_aux, affine_row_blocks, lattice_argmin
+from .lowerlevel import _norm_aux, affine_row_blocks, has_affine_rows, lattice_argmin
 from .lp import LpProblem, solve_lp
 from .model import (
     BinaryTiny,
@@ -158,7 +158,7 @@ def cvar_solution(
     start = perf_counter()
     if any(isinstance(p, BinaryTiny) for p in flatten_set(instance.x_set)):
         value, x, iterations = _cvar_enum(instance)
-    elif affine_row_blocks(instance.constraints) is not None and backend != "sgd":
+    elif has_affine_rows(instance.constraints) and backend != "sgd":
         try:
             out, n = _tail_lp(instance, None, relaxed=False)
         except BackendUnavailable:
@@ -224,7 +224,7 @@ def cvar_lower_value(
         if best is None:
             raise BadStart(f"cvar lower level: no lattice point satisfies c'x <= {t}")
         return max(best[0], 0.0)
-    if affine_row_blocks(instance.constraints) is not None:
+    if has_affine_rows(instance.constraints):
         try:
             out, _ = _tail_lp(instance, t, relaxed=True)
         except BackendUnavailable:

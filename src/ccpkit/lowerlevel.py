@@ -21,7 +21,7 @@ schemes are calibrated against; the lp backend returns vertices instead.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Iterable, List, Optional, Tuple
 
 import numpy as np
 
@@ -64,21 +64,29 @@ def _hinge_parts(instance: CcpInstance, x: np.ndarray, z: np.ndarray):
     return s, float(np.sum(instance.probabilities * z * s))
 
 
-def affine_row_blocks(model) -> Optional[List[Tuple[np.ndarray, np.ndarray]]]:
-    """Per-scenario (R_k, r_k) with g_k(x) = max_i (R_k x - r_k)_i, or None."""
-    if isinstance(model, (BiAffine, NormAugmented)):
-        return [(model.mats[k], model.offsets[k]) for k in range(model.scenario_count)]
+def has_affine_rows(model) -> bool:
+    """True when affine_row_blocks(model) gives blocks rather than None."""
+    return isinstance(model, (BiAffine, NormAugmented, Covering, BiAffineEquality))
+
+
+def affine_row_blocks(
+    model, keep: Optional[Iterable[int]] = None
+) -> Optional[List[Tuple[np.ndarray, np.ndarray]]]:
+    """Per-scenario (R_k, r_k) with g_k(x) = max_i (R_k x - r_k)_i, or None.
+
+    Blocks are built for the scenarios in `keep`, in its order (all by default).
+    """
+    if not has_affine_rows(model):
+        return None
+    ks = range(model.scenario_count) if keep is None else keep
     if isinstance(model, Covering):
-        return [
-            (-model.mats[k], -np.ones(model.mats.shape[1]))
-            for k in range(model.scenario_count)
-        ]
+        return [(-model.mats[k], -np.ones(model.mats.shape[1])) for k in ks]
     if isinstance(model, BiAffineEquality):
         return [
             (np.vstack([model.d[k], -model.d[k]]), np.array([model.e[k], -model.e[k]]))
-            for k in range(model.scenario_count)
+            for k in ks
         ]
-    return None
+    return [(model.mats[k], model.offsets[k]) for k in ks]      # BiAffine, NormAugmented
 
 
 def _norm_aux(model) -> Tuple[int, str]:

@@ -2,10 +2,22 @@
 
     min c'x   s.t.  A x <= b,  E x = f,  lo <= x <= hi
 
-Bland's rule throughout, so termination is guaranteed; a pivot budget of
-50 * (rows + columns) still guards the loop and raises CycleGuardTripped
-if exhausted. Intended for desk-scale problems (at most 10_000 columns
-after standard-form conversion); everything is dense numpy.
+Every variable becomes a column z >= 0 (x = lo + z, x = hi - z, or a free
+pair), and every finite range hi - lo becomes one more <= row. A <= row
+whose shifted rhs is nonnegative starts with its slack basic; only the
+rows with a negative rhs (negated) and the equality rows get an artificial
+column, and phase 1 runs only when there is one.
+
+Pricing is Dantzig's rule (the most negative reduced cost, lowest index on
+ties), except that the pivot after a degenerate one (zero step) uses Bland's
+rule (Bland 1977): the lowest-index improving column, and on ratio ties the
+row whose basic column has the lowest index. This terminates: each
+nondegenerate pivot strictly lowers the objective, so no basis comes back
+across one, and inside a run of degenerate pivots every pivot after the
+first is a Bland pivot, which cannot cycle. A pivot budget of
+50 * (rows + columns) still guards the loop against rounding and raises
+CycleGuardTripped if exhausted. Intended for desk-scale problems (at most
+10_000 columns after standard-form conversion); everything is dense numpy.
 
 The optimal outcome carries a dual certificate (row multipliers, the most
 negative reduced cost, and the primal-dual gap) so callers can verify
@@ -14,7 +26,7 @@ optimality independently.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -78,29 +90,27 @@ class LpOutcome:
 
 
 class _Tableau:
-    """Full tableau with an extra reduced-cost row at the bottom."""
+    """Full tableau T = [rows | rhs] with the reduced-cost row at the bottom."""
 
-    def __init__(self, M: np.ndarray, rhs: np.ndarray):
-        m, n = M.shape
-        self.m = m
-        self.n = n
-        self.T = np.zeros((m + 1, n + 1))
-        self.T[:m, :n] = M
-        self.T[:m, n] = rhs
-        self.basis = [-1] * m
+    def __init__(self, T: np.ndarray, basis: np.ndarray):
+        self.T = T
+        self.m = T.shape[0] - 1
+        self.n = T.shape[1] - 1
+        self.basis = basis
         self.pivots = 0
 
     def set_costs(self, c: np.ndarray) -> None:
-        cb = np.array([c[j] for j in self.basis])
-        self.T[self.m, : self.n] = c - cb @ self.T[: self.m, : self.n]
-        self.T[self.m, self.n] = -float(cb @ self.T[: self.m, self.n])
+        m, n = self.m, self.n
+        cb = c[self.basis]
+        self.T[m, :n] = c - cb @ self.T[:m, :n]
+        self.T[m, n] = -float(cb @ self.T[:m, n])
 
     def pivot(self, row: int, col: int) -> None:
         T = self.T
         T[row] = T[row] / T[row, col]
         fac = T[:, col].copy()
         fac[row] = 0.0
-        T -= np.outer(fac, T[row])
+        T -= fac[:, None] * T[row]
         T[:, col] = 0.0
         T[row, col] = 1.0
         self.basis[row] = col
@@ -109,31 +119,35 @@ class _Tableau:
         rhs = T[: self.m, self.n]
         rhs[(rhs < 0) & (rhs > -_PIVOT_TOL)] = 0.0
 
-    def run(self, allowed: np.ndarray, cap: int) -> str:
-        """Bland pivoting until optimal or unbounded; `allowed` bars columns."""
+    def run(self, limit: int, cap: int) -> str:
+        """Pivot over the first `limit` columns until optimal or unbounded."""
         T = self.T
         m, n = self.m, self.n
+        bland = False
         while True:
-            costs = T[m, :n]
-            enter = -1
-            for j in range(n):
-                if allowed[j] and costs[j] < -_PIVOT_TOL:
-                    enter = j
-                    break
-            if enter < 0:
-                return "optimal"
+            costs = T[m, :limit]
+            if bland:
+                improving = (costs < -_PIVOT_TOL).nonzero()[0]
+                if improving.size == 0:
+                    return "optimal"
+                enter = int(improving[0])
+            else:
+                enter = int(costs.argmin())
+                if costs[enter] >= -_PIVOT_TOL:
+                    return "optimal"
             col = T[:m, enter]
-            rows = np.nonzero(col > _PIVOT_TOL)[0]
+            rows = (col > _PIVOT_TOL).nonzero()[0]
             if rows.size == 0:
                 return "unbounded"
             ratios = T[rows, n] / col[rows]
-            best = np.min(ratios)
+            best = float(ratios.min())
             # Bland tie-break: smallest basis index among minimizing rows
             tie = rows[ratios <= best + _PIVOT_TOL * (1.0 + abs(best))]
-            leave = min(tie, key=lambda r: self.basis[r])
+            leave = int(tie[self.basis[tie].argmin()])
             if self.pivots >= cap:
                 raise CycleGuardTripped(f"lp: pivot budget {cap} exhausted")
-            self.pivot(int(leave), enter)
+            self.pivot(leave, enter)
+            bland = best <= _PIVOT_TOL
 
 
 def solve_lp(problem: LpProblem) -> LpOutcome:
@@ -142,139 +156,110 @@ def solve_lp(problem: LpProblem) -> LpOutcome:
     lo, hi = problem.lo, problem.hi
 
     # --- standard-form conversion: columns z >= 0, x = shift +/- z ---------
-    # per original variable: list of (column, sign) pairs plus offset
-    col_sign: list = []
-    offsets = np.zeros(n)
-    upper_rows: list = []          # (column, range) extra rows z_col <= range
-    ncols = 0
-    for j in range(n):
-        lo_j, hi_j = lo[j], hi[j]
-        if np.isfinite(lo_j):
-            col_sign.append([(ncols, 1.0)])
-            offsets[j] = lo_j
-            if np.isfinite(hi_j):
-                upper_rows.append((ncols, hi_j - lo_j))
-            ncols += 1
-        elif np.isfinite(hi_j):
-            col_sign.append([(ncols, -1.0)])
-            offsets[j] = hi_j
-            ncols += 1
-        else:
-            col_sign.append([(ncols, 1.0), (ncols + 1, -1.0)])
-            ncols += 2
+    # a finite lo gives x = lo + z (plus a row z <= hi - lo when hi is finite),
+    # a finite hi alone gives x = hi - z, and a free x is a pair z+ - z-
+    lo_fin = np.isfinite(lo)
+    hi_fin = np.isfinite(hi)
+    free = ~(lo_fin | hi_fin)
+    width = 1 + free.astype(int)
+    ncols = int(width.sum())
     if ncols > _MAX_COLUMNS:
         raise ValidationError(f"lp: {ncols} columns exceeds the {_MAX_COLUMNS} cap")
-
-    def expand(mat: np.ndarray) -> np.ndarray:
-        out = np.zeros((mat.shape[0], ncols))
-        for j in range(n):
-            for col, sign in col_sign[j]:
-                out[:, col] += sign * mat[:, j]
-        return out
+    first = np.cumsum(width) - width
+    src = np.repeat(np.arange(n), width)          # original variable of each column
+    sign = np.ones(ncols)
+    sign[first[~lo_fin & hi_fin]] = -1.0
+    sign[first[free] + 1] = -1.0
+    offsets = np.where(lo_fin, lo, np.where(hi_fin, hi, 0.0))
+    boxed = lo_fin & hi_fin
+    up_cols = first[boxed]
+    u_rhs = (hi - lo)[boxed]
 
     n_ineq = problem.A.shape[0]
+    n_up = up_cols.shape[0]
     n_eq = problem.E.shape[0]
-    n_up = len(upper_rows)
-    A_std = expand(problem.A)
-    E_std = expand(problem.E)
-    b_std = problem.b - problem.A @ offsets
-    f_std = problem.f - problem.E @ offsets
-    U_std = np.zeros((n_up, ncols))
-    u_rhs = np.zeros(n_up)
-    for i, (col, rng) in enumerate(upper_rows):
-        U_std[i, col] = 1.0
-        u_rhs[i] = rng
-
-    c_std = np.zeros(ncols)
-    for j in range(n):
-        for col, sign in col_sign[j]:
-            c_std[col] += sign * problem.c[j]
-    shift_cost = float(problem.c @ offsets)
-
-    m = n_ineq + n_up + n_eq
     nslack = n_ineq + n_up
-    M = np.zeros((m, ncols + nslack + m))
-    rhs = np.concatenate([b_std, u_rhs, f_std])
-    M[:n_ineq, :ncols] = A_std
-    M[n_ineq : n_ineq + n_up, :ncols] = U_std
-    M[n_ineq + n_up :, :ncols] = E_std
-    for i in range(nslack):
-        M[i, ncols + i] = 1.0
-    # flip rows so every rhs is nonnegative; remember signs for dual recovery
-    row_sign = np.ones(m)
-    for i in range(m):
-        if rhs[i] < 0:
-            M[i] *= -1.0
-            rhs[i] *= -1.0
-            row_sign[i] = -1.0
-    art0 = ncols + nslack
-    for i in range(m):
-        M[i, art0 + i] = 1.0
+    m = nslack + n_eq
+    c_std = problem.c[src] * sign
+    shift_cost = float(problem.c @ offsets)
+    rhs = np.concatenate([problem.b - problem.A @ offsets, u_rhs, problem.f - problem.E @ offsets])
 
-    tab = _Tableau(M, rhs)
-    tab.basis = list(range(art0, art0 + m))
-    total_cols = M.shape[1]
+    # rows with a negative rhs are negated; they and the equality rows get an
+    # artificial column, every other row starts with its slack basic
+    row_sign = np.where(rhs < 0, -1.0, 1.0)
+    needs_art = row_sign < 0
+    needs_art[nslack:] = True
+    art_rows = np.flatnonzero(needs_art)
+    n_art = art_rows.shape[0]
+    art0 = ncols + nslack
+    total_cols = art0 + n_art
+
+    T = np.zeros((m + 1, total_cols + 1))
+    T[:n_ineq, :ncols] = problem.A[:, src] * sign
+    T[n_ineq + np.arange(n_up), up_cols] = 1.0
+    T[nslack:m, :ncols] = problem.E[:, src] * sign
+    T[np.arange(nslack), ncols + np.arange(nslack)] = 1.0
+    T[:m, total_cols] = rhs
+    T[:m] *= row_sign[:, None]
+    T[art_rows, art0 + np.arange(n_art)] = 1.0
+    basis = ncols + np.arange(m)
+    basis[art_rows] = art0 + np.arange(n_art)
+
+    tab = _Tableau(T, basis)
     cap = 50 * (m + total_cols)
 
     # --- phase 1 ------------------------------------------------------------
-    phase1_cost = np.zeros(total_cols)
-    phase1_cost[art0:] = 1.0
-    tab.set_costs(phase1_cost)
-    allowed = np.ones(total_cols, dtype=bool)
-    status = tab.run(allowed, cap)
-    if status == "unbounded":           # cannot happen: phase-1 objective >= 0
-        raise NonFinite("lp: phase 1 reported unbounded")
-    infeas = -float(tab.T[tab.m, tab.n])
-    if infeas > 1e-7 * (1.0 + float(np.max(np.abs(rhs), initial=0.0))):
-        return LpOutcome(status="infeasible", pivots=tab.pivots)
+    dropped = []                         # rows found redundant keep multiplier zero
+    if n_art:
+        phase1_cost = np.zeros(total_cols)
+        phase1_cost[art0:] = 1.0
+        tab.set_costs(phase1_cost)
+        status = tab.run(total_cols, cap)
+        if status == "unbounded":       # cannot happen: phase-1 objective >= 0
+            raise NonFinite("lp: phase 1 reported unbounded")
+        infeas = -float(tab.T[tab.m, tab.n])
+        if infeas > 1e-7 * (1.0 + float(np.max(np.abs(rhs), initial=0.0))):
+            return LpOutcome(status="infeasible", pivots=tab.pivots)
 
-    # drive artificials out of the basis; rows that will not pivot are redundant
-    drop_rows = []
-    for i in range(tab.m):
-        if tab.basis[i] >= art0:
-            row = tab.T[i, :art0]
-            cand = np.nonzero(np.abs(row) > _PIVOT_TOL)[0]
+        # drive artificials out of the basis; rows that will not pivot are redundant
+        keep = np.ones(tab.m, dtype=bool)
+        for i in np.flatnonzero(tab.basis >= art0):
+            cand = np.flatnonzero(np.abs(tab.T[i, :art0]) > _PIVOT_TOL)
             if cand.size:
-                tab.pivot(i, int(cand[0]))
+                tab.pivot(int(i), int(cand[0]))
             else:
-                drop_rows.append(i)
-    if drop_rows:
-        keep = [i for i in range(tab.m) if i not in set(drop_rows)]
-        tab.T = np.vstack([tab.T[keep], tab.T[tab.m :]])
-        tab.basis = [tab.basis[i] for i in keep]
-        tab.m = len(keep)
+                keep[i] = False
+                dropped.append(art_rows[tab.basis[i] - art0])
+        if dropped:
+            tab.T = np.vstack([tab.T[:-1][keep], tab.T[-1:]])
+            tab.basis = tab.basis[keep]
+            tab.m = int(keep.sum())
 
     # --- phase 2 ------------------------------------------------------------
     phase2_cost = np.zeros(total_cols)
     phase2_cost[:ncols] = c_std
     tab.set_costs(phase2_cost)
-    allowed = np.ones(total_cols, dtype=bool)
-    allowed[art0:] = False
-    status = tab.run(allowed, cap)
+    status = tab.run(art0, cap)
     if status == "unbounded":
         return LpOutcome(status="unbounded", pivots=tab.pivots)
 
     # --- recover primal, duals, certificate ----------------------------------
     z = np.zeros(total_cols)
-    for i, j in enumerate(tab.basis):
-        z[j] = tab.T[i, tab.n]
-    x = offsets.copy()
-    for j in range(n):
-        for col, sign in col_sign[j]:
-            x[j] += sign * z[col]
+    z[tab.basis] = tab.T[: tab.m, tab.n]
+    x = offsets + np.bincount(src, weights=sign * z[:ncols], minlength=n)
     value = float(c_std @ z[:ncols]) + shift_cost
 
-    # artificial columns started as +/- e_i, so y_i = -sign_i * cbar(art_i)
+    # a slack column is e_i, so y_i = -cbar(slack_i) on <= rows; an equality
+    # row's artificial column is sign_i * e_i, so y_i = -sign_i * cbar(art_i)
     cbar = tab.T[tab.m, : tab.n]
-    dropped = set(drop_rows)
-    y = np.zeros(m)
-    for i in range(m):
-        if i not in dropped:             # redundant rows keep multiplier zero
-            y[i] = -row_sign[i] * cbar[art0 + i]
+    y = np.empty(m)
+    y[:nslack] = -cbar[ncols:art0]
+    y[nslack:] = -row_sign[nslack:] * cbar[total_cols - n_eq :]
+    y[dropped] = 0.0
     dual_ineq = y[:n_ineq].copy()
-    dual_eq = y[n_ineq + n_up :].copy()
-    # standard-form dual objective on the original (unflipped) rows
-    dual_obj = float(y @ np.concatenate([b_std, u_rhs, f_std])) + shift_cost
+    dual_eq = y[nslack:].copy()
+    # standard-form dual objective on the original (unnegated) rows
+    dual_obj = float(y @ rhs) + shift_cost
     scale = 1.0 + abs(value)
     gap = abs(value - dual_obj)
     reduced_min = float(np.min(cbar[:art0], initial=0.0))

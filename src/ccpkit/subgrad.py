@@ -12,6 +12,7 @@ minimizer is the best iterate seen, not the last one.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Tuple, Union
 
@@ -83,7 +84,7 @@ def losses_and_grads(instance: CcpInstance, x: np.ndarray) -> Tuple[np.ndarray, 
         j = np.argmax(rows, axis=1)
         idx = np.arange(N)
         vals = rows[idx, j]
-        grads = model.mats[idx, j, :].copy()
+        grads = model.mats[idx, j, :]                   # fancy indexing copies
         if isinstance(model, NormAugmented) and model.theta > 0.0:
             vals = vals + model.theta * dual_norm(model.norm, x)
             grads += model.theta * dual_norm_subgradient(model.norm, x)[None, :]
@@ -126,45 +127,63 @@ def _merge_boxes(pieces) -> Optional[Tuple[np.ndarray, np.ndarray]]:
     return lo, hi
 
 
-def _project_box_cap(lo, hi, c, t, y) -> np.ndarray:
+def _clip(y, lo, hi) -> np.ndarray:
+    # np.clip's values through two ufunc calls, without its dispatch layers
+    return np.minimum(np.maximum(y, lo), hi)
+
+
+def _box_cap_projector(lo, hi, c, t) -> Callable[[np.ndarray], np.ndarray]:
     """Exact projection onto {lo <= x <= hi, c'x <= t} via the cap multiplier.
 
     phi(lam) = c' clip(y - lam c, lo, hi) is piecewise linear and
     nonincreasing; the multiplier is the exact root of phi(lam) = t,
-    found by walking the coordinate breakpoints.
+    found by walking the coordinate breakpoints. Everything that does
+    not depend on the point y is computed once, here.
     """
-    x = np.clip(y, lo, hi)
-    cap = float(c @ x) - t
-    if cap <= 1e-13 * (1.0 + abs(t)):
-        return x
     # infimum of c'x over the box; 0 * inf corners contribute nothing
     with np.errstate(invalid="ignore"):
         terms = np.where(c > 0, c * lo, np.where(c < 0, c * hi, 0.0))
     cmin = float(np.sum(terms))
     if np.isnan(cmin):
         cmin = -np.inf
-    if cmin > t + 1e-9 * (1.0 + abs(t)):
-        raise BadStart("budget cap unreachable inside the box")
-    with np.errstate(divide="ignore", invalid="ignore"):
-        cand = np.concatenate([(y - lo) / c, (y - hi) / c])
-    lams = np.unique(cand[np.isfinite(cand) & (cand > 0.0)])
-    prev_l, prev_phi = 0.0, cap + t
-    for lam in lams:
-        val = float(c @ np.clip(y - lam * c, lo, hi))
-        if val <= t:
-            lam_star = prev_l + (prev_phi - t) * (lam - prev_l) / (prev_phi - val)
-            return np.clip(y - lam_star * c, lo, hi)
-        prev_l, prev_phi = float(lam), val
+    unreachable = cmin > t + 1e-9 * (1.0 + abs(t))
+    cap_tol = 1e-13 * (1.0 + abs(t))
+    # breakpoints (y - bound) / c exist only for c != 0 and a finite bound
+    at_lo = (c != 0.0) & np.isfinite(lo)
+    at_hi = (c != 0.0) & np.isfinite(hi)
+    lo_b, c_lo = lo[at_lo], c[at_lo]
+    hi_b, c_hi = hi[at_hi], c[at_hi]
     # past the last breakpoint only coordinates with an infinite blocking
     # bound keep moving; the rest sit on the cmin corner
     blocking = np.where(c > 0, lo, np.where(c < 0, hi, 0.0))
     free = (c != 0.0) & ~np.isfinite(blocking)
     slope = float(np.sum(c[free] ** 2))
-    if slope <= 0.0:
-        # phi is flat at cmin ~ t (within the tolerance checked above)
-        return np.clip(y - (prev_l + 1.0) * c, lo, hi)
-    lam_star = prev_l + (prev_phi - t) / slope
-    return np.clip(y - lam_star * c, lo, hi)
+
+    def project(y: np.ndarray) -> np.ndarray:
+        x = _clip(y, lo, hi)
+        cap = float(c @ x) - t
+        if cap <= cap_tol:
+            return x
+        if unreachable:
+            raise BadStart("budget cap unreachable inside the box")
+        cand = np.concatenate([(y[at_lo] - lo_b) / c_lo, (y[at_hi] - hi_b) / c_hi])
+        # a repeated breakpoint re-evaluates to the same phi, so sorting
+        # without dropping duplicates walks the same path as np.unique
+        lams = np.sort(cand[np.isfinite(cand) & (cand > 0.0)])
+        prev_l, prev_phi = 0.0, cap + t
+        for lam in lams:
+            val = float(c @ _clip(y - lam * c, lo, hi))
+            if val <= t:
+                lam_star = prev_l + (prev_phi - t) * (lam - prev_l) / (prev_phi - val)
+                return _clip(y - lam_star * c, lo, hi)
+            prev_l, prev_phi = float(lam), val
+        if slope <= 0.0:
+            # phi is flat at cmin ~ t (within the tolerance checked above)
+            return _clip(y - (prev_l + 1.0) * c, lo, hi)
+        lam_star = prev_l + (prev_phi - t) / slope
+        return _clip(y - lam_star * c, lo, hi)
+
+    return project
 
 
 def make_cap_projector(x_set, cost, t: float) -> Callable[[np.ndarray], np.ndarray]:
@@ -180,8 +199,8 @@ def make_cap_projector(x_set, cost, t: float) -> Callable[[np.ndarray], np.ndarr
     if merged is not None:
         lo, hi = merged
         if uncapped:
-            return lambda y: np.clip(y, lo, hi)
-        return lambda y: _project_box_cap(lo, hi, c, t, y)
+            return lambda y: _clip(y, lo, hi)
+        return _box_cap_projector(lo, hi, c, t)
 
     sets = pieces if uncapped else pieces + [Halfspaces(c[None, :], np.array([t]))]
 
@@ -207,7 +226,7 @@ def feasible_start(x_set, cost, t: float, x0=None) -> np.ndarray:
     if merged is not None:
         if uncapped:
             return np.clip(y, merged[0], merged[1])
-        return _project_box_cap(merged[0], merged[1], c, t, y)
+        return _box_cap_projector(merged[0], merged[1], c, t)(y)
     sets = pieces if uncapped else pieces + [Halfspaces(c[None, :], np.array([t]))]
     try:
         x = dykstra_project(sets, y)
@@ -231,7 +250,7 @@ def _descend(objective, x0: np.ndarray, proj, cfg: SgdConfig) -> SgdResult:
     k = 0
     for k in range(cfg.max_iter):
         val, grad = objective(x)
-        if not np.isfinite(val):
+        if not math.isfinite(val):
             raise NonFinite("sgd: objective became non-finite")
         if val < best_val - cfg.stop_tol:
             best_val = val
@@ -242,7 +261,7 @@ def _descend(objective, x0: np.ndarray, proj, cfg: SgdConfig) -> SgdResult:
             best_x = x.copy()
         if k - last_improve >= cfg.stall_window:
             return SgdResult(best_x, float(best_val), k + 1, True)
-        nrm = float(np.linalg.norm(grad))
+        nrm = math.sqrt(float(grad @ grad))   # np.linalg.norm's own formula
         if nrm > 1.0:
             grad = grad / nrm
         x = proj(x - cfg.step_rule.step(k) * grad)
@@ -295,9 +314,9 @@ def solve_hinge_sgd(
     def objective(x):
         vals, grads = losses_and_grads(instance, x)
         act = vals > 0.0          # zero subgradient at the hinge kink
-        value = float(w[act] @ vals[act]) if np.any(act) else 0.0
-        grad = (w[act, None] * grads[act]).sum(axis=0) if np.any(act) else np.zeros_like(x)
-        return value, grad
+        if not act.any():
+            return 0.0, np.zeros_like(x)
+        return float(w[act] @ vals[act]), (w[act, None] * grads[act]).sum(axis=0)
 
     return _descend_with_polish(objective, start, proj, cfg)
 

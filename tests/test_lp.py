@@ -1,5 +1,9 @@
 """Dense simplex solver: primal answers and dual certificates."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -130,3 +134,92 @@ def test_random_lps_certify():
             assert p.c @ cand >= best - 1e-7 * (1.0 + abs(best))
         solved += 1
     assert solved == 60
+
+
+def test_beale_degenerate_lp_does_not_cycle():
+    # Beale's example: pure Dantzig pricing cycles through degenerate bases
+    p = LpProblem(
+        c=np.array([-0.75, 20.0, -0.5, 6.0]),
+        A=np.array([
+            [0.25, -8.0, -1.0, 9.0],
+            [0.5, -12.0, -0.5, 3.0],
+            [0.0, 0.0, 1.0, 0.0],
+        ]),
+        b=np.array([0.0, 0.0, 1.0]),
+    )
+    out = solve_lp(p)
+    assert out.status == "optimal"
+    assert out.value == pytest.approx(-1.25)
+    assert np.allclose(out.x, [1.0, 0.0, 1.0, 0.0])
+    assert certificate_ok(p, out)
+
+
+def test_slack_basis_skips_phase_one():
+    # every <= row has rhs >= 0, so the slack basis is feasible from the start
+    p = LpProblem(
+        c=np.array([-1.0, -1.0]),
+        A=np.array([[1.0, 1.0]]),
+        b=np.array([1.0]),
+        lo=np.zeros(2),
+        hi=np.ones(2),
+    )
+    out = solve_lp(p)
+    assert out.status == "optimal"
+    assert out.value == pytest.approx(-1.0)
+    assert out.pivots == 1
+    assert certificate_ok(p, out)
+
+
+def _phase_one_lp(rng):
+    """A feasible, bounded LP with mixed-sign rhs, equality rows (one of them
+    redundant) and a mix of finite and infinite lower bounds."""
+    n = int(rng.integers(2, 7))
+    m = int(rng.integers(1, 6))
+    k = int(rng.integers(1, 3))
+    lo = np.where(rng.random(n) < 0.6, rng.normal(size=n), -np.inf)
+    hi = np.where(rng.random(n) < 0.5, rng.uniform(0.5, 3.0, n) + np.maximum(lo, 0.0), np.inf)
+    x0 = np.clip(2.0 * rng.normal(size=n), lo, hi)      # a feasible point
+    A = rng.normal(size=(m, n))
+    b = A @ x0 + rng.uniform(0.0, 1.0, m) * (rng.random(m) < 0.7)
+    E = rng.normal(size=(k, n))
+    E = np.vstack([E, rng.normal(size=k) @ E])          # redundant equality row
+    f = E @ x0
+    # a dual-feasible cost keeps the LP bounded
+    y = rng.uniform(0.0, 1.0, m)
+    v = rng.normal(size=k + 1)
+    r_lo = np.where(np.isfinite(lo), rng.uniform(0.0, 1.0, n), 0.0)
+    r_hi = np.where(np.isfinite(hi), rng.uniform(0.0, 1.0, n), 0.0)
+    c = -A.T @ y + E.T @ v + r_lo - r_hi
+    return LpProblem(c=c, A=A, b=b, E=E, f=f, lo=lo, hi=hi)
+
+
+def test_phase_one_lps_certify_and_match_highs():
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    rng = np.random.default_rng(7)
+    negative_rhs = 0
+    for _ in range(80):
+        p = _phase_one_lp(rng)
+        shift = np.where(np.isfinite(p.lo), p.lo, np.where(np.isfinite(p.hi), p.hi, 0.0))
+        negative_rhs += bool(np.any(p.b - p.A @ shift < 0))
+        out = solve_lp(p)
+        assert out.status == "optimal"
+        assert certificate_ok(p, out)
+        ref = linprog(
+            p.c, A_ub=p.A, b_ub=p.b, A_eq=p.E, b_eq=p.f,
+            bounds=[(l if np.isfinite(l) else None, h if np.isfinite(h) else None)
+                    for l, h in zip(p.lo, p.hi)],
+            method="highs",
+        )
+        assert ref.status == 0
+        assert out.value == pytest.approx(ref.fun, rel=1e-7, abs=1e-7)
+    assert negative_rhs > 0
+
+
+def test_package_import_leaves_scipy_unloaded():
+    # scipy is only a test oracle; importing it would multiply set-up time
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    code = "import sys, ccpkit; print(any(m.split('.')[0] == 'scipy' for m in sys.modules))"
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+    )
+    assert out.stdout.strip() == "False"
