@@ -10,7 +10,6 @@ exceeds the bound provider's value.
 
 from __future__ import annotations
 
-from functools import partial
 from time import perf_counter
 from typing import Optional, Tuple
 
@@ -59,30 +58,41 @@ def bounds_with_anchor(
 
 def _anchor_by_search(instance, t_low, backend, sgd_config):
     base = t_low if np.isfinite(t_low) else 0.0
-    accept = partial(_accepted, instance, backend, sgd_config, None)
+    accept = _acceptor(instance, backend, sgd_config)
     found = bisect_budget(accept, base, np.inf, tol=np.inf, step=max(1.0, abs(base) / 2.0))
     if found.witness is None:
         raise NoFeasibleT("no budget produced a chance-feasible hinge minimizer")
     return float(instance.cost @ found.witness), found.witness
 
 
-def _accepted(instance, backend, sgd_config, rescue, t) -> Optional[np.ndarray]:
-    """The hinge minimizer at budget t if it is chance-feasible, else what
-    rescue(t, minimizer) returns, if a rescue is given; None when S(t) is empty."""
-    try:
-        sol = solve_lower_level(instance, t, None, backend=backend, sgd_config=sgd_config)
-    except BadStart:
-        return None
-    if is_feasible(instance, sol.x):
-        return sol.x
-    return None if rescue is None else rescue(t, sol)
+def _acceptor(instance, backend, sgd_config, rescue=None):
+    """accept(t) for one budget search: the hinge minimizer at budget t if it
+    is chance-feasible, else what rescue(t, minimizer) returns, if a rescue
+    is given; None when S(t) is empty. Only t moves from one probe to the
+    next, so each probe's LP warm-starts from the last solved one's basis."""
+    last = None
+
+    def accept(t) -> Optional[np.ndarray]:
+        nonlocal last
+        try:
+            sol = solve_lower_level(
+                instance, t, None, backend=backend, sgd_config=sgd_config, start=last
+            )
+        except BadStart:
+            return None
+        last = sol.lp_outcome
+        if is_feasible(instance, sol.x):
+            return sol.x
+        return None if rescue is None else rescue(t, sol)
+
+    return accept
 
 
 def _bisect(instance, method, delta1, backend, sgd_config, max_bisections, rescue=None):
     """The scheme of also_x, and of also_x_plus when given its rescue."""
     start = perf_counter()
     t_low, t_up, incumbent = bounds_with_anchor(instance, sgd_config, backend)
-    accept = partial(_accepted, instance, backend, sgd_config, rescue)
+    accept = _acceptor(instance, backend, sgd_config, rescue)
     found = bisect_budget(accept, t_low, t_up, delta1, max(1.0, abs(t_up)), max_bisections)
     if found.witness is not None:
         incumbent = found.witness

@@ -46,6 +46,7 @@ def also_x_plus(
                     backend=backend,
                     sgd_config=sgd_config,
                     x0=sol.x,
+                    start=sol.lp_outcome,
                 )
             else:
                 res = dc_solve(

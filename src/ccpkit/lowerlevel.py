@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import BackendUnavailable, BadStart, NoConvergence, NonFinite
 from .geometry import as_polyhedron, dykstra_project, flatten_set
-from .lp import LpProblem, solve_lp
+from .lp import LpOutcome, LpProblem, solve_lp
 from .model import (
     AffineEqualities,
     BiAffine,
@@ -57,6 +57,7 @@ class LowerLevelSolution:
     value: float           # sum_k p_k z_k s_k
     backend: str
     iterations: int
+    lp_outcome: Optional[LpOutcome] = None   # the lp backend's LP outcome, a warm start for the next
 
 
 def _hinge_parts(instance: CcpInstance, x: np.ndarray, z: np.ndarray):
@@ -65,28 +66,34 @@ def _hinge_parts(instance: CcpInstance, x: np.ndarray, z: np.ndarray):
 
 
 def has_affine_rows(model) -> bool:
-    """True when affine_row_blocks(model) gives blocks rather than None."""
+    """True when affine_rows(model) gives rows rather than None."""
     return isinstance(model, (BiAffine, NormAugmented, Covering, BiAffineEquality))
+
+
+def affine_rows(model) -> Optional[Tuple[np.ndarray, np.ndarray]]:
+    """Stacked (R, r), shapes (N, I, n) and (N, I), with
+    g_k(x) = max_i (R[k] x - r[k])_i, or None unless the rows are affine."""
+    if isinstance(model, Covering):
+        return -model.mats, -np.ones(model.mats.shape[:2])
+    if isinstance(model, BiAffineEquality):
+        return np.stack([model.d, -model.d], axis=1), np.stack([model.e, -model.e], axis=1)
+    if isinstance(model, (BiAffine, NormAugmented)):
+        return model.mats, model.offsets
+    return None
 
 
 def affine_row_blocks(
     model, keep: Optional[Iterable[int]] = None
 ) -> Optional[List[Tuple[np.ndarray, np.ndarray]]]:
-    """Per-scenario (R_k, r_k) with g_k(x) = max_i (R_k x - r_k)_i, or None.
+    """Per-scenario (R_k, r_k) of affine_rows(model), or None.
 
-    Blocks are built for the scenarios in `keep`, in its order (all by default).
+    Blocks are listed for the scenarios in `keep`, in its order (all by default).
     """
-    if not has_affine_rows(model):
+    rows = affine_rows(model)
+    if rows is None:
         return None
-    ks = range(model.scenario_count) if keep is None else keep
-    if isinstance(model, Covering):
-        return [(-model.mats[k], -np.ones(model.mats.shape[1])) for k in ks]
-    if isinstance(model, BiAffineEquality):
-        return [
-            (np.vstack([model.d[k], -model.d[k]]), np.array([model.e[k], -model.e[k]]))
-            for k in ks
-        ]
-    return [(model.mats[k], model.offsets[k]) for k in ks]      # BiAffine, NormAugmented
+    R, r = rows
+    return [(R[k], r[k]) for k in (range(R.shape[0]) if keep is None else keep)]
 
 
 def _norm_aux(model) -> Tuple[int, str]:
@@ -100,86 +107,63 @@ def _norm_aux(model) -> Tuple[int, str]:
     raise BackendUnavailable("lp backend: only 1-norm / sup-norm balls linearize")
 
 
-def _solve_hinge_lp(instance: CcpInstance, t: float, z: np.ndarray) -> LowerLevelSolution:
+def _hinge_lp(instance: CcpInstance, t: float, z: np.ndarray) -> LpProblem:
+    """The weighted hinge problem as an LP over (x, s, aux).
+
+    One row R_k[i] x - s_k + theta * aux <= r_k[i] per scenario row, the
+    dual-norm rows of _norm_aux, c'x <= t when t is finite, then X's rows.
+    """
     model = instance.constraints
-    blocks = affine_row_blocks(model)
-    if blocks is None:
+    rows = affine_rows(model)
+    if rows is None:
         raise BackendUnavailable(f"lp backend: {type(model).__name__} rows are not affine")
-    n, N = instance.n, instance.scenario_count
+    R, r = rows
+    N, per, n = R.shape
     n_aux, aux_kind = _norm_aux(model)
     theta = model.theta if isinstance(model, NormAugmented) else 0.0
     xA, xb, xE, xf, lo_x, hi_x = as_polyhedron(instance.x_set)
-
     ncol = n + N + n_aux
-    rows: List[np.ndarray] = []
-    rhs: List[float] = []
 
-    def pad(vec_x, vec_s=None, vec_u=None):
-        r = np.zeros(ncol)
-        r[:n] = vec_x
-        if vec_s is not None:
-            r[n : n + N] = vec_s
-        if vec_u is not None:
-            r[n + N :] = vec_u
-        return r
+    def pad(x_rows):
+        out = np.zeros((x_rows.shape[0], ncol))
+        out[:, :n] = x_rows
+        return out
 
-    for k, (Rk, rk) in enumerate(blocks):
-        for i in range(Rk.shape[0]):
-            s_vec = np.zeros(N)
-            s_vec[k] = -1.0
-            u_vec = None
-            if aux_kind == "sum":
-                u_vec = np.full(n_aux, theta)
-            elif aux_kind == "max":
-                u_vec = np.array([theta])
-            rows.append(pad(Rk[i], s_vec, u_vec))
-            rhs.append(float(rk[i]))
-    if aux_kind == "sum":
-        for j in range(n):
-            for sign in (1.0, -1.0):
-                r = np.zeros(ncol)
-                r[j] = sign
-                r[n + N + j] = -1.0
-                rows.append(r)
-                rhs.append(0.0)
-    elif aux_kind == "max":
-        for j in range(n):
-            for sign in (1.0, -1.0):
-                r = np.zeros(ncol)
-                r[j] = sign
-                r[n + N] = -1.0
-                rows.append(r)
-                rhs.append(0.0)
-    if np.isfinite(t):
-        rows.append(pad(instance.cost))
-        rhs.append(float(t))
-    for i in range(xA.shape[0]):
-        rows.append(pad(xA[i]))
-        rhs.append(float(xb[i]))
-    eq_rows = [pad(xE[i]) for i in range(xE.shape[0])]
-    eq_rhs = [float(xf[i]) for i in range(xE.shape[0])]
+    scen = pad(R.reshape(N * per, n))
+    scen[np.arange(N * per), n + np.repeat(np.arange(N), per)] = -1.0
+    scen[:, n + N :] = theta
+    # +-x_j - u_j <= 0 ("sum") or +-x_j - v <= 0 ("max"), in the order x_1, -x_1, x_2, ...
+    norm = np.zeros((2 * n if n_aux else 0, ncol))
+    if n_aux:
+        j = np.repeat(np.arange(n), 2)
+        norm[np.arange(2 * n), j] = np.tile([1.0, -1.0], n)
+        norm[np.arange(2 * n), n + N + (j if aux_kind == "sum" else 0)] = -1.0
+    budget = instance.cost[None, :] if np.isfinite(t) else np.zeros((0, n))
 
-    lo = np.concatenate([lo_x, np.zeros(N), np.zeros(max(n_aux, 0))])
-    hi = np.concatenate([hi_x, np.full(N, np.inf), np.full(max(n_aux, 0), np.inf)])
-    cost = np.concatenate([np.zeros(n), instance.probabilities * z, np.zeros(n_aux)])
-
-    problem = LpProblem(
-        c=cost,
-        A=np.array(rows) if rows else None,
-        b=np.array(rhs) if rhs else None,
-        E=np.array(eq_rows) if eq_rows else None,
-        f=np.array(eq_rhs) if eq_rhs else None,
-        lo=lo,
-        hi=hi,
+    return LpProblem(
+        c=np.concatenate([np.zeros(n), instance.probabilities * z, np.zeros(n_aux)]),
+        A=np.vstack([scen, norm, pad(budget), pad(xA)]),
+        b=np.concatenate([r.reshape(N * per), np.zeros(norm.shape[0]), np.full(budget.shape[0], t), xb]),
+        E=pad(xE),
+        f=xf,
+        lo=np.concatenate([lo_x, np.zeros(N + n_aux)]),
+        hi=np.concatenate([hi_x, np.full(N + n_aux, np.inf)]),
     )
-    out = solve_lp(problem)
+
+
+def _solve_hinge_lp(
+    instance: CcpInstance, t: float, z: np.ndarray, start: Optional[LpOutcome] = None
+) -> LowerLevelSolution:
+    out = solve_lp(_hinge_lp(instance, t, z), start=start)
     if out.status == "infeasible":
         raise BadStart(f"hinge lp: S(t) is empty at t={t}")
     if out.status != "optimal":
         raise NonFinite(f"hinge lp: unexpected status {out.status}")
-    x = out.x[:n]
+    x = out.x[: instance.n]
     s, value = _hinge_parts(instance, x, z)
-    return LowerLevelSolution(x=x, s=s, value=value, backend="lp", iterations=out.pivots)
+    return LowerLevelSolution(
+        x=x, s=s, value=value, backend="lp", iterations=out.pivots, lp_outcome=out
+    )
 
 
 # points of a lattice scan scored at once; a dim-20 scan holds one block at a time
@@ -243,13 +227,19 @@ def solve_lower_level(
     backend: str = "auto",
     x0=None,
     sgd_config: Optional[SgdConfig] = None,
+    start: Optional[LpOutcome] = None,
 ) -> LowerLevelSolution:
-    """Weighted hinge minimum over S(t); see the module docstring."""
+    """Weighted hinge minimum over S(t); see the module docstring.
+
+    start: the lp_outcome of an earlier lp-backend solve of this instance;
+    the LP then warm-starts from its final basis (lp.solve_lp). Other
+    backends ignore it.
+    """
     z = np.ones(instance.scenario_count) if z_weights is None else np.asarray(z_weights, dtype=float)
     if backend == "auto":
         backend = pick_backend(instance)
     if backend == "lp":
-        return _solve_hinge_lp(instance, t, z)
+        return _solve_hinge_lp(instance, t, z, start)
     if backend == "enum":
         return _solve_hinge_enum(instance, t, z)
     if backend == "sgd":
@@ -338,14 +328,19 @@ def am(
     backend: str = "auto",
     sgd_config: Optional[SgdConfig] = None,
     x0=None,
+    start: Optional[LpOutcome] = None,
 ) -> AmResult:
     """Alternate weighted hinge solves with the closed-form z update.
 
-    Warm-starting each hinge solve from the previous x makes the objective
-    trace nonincreasing (the best iterate can never exceed its start). When
-    the sgd backend leaves an interior point with every active scenario
-    nearly tight, a projection onto the exact active face removes the
-    residual hinge mass so downstream feasibility verdicts see exact zeros.
+    The objective trace is nonincreasing. The lp backend minimizes each
+    round exactly, and warm-starts each round's LP from the previous round's
+    final basis (the first round from `start`, an lp_outcome at this t, if
+    given): only the cost weights move between rounds. The sgd backend
+    warm-starts each hinge solve from the previous x (x0 for the first),
+    and its best iterate can never exceed its start. When the sgd backend
+    leaves an interior point with every active scenario nearly tight, a
+    projection onto the exact active face removes the residual hinge mass
+    so downstream feasibility verdicts see exact zeros.
 
     Stops when consecutive objectives differ by less than delta2.
     """
@@ -359,8 +354,11 @@ def am(
     obj = np.nan
     rounds = 0
     for rounds in range(1, max_rounds + 1):
-        sol = solve_lower_level(instance, t, z, backend=backend, x0=x_warm, sgd_config=sgd_config)
+        sol = solve_lower_level(
+            instance, t, z, backend=backend, x0=x_warm, sgd_config=sgd_config, start=start
+        )
         x, s, obj = sol.x, sol.s, sol.value
+        start = sol.lp_outcome
         if sol.backend == "sgd" and np.min(z) == 0.0:
             polished = _exact_face_polish(instance, t, z, x)
             if polished is not None:

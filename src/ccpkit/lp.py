@@ -1,4 +1,5 @@
-"""Dense two-phase primal simplex for small linear programs.
+"""Dense two-phase primal simplex for small linear programs, with warm
+re-solves from an earlier optimal basis.
 
     min c'x   s.t.  A x <= b,  E x = f,  lo <= x <= hi
 
@@ -19,6 +20,30 @@ first is a Bland pivot, which cannot cycle. A pivot budget of
 CycleGuardTripped if exhausted. Intended for desk-scale problems (at most
 10_000 columns after standard-form conversion); everything is dense numpy.
 
+Warm re-solves. solve_lp(problem, start=outcome) starts from the final
+tableau of an optimal outcome of an LP with the same A, E, lo and hi (checked
+with np.array_equal; any other start is ignored and the LP is solved cold).
+That tableau holds the basis inverse in the columns that began as unit
+vectors, the slacks and the equality rows' artificials, so a copy of it
+takes the new rhs as that inverse times the new shifted rhs, and the new
+cost is priced against the old basis. A basis that is still primal feasible
+goes on with the primal loop above. One that is only dual feasible, as after
+a change of b alone, goes to a dual simplex loop (Lemke 1954). One that is
+neither, or a start whose phase 1 dropped redundant rows, is solved cold.
+
+The dual loop prices like the primal one: the row with the most negative
+basic value leaves (lowest index on ties), and the entering column has the
+smallest ratio of its reduced cost to minus its entry in that row (lowest
+index on ties). The pivot after a degenerate one (zero ratio) is a dual Bland
+pivot: the infeasible row whose basic column has the lowest index leaves. It
+terminates for the same reason: each nondegenerate dual pivot strictly raises
+the objective while every reduced cost stays nonnegative, so no basis comes
+back across one, and a run of degenerate pivots is Bland's rule on the dual
+after its first pivot. The same pivot budget guards it. A row with a negative
+basic value and no negative entry proves the LP infeasible. Once every basic
+value is nonnegative, the primal loop confirms optimality (it normally makes
+no pivot). The start is never modified.
+
 The optimal outcome carries a dual certificate (row multipliers, the most
 negative reduced cost, and the primal-dual gap) so callers can verify
 optimality independently.
@@ -26,8 +51,8 @@ optimality independently.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from dataclasses import dataclass, field
+from typing import List, Optional
 
 import numpy as np
 
@@ -62,6 +87,8 @@ class LpProblem:
             raise ValidationError("lp: constraint matrix/rhs shapes disagree")
         if lo.shape != (n,) or hi.shape != (n,):
             raise ValidationError("lp: bound vectors must have length n")
+        if np.any(lo == np.inf) or np.any(hi == -np.inf):
+            raise ValidationError("lp: a lower bound of +inf or an upper bound of -inf admits no value")
         if np.any(lo > hi):
             raise ValidationError("lp: lower bound exceeds upper bound")
         for name, arr in (("c", c), ("A", A), ("b", b), ("E", E), ("f", f)):
@@ -87,16 +114,66 @@ class LpOutcome:
     reduced_cost_min: Optional[float] = None
     duality_gap: Optional[float] = None
     pivots: int = 0
+    # the final tableau of an optimal solve, for solve_lp(..., start=outcome)
+    tableau: Optional["_Tableau"] = field(default=None, repr=False)
+
+
+class _Form:
+    """Standard form of an LP's A, E, lo and hi: columns z >= 0 with x equal to
+    offsets plus sign * z summed over the columns of each variable (src).
+
+    A finite lo gives x = lo + z (plus a row z <= hi - lo when hi is finite),
+    a finite hi alone gives x = hi - z, and a free x is a pair z+ - z-.
+    """
+
+    def __init__(self, problem: LpProblem):
+        lo, hi = problem.lo, problem.hi
+        lo_fin = np.isfinite(lo)
+        hi_fin = np.isfinite(hi)
+        free = ~(lo_fin | hi_fin)
+        width = 1 + free.astype(int)
+        self.ncols = int(width.sum())
+        if self.ncols > _MAX_COLUMNS:
+            raise ValidationError(f"lp: {self.ncols} columns exceeds the {_MAX_COLUMNS} cap")
+        first = np.cumsum(width) - width
+        self.src = np.repeat(np.arange(problem.n), width)   # original variable of each column
+        self.sign = np.ones(self.ncols)
+        self.sign[first[~lo_fin & hi_fin]] = -1.0
+        self.sign[first[free] + 1] = -1.0
+        self.offsets = np.where(lo_fin, lo, np.where(hi_fin, hi, 0.0))
+        boxed = lo_fin & hi_fin
+        self.up_cols = first[boxed]
+        self.u_rhs = (hi - lo)[boxed]
+        self.n_ineq = problem.A.shape[0]
+        self.n_eq = problem.E.shape[0]
+        self.nslack = self.n_ineq + self.up_cols.shape[0]
+        self.m = self.nslack + self.n_eq
+        # copies, so a caller's later edit of its arrays cannot pass fits()
+        self.A, self.E, self.lo, self.hi = problem.A.copy(), problem.E.copy(), lo.copy(), hi.copy()
+
+    def fits(self, problem: LpProblem) -> bool:
+        return (np.array_equal(self.A, problem.A) and np.array_equal(self.E, problem.E)
+                and np.array_equal(self.lo, problem.lo) and np.array_equal(self.hi, problem.hi))
+
+    def rhs(self, problem: LpProblem) -> np.ndarray:
+        """Right-hand sides of the rows in z, before any row is negated."""
+        off = self.offsets
+        return np.concatenate([problem.b - problem.A @ off, self.u_rhs, problem.f - problem.E @ off])
 
 
 class _Tableau:
-    """Full tableau T = [rows | rhs] with the reduced-cost row at the bottom."""
+    """Full tableau T = [rows | rhs] over a standard form, with the
+    reduced-cost row at the bottom. Rows with row_sign -1 were negated, and
+    the columns from art0 on are artificials."""
 
-    def __init__(self, T: np.ndarray, basis: np.ndarray):
+    def __init__(self, form: _Form, T: np.ndarray, basis: np.ndarray, row_sign: np.ndarray, art0: int):
+        self.form = form
         self.T = T
         self.m = T.shape[0] - 1
         self.n = T.shape[1] - 1
         self.basis = basis
+        self.row_sign = row_sign
+        self.art0 = art0
         self.pivots = 0
 
     def set_costs(self, c: np.ndarray) -> None:
@@ -149,40 +226,62 @@ class _Tableau:
             self.pivot(leave, enter)
             bland = best <= _PIVOT_TOL
 
+    def run_dual(self, limit: int, cap: int) -> str:
+        """Dual simplex over the first `limit` columns from a dual-feasible
+        basis, until every basic value is nonnegative or a row proves the LP
+        infeasible."""
+        T = self.T
+        m, n = self.m, self.n
+        bland = False
+        while True:
+            rhs = T[:m, n]
+            if bland:
+                short = (rhs < -_PIVOT_TOL).nonzero()[0]
+                if short.size == 0:
+                    return "optimal"
+                leave = int(short[self.basis[short].argmin()])
+            else:
+                leave = int(rhs.argmin())
+                if rhs[leave] >= -_PIVOT_TOL:
+                    return "optimal"
+            row = T[leave, :limit]
+            cols = (row < -_PIVOT_TOL).nonzero()[0]
+            if cols.size == 0:
+                return "infeasible"
+            ratios = T[m, cols] / -row[cols]
+            best = float(ratios.min())
+            enter = int(cols[(ratios <= best + _PIVOT_TOL * (1.0 + abs(best))).argmax()])
+            if self.pivots >= cap:
+                raise CycleGuardTripped(f"lp: pivot budget {cap} exhausted")
+            self.pivot(leave, enter)
+            bland = best <= _PIVOT_TOL
 
-def solve_lp(problem: LpProblem) -> LpOutcome:
-    """Solve an LpProblem; outcome status is "optimal", "infeasible" or "unbounded"."""
-    n = problem.n
-    lo, hi = problem.lo, problem.hi
 
-    # --- standard-form conversion: columns z >= 0, x = shift +/- z ---------
-    # a finite lo gives x = lo + z (plus a row z <= hi - lo when hi is finite),
-    # a finite hi alone gives x = hi - z, and a free x is a pair z+ - z-
-    lo_fin = np.isfinite(lo)
-    hi_fin = np.isfinite(hi)
-    free = ~(lo_fin | hi_fin)
-    width = 1 + free.astype(int)
-    ncols = int(width.sum())
-    if ncols > _MAX_COLUMNS:
-        raise ValidationError(f"lp: {ncols} columns exceeds the {_MAX_COLUMNS} cap")
-    first = np.cumsum(width) - width
-    src = np.repeat(np.arange(n), width)          # original variable of each column
-    sign = np.ones(ncols)
-    sign[first[~lo_fin & hi_fin]] = -1.0
-    sign[first[free] + 1] = -1.0
-    offsets = np.where(lo_fin, lo, np.where(hi_fin, hi, 0.0))
-    boxed = lo_fin & hi_fin
-    up_cols = first[boxed]
-    u_rhs = (hi - lo)[boxed]
+def _phase2_cost(problem: LpProblem, form: _Form, total_cols: int) -> np.ndarray:
+    cost = np.zeros(total_cols)
+    cost[: form.ncols] = problem.c[form.src] * form.sign
+    return cost
 
-    n_ineq = problem.A.shape[0]
-    n_up = up_cols.shape[0]
-    n_eq = problem.E.shape[0]
-    nslack = n_ineq + n_up
-    m = nslack + n_eq
-    c_std = problem.c[src] * sign
-    shift_cost = float(problem.c @ offsets)
-    rhs = np.concatenate([problem.b - problem.A @ offsets, u_rhs, problem.f - problem.E @ offsets])
+
+def solve_lp(problem: LpProblem, start: Optional[LpOutcome] = None) -> LpOutcome:
+    """Solve an LpProblem; outcome status is "optimal", "infeasible" or "unbounded".
+
+    start: an optimal outcome of an LP with the same A, E, lo and hi, which
+    the solve re-solves from (module docstring); any other start is ignored.
+    """
+    old = None if start is None else start.tableau
+    if old is not None and old.form.fits(problem):
+        out = _warm_solve(problem, old)
+        if out is not None:
+            return out
+        return _cold_solve(problem, old.form)
+    return _cold_solve(problem, _Form(problem))
+
+
+def _cold_solve(problem: LpProblem, form: _Form) -> LpOutcome:
+    ncols, nslack, m = form.ncols, form.nslack, form.m
+    n_ineq, n_up = form.n_ineq, form.up_cols.shape[0]
+    rhs = form.rhs(problem)
 
     # rows with a negative rhs are negated; they and the equality rows get an
     # artificial column, every other row starts with its slack basic
@@ -195,9 +294,9 @@ def solve_lp(problem: LpProblem) -> LpOutcome:
     total_cols = art0 + n_art
 
     T = np.zeros((m + 1, total_cols + 1))
-    T[:n_ineq, :ncols] = problem.A[:, src] * sign
-    T[n_ineq + np.arange(n_up), up_cols] = 1.0
-    T[nslack:m, :ncols] = problem.E[:, src] * sign
+    T[:n_ineq, :ncols] = problem.A[:, form.src] * form.sign
+    T[n_ineq + np.arange(n_up), form.up_cols] = 1.0
+    T[nslack:m, :ncols] = problem.E[:, form.src] * form.sign
     T[np.arange(nslack), ncols + np.arange(nslack)] = 1.0
     T[:m, total_cols] = rhs
     T[:m] *= row_sign[:, None]
@@ -205,11 +304,11 @@ def solve_lp(problem: LpProblem) -> LpOutcome:
     basis = ncols + np.arange(m)
     basis[art_rows] = art0 + np.arange(n_art)
 
-    tab = _Tableau(T, basis)
+    tab = _Tableau(form, T, basis, row_sign, art0)
     cap = 50 * (m + total_cols)
 
     # --- phase 1 ------------------------------------------------------------
-    dropped = []                         # rows found redundant keep multiplier zero
+    dropped: List[int] = []              # rows found redundant keep multiplier zero
     if n_art:
         phase1_cost = np.zeros(total_cols)
         phase1_cost[art0:] = 1.0
@@ -236,27 +335,62 @@ def solve_lp(problem: LpProblem) -> LpOutcome:
             tab.m = int(keep.sum())
 
     # --- phase 2 ------------------------------------------------------------
-    phase2_cost = np.zeros(total_cols)
-    phase2_cost[:ncols] = c_std
-    tab.set_costs(phase2_cost)
+    cost = _phase2_cost(problem, form, total_cols)
+    tab.set_costs(cost)
     status = tab.run(art0, cap)
     if status == "unbounded":
         return LpOutcome(status="unbounded", pivots=tab.pivots)
+    return _optimal(problem, tab, rhs, cost, dropped)
 
-    # --- recover primal, duals, certificate ----------------------------------
+
+def _warm_solve(problem: LpProblem, old: _Tableau) -> Optional[LpOutcome]:
+    """Re-solve from a copy of old's basis; None when it is neither primal
+    nor dual feasible for the new data."""
+    form = old.form
+    tab = _Tableau(form, old.T.copy(), old.basis.copy(), old.row_sign, old.art0)
+    T, m, n = tab.T, tab.m, tab.n
+    rhs = form.rhs(problem)
+    # the new rhs column is B^-1 (row_sign * rhs); B^-1 e_i is row_sign_i times
+    # the slack column of <= row i (the signs cancel) and, on equality row i,
+    # the artificial column
+    inverse = np.concatenate([form.ncols + np.arange(form.nslack), np.arange(n - form.n_eq, n)])
+    scaled = rhs.copy()
+    scaled[form.nslack:] *= tab.row_sign[form.nslack:]
+    values = T[:m, inverse] @ scaled
+    values[(values < 0) & (values > -_PIVOT_TOL)] = 0.0
+    T[:m, n] = values
+    cost = _phase2_cost(problem, form, n)
+    tab.set_costs(cost)
+    cap = 50 * (m + n)
+    if values.min(initial=0.0) < 0.0:
+        if T[m, : tab.art0].min(initial=0.0) < -_PIVOT_TOL:
+            return None
+        if tab.run_dual(tab.art0, cap) == "infeasible":
+            return LpOutcome(status="infeasible", pivots=tab.pivots)
+    if tab.run(tab.art0, cap) == "unbounded":
+        return LpOutcome(status="unbounded", pivots=tab.pivots)
+    return _optimal(problem, tab, rhs, cost, [])
+
+
+def _optimal(problem: LpProblem, tab: _Tableau, rhs: np.ndarray, cost: np.ndarray,
+             dropped: List[int]) -> LpOutcome:
+    """Primal point, duals and certificate at an optimal tableau."""
+    form = tab.form
+    ncols, nslack, art0, total_cols = form.ncols, form.nslack, tab.art0, tab.n
     z = np.zeros(total_cols)
     z[tab.basis] = tab.T[: tab.m, tab.n]
-    x = offsets + np.bincount(src, weights=sign * z[:ncols], minlength=n)
-    value = float(c_std @ z[:ncols]) + shift_cost
+    x = form.offsets + np.bincount(form.src, weights=form.sign * z[:ncols], minlength=problem.n)
+    shift_cost = float(problem.c @ form.offsets)
+    value = float(cost[:ncols] @ z[:ncols]) + shift_cost
 
     # a slack column is e_i, so y_i = -cbar(slack_i) on <= rows; an equality
     # row's artificial column is sign_i * e_i, so y_i = -sign_i * cbar(art_i)
-    cbar = tab.T[tab.m, : tab.n]
-    y = np.empty(m)
+    cbar = tab.T[tab.m, :total_cols]
+    y = np.empty(form.m)
     y[:nslack] = -cbar[ncols:art0]
-    y[nslack:] = -row_sign[nslack:] * cbar[total_cols - n_eq :]
+    y[nslack:] = -tab.row_sign[nslack:] * cbar[total_cols - form.n_eq :]
     y[dropped] = 0.0
-    dual_ineq = y[:n_ineq].copy()
+    dual_ineq = y[: form.n_ineq].copy()
     dual_eq = y[nslack:].copy()
     # standard-form dual objective on the original (unnegated) rows
     dual_obj = float(y @ rhs) + shift_cost
@@ -273,4 +407,5 @@ def solve_lp(problem: LpProblem) -> LpOutcome:
         reduced_cost_min=reduced_min,
         duality_gap=float(gap / scale),
         pivots=tab.pivots,
+        tableau=None if dropped else tab,
     )

@@ -1,8 +1,12 @@
 """Shared fixtures: small hand-checkable instances with known optima."""
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import ccpkit.lowerlevel
 from ccpkit import (
     BiAffine,
     BiAffineEquality,
@@ -12,9 +16,37 @@ from ccpkit import (
     Covering,
     EllipticalCcp,
     NonNegOrthant,
+    CcpError,
     Simplex,
+    load_instance,
     std_normal_quantile,
 )
+
+INSTANCES = Path(__file__).resolve().parents[1] / "instances"
+# the demo documents that hold a finite-scenario instance
+FINITE_DOCUMENTS = sorted(
+    p.stem for p in INSTANCES.glob("*.json")
+    if json.loads(p.read_text()).get("type") != "elliptical_gaussian"
+)
+
+
+def load_document(name: str) -> CcpInstance:
+    return load_instance((INSTANCES / f"{name}.json").read_text())
+
+
+def force_cold_lp(monkeypatch):
+    """Make every hinge LP solve ignore its warm start."""
+    cold = ccpkit.lowerlevel.solve_lp
+    monkeypatch.setattr(ccpkit.lowerlevel, "solve_lp", lambda problem, start=None: cold(problem))
+
+
+def report_key(solve, *args, **kwargs):
+    """(objective, t_star, iterations, feasible) of a solve, or its error's name."""
+    try:
+        out = solve(*args, **kwargs)
+    except CcpError as exc:
+        return type(exc).__name__
+    return out.objective, out.t_star, out.iterations, out.feasible
 
 
 def cover_rows(xi) -> BiAffine:

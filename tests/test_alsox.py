@@ -18,7 +18,7 @@ from ccpkit import (
     violation_probability,
 )
 
-from conftest import equiprobable
+from conftest import FINITE_DOCUMENTS, equiprobable, force_cold_lp, load_document, report_key
 
 
 def check_report(inst, out):
@@ -132,3 +132,11 @@ def test_anchor_search_probes_with_the_callers_backend(monkeypatch):
     assert seen and set(seen) == {"lp"}
     assert out.objective == pytest.approx(0.0)
     check_report(inst, out)
+
+
+@pytest.mark.parametrize("name", FINITE_DOCUMENTS)
+def test_warm_probe_chain_matches_a_cold_one(name, monkeypatch):
+    inst = load_document(name)
+    warm = report_key(also_x, inst, backend="lp")
+    force_cold_lp(monkeypatch)
+    assert report_key(also_x, inst, backend="lp") == warm

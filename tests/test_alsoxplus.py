@@ -3,9 +3,19 @@
 import numpy as np
 import pytest
 
-from ccpkit import also_x, also_x_plus, is_feasible, violation_probability
+from ccpkit import (
+    am,
+    also_x,
+    also_x_plus,
+    bounds_with_anchor,
+    is_feasible,
+    solve_lower_level,
+    violation_probability,
+    z_update,
+)
+from ccpkit.cli import generate_instance
 
-from conftest import random_box_instance
+from conftest import FINITE_DOCUMENTS, force_cold_lp, load_document, random_box_instance, report_key
 
 
 def test_two_var_cover_reaches_true_optimum(two_var_cover):
@@ -54,3 +64,25 @@ def test_round_budget_smoke(two_var_cover):
     out = also_x_plus(two_var_cover, max_rounds=1)
     assert out.feasible
     assert is_feasible(two_var_cover, out.x_star)
+
+
+@pytest.mark.parametrize("name", FINITE_DOCUMENTS)
+def test_warm_probes_and_rescues_match_cold_ones(name, monkeypatch):
+    inst = load_document(name)
+    warm = report_key(also_x_plus, inst, backend="lp")
+    force_cold_lp(monkeypatch)
+    assert report_key(also_x_plus, inst, backend="lp") == warm
+
+
+def test_warm_am_rounds_match_cold_ones(monkeypatch):
+    inst = generate_instance("linear", 6, 30, 0.1, 1)
+    t_low, t_up, _ = bounds_with_anchor(inst, backend="lp")
+    t = t_low + 0.1 * (t_up - t_low)
+    probe = solve_lower_level(inst, t, backend="lp")
+    z0 = z_update(probe.s, inst.probabilities, inst.epsilon)
+    warm = am(inst, t, z0=z0, delta2=1e-6, backend="lp", start=probe.lp_outcome)
+    force_cold_lp(monkeypatch)
+    cold = am(inst, t, z0=z0, delta2=1e-6, backend="lp", start=probe.lp_outcome)
+    # the same rounds to rounding: a warm round may pivot to another optimal vertex
+    assert warm.rounds == cold.rounds == 3
+    assert warm.objective_trace == pytest.approx(cold.objective_trace, rel=1e-12, abs=1e-15)

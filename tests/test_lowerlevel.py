@@ -1,5 +1,7 @@
 """Lower-level solvers: backends, weight updates, AM and DC heuristics."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +9,12 @@ from hypothesis import strategies as st
 
 from ccpkit import (
     BackendUnavailable,
+    BiAffineEquality,
+    Covering,
+    DrccpSpec,
+    Halfspaces,
+    Intersection,
+    L1,
     L2,
     LInf,
     LpProblem,
@@ -17,11 +25,16 @@ from ccpkit import (
     dc_solve,
     is_feasible,
     pick_backend,
+    robustify,
+    Simplex,
     solve_lower_level,
     solve_lp,
     violation_probability,
     z_update,
 )
+from ccpkit.cli import generate_instance
+from ccpkit.geometry import as_polyhedron
+from ccpkit.lowerlevel import _hinge_lp, _norm_aux
 
 from conftest import (
     equiprobable,
@@ -147,3 +160,90 @@ def test_am_traces_monotone_on_random_instances():
         out = am(inst, t, backend="lp")
         trace = np.asarray(out.objective_trace)
         assert np.all(np.diff(trace) <= 1e-9)
+
+
+def _row_by_row_hinge_lp(instance, t, z):
+    """The hinge LP as the earlier row-at-a-time builder assembled it; the
+    reference the vectorized builder must reproduce bit for bit."""
+    model = instance.constraints
+    n, N = instance.n, instance.scenario_count
+    if isinstance(model, Covering):
+        blocks = [(-model.mats[k], -np.ones(model.mats.shape[1])) for k in range(N)]
+    elif isinstance(model, BiAffineEquality):
+        blocks = [(np.vstack([model.d[k], -model.d[k]]), np.array([model.e[k], -model.e[k]]))
+                  for k in range(N)]
+    else:
+        blocks = [(model.mats[k], model.offsets[k]) for k in range(N)]
+    n_aux, aux_kind = _norm_aux(model)
+    theta = model.theta if isinstance(model, NormAugmented) else 0.0
+    xA, xb, xE, xf, lo_x, hi_x = as_polyhedron(instance.x_set)
+    ncol = n + N + n_aux
+    rows, rhs = [], []
+
+    def pad(vec_x, vec_s=None, vec_u=None):
+        r = np.zeros(ncol)
+        r[:n] = vec_x
+        if vec_s is not None:
+            r[n : n + N] = vec_s
+        if vec_u is not None:
+            r[n + N :] = vec_u
+        return r
+
+    for k, (Rk, rk) in enumerate(blocks):
+        for i in range(Rk.shape[0]):
+            s_vec = np.zeros(N)
+            s_vec[k] = -1.0
+            u_vec = None
+            if aux_kind == "sum":
+                u_vec = np.full(n_aux, theta)
+            elif aux_kind == "max":
+                u_vec = np.array([theta])
+            rows.append(pad(Rk[i], s_vec, u_vec))
+            rhs.append(float(rk[i]))
+    if aux_kind != "none":
+        for j in range(n):
+            for sign in (1.0, -1.0):
+                r = np.zeros(ncol)
+                r[j] = sign
+                r[n + N + (j if aux_kind == "sum" else 0)] = -1.0
+                rows.append(r)
+                rhs.append(0.0)
+    if np.isfinite(t):
+        rows.append(pad(instance.cost))
+        rhs.append(float(t))
+    for i in range(xA.shape[0]):
+        rows.append(pad(xA[i]))
+        rhs.append(float(xb[i]))
+    eq_rows = [pad(xE[i]) for i in range(xE.shape[0])]
+    eq_rhs = [float(xf[i]) for i in range(xE.shape[0])]
+    return LpProblem(
+        c=np.concatenate([np.zeros(n), instance.probabilities * z, np.zeros(n_aux)]),
+        A=np.array(rows),
+        b=np.array(rhs),
+        E=np.array(eq_rows) if eq_rows else None,
+        f=np.array(eq_rhs) if eq_rhs else None,
+        lo=np.concatenate([lo_x, np.zeros(N), np.zeros(n_aux)]),
+        hi=np.concatenate([hi_x, np.full(N, np.inf), np.full(n_aux, np.inf)]),
+    )
+
+
+def _builder_instances():
+    linear = generate_instance("linear", 4, 7, 0.2, 3)
+    yield linear
+    yield generate_instance("covering", 5, 6, 0.2, 4)
+    yield robustify(DrccpSpec(linear, 0.05, L1()))
+    yield robustify(DrccpSpec(linear, 0.05, LInf()))
+    cut = Halfspaces(np.array([[1.0, 2.0, 0.0, -1.0], [0.0, 1.0, 1.0, 1.0]]), np.array([1.5, 2.0]))
+    yield replace(linear, x_set=Intersection((linear.x_set, cut)))
+    yield replace(linear, x_set=Simplex(4, 2.0))
+    yield make_equality_pair()
+
+
+@pytest.mark.parametrize("t", [-3.5, np.inf])
+def test_vectorized_hinge_lp_matches_the_row_by_row_builder(t):
+    rng = np.random.default_rng(2)
+    for inst in _builder_instances():
+        z = rng.uniform(0.0, 1.0, inst.scenario_count)
+        new, ref = _hinge_lp(inst, t, z), _row_by_row_hinge_lp(inst, t, z)
+        for name in ("c", "A", "b", "E", "f", "lo", "hi"):
+            assert np.array_equal(getattr(new, name), getattr(ref, name)), name

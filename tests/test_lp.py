@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from ccpkit import LpProblem, solve_lp
+from ccpkit import LpProblem, ValidationError, solve_lp
 
 
 def certificate_ok(problem: LpProblem, out, tol=1e-7) -> bool:
@@ -170,9 +170,10 @@ def test_slack_basis_skips_phase_one():
     assert certificate_ok(p, out)
 
 
-def _phase_one_lp(rng):
+def _phase_one_lp(rng, redundant=True):
     """A feasible, bounded LP with mixed-sign rhs, equality rows (one of them
-    redundant) and a mix of finite and infinite lower bounds."""
+    redundant unless redundant=False) and a mix of finite and infinite lower
+    bounds."""
     n = int(rng.integers(2, 7))
     m = int(rng.integers(1, 6))
     k = int(rng.integers(1, 3))
@@ -182,11 +183,12 @@ def _phase_one_lp(rng):
     A = rng.normal(size=(m, n))
     b = A @ x0 + rng.uniform(0.0, 1.0, m) * (rng.random(m) < 0.7)
     E = rng.normal(size=(k, n))
-    E = np.vstack([E, rng.normal(size=k) @ E])          # redundant equality row
+    if redundant:
+        E = np.vstack([E, rng.normal(size=k) @ E])
     f = E @ x0
     # a dual-feasible cost keeps the LP bounded
     y = rng.uniform(0.0, 1.0, m)
-    v = rng.normal(size=k + 1)
+    v = rng.normal(size=E.shape[0])
     r_lo = np.where(np.isfinite(lo), rng.uniform(0.0, 1.0, n), 0.0)
     r_hi = np.where(np.isfinite(hi), rng.uniform(0.0, 1.0, n), 0.0)
     c = -A.T @ y + E.T @ v + r_lo - r_hi
@@ -223,3 +225,106 @@ def test_package_import_leaves_scipy_unloaded():
         [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
     )
     assert out.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("lo, hi", [(-np.inf, -np.inf), (np.inf, np.inf)])
+def test_bounds_that_admit_no_value_are_rejected(lo, hi):
+    with pytest.raises(ValidationError):
+        LpProblem(c=[-1.0], A=[[1.0]], b=[5.0], lo=[lo], hi=[hi])
+
+
+def _highs_status(p):
+    """(status, value) of scipy's HiGHS on p, presolve off so that an
+    unbounded LP is not reported as infeasible."""
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    ref = linprog(
+        p.c, A_ub=p.A, b_ub=p.b, A_eq=p.E, b_eq=p.f,
+        bounds=[(l if np.isfinite(l) else None, h if np.isfinite(h) else None)
+                for l, h in zip(p.lo, p.hi)],
+        method="highs", options={"presolve": False},
+    )
+    return {0: "optimal", 2: "infeasible", 3: "unbounded"}[ref.status], ref.fun
+
+
+def test_warm_solves_match_cold_solves_and_highs():
+    try:
+        import scipy.optimize  # noqa: F401
+        highs = True
+    except ImportError:
+        highs = False
+    rng = np.random.default_rng(11)
+    seen = set()
+    warm_pivots = cold_pivots = 0
+    for trial in range(150):
+        p = _phase_one_lp(rng, redundant=False)
+        start = solve_lp(p)
+        assert start.status == "optimal"
+        moved = ("b", "c", "both")[trial % 3]
+        scale = rng.choice([0.1, 1.0, 3.0])
+        b = p.b + scale * rng.normal(size=p.b.shape) if moved != "c" else p.b
+        c = p.c + scale * rng.normal(size=p.c.shape) if moved != "b" else p.c
+        q = LpProblem(c=c, A=p.A, b=b, E=p.E, f=p.f, lo=p.lo, hi=p.hi)
+        warm = solve_lp(q, start=start)
+        cold = solve_lp(q)
+        seen.add((moved, cold.status))
+        assert warm.status == cold.status
+        warm_pivots += warm.pivots
+        cold_pivots += cold.pivots
+        if cold.status == "optimal":
+            assert warm.value == pytest.approx(cold.value, rel=1e-9, abs=1e-9)
+            assert certificate_ok(q, warm)
+        if highs:
+            status, value = _highs_status(q)
+            assert warm.status == status
+            if status == "optimal":
+                assert warm.value == pytest.approx(value, rel=1e-7, abs=1e-7)
+    # the sweep reaches every kind of outcome, and warm solves pivot less
+    assert {("b", "infeasible"), ("c", "unbounded"), ("b", "optimal"), ("c", "optimal")} <= seen
+    assert warm_pivots < 0.5 * cold_pivots
+
+
+def test_warm_solve_leaves_its_start_alone_and_repeats_exactly():
+    rng = np.random.default_rng(5)
+    p = _phase_one_lp(rng, redundant=False)
+    start = solve_lp(p)
+    before = start.tableau.T.copy(), start.tableau.basis.copy()
+    q = LpProblem(c=p.c, A=p.A, b=p.b + 0.5 * rng.normal(size=p.b.shape), E=p.E, f=p.f,
+                  lo=p.lo, hi=p.hi)
+    first, second = solve_lp(q, start=start), solve_lp(q, start=start)
+    assert np.array_equal(start.tableau.T, before[0])
+    assert np.array_equal(start.tableau.basis, before[1])
+    for name in ("status", "value", "reduced_cost_min", "duality_gap", "pivots"):
+        assert getattr(first, name) == getattr(second, name)
+    for name in ("x", "dual_ineq", "dual_eq"):
+        assert np.array_equal(getattr(first, name), getattr(second, name))
+
+
+def test_start_of_another_matrix_gives_the_cold_result():
+    rng = np.random.default_rng(8)
+    p = _phase_one_lp(rng, redundant=False)
+    start = solve_lp(p)
+    A = p.A.copy()
+    A[0, 0] += 1e-3
+    q = LpProblem(c=p.c, A=A, b=p.b, E=p.E, f=p.f, lo=p.lo, hi=p.hi)
+    warm, cold = solve_lp(q, start=start), solve_lp(q)
+    assert warm.status == cold.status
+    assert warm.value == cold.value and warm.pivots == cold.pivots
+    assert np.array_equal(warm.x, cold.x) and np.array_equal(warm.dual_ineq, cold.dual_ineq)
+
+
+def test_budget_cut_takes_one_dual_pivot_per_dropped_item():
+    # a continuous knapsack, max 3 x1 + 2 x2 + x3 + 0.5 x4 s.t. sum x <= t,
+    # 0 <= x <= 1: after t falls by k, the old basis stays dual feasible, and
+    # each dual pivot takes out the least valuable item still packed
+    def knapsack(t):
+        return LpProblem(c=[-3.0, -2.0, -1.0, -0.5], A=[[1.0] * 4], b=[t],
+                         lo=np.zeros(4), hi=np.ones(4))
+
+    start = solve_lp(knapsack(3.5))
+    assert start.value == pytest.approx(-6.25)
+    for k, value in ((1, -5.5), (2, -4.0), (3, -1.5)):
+        warm = solve_lp(knapsack(3.5 - k), start=start)
+        assert warm.status == "optimal" and warm.value == pytest.approx(value)
+        assert warm.pivots == k
+        assert certificate_ok(knapsack(3.5 - k), warm)
+    assert solve_lp(knapsack(-0.5), start=start).status == "infeasible"
