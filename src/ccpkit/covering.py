@@ -15,13 +15,20 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from time import perf_counter
-from typing import Iterable, Optional
+from typing import Iterable, List, Optional
 
 import numpy as np
 
 from .errors import BackendUnavailable, BadStart, Infeasible, NonFinite, ValidationError
 from .geometry import as_polyhedron, dykstra_project, flatten_set
-from .lowerlevel import _norm_aux, affine_row_blocks, has_affine_rows, lattice_argmin
+from .lowerlevel import (
+    _norm_aux,
+    _padded,
+    _scenario_rows,
+    affine_rows,
+    has_affine_rows,
+    lattice_argmin,
+)
 from .lp import LpProblem, solve_lp
 from .model import (
     BinaryTiny,
@@ -48,56 +55,35 @@ class RelaxationResult:
     iterations: int
 
 
+def _relaxation_lp(instance: CcpInstance) -> LpProblem:
+    """min c'x over (x, s): -A_k[i] x - s_k <= -1 per covering row,
+    sum_k s_k <= floor(N eps), then X's rows; x >= 0 and 0 <= s <= 1."""
+    n, N = instance.n, instance.scenario_count
+    R, r = affine_rows(instance.constraints)
+    ncol = n + N
+    scen, _ = _scenario_rows(instance.constraints, R, ncol, aux_col=ncol, slack_col=n)
+    xA, xb, xE, xf, lo_x, hi_x = as_polyhedron(instance.x_set)
+    mass = np.zeros((1, ncol))
+    mass[0, n:] = 1.0
+    return LpProblem(
+        c=np.concatenate([instance.cost, np.zeros(N)]),
+        A=np.vstack([scen, mass, _padded(xA, ncol)]),
+        b=np.concatenate([r.reshape(-1), [np.floor(N * instance.epsilon)], xb]),
+        E=_padded(xE, ncol),
+        f=xf,
+        lo=np.concatenate([np.maximum(lo_x, 0.0), np.zeros(N)]),
+        hi=np.concatenate([hi_x, np.ones(N)]),
+    )
+
+
 def covering_relaxation(instance: CcpInstance) -> RelaxationResult:
     """LP relaxation: min c'x with at most floor(N eps) fractional misses."""
-    model = instance.constraints
-    if not isinstance(model, Covering):
+    if not isinstance(instance.constraints, Covering):
         raise ValidationError("covering relaxation: needs a covering constraint model")
     if not instance.equiprobable:
         raise ValidationError("covering relaxation: scenarios must be equiprobable")
-    n, N = instance.n, instance.scenario_count
-    budget = float(np.floor(N * instance.epsilon))
-    xA, xb, xE, xf, lo_x, hi_x = as_polyhedron(instance.x_set)
-
-    ncol = n + N
-    rows = []
-    rhs = []
-    for k in range(N):
-        Ak = model.mats[k]
-        for i in range(Ak.shape[0]):
-            row = np.zeros(ncol)
-            row[:n] = -Ak[i]
-            row[n + k] = -1.0
-            rows.append(row)
-            rhs.append(-1.0)
-    row = np.zeros(ncol)
-    row[n:] = 1.0
-    rows.append(row)
-    rhs.append(budget)
-    for i in range(xA.shape[0]):
-        row = np.zeros(ncol)
-        row[:n] = xA[i]
-        rows.append(row)
-        rhs.append(float(xb[i]))
-    eq = None
-    eqrhs = None
-    if xE.shape[0]:
-        eq = np.zeros((xE.shape[0], ncol))
-        eq[:, :n] = xE
-        eqrhs = xf
-    lo = np.concatenate([np.maximum(lo_x, 0.0), np.zeros(N)])
-    hi = np.concatenate([hi_x, np.ones(N)])
-    out = solve_lp(
-        LpProblem(
-            c=np.concatenate([instance.cost, np.zeros(N)]),
-            A=np.array(rows),
-            b=np.array(rhs),
-            E=eq,
-            f=eqrhs,
-            lo=lo,
-            hi=hi,
-        )
-    )
+    n = instance.n
+    out = solve_lp(_relaxation_lp(instance))
     if out.status == "infeasible":
         raise Infeasible("covering relaxation: no fractional covering exists")
     if out.status != "optimal":
@@ -139,61 +125,34 @@ def relax_and_scale(instance: CcpInstance) -> SolveReport:
 # single-scenario and subset costs
 
 
-def _subset_min_cost_lp(instance: CcpInstance, keep: Iterable[int]):
+def _subset_lp(instance: CcpInstance, keep: List[int]) -> LpProblem:
+    """min c'x over (x, aux) with the rows of the kept scenarios, in the
+    order of `keep`, their dual-norm rows, then X's rows."""
     model = instance.constraints
-    blocks = affine_row_blocks(model, keep)
+    R, r = affine_rows(model)
     n = instance.n
-    n_aux, aux_kind = _norm_aux(model)
-    theta = model.theta if isinstance(model, NormAugmented) else 0.0
-    xA, xb, xE, xf, lo_x, hi_x = as_polyhedron(instance.x_set)
+    n_aux = _norm_aux(model)[0]
     ncol = n + n_aux
-    rows = []
-    rhs = []
-    for Rk, rk in blocks:
-        for i in range(Rk.shape[0]):
-            row = np.zeros(ncol)
-            row[:n] = Rk[i]
-            if aux_kind == "sum":
-                row[n:] = theta
-            elif aux_kind == "max":
-                row[n] = theta
-            rows.append(row)
-            rhs.append(float(rk[i]))
-    if aux_kind != "none":
-        for j in range(n):
-            for sign in (1.0, -1.0):
-                row = np.zeros(ncol)
-                row[j] = sign
-                row[n + (j if aux_kind == "sum" else 0)] = -1.0
-                rows.append(row)
-                rhs.append(0.0)
-    for i in range(xA.shape[0]):
-        row = np.zeros(ncol)
-        row[:n] = xA[i]
-        rows.append(row)
-        rhs.append(float(xb[i]))
-    eq = None
-    eqrhs = None
-    if xE.shape[0]:
-        eq = np.zeros((xE.shape[0], ncol))
-        eq[:, :n] = xE
-        eqrhs = xf
-    out = solve_lp(
-        LpProblem(
-            c=np.concatenate([instance.cost, np.zeros(n_aux)]),
-            A=np.array(rows) if rows else None,
-            b=np.array(rhs) if rhs else None,
-            E=eq,
-            f=eqrhs,
-            lo=np.concatenate([lo_x, np.zeros(n_aux)]),
-            hi=np.concatenate([hi_x, np.full(n_aux, np.inf)]),
-        )
+    scen, norm = _scenario_rows(model, R[keep], ncol, aux_col=n)
+    xA, xb, xE, xf, lo_x, hi_x = as_polyhedron(instance.x_set)
+    return LpProblem(
+        c=np.concatenate([instance.cost, np.zeros(n_aux)]),
+        A=np.vstack([scen, norm, _padded(xA, ncol)]),
+        b=np.concatenate([r[keep].reshape(-1), np.zeros(norm.shape[0]), xb]),
+        E=_padded(xE, ncol),
+        f=xf,
+        lo=np.concatenate([lo_x, np.zeros(n_aux)]),
+        hi=np.concatenate([hi_x, np.full(n_aux, np.inf)]),
     )
+
+
+def _subset_min_cost_lp(instance: CcpInstance, keep: List[int]):
+    out = solve_lp(_subset_lp(instance, keep))
     if out.status == "infeasible":
         return np.inf, None
     if out.status == "unbounded":
         return -np.inf, None
-    return float(out.value), np.array(out.x[:n])
+    return float(out.value), np.array(out.x[: instance.n])
 
 
 def _subset_min_cost_enum(instance: CcpInstance, keep: Iterable[int]):
@@ -268,21 +227,41 @@ def subset_min_cost(
     return pair if with_point else pair[0]
 
 
+def scenario_costs(
+    instance: CcpInstance,
+    sgd_config: Optional[SgdConfig] = None,
+) -> np.ndarray:
+    """The vector h of single-scenario costs, h_k = subset_min_cost(instance, [k]).
+
+    On a binary X one lattice pass scores every scenario at once; on any
+    other X each h_k is its own subset_min_cost solve.
+    """
+    if any(isinstance(p, BinaryTiny) for p in flatten_set(instance.x_set)):
+        tol = default_zero_tol(instance)
+
+        def kept_costs(points, costs, losses):
+            return np.where(losses <= tol, costs[:, None], np.inf)
+
+        found = lattice_argmin(instance, kept_costs)
+        return np.array([np.inf if pair is None else pair[0] for pair in found])
+    return np.array(
+        [subset_min_cost(instance, [k], sgd_config) for k in range(instance.scenario_count)]
+    )
+
+
 def quantile_lower_bound(
     instance: CcpInstance,
     sgd_config: Optional[SgdConfig] = None,
 ) -> float:
     """Largest single-scenario cost inside the smallest (1-eps) mass prefix.
 
-    Sort the per-scenario costs h_k ascending and accumulate probability
-    until it reaches 1 - eps; every chance-feasible point must satisfy some
-    scenario at least that expensive, so the prefix maximum bounds v* from
-    below. Returns +inf when the required prefix contains an unsatisfiable
-    scenario.
+    Sort the per-scenario costs h_k (scenario_costs) ascending and
+    accumulate probability until it reaches 1 - eps; every chance-feasible
+    point must satisfy some scenario at least that expensive, so the prefix
+    maximum bounds v* from below. Returns +inf when the required prefix
+    contains an unsatisfiable scenario.
     """
-    h = np.array(
-        [subset_min_cost(instance, [k], sgd_config) for k in range(instance.scenario_count)]
-    )
+    h = scenario_costs(instance, sgd_config)
     order = np.argsort(h, kind="stable")
     mass = 0.0
     for k in order:

@@ -26,12 +26,18 @@ import numpy as np
 
 from .errors import BackendUnavailable, BadStart, Infeasible, NonFinite
 from .geometry import as_polyhedron, flatten_set
-from .lowerlevel import _norm_aux, affine_row_blocks, has_affine_rows, lattice_argmin
+from .lowerlevel import (
+    _norm_aux,
+    _padded,
+    _scenario_rows,
+    affine_rows,
+    has_affine_rows,
+    lattice_argmin,
+)
 from .lp import LpProblem, solve_lp
 from .model import (
     BinaryTiny,
     CcpInstance,
-    NormAugmented,
     SolveReport,
     is_feasible,
     violation_probability,
@@ -40,99 +46,74 @@ from .search import bisect_from
 from .subgrad import SgdConfig, feasible_start, solve_cvar_lower_sgd
 
 
-def _tail_lp(instance: CcpInstance, t: Optional[float], relaxed: bool):
-    """Shared LP in (x, w, beta).
+def _tail_problem(instance: CcpInstance, t: Optional[float], relaxed: bool) -> LpProblem:
+    """Shared LP in (x, w, beta, aux).
 
     relaxed=False: min c'x subject to the tail condition (the upper bound).
     relaxed=True:  min eps*beta + p'w subject to c'x <= t (the lower level).
+    Rows: R_k[i] x - w_k - beta + theta * aux <= r_k[i] per scenario row,
+    the dual-norm rows of _norm_aux, the budget or tail row, then X's rows.
     """
     model = instance.constraints
-    blocks = affine_row_blocks(model)
-    if blocks is None:
+    rows = affine_rows(model)
+    if rows is None:
         raise BackendUnavailable(f"cvar lp: {type(model).__name__} rows are not affine")
+    R, r = rows
     n, N = instance.n, instance.scenario_count
     eps = instance.epsilon
-    n_aux, aux_kind = _norm_aux(model)
-    theta = model.theta if isinstance(model, NormAugmented) else 0.0
+    n_aux = _norm_aux(model)[0]
     xA, xb, xE, xf, lo_x, hi_x = as_polyhedron(instance.x_set)
 
     # columns: x | w (N) | beta | aux
     ncol = n + N + 1 + n_aux
     b_col = n + N
-    rows = []
-    rhs = []
-    for k, (Rk, rk) in enumerate(blocks):
-        for i in range(Rk.shape[0]):
-            row = np.zeros(ncol)
-            row[:n] = Rk[i]
-            row[n + k] = -1.0
-            row[b_col] = -1.0
-            if aux_kind == "sum":
-                row[b_col + 1 :] = theta
-            elif aux_kind == "max":
-                row[b_col + 1] = theta
-            rows.append(row)
-            rhs.append(float(rk[i]))
-    if aux_kind != "none":
-        for j in range(n):
-            for sign in (1.0, -1.0):
-                row = np.zeros(ncol)
-                row[j] = sign
-                row[b_col + 1 + (j if aux_kind == "sum" else 0)] = -1.0
-                rows.append(row)
-                rhs.append(0.0)
+    scen, norm = _scenario_rows(model, R, ncol, aux_col=b_col + 1, slack_col=n)
+    scen[:, b_col] = -1.0
     if relaxed:
         if t is None or not np.isfinite(t):
             raise BadStart("cvar lower level needs a finite budget t")
-        row = np.zeros(ncol)
-        row[:n] = instance.cost
-        rows.append(row)
-        rhs.append(float(t))
-    else:
-        row = np.zeros(ncol)
-        row[n : n + N] = instance.probabilities / eps
-        row[b_col] = 1.0
-        rows.append(row)
-        rhs.append(0.0)
-    for i in range(xA.shape[0]):
-        row = np.zeros(ncol)
-        row[:n] = xA[i]
-        rows.append(row)
-        rhs.append(float(xb[i]))
-    eq = None
-    eqrhs = None
-    if xE.shape[0]:
-        eq = np.zeros((xE.shape[0], ncol))
-        eq[:, :n] = xE
-        eqrhs = xf
-    lo = np.concatenate([lo_x, np.zeros(N), [-np.inf], np.zeros(n_aux)])
-    hi = np.concatenate([hi_x, np.full(N, np.inf), [0.0], np.full(n_aux, np.inf)])
-    if relaxed:
+        limit, limit_rhs = _padded(instance.cost[None, :], ncol), t
         cost = np.concatenate([np.zeros(n), instance.probabilities, [eps], np.zeros(n_aux)])
     else:
+        limit, limit_rhs = np.zeros((1, ncol)), 0.0
+        limit[0, n : n + N] = instance.probabilities / eps
+        limit[0, b_col] = 1.0
         cost = np.concatenate([instance.cost, np.zeros(N + 1 + n_aux)])
-    out = solve_lp(
-        LpProblem(
-            c=cost,
-            A=np.array(rows),
-            b=np.array(rhs),
-            E=eq,
-            f=eqrhs,
-            lo=lo,
-            hi=hi,
-        )
+    return LpProblem(
+        c=cost,
+        A=np.vstack([scen, norm, limit, _padded(xA, ncol)]),
+        b=np.concatenate([r.reshape(-1), np.zeros(norm.shape[0]), [limit_rhs], xb]),
+        E=_padded(xE, ncol),
+        f=xf,
+        lo=np.concatenate([lo_x, np.zeros(N), [-np.inf], np.zeros(n_aux)]),
+        hi=np.concatenate([hi_x, np.full(N, np.inf), [0.0], np.full(n_aux, np.inf)]),
     )
-    return out, n
 
 
 def _tail_values(instance: CcpInstance, losses: np.ndarray) -> np.ndarray:
     """min over beta <= 0 of beta + (1/eps) E[(g - beta)_+] for each row of
-    a (B, N) block of scenario losses; the minimum sits at a loss or at 0."""
+    a (B, N) block of scenario losses.
+
+    In beta the tail is convex and piecewise linear, with a breakpoint at
+    each loss; its slope is 1 - (1/eps) P{g > beta}, so it is smallest at the
+    largest loss whose mass at or above it reaches eps (Rockafellar and
+    Uryasev 2000), and on the whole segment below that loss when the mass
+    there is exactly eps. One sort per row finds that loss. The expression
+    is evaluated only at it, at its neighbours in sorted order (the other
+    end of a flat segment, or the breakpoint rounding in the cumulative mass
+    may have passed over), each capped at 0, and at 0 itself: O(N log N) per
+    row, where every breakpoint would cost O(N^2).
+    """
     p = instance.probabilities
     eps = instance.epsilon
-    betas = np.concatenate([np.minimum(losses, 0.0), np.zeros((losses.shape[0], 1))], axis=1)
-    best = np.full(losses.shape[0], np.inf)
-    for beta in betas.T:
+    B, N = losses.shape
+    order = np.argsort(-losses, axis=1, kind="stable")
+    ranked = np.take_along_axis(losses, order, axis=1)
+    at = np.minimum(np.sum(np.cumsum(p[order], axis=1) < eps, axis=1), N - 1)
+    near = np.clip(at[:, None] + np.arange(-1, 2), 0, N - 1)
+    betas = np.minimum(np.take_along_axis(ranked, near, axis=1), 0.0)
+    best = np.full(B, np.inf)
+    for beta in np.concatenate([betas, np.zeros((B, 1))], axis=1).T:
         tail = beta + (1.0 / eps) * np.sum(p * np.maximum(losses - beta[:, None], 0.0), axis=1)
         best = np.minimum(best, tail)
     return best
@@ -160,7 +141,7 @@ def cvar_solution(
         value, x, iterations = _cvar_enum(instance)
     elif has_affine_rows(instance.constraints) and backend != "sgd":
         try:
-            out, n = _tail_lp(instance, None, relaxed=False)
+            out = solve_lp(_tail_problem(instance, None, relaxed=False))
         except BackendUnavailable:
             out = None
         if out is not None:
@@ -168,7 +149,7 @@ def cvar_solution(
                 raise Infeasible("cvar: the tail-constrained program is empty")
             if out.status != "optimal":
                 raise NonFinite(f"cvar lp: unexpected status {out.status}")
-            x = out.x[:n]
+            x = out.x[: instance.n]
             value = float(out.value)
             iterations = out.pivots
         else:
@@ -226,7 +207,7 @@ def cvar_lower_value(
         return max(best[0], 0.0)
     if has_affine_rows(instance.constraints):
         try:
-            out, _ = _tail_lp(instance, t, relaxed=True)
+            out = solve_lp(_tail_problem(instance, t, relaxed=True))
         except BackendUnavailable:
             out = None
         if out is not None:

@@ -21,7 +21,7 @@ schemes are calibrated against; the lp backend returns vertices instead.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -82,20 +82,6 @@ def affine_rows(model) -> Optional[Tuple[np.ndarray, np.ndarray]]:
     return None
 
 
-def affine_row_blocks(
-    model, keep: Optional[Iterable[int]] = None
-) -> Optional[List[Tuple[np.ndarray, np.ndarray]]]:
-    """Per-scenario (R_k, r_k) of affine_rows(model), or None.
-
-    Blocks are listed for the scenarios in `keep`, in its order (all by default).
-    """
-    rows = affine_rows(model)
-    if rows is None:
-        return None
-    R, r = rows
-    return [(R[k], r[k]) for k in (range(R.shape[0]) if keep is None else keep)]
-
-
 def _norm_aux(model) -> Tuple[int, str]:
     """(aux column count, kind) for linearizing theta * dual norm in an LP."""
     if not isinstance(model, NormAugmented) or model.theta == 0.0:
@@ -105,6 +91,36 @@ def _norm_aux(model) -> Tuple[int, str]:
     if isinstance(model.norm, L1):        # dual is the sup norm: a single bound v
         return 1, "max"
     raise BackendUnavailable("lp backend: only 1-norm / sup-norm balls linearize")
+
+
+def _padded(x_rows: np.ndarray, ncol: int) -> np.ndarray:
+    """Rows over x, followed by zeros up to ncol columns."""
+    out = np.zeros((x_rows.shape[0], ncol))
+    out[:, : x_rows.shape[1]] = x_rows
+    return out
+
+
+def _scenario_rows(model, R: np.ndarray, ncol: int, aux_col: int, slack_col: Optional[int] = None):
+    """(scen, norm): the LP rows of stacked scenario rows R, shape (K, I, n).
+
+    scen holds R[k][i] x - slack_k + theta * aux, one row per scenario row
+    (its rhs is r[k][i] of affine_rows), with the slack in column
+    slack_col + k, or no slack term when slack_col is None. norm holds the
+    dual-norm rows of _norm_aux, rhs 0: +-x_j - u_j ("sum") or +-x_j - v
+    ("max"), in the order x_1, -x_1, x_2, ... The aux columns start at aux_col.
+    """
+    K, per, n = R.shape
+    n_aux, aux_kind = _norm_aux(model)
+    scen = _padded(R.reshape(K * per, n), ncol)
+    if slack_col is not None:
+        scen[np.arange(K * per), slack_col + np.repeat(np.arange(K), per)] = -1.0
+    norm = np.zeros((2 * n if n_aux else 0, ncol))
+    if n_aux:
+        scen[:, aux_col : aux_col + n_aux] = model.theta
+        j = np.repeat(np.arange(n), 2)
+        norm[np.arange(2 * n), j] = np.tile([1.0, -1.0], n)
+        norm[np.arange(2 * n), aux_col + (j if aux_kind == "sum" else 0)] = -1.0
+    return scen, norm
 
 
 def _hinge_lp(instance: CcpInstance, t: float, z: np.ndarray) -> LpProblem:
@@ -118,33 +134,17 @@ def _hinge_lp(instance: CcpInstance, t: float, z: np.ndarray) -> LpProblem:
     if rows is None:
         raise BackendUnavailable(f"lp backend: {type(model).__name__} rows are not affine")
     R, r = rows
-    N, per, n = R.shape
-    n_aux, aux_kind = _norm_aux(model)
-    theta = model.theta if isinstance(model, NormAugmented) else 0.0
-    xA, xb, xE, xf, lo_x, hi_x = as_polyhedron(instance.x_set)
+    N, n = R.shape[0], instance.n
+    n_aux = _norm_aux(model)[0]
     ncol = n + N + n_aux
-
-    def pad(x_rows):
-        out = np.zeros((x_rows.shape[0], ncol))
-        out[:, :n] = x_rows
-        return out
-
-    scen = pad(R.reshape(N * per, n))
-    scen[np.arange(N * per), n + np.repeat(np.arange(N), per)] = -1.0
-    scen[:, n + N :] = theta
-    # +-x_j - u_j <= 0 ("sum") or +-x_j - v <= 0 ("max"), in the order x_1, -x_1, x_2, ...
-    norm = np.zeros((2 * n if n_aux else 0, ncol))
-    if n_aux:
-        j = np.repeat(np.arange(n), 2)
-        norm[np.arange(2 * n), j] = np.tile([1.0, -1.0], n)
-        norm[np.arange(2 * n), n + N + (j if aux_kind == "sum" else 0)] = -1.0
+    scen, norm = _scenario_rows(model, R, ncol, aux_col=n + N, slack_col=n)
+    xA, xb, xE, xf, lo_x, hi_x = as_polyhedron(instance.x_set)
     budget = instance.cost[None, :] if np.isfinite(t) else np.zeros((0, n))
-
     return LpProblem(
         c=np.concatenate([np.zeros(n), instance.probabilities * z, np.zeros(n_aux)]),
-        A=np.vstack([scen, norm, pad(budget), pad(xA)]),
-        b=np.concatenate([r.reshape(N * per), np.zeros(norm.shape[0]), np.full(budget.shape[0], t), xb]),
-        E=pad(xE),
+        A=np.vstack([scen, norm, _padded(budget, ncol), _padded(xA, ncol)]),
+        b=np.concatenate([r.reshape(-1), np.zeros(norm.shape[0]), np.full(budget.shape[0], t), xb]),
+        E=_padded(xE, ncol),
         f=xf,
         lo=np.concatenate([lo_x, np.zeros(N + n_aux)]),
         hi=np.concatenate([hi_x, np.full(N + n_aux, np.inf)]),
@@ -170,31 +170,42 @@ def _solve_hinge_lp(
 _LATTICE_BLOCK = 4096
 
 
-def lattice_argmin(instance: CcpInstance, score) -> Optional[Tuple[float, np.ndarray]]:
+def lattice_argmin(instance: CcpInstance, score):
     """(value, x) at the first minimizer of score over X cap {0,1}^n, or None.
 
     Points come in itertools.product order, a block of rows at a time;
     score(points, costs, losses) maps a block, its costs c'x and its scenario
     losses to one value per point, inf to skip the point. A later point
     replaces the best only when it is lower by more than 1e-15.
+
+    A score may instead map a block of B points to a (B, K) array: K
+    objectives scored in the same pass, each column minimized on its own
+    under the same rule. The result is then a list of K such (value, x)
+    pairs or None. Every block is built, filtered by X and scored once, so
+    K minima cost one scan of the lattice rather than K.
     """
     if sum(isinstance(p, BinaryTiny) for p in flatten_set(instance.x_set)) != 1:
         raise BackendUnavailable("lattice scan: needs exactly one binary set")
     n = instance.n
     shifts = np.arange(n - 1, -1, -1)
-    best, best_x = np.inf, None
+    best = best_x = None
     for first in range(0, 2**n, _LATTICE_BLOCK):
         codes = np.arange(first, min(first + _LATTICE_BLOCK, 2**n))
         points = ((codes[:, None] >> shifts) & 1).astype(float)
         points = points[set_contains(instance.x_set, points)]
         values = score(points, _times(instance.cost, points), scenario_losses(instance, points))
-        # a point that beats the best by the tie rule is below every earlier
-        # value, so only those running minima need the in-order check
-        earlier = np.minimum.accumulate(np.concatenate([[best], values]))[:-1]
-        for i in np.flatnonzero(values < earlier):
-            if values[i] < best - 1e-15:
-                best, best_x = float(values[i]), points[i].copy()
-    return None if best_x is None else (best, best_x)
+        columns = values[:, None] if values.ndim == 1 else values
+        if best is None:
+            best, best_x = np.full(columns.shape[1], np.inf), [None] * columns.shape[1]
+        # a point that beats a column's best by the tie rule is below every
+        # earlier value of the column, so only those running minima need the
+        # in-order check
+        earlier = np.minimum.accumulate(np.vstack([best, columns]), axis=0)[:-1]
+        for k, i in zip(*np.nonzero((columns < earlier).T)):
+            if columns[i, k] < best[k] - 1e-15:
+                best[k], best_x[k] = columns[i, k], points[i].copy()
+    found = [None if x is None else (float(v), x) for v, x in zip(best, best_x)]
+    return found if values.ndim == 2 else found[0]
 
 
 def _solve_hinge_enum(instance: CcpInstance, t: float, z: np.ndarray) -> LowerLevelSolution:
@@ -391,8 +402,8 @@ class DcResult:
 def _dc_pieces(instance: CcpInstance, t: float):
     """Convex pieces of the coupled set over (x, s, z)."""
     model = instance.constraints
-    blocks = affine_row_blocks(model)
-    if blocks is None or (isinstance(model, NormAugmented) and model.theta != 0.0):
+    rows = affine_rows(model)
+    if rows is None or (isinstance(model, NormAugmented) and model.theta != 0.0):
         raise BackendUnavailable(
             f"dc scheme: {type(model).__name__} rows do not embed as halfspaces"
         )
@@ -431,16 +442,9 @@ def _dc_pieces(instance: CcpInstance, t: float):
         row = np.zeros((1, dim))
         row[0, :n] = instance.cost
         pieces.append(Halfspaces(row, np.array([t])))
-    rows = []
-    rhs = []
-    for k, (Rk, rk) in enumerate(blocks):
-        for i in range(Rk.shape[0]):
-            row = np.zeros(dim)
-            row[:n] = Rk[i]
-            row[n + k] = -1.0
-            rows.append(row)
-            rhs.append(float(rk[i]))
-    pieces.append(Halfspaces(np.array(rows), np.array(rhs)))
+    R, r = rows
+    scen, _ = _scenario_rows(model, R, dim, aux_col=dim, slack_col=n)
+    pieces.append(Halfspaces(scen, r.reshape(-1)))
     # probability mass kept by z must reach 1 - eps
     row = np.zeros((1, dim))
     row[0, n + N :] = -instance.probabilities

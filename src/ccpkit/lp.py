@@ -87,21 +87,31 @@ class LpProblem:
             raise ValidationError("lp: constraint matrix/rhs shapes disagree")
         if lo.shape != (n,) or hi.shape != (n,):
             raise ValidationError("lp: bound vectors must have length n")
-        if np.any(lo == np.inf) or np.any(hi == -np.inf):
-            raise ValidationError("lp: a lower bound of +inf or an upper bound of -inf admits no value")
-        if np.any(lo > hi):
-            raise ValidationError("lp: lower bound exceeds upper bound")
-        for name, arr in (("c", c), ("A", A), ("b", b), ("E", E), ("f", f)):
-            if not np.all(np.isfinite(arr)):
-                raise NonFinite(f"lp: non-finite entries in {name}")
-        if np.any(np.isnan(lo)) or np.any(np.isnan(hi)):
-            raise NonFinite("lp: NaN in bounds")
+        # one finiteness pass over the data and one check of the bounds as a
+        # whole (lo <= hi is false on a NaN); the field to blame is looked
+        # for only when either fails
+        data_ok = np.isfinite(np.concatenate([c, A.ravel(), b, E.ravel(), f])).all()
+        if not (data_ok and (lo <= hi).all() and lo.max() < np.inf and hi.min() > -np.inf):
+            _reject(c, A, b, E, f, lo, hi)
         for name, value in (("c", c), ("A", A), ("b", b), ("E", E), ("f", f), ("lo", lo), ("hi", hi)):
             object.__setattr__(self, name, value)
 
     @property
     def n(self) -> int:
         return self.c.shape[0]
+
+
+def _reject(c, A, b, E, f, lo, hi):
+    """Raise the error that names the first invalid field of an LP."""
+    if np.any(lo == np.inf) or np.any(hi == -np.inf):
+        raise ValidationError("lp: a lower bound of +inf or an upper bound of -inf admits no value")
+    if np.any(lo > hi):
+        raise ValidationError("lp: lower bound exceeds upper bound")
+    for name, arr in (("c", c), ("A", A), ("b", b), ("E", E), ("f", f)):
+        if not np.all(np.isfinite(arr)):
+            raise NonFinite(f"lp: non-finite entries in {name}")
+    if np.any(np.isnan(lo)) or np.any(np.isnan(hi)):
+        raise NonFinite("lp: NaN in bounds")
 
 
 @dataclass(frozen=True, eq=False)

@@ -19,7 +19,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .covering import subset_min_cost
+from .covering import scenario_costs, subset_min_cost
 from .errors import CapExceeded, Infeasible, NonFinite, ValidationError
 from .geometry import as_polyhedron, flatten_set
 from .lowerlevel import lattice_argmin
@@ -117,7 +117,7 @@ def exact_solve(
         drops = sorted(itertools.combinations(range(N), m), key=lambda s: tuple(reversed(s)))
     else:
         drops = _maximal_droppable(instance.probabilities, instance.epsilon, subset_cap)
-    h = np.array([subset_min_cost(instance, [k], sgd_config) for k in range(N)])
+    h = scenario_costs(instance, sgd_config)
     order = np.argsort(-h, kind="stable")
     best = np.inf
     best_x = None

@@ -1,10 +1,19 @@
 """Covering approximations: relaxation, scaling, quantile bound."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+import ccpkit.lowerlevel
 from ccpkit import (
+    BiAffine,
+    BinaryTiny,
+    DrccpSpec,
+    Halfspaces,
     Infeasible,
+    Intersection,
+    LInf,
     NonNegOrthant,
     SgdConfig,
     ValidationError,
@@ -13,6 +22,9 @@ from ccpkit import (
     is_feasible,
     quantile_lower_bound,
     relax_and_scale,
+    robustify,
+    scenario_costs,
+    subset_min_cost,
 )
 from ccpkit.cli import generate_instance
 
@@ -86,3 +98,59 @@ def test_power_model_subset_costs_by_bisection():
     value = -6.574798583984375          # frozen; the bound is tight on this instance
     assert quantile_lower_bound(inst, cfg) == pytest.approx(value, abs=1e-5)
     assert exact_solve(inst, sgd_config=cfg).objective == pytest.approx(value, abs=1e-5)
+
+
+def _binary_cost_instances():
+    base = generate_instance("linear", 6, 12, 0.2, 3)
+    rows = base.constraints
+    offsets = rows.offsets.copy()
+    offsets[4] = -1e3                    # scenario 4 holds at no lattice point
+    binary = replace(base, constraints=BiAffine(rows.mats, offsets), x_set=BinaryTiny(6))
+    yield binary
+    yield robustify(DrccpSpec(binary, 0.05, LInf()))
+    cut = Halfspaces(np.array([[1.0, 1.0, 1.0, 0.0, 0.0, 0.0]]), np.array([2.0]))
+    yield replace(binary, x_set=Intersection((BinaryTiny(6), cut)))
+    covering = generate_instance("covering", 7, 9, 0.2, 5)
+    yield replace(covering, x_set=BinaryTiny(7))
+
+
+def test_one_lattice_pass_gives_each_single_scenario_cost_bit_for_bit():
+    for inst in _binary_cost_instances():
+        h = scenario_costs(inst)
+        want = [subset_min_cost(inst, [k]) for k in range(inst.scenario_count)]
+        assert h.tobytes() == np.array(want).tobytes()
+    assert np.isinf(scenario_costs(next(_binary_cost_instances()))[4])
+
+
+def test_each_scenario_column_keeps_the_scan_tie_rule():
+    # x = (0, 1) comes before (1, 0) and costs one ulp more: the later point
+    # is not lower by more than 1e-15, so the column keeps the earlier cost
+    mats = np.array([
+        [[-1.0, -1.0], [1.0, 1.0]],      # x1 + x2 = 1
+        [[-1.0, 0.0], [0.0, 1.0]],       # x1 = 1, x2 = 0
+        [[0.0, 0.0], [0.0, 0.0]],        # never holds
+    ])
+    offsets = np.array([[-1.0, 1.0], [-1.0, 0.0], [-1.0, -1.0]])
+    inst = equiprobable(2, BiAffine(mats, offsets), BinaryTiny(2), [1.0, 1.0 + 2.0**-52], 0.34)
+    h = scenario_costs(inst)
+    assert h.tolist() == [1.0 + 2.0**-52, 1.0, np.inf]
+    assert h.tolist() == [subset_min_cost(inst, [k]) for k in range(3)]
+    pairs = ccpkit.lowerlevel.lattice_argmin(
+        inst, lambda points, costs, losses: np.where(losses <= 0.0, costs[:, None], np.inf))
+    points = [None if pair is None else pair[1].tolist() for pair in pairs]
+    assert points == [[0.0, 1.0], [1.0, 0.0], None]
+
+
+def test_binary_quantile_bound_scores_each_lattice_block_once(monkeypatch):
+    inst = replace(generate_instance("linear", 13, 6, 0.2, 2), x_set=BinaryTiny(13))
+    want = quantile_lower_bound(inst)
+    calls = []
+    losses = ccpkit.lowerlevel.scenario_losses
+
+    def spy(instance, x):
+        calls.append(np.shape(x)[0])
+        return losses(instance, x)
+
+    monkeypatch.setattr(ccpkit.lowerlevel, "scenario_losses", spy)
+    assert quantile_lower_bound(inst) == want
+    assert calls == [4096, 4096]         # 2^13 points in two blocks, not once per scenario

@@ -1,5 +1,7 @@
 """Tail-average baseline: frozen optima and the budget bridge."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from ccpkit import (
     scenario_losses,
 )
 from ccpkit.cli import generate_instance
+from ccpkit.cvar import _tail_values
 
 
 def test_scalar_chain_value(scalar_chain):
@@ -77,3 +80,33 @@ def test_subgradient_bisection_is_conservative():
     tail = min(b + p @ np.maximum(losses - b, 0.0) / eps for b in betas)
     assert tail <= 1e-6 / eps
     assert is_feasible(inst, out.x_star)
+
+
+def _tail_values_at_every_breakpoint(p, eps, losses):
+    """The tail minimum as the earlier scan computed it: the expression at
+    every loss (capped at 0) and at 0; the reference the sort must match."""
+    betas = np.concatenate([np.minimum(losses, 0.0), np.zeros((losses.shape[0], 1))], axis=1)
+    best = np.full(losses.shape[0], np.inf)
+    for beta in betas.T:
+        tail = beta + (1.0 / eps) * np.sum(p * np.maximum(losses - beta[:, None], 0.0), axis=1)
+        best = np.minimum(best, tail)
+    return best
+
+
+@pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])
+def test_sorted_tail_matches_every_breakpoint_bit_for_bit(scale):
+    rng = np.random.default_rng(11)
+    for trial in range(120):
+        N = int(rng.integers(2, 40))
+        p = np.full(N, 1.0 / N) if trial % 2 else rng.dirichlet(np.full(N, 0.7))
+        # eps = k/N puts the (1-eps) quantile on a flat segment for uniform p
+        eps = int(rng.integers(1, N)) / N if trial % 3 else float(rng.uniform(0.02, 0.98))
+        if trial % 4 == 0:
+            losses = rng.integers(-3, 3, size=(64, N)).astype(float)     # ties
+        else:
+            losses = rng.normal(size=(64, N)) - rng.uniform(0.0, 1.5)
+            losses[:, rng.integers(N, size=N // 2)] = losses[:, rng.integers(N, size=N // 2)]
+        losses *= scale
+        got = _tail_values(SimpleNamespace(probabilities=p, epsilon=eps), losses)
+        want = _tail_values_at_every_breakpoint(p, eps, losses)
+        assert got.tobytes() == want.tobytes(), (trial, N, eps)

@@ -34,6 +34,8 @@ from ccpkit import (
 )
 from ccpkit.cli import generate_instance
 from ccpkit.geometry import as_polyhedron
+from ccpkit.covering import _relaxation_lp, _subset_lp
+from ccpkit.cvar import _tail_problem
 from ccpkit.lowerlevel import _hinge_lp, _norm_aux
 
 from conftest import (
@@ -227,10 +229,185 @@ def _row_by_row_hinge_lp(instance, t, z):
     )
 
 
+def _row_by_row_blocks(model, keep=None):
+    """Per-scenario (R_k, r_k) of an affine-rows model, for the reference builders."""
+    N = model.scenario_count
+    if isinstance(model, Covering):
+        blocks = [(-model.mats[k], -np.ones(model.mats.shape[1])) for k in range(N)]
+    elif isinstance(model, BiAffineEquality):
+        blocks = [(np.vstack([model.d[k], -model.d[k]]), np.array([model.e[k], -model.e[k]]))
+                  for k in range(N)]
+    else:
+        blocks = [(model.mats[k], model.offsets[k]) for k in range(N)]
+    return blocks if keep is None else [blocks[k] for k in keep]
+
+
+def _row_by_row_subset_lp(instance, keep):
+    """The subset-cost LP as the earlier row-at-a-time builder assembled it."""
+    model = instance.constraints
+    n = instance.n
+    n_aux, aux_kind = _norm_aux(model)
+    theta = model.theta if isinstance(model, NormAugmented) else 0.0
+    xA, xb, xE, xf, lo_x, hi_x = as_polyhedron(instance.x_set)
+    ncol = n + n_aux
+    rows = []
+    rhs = []
+    for Rk, rk in _row_by_row_blocks(model, keep):
+        for i in range(Rk.shape[0]):
+            row = np.zeros(ncol)
+            row[:n] = Rk[i]
+            if aux_kind == "sum":
+                row[n:] = theta
+            elif aux_kind == "max":
+                row[n] = theta
+            rows.append(row)
+            rhs.append(float(rk[i]))
+    if aux_kind != "none":
+        for j in range(n):
+            for sign in (1.0, -1.0):
+                row = np.zeros(ncol)
+                row[j] = sign
+                row[n + (j if aux_kind == "sum" else 0)] = -1.0
+                rows.append(row)
+                rhs.append(0.0)
+    for i in range(xA.shape[0]):
+        row = np.zeros(ncol)
+        row[:n] = xA[i]
+        rows.append(row)
+        rhs.append(float(xb[i]))
+    eq = None
+    eqrhs = None
+    if xE.shape[0]:
+        eq = np.zeros((xE.shape[0], ncol))
+        eq[:, :n] = xE
+        eqrhs = xf
+    return LpProblem(
+        c=np.concatenate([instance.cost, np.zeros(n_aux)]),
+        A=np.array(rows) if rows else None,
+        b=np.array(rhs) if rhs else None,
+        E=eq,
+        f=eqrhs,
+        lo=np.concatenate([lo_x, np.zeros(n_aux)]),
+        hi=np.concatenate([hi_x, np.full(n_aux, np.inf)]),
+    )
+
+
+def _row_by_row_tail_lp(instance, t, relaxed):
+    """The CVaR LP in (x, w, beta, aux) as the earlier row-at-a-time builder assembled it."""
+    model = instance.constraints
+    n, N = instance.n, instance.scenario_count
+    eps = instance.epsilon
+    n_aux, aux_kind = _norm_aux(model)
+    theta = model.theta if isinstance(model, NormAugmented) else 0.0
+    xA, xb, xE, xf, lo_x, hi_x = as_polyhedron(instance.x_set)
+    ncol = n + N + 1 + n_aux
+    b_col = n + N
+    rows = []
+    rhs = []
+    for k, (Rk, rk) in enumerate(_row_by_row_blocks(model)):
+        for i in range(Rk.shape[0]):
+            row = np.zeros(ncol)
+            row[:n] = Rk[i]
+            row[n + k] = -1.0
+            row[b_col] = -1.0
+            if aux_kind == "sum":
+                row[b_col + 1 :] = theta
+            elif aux_kind == "max":
+                row[b_col + 1] = theta
+            rows.append(row)
+            rhs.append(float(rk[i]))
+    if aux_kind != "none":
+        for j in range(n):
+            for sign in (1.0, -1.0):
+                row = np.zeros(ncol)
+                row[j] = sign
+                row[b_col + 1 + (j if aux_kind == "sum" else 0)] = -1.0
+                rows.append(row)
+                rhs.append(0.0)
+    row = np.zeros(ncol)
+    if relaxed:
+        row[:n] = instance.cost
+        rhs.append(float(t))
+    else:
+        row[n : n + N] = instance.probabilities / eps
+        row[b_col] = 1.0
+        rhs.append(0.0)
+    rows.append(row)
+    for i in range(xA.shape[0]):
+        row = np.zeros(ncol)
+        row[:n] = xA[i]
+        rows.append(row)
+        rhs.append(float(xb[i]))
+    eq = None
+    eqrhs = None
+    if xE.shape[0]:
+        eq = np.zeros((xE.shape[0], ncol))
+        eq[:, :n] = xE
+        eqrhs = xf
+    if relaxed:
+        cost = np.concatenate([np.zeros(n), instance.probabilities, [eps], np.zeros(n_aux)])
+    else:
+        cost = np.concatenate([instance.cost, np.zeros(N + 1 + n_aux)])
+    return LpProblem(
+        c=cost,
+        A=np.array(rows),
+        b=np.array(rhs),
+        E=eq,
+        f=eqrhs,
+        lo=np.concatenate([lo_x, np.zeros(N), [-np.inf], np.zeros(n_aux)]),
+        hi=np.concatenate([hi_x, np.full(N, np.inf), [0.0], np.full(n_aux, np.inf)]),
+    )
+
+
+def _row_by_row_relaxation_lp(instance):
+    """The covering relaxation LP as the earlier row-at-a-time builder assembled it."""
+    model = instance.constraints
+    n, N = instance.n, instance.scenario_count
+    budget = float(np.floor(N * instance.epsilon))
+    xA, xb, xE, xf, lo_x, hi_x = as_polyhedron(instance.x_set)
+    ncol = n + N
+    rows = []
+    rhs = []
+    for k in range(N):
+        Ak = model.mats[k]
+        for i in range(Ak.shape[0]):
+            row = np.zeros(ncol)
+            row[:n] = -Ak[i]
+            row[n + k] = -1.0
+            rows.append(row)
+            rhs.append(-1.0)
+    row = np.zeros(ncol)
+    row[n:] = 1.0
+    rows.append(row)
+    rhs.append(budget)
+    for i in range(xA.shape[0]):
+        row = np.zeros(ncol)
+        row[:n] = xA[i]
+        rows.append(row)
+        rhs.append(float(xb[i]))
+    eq = None
+    eqrhs = None
+    if xE.shape[0]:
+        eq = np.zeros((xE.shape[0], ncol))
+        eq[:, :n] = xE
+        eqrhs = xf
+    return LpProblem(
+        c=np.concatenate([instance.cost, np.zeros(N)]),
+        A=np.array(rows),
+        b=np.array(rhs),
+        E=eq,
+        f=eqrhs,
+        lo=np.concatenate([np.maximum(lo_x, 0.0), np.zeros(N)]),
+        hi=np.concatenate([hi_x, np.ones(N)]),
+    )
+
+
 def _builder_instances():
     linear = generate_instance("linear", 4, 7, 0.2, 3)
     yield linear
-    yield generate_instance("covering", 5, 6, 0.2, 4)
+    covering = generate_instance("covering", 5, 6, 0.2, 4)
+    yield covering
+    yield replace(covering, x_set=Simplex(5, 3.0))
     yield robustify(DrccpSpec(linear, 0.05, L1()))
     yield robustify(DrccpSpec(linear, 0.05, LInf()))
     cut = Halfspaces(np.array([[1.0, 2.0, 0.0, -1.0], [0.0, 1.0, 1.0, 1.0]]), np.array([1.5, 2.0]))
@@ -247,3 +424,23 @@ def test_vectorized_hinge_lp_matches_the_row_by_row_builder(t):
         new, ref = _hinge_lp(inst, t, z), _row_by_row_hinge_lp(inst, t, z)
         for name in ("c", "A", "b", "E", "f", "lo", "hi"):
             assert np.array_equal(getattr(new, name), getattr(ref, name)), name
+
+
+def test_subset_tail_and_relaxation_lps_match_the_row_by_row_builders():
+    rng = np.random.default_rng(2)
+    built = 0
+    for inst in _builder_instances():
+        N = inst.scenario_count
+        pairs = [
+            ("tail", _tail_problem(inst, None, False), _row_by_row_tail_lp(inst, None, False)),
+            ("tail relaxed", _tail_problem(inst, -3.5, True), _row_by_row_tail_lp(inst, -3.5, True)),
+        ]
+        for keep in ([N - 1], [int(k) for k in rng.permutation(N)[:4]], []):
+            pairs.append(("subset", _subset_lp(inst, keep), _row_by_row_subset_lp(inst, keep)))
+        if isinstance(inst.constraints, Covering):
+            pairs.append(("relaxation", _relaxation_lp(inst), _row_by_row_relaxation_lp(inst)))
+        for name, new, ref in pairs:
+            for field in ("c", "A", "b", "E", "f", "lo", "hi"):
+                assert np.array_equal(getattr(new, field), getattr(ref, field)), (name, field)
+            built += 1
+    assert built == 8 * 5 + 2            # two covering instances add the relaxation

@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from ccpkit import LpProblem, ValidationError, solve_lp
+from ccpkit import LpProblem, NonFinite, ValidationError, solve_lp
 
 
 def certificate_ok(problem: LpProblem, out, tol=1e-7) -> bool:
@@ -231,6 +231,32 @@ def test_package_import_leaves_scipy_unloaded():
 def test_bounds_that_admit_no_value_are_rejected(lo, hi):
     with pytest.raises(ValidationError):
         LpProblem(c=[-1.0], A=[[1.0]], b=[5.0], lo=[lo], hi=[hi])
+
+
+@pytest.mark.parametrize(
+    "field, value, error, message",
+    [
+        ("c", np.nan, NonFinite, "non-finite entries in c"),
+        ("A", np.inf, NonFinite, "non-finite entries in A"),
+        ("b", -np.inf, NonFinite, "non-finite entries in b"),
+        ("E", np.nan, NonFinite, "non-finite entries in E"),
+        ("f", np.inf, NonFinite, "non-finite entries in f"),
+        ("lo", np.nan, NonFinite, "NaN in bounds"),
+        ("hi", np.nan, NonFinite, "NaN in bounds"),
+        ("lo", np.inf, ValidationError, "lower bound of +inf"),
+        ("hi", -np.inf, ValidationError, "upper bound of -inf"),
+        ("lo", 5.0, ValidationError, "lower bound exceeds upper bound"),
+    ],
+)
+def test_each_invalid_field_is_named_by_its_typed_error(field, value, error, message):
+    fields = dict(c=np.array([1.0, -1.0, 2.0]), A=np.ones((2, 3)), b=np.ones(2),
+                  E=np.ones((1, 3)), f=np.ones(1), lo=np.array([-np.inf, 0.0, -1.0]),
+                  hi=np.array([np.inf, 4.0, 1.0]))
+    LpProblem(**fields)
+    fields[field] = fields[field].copy()
+    fields[field].flat[-1] = value
+    with pytest.raises(error, match=message.replace("+", r"\+")):
+        LpProblem(**fields)
 
 
 def _highs_status(p):
