@@ -29,7 +29,7 @@ from .lowerlevel import (
     has_affine_rows,
     lattice_argmin,
 )
-from .lp import LpProblem, solve_lp
+from .lp import LpOutcome, LpProblem, solve_lp
 from .model import (
     BinaryTiny,
     CcpInstance,
@@ -146,8 +146,64 @@ def _subset_lp(instance: CcpInstance, keep: List[int]) -> LpProblem:
     )
 
 
-def _subset_min_cost_lp(instance: CcpInstance, keep: List[int]):
-    out = solve_lp(_subset_lp(instance, keep))
+class SubsetChain:
+    """Warm starts for a run of subset_min_cost calls on one instance.
+
+    The chain's LP has the rows of every scenario. A call switches the rows
+    of the scenarios it does not keep off by raising their rhs above the
+    row's maximum over the LP's bound box, so every subset LP of the run
+    shares A, E, lo and hi and re-solves from the last optimal outcome
+    (solve_lp's dual loop). Instances with a scenario row that has no
+    finite maximum over the box keep the compact cold LP of _subset_lp.
+    Create one per run; it holds that run's LP and its last optimal outcome.
+    """
+
+    def __init__(self, instance: CcpInstance):
+        self.instance = instance
+        self.start: Optional[LpOutcome] = None
+        self._built = False
+        self._lp: Optional[LpProblem] = None    # every scenario row switched on
+        self._off: Optional[np.ndarray] = None  # the scenario rows' rhs when off
+        self._per = 0                           # LP rows per scenario
+
+    def problem(self, keep: List[int]) -> Optional[LpProblem]:
+        """The chain's LP with only the rows of `keep` switched on, or None
+        when some scenario row has no finite maximum."""
+        if not self._built:
+            self._build()
+        lp = self._lp
+        if lp is None:
+            return None
+        on = np.zeros(self.instance.scenario_count, dtype=bool)
+        on[keep] = True
+        b = lp.b.copy()
+        b[: self._off.size] = np.where(np.repeat(on, self._per), b[: self._off.size], self._off)
+        return LpProblem(c=lp.c, A=lp.A, b=b, E=lp.E, f=lp.f, lo=lp.lo, hi=lp.hi)
+
+    def _build(self) -> None:
+        self._built = True
+        N = self.instance.scenario_count
+        lp = _subset_lp(self.instance, list(range(N)))
+        per = affine_rows(self.instance.constraints)[1].shape[1]
+        scen = lp.A[: N * per]
+        # the box corner that maximizes each term; a zero coefficient adds 0
+        corner = np.where(scen > 0, lp.hi, np.where(scen < 0, lp.lo, 0.0))
+        row_max = (scen * corner).sum(axis=1)
+        if np.isfinite(row_max).all():
+            self._lp, self._per = lp, per
+            # the margin keeps an off row's slack at least 1 on the whole
+            # box, so it never ties in a ratio test
+            self._off = np.maximum(lp.b[: N * per], row_max + 1.0)
+
+
+def _subset_min_cost_lp(instance: CcpInstance, keep: List[int], chain: Optional[SubsetChain]):
+    problem = None if chain is None else chain.problem(keep)
+    if problem is None:
+        out = solve_lp(_subset_lp(instance, keep))
+    else:
+        out = solve_lp(problem, start=chain.start)
+        if out.status == "optimal":
+            chain.start = out
     if out.status == "infeasible":
         return np.inf, None
     if out.status == "unbounded":
@@ -198,15 +254,20 @@ def subset_min_cost(
     keep: Iterable[int],
     sgd_config: Optional[SgdConfig] = None,
     with_point: bool = False,
+    *,
+    chain: Optional[SubsetChain] = None,
 ):
     """min c'x over x in X with g(x, xi^k) <= 0 for every kept k; inf if none.
 
     Exact for affine rows over polyhedral or binary sets; for other models
     a feasibility-then-bisection subgradient search returns the cost to
     about 1e-5. With with_point=True returns (value, x) where x is None
-    whenever the value is not finite.
+    whenever the value is not finite. chain: a SubsetChain of this
+    instance, whose LP the solve uses and warm-starts from (LP path only).
     """
     keep = list(keep)
+    if chain is not None and chain.instance is not instance:
+        raise ValidationError("subset_min_cost: the chain belongs to another instance")
     if any(isinstance(p, BinaryTiny) for p in flatten_set(instance.x_set)):
         pair = _subset_min_cost_enum(instance, keep)
         return pair if with_point else pair[0]
@@ -219,7 +280,7 @@ def subset_min_cost(
     pair = None
     if linearizable:
         try:
-            pair = _subset_min_cost_lp(instance, keep)
+            pair = _subset_min_cost_lp(instance, keep, chain)
         except BackendUnavailable:
             pair = None
     if pair is None:

@@ -194,22 +194,25 @@ class _Tableau:
 
     def pivot(self, row: int, col: int) -> None:
         T = self.T
-        T[row] = T[row] / T[row, col]
+        prow = T[row]
+        prow /= prow[col]
         fac = T[:, col].copy()
         fac[row] = 0.0
-        T -= fac[:, None] * T[row]
+        T -= np.multiply.outer(fac, prow)
         T[:, col] = 0.0
         T[row, col] = 1.0
         self.basis[row] = col
         self.pivots += 1
         # tiny negative basic values are rounding debris
         rhs = T[: self.m, self.n]
-        rhs[(rhs < 0) & (rhs > -_PIVOT_TOL)] = 0.0
+        if rhs.min() < 0:
+            rhs[(rhs < 0) & (rhs > -_PIVOT_TOL)] = 0.0
 
     def run(self, limit: int, cap: int) -> str:
         """Pivot over the first `limit` columns until optimal or unbounded."""
         T = self.T
         m, n = self.m, self.n
+        rhs = T[:m, n]
         bland = False
         while True:
             costs = T[m, :limit]
@@ -226,11 +229,14 @@ class _Tableau:
             rows = (col > _PIVOT_TOL).nonzero()[0]
             if rows.size == 0:
                 return "unbounded"
-            ratios = T[rows, n] / col[rows]
+            ratios = rhs[rows] / col[rows]
             best = float(ratios.min())
-            # Bland tie-break: smallest basis index among minimizing rows
-            tie = rows[ratios <= best + _PIVOT_TOL * (1.0 + abs(best))]
-            leave = int(tie[self.basis[tie].argmin()])
+            if rows.size == 1:
+                leave = int(rows[0])
+            else:
+                # Bland tie-break: smallest basis index among minimizing rows
+                tie = rows[ratios <= best + _PIVOT_TOL * (1.0 + abs(best))]
+                leave = int(tie[self.basis[tie].argmin()])
             if self.pivots >= cap:
                 raise CycleGuardTripped(f"lp: pivot budget {cap} exhausted")
             self.pivot(leave, enter)

@@ -6,7 +6,11 @@ most eps, so the exact optimum is the cheapest min-cost solve over any
 make the droppable sets exactly those of size floor(N eps); general
 masses need the maximal droppable sets, enumerated by depth-first
 search. Everything here is meant for desk-scale instances: the subset
-count is capped and each inner solve is a full LP or subgradient run.
+count is capped. Each subset is one LP on affine rows. When every
+scenario row has a finite maximum over X's bounds, those LPs form one
+SubsetChain: consecutive droppable sets differ in one or two scenarios,
+so each LP re-solves from the previous optimal basis. Other affine rows
+take a cold LP per subset, and other models a full subgradient search.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .covering import scenario_costs, subset_min_cost
+from .covering import SubsetChain, scenario_costs, subset_min_cost
 from .errors import CapExceeded, Infeasible, NonFinite, ValidationError
 from .geometry import as_polyhedron, flatten_set
 from .lowerlevel import lattice_argmin
@@ -119,6 +123,7 @@ def exact_solve(
         drops = _maximal_droppable(instance.probabilities, instance.epsilon, subset_cap)
     h = scenario_costs(instance, sgd_config)
     order = np.argsort(-h, kind="stable")
+    chain = SubsetChain(instance)
     best = np.inf
     best_x = None
     solves = 0
@@ -128,7 +133,7 @@ def exact_solve(
         if bound >= best:
             continue
         keep = [k for k in range(N) if k not in dropped]
-        val, x = subset_min_cost(instance, keep, sgd_config, with_point=True)
+        val, x = subset_min_cost(instance, keep, sgd_config, with_point=True, chain=chain)
         solves += 1
         if val == -np.inf:
             raise NonFinite("exact solve: objective unbounded below on a kept set")
@@ -195,6 +200,9 @@ def check_nullspace_property(
         E = np.vstack(eq_rows + [signed.sum(axis=0)])
         f = np.zeros(E.shape[0])
         f[-1] = 1.0                     # total signed slack mass fixed to one
+        # only the cost changes between the subsets of one sign pattern, so
+        # each LP re-prices the last optimal basis
+        start = None
         for subset in subsets:
             obj = -signed[list(subset)].sum(axis=0)
             out = solve_lp(
@@ -206,9 +214,12 @@ def check_nullspace_property(
                     f=f,
                     lo=np.full(n, -np.inf),
                     hi=np.full(n, np.inf),
-                )
+                ),
+                start=start,
             )
             solved += 1
+            if out.status == "optimal":
+                start = out
             if out.status == "optimal" and -out.value >= 0.5 - 1e-9:
                 witness = {
                     "subset": tuple(subset),

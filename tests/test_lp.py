@@ -7,7 +7,10 @@ import sys
 import numpy as np
 import pytest
 
-from ccpkit import LpProblem, NonFinite, ValidationError, solve_lp
+import ccpkit.lp
+from ccpkit import LpProblem, NonFinite, SubsetChain, ValidationError, solve_lp
+from ccpkit.cli import generate_instance
+from ccpkit.lowerlevel import _hinge_lp
 
 
 def certificate_ok(problem: LpProblem, out, tol=1e-7) -> bool:
@@ -354,3 +357,93 @@ def test_budget_cut_takes_one_dual_pivot_per_dropped_item():
         assert warm.pivots == k
         assert certificate_ok(knapsack(3.5 - k), warm)
     assert solve_lp(knapsack(-0.5), start=start).status == "infeasible"
+
+
+def _reference_pivot(self, row, col):
+    """_Tableau.pivot as it was before its numpy calls were trimmed."""
+    T = self.T
+    T[row] = T[row] / T[row, col]
+    fac = T[:, col].copy()
+    fac[row] = 0.0
+    T -= fac[:, None] * T[row]
+    T[:, col] = 0.0
+    T[row, col] = 1.0
+    self.basis[row] = col
+    self.pivots += 1
+    rhs = T[: self.m, self.n]
+    rhs[(rhs < 0) & (rhs > -ccpkit.lp._PIVOT_TOL)] = 0.0
+
+
+def _reference_run(self, limit, cap):
+    """_Tableau.run as it was before its numpy calls were trimmed."""
+    tol = ccpkit.lp._PIVOT_TOL
+    T = self.T
+    m, n = self.m, self.n
+    bland = False
+    while True:
+        costs = T[m, :limit]
+        if bland:
+            improving = (costs < -tol).nonzero()[0]
+            if improving.size == 0:
+                return "optimal"
+            enter = int(improving[0])
+        else:
+            enter = int(costs.argmin())
+            if costs[enter] >= -tol:
+                return "optimal"
+        col = T[:m, enter]
+        rows = (col > tol).nonzero()[0]
+        if rows.size == 0:
+            return "unbounded"
+        ratios = T[rows, n] / col[rows]
+        best = float(ratios.min())
+        tie = rows[ratios <= best + tol * (1.0 + abs(best))]
+        leave = int(tie[self.basis[tie].argmin()])
+        if self.pivots >= cap:
+            raise ccpkit.CycleGuardTripped(f"lp: pivot budget {cap} exhausted")
+        self.pivot(leave, enter)
+        bland = best <= tol
+
+
+def _solve_sequence():
+    """Cold and warm solves of seeded LPs: random phase-1 LPs with a moved b
+    or c, hinge LPs over a budget sweep, and a chain of subset LPs."""
+    rng = np.random.default_rng(21)
+    outs = []
+    for trial in range(40):
+        p = _phase_one_lp(rng, redundant=trial % 4 == 0)
+        outs.append(solve_lp(p))
+        q = LpProblem(c=p.c + 3.0 * (trial % 2) * rng.normal(size=p.c.shape), A=p.A,
+                      b=p.b + (1 - trial % 2) * rng.normal(size=p.b.shape),
+                      E=p.E, f=p.f, lo=p.lo, hi=p.hi)
+        outs.append(solve_lp(q, start=outs[-1]))
+    for family in ("linear", "covering"):
+        inst = generate_instance(family, 10, 20, 0.1, 2)
+        z = np.ones(20)
+        for t in (np.inf, 5.0, 2.0, -5.0, -20.0):
+            outs.append(solve_lp(_hinge_lp(inst, t, z), start=outs[-1]))
+        chain = SubsetChain(inst)
+        for drop in ((0, 1), (0, 2), (1, 2), (0, 3), (2, 3), (5, 9)):
+            keep = [k for k in range(20) if k not in drop]
+            outs.append(solve_lp(chain.problem(keep), start=chain.start))
+            chain.start = outs[-1] if outs[-1].status == "optimal" else chain.start
+    return outs
+
+
+def test_pivot_and_run_match_their_reference_bit_for_bit(monkeypatch):
+    fast = _solve_sequence()
+    monkeypatch.setattr(ccpkit.lp._Tableau, "pivot", _reference_pivot)
+    monkeypatch.setattr(ccpkit.lp._Tableau, "run", _reference_run)
+    reference = _solve_sequence()
+    statuses = set()
+    for got, want in zip(fast, reference, strict=True):
+        statuses.add(want.status)
+        for name in ("status", "value", "reduced_cost_min", "duality_gap", "pivots"):
+            assert getattr(got, name) == getattr(want, name)
+        for name in ("x", "dual_ineq", "dual_eq"):
+            assert np.array_equal(getattr(got, name), getattr(want, name))
+        assert (got.tableau is None) == (want.tableau is None)
+        if want.tableau is not None:
+            assert np.array_equal(got.tableau.T, want.tableau.T)
+            assert np.array_equal(got.tableau.basis, want.tableau.basis)
+    assert statuses == {"optimal", "infeasible", "unbounded"}

@@ -1,21 +1,34 @@
 """Enumeration oracle, subset solves, nullspace verdicts."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+import ccpkit.covering
+import ccpkit.oracle
 from ccpkit import (
+    BiAffine,
+    BiAffineEquality,
     CapExceeded,
+    DrccpSpec,
+    LInf,
+    NonNegOrthant,
+    SubsetChain,
+    ValidationError,
     also_x,
     check_nullspace_property,
     cvar_solution,
     exact_solve,
     exact_solve_binary,
     is_feasible,
+    robustify,
     subset_min_cost,
     violation_probability,
 )
 
-from conftest import random_box_instance
+from ccpkit.cli import generate_instance
+from conftest import FINITE_DOCUMENTS, equiprobable, load_document, random_box_instance
 
 
 @pytest.mark.parametrize(
@@ -85,3 +98,143 @@ def test_nullspace_verdicts(equality_pair, violated_equality):
 def test_nullspace_budget_guard(equality_pair):
     capped = check_nullspace_property(equality_pair, lp_budget=1)
     assert capped.status == "cap_exceeded"
+
+
+# ---------------------------------------------------------------------------
+# the warm-started subset chain of exact_solve
+
+
+def _compact(monkeypatch):
+    """Send every subset LP through the compact cold LP, as without a chain."""
+    monkeypatch.setattr(ccpkit.covering.SubsetChain, "problem", lambda self, keep: None)
+
+
+def _chained_and_cold(monkeypatch, inst):
+    chained = exact_solve(inst)
+    with monkeypatch.context() as m:
+        _compact(m)
+        cold = exact_solve(inst)
+    return chained, cold
+
+
+def _assert_same_optimum(inst, chained, cold):
+    assert chained.objective == pytest.approx(cold.objective, rel=1e-12, abs=1e-12)
+    assert chained.iterations == cold.iterations        # the same subsets solved
+    assert is_feasible(inst, chained.x_star)
+
+
+def _non_equiprobable():
+    inst = generate_instance("linear", 4, 8, 0.25, 3)
+    p = np.random.default_rng(3).uniform(0.5, 1.5, 8)
+    return replace(inst, probabilities=p / p.sum())
+
+
+def _orthant_rows():
+    """Mixed-sign rows on the nonnegative orthant: a positive coefficient on
+    an unbounded coordinate gives a row with no finite maximum."""
+    mats = np.array([[-1.0, -2.0], [1.0, -1.0], [-2.0, -1.0], [1.0, 1.0], [-1.0, -1.0]])
+    rows = BiAffine(mats[:, None, :], np.array([-1.0, 0.5, -1.5, 3.0, -1.2])[:, None])
+    return equiprobable(2, rows, NonNegOrthant(2), [1.0, 1.5], 0.2)
+
+
+@pytest.mark.parametrize("name", FINITE_DOCUMENTS)
+def test_chained_oracle_matches_cold_on_demo_documents(monkeypatch, name):
+    inst = load_document(name)
+    _assert_same_optimum(inst, *_chained_and_cold(monkeypatch, inst))
+
+
+@pytest.mark.parametrize("family", ["linear", "covering"])
+def test_chained_oracle_matches_cold_on_generated_instances(monkeypatch, family):
+    for seed in range(1, 11):
+        inst = generate_instance(family, 10, 20, 0.1, seed)
+        _assert_same_optimum(inst, *_chained_and_cold(monkeypatch, inst))
+
+
+def test_chained_oracle_matches_cold_on_the_dfs_path(monkeypatch):
+    inst = _non_equiprobable()
+    assert not inst.equiprobable
+    _assert_same_optimum(inst, *_chained_and_cold(monkeypatch, inst))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: robustify(DrccpSpec(generate_instance("linear", 4, 8, 0.25, 2), 0.05, LInf())),
+    _orthant_rows,
+])
+def test_rows_with_no_finite_maximum_keep_the_compact_lp(monkeypatch, make):
+    inst = make()
+    assert SubsetChain(inst).problem([0]) is None
+    starts = []
+    solve = ccpkit.covering.solve_lp
+    with monkeypatch.context() as m:
+        m.setattr(ccpkit.covering, "solve_lp",
+                  lambda problem, start=None: starts.append(start) or solve(problem, start))
+        chained, cold = _chained_and_cold(m, inst)
+    assert starts and all(s is None for s in starts)
+    _assert_same_optimum(inst, chained, cold)
+
+
+@pytest.mark.parametrize("inst", [
+    generate_instance("linear", 10, 20, 0.1, 1),
+    generate_instance("covering", 10, 20, 0.1, 1),
+    _non_equiprobable(),
+])
+def test_each_chained_subset_is_one_warm_started_lp(monkeypatch, inst):
+    calls = []              # the starts of the solve_lp calls inside each subset call
+    subset, solve = ccpkit.oracle.subset_min_cost, ccpkit.covering.solve_lp
+
+    def spy_subset(*args, **kwargs):
+        calls.append([])
+        return subset(*args, **kwargs)
+
+    def spy_lp(problem, start=None):
+        if calls:           # the scenario costs come first and stay compact
+            calls[-1].append(start)
+        return solve(problem, start)
+
+    monkeypatch.setattr(ccpkit.oracle, "subset_min_cost", spy_subset)
+    monkeypatch.setattr(ccpkit.covering, "solve_lp", spy_lp)
+    report = exact_solve(inst)
+    assert len(calls) == report.iterations > 1
+    assert all(len(starts) == 1 for starts in calls)
+    assert calls[0][0] is None
+    assert all(s[0] is not None and s[0].status == "optimal" for s in calls[1:])
+
+
+def test_a_chain_serves_one_instance(two_var_cover, duplicated_row_cover):
+    chain = SubsetChain(two_var_cover)
+    assert subset_min_cost(two_var_cover, [0, 1], chain=chain) == pytest.approx(0.5, abs=1e-8)
+    assert subset_min_cost(two_var_cover, [0], chain=chain) == pytest.approx(1.0 / 3.0, abs=1e-8)
+    with pytest.raises(ValidationError):
+        subset_min_cost(duplicated_row_cover, [0], chain=chain)
+
+
+def _equality_instance(count, seed):
+    d = np.random.default_rng(seed).integers(1, 6, size=(count, 3)).astype(float)
+    return equiprobable(3, BiAffineEquality(d, np.ones(count)), NonNegOrthant(3),
+                        [1.0, -1.0, 0.5], 0.2)
+
+
+# the generated instances: one holds after 384 LPs, one is violated at the 24th
+@pytest.mark.parametrize("name", ["equality_pair", "generated-6-1", "generated-5-7"])
+def test_nullspace_check_warm_starts_match_cold(monkeypatch, finite_instances, name):
+    if name == "equality_pair":
+        inst = finite_instances[name]
+    else:
+        inst = _equality_instance(*(int(v) for v in name.split("-")[1:]))
+    solve = ccpkit.oracle.solve_lp
+    pivots = []
+    monkeypatch.setattr(ccpkit.oracle, "solve_lp",
+                        lambda problem, start=None: pivots.append(solve(problem, start)) or pivots[-1])
+    warm = check_nullspace_property(inst)
+    warm_pivots = sum(out.pivots for out in pivots)
+    pivots.clear()
+    monkeypatch.setattr(ccpkit.oracle, "solve_lp",
+                        lambda problem, start=None: pivots.append(solve(problem)) or pivots[-1])
+    cold = check_nullspace_property(inst)
+    cold_pivots = sum(out.pivots for out in pivots)
+    assert (warm.status, warm.lps_solved) == (cold.status, cold.lps_solved)
+    assert warm.lps_solved > 1
+    if cold.status == "violated":
+        assert warm.witness["subset"] == cold.witness["subset"]
+        assert warm.witness["signs"] == cold.witness["signs"]
+    assert warm_pivots < cold_pivots
