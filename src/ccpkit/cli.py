@@ -41,10 +41,9 @@ from .errors import (
     NoFeasibleT,
     NormMismatch,
 )
-from .geometry import flatten_set
+from .geometry import has_binary
 from .model import (
     BiAffine,
-    BinaryTiny,
     Box,
     CcpInstance,
     Covering,
@@ -249,9 +248,7 @@ def cmd_compare(args) -> int:
             if row["method"] != "cvar" and "objective" in row:
                 row["improvement_pct"] = (v_cvar - row["objective"]) / abs(v_cvar) * 100.0
     doc = {"instance": args.instance, "results": rows}
-    convex = isinstance(problem, EllipticalCcp) or not any(
-        isinstance(p, BinaryTiny) for p in flatten_set(problem.x_set)
-    )
+    convex = isinstance(problem, EllipticalCcp) or not has_binary(problem.x_set)
     if convex and "alsox" in values and v_cvar is not None:
         ordered = values["alsox"] <= v_cvar + args.delta1
         if "alsoxplus" in values:

@@ -20,23 +20,12 @@ from typing import Iterable, List, Optional
 import numpy as np
 
 from .errors import BackendUnavailable, BadStart, Infeasible, NonFinite, ValidationError
-from .geometry import as_polyhedron, dykstra_project, flatten_set
-from .lowerlevel import (
-    _norm_aux,
-    _padded,
-    _scenario_rows,
-    affine_rows,
-    has_affine_rows,
-    lattice_argmin,
-)
+from .geometry import as_polyhedron, dykstra_project, flatten_set, has_binary
+from .lowerlevel import _lp_rows, _norm_aux, _padded, _scenario_rows, lattice_argmin
 from .lp import LpOutcome, LpProblem, solve_lp
 from .model import (
-    BinaryTiny,
     CcpInstance,
     Covering,
-    L1,
-    LInf,
-    NormAugmented,
     SolveReport,
     default_zero_tol,
     is_feasible,
@@ -59,16 +48,16 @@ def _relaxation_lp(instance: CcpInstance) -> LpProblem:
     """min c'x over (x, s): -A_k[i] x - s_k <= -1 per covering row,
     sum_k s_k <= floor(N eps), then X's rows; x >= 0 and 0 <= s <= 1."""
     n, N = instance.n, instance.scenario_count
-    R, r = affine_rows(instance.constraints)
+    rows = instance.constraints.rows
     ncol = n + N
-    scen, _ = _scenario_rows(instance.constraints, R, ncol, aux_col=ncol, slack_col=n)
+    scen, _ = _scenario_rows(rows, ncol, aux_col=ncol, slack_col=n)
     xA, xb, xE, xf, lo_x, hi_x = as_polyhedron(instance.x_set)
     mass = np.zeros((1, ncol))
     mass[0, n:] = 1.0
     return LpProblem(
         c=np.concatenate([instance.cost, np.zeros(N)]),
         A=np.vstack([scen, mass, _padded(xA, ncol)]),
-        b=np.concatenate([r.reshape(-1), [np.floor(N * instance.epsilon)], xb]),
+        b=np.concatenate([rows.r.reshape(-1), [np.floor(N * instance.epsilon)], xb]),
         E=_padded(xE, ncol),
         f=xf,
         lo=np.concatenate([np.maximum(lo_x, 0.0), np.zeros(N)]),
@@ -128,17 +117,16 @@ def relax_and_scale(instance: CcpInstance) -> SolveReport:
 def _subset_lp(instance: CcpInstance, keep: List[int]) -> LpProblem:
     """min c'x over (x, aux) with the rows of the kept scenarios, in the
     order of `keep`, their dual-norm rows, then X's rows."""
-    model = instance.constraints
-    R, r = affine_rows(model)
+    rows = _lp_rows(instance.constraints)
     n = instance.n
-    n_aux = _norm_aux(model)[0]
+    n_aux = _norm_aux(rows)[0]
     ncol = n + n_aux
-    scen, norm = _scenario_rows(model, R[keep], ncol, aux_col=n)
+    scen, norm = _scenario_rows(rows, ncol, aux_col=n, keep=keep)
     xA, xb, xE, xf, lo_x, hi_x = as_polyhedron(instance.x_set)
     return LpProblem(
         c=np.concatenate([instance.cost, np.zeros(n_aux)]),
         A=np.vstack([scen, norm, _padded(xA, ncol)]),
-        b=np.concatenate([r[keep].reshape(-1), np.zeros(norm.shape[0]), xb]),
+        b=np.concatenate([rows.r[keep].reshape(-1), np.zeros(norm.shape[0]), xb]),
         E=_padded(xE, ncol),
         f=xf,
         lo=np.concatenate([lo_x, np.zeros(n_aux)]),
@@ -184,7 +172,7 @@ class SubsetChain:
         self._built = True
         N = self.instance.scenario_count
         lp = _subset_lp(self.instance, list(range(N)))
-        per = affine_rows(self.instance.constraints)[1].shape[1]
+        per = self.instance.constraints.rows.r.shape[1]
         scen = lp.A[: N * per]
         # the box corner that maximizes each term; a zero coefficient adds 0
         corner = np.where(scen > 0, lp.hi, np.where(scen < 0, lp.lo, 0.0))
@@ -268,23 +256,13 @@ def subset_min_cost(
     keep = list(keep)
     if chain is not None and chain.instance is not instance:
         raise ValidationError("subset_min_cost: the chain belongs to another instance")
-    if any(isinstance(p, BinaryTiny) for p in flatten_set(instance.x_set)):
+    if has_binary(instance.x_set):
         pair = _subset_min_cost_enum(instance, keep)
-        return pair if with_point else pair[0]
-    model = instance.constraints
-    linearizable = has_affine_rows(model) and not (
-        isinstance(model, NormAugmented)
-        and model.theta > 0.0
-        and not isinstance(model.norm, (L1, LInf))
-    )
-    pair = None
-    if linearizable:
+    else:
         try:
             pair = _subset_min_cost_lp(instance, keep, chain)
-        except BackendUnavailable:
-            pair = None
-    if pair is None:
-        pair = _subset_min_cost_sgd(instance, keep, sgd_config)
+        except BackendUnavailable:            # rows with no LP form
+            pair = _subset_min_cost_sgd(instance, keep, sgd_config)
     return pair if with_point else pair[0]
 
 
@@ -297,7 +275,7 @@ def scenario_costs(
     On a binary X one lattice pass scores every scenario at once; on any
     other X each h_k is its own subset_min_cost solve.
     """
-    if any(isinstance(p, BinaryTiny) for p in flatten_set(instance.x_set)):
+    if has_binary(instance.x_set):
         tol = default_zero_tol(instance)
 
         def kept_costs(points, costs, losses):

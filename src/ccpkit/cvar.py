@@ -25,23 +25,10 @@ from typing import Optional
 import numpy as np
 
 from .errors import BackendUnavailable, BadStart, Infeasible, NonFinite
-from .geometry import as_polyhedron, flatten_set
-from .lowerlevel import (
-    _norm_aux,
-    _padded,
-    _scenario_rows,
-    affine_rows,
-    has_affine_rows,
-    lattice_argmin,
-)
+from .geometry import as_polyhedron, has_binary
+from .lowerlevel import _lp_rows, _norm_aux, _padded, _scenario_rows, lattice_argmin
 from .lp import LpProblem, solve_lp
-from .model import (
-    BinaryTiny,
-    CcpInstance,
-    SolveReport,
-    is_feasible,
-    violation_probability,
-)
+from .model import CcpInstance, SolveReport, is_feasible, violation_probability
 from .search import bisect_from
 from .subgrad import SgdConfig, feasible_start, solve_cvar_lower_sgd
 
@@ -54,20 +41,16 @@ def _tail_problem(instance: CcpInstance, t: Optional[float], relaxed: bool) -> L
     Rows: R_k[i] x - w_k - beta + theta * aux <= r_k[i] per scenario row,
     the dual-norm rows of _norm_aux, the budget or tail row, then X's rows.
     """
-    model = instance.constraints
-    rows = affine_rows(model)
-    if rows is None:
-        raise BackendUnavailable(f"cvar lp: {type(model).__name__} rows are not affine")
-    R, r = rows
+    rows = _lp_rows(instance.constraints)
     n, N = instance.n, instance.scenario_count
     eps = instance.epsilon
-    n_aux = _norm_aux(model)[0]
+    n_aux = _norm_aux(rows)[0]
     xA, xb, xE, xf, lo_x, hi_x = as_polyhedron(instance.x_set)
 
     # columns: x | w (N) | beta | aux
     ncol = n + N + 1 + n_aux
     b_col = n + N
-    scen, norm = _scenario_rows(model, R, ncol, aux_col=b_col + 1, slack_col=n)
+    scen, norm = _scenario_rows(rows, ncol, aux_col=b_col + 1, slack_col=n)
     scen[:, b_col] = -1.0
     if relaxed:
         if t is None or not np.isfinite(t):
@@ -82,7 +65,7 @@ def _tail_problem(instance: CcpInstance, t: Optional[float], relaxed: bool) -> L
     return LpProblem(
         c=cost,
         A=np.vstack([scen, norm, limit, _padded(xA, ncol)]),
-        b=np.concatenate([r.reshape(-1), np.zeros(norm.shape[0]), [limit_rhs], xb]),
+        b=np.concatenate([rows.r.reshape(-1), np.zeros(norm.shape[0]), [limit_rhs], xb]),
         E=_padded(xE, ncol),
         f=xf,
         lo=np.concatenate([lo_x, np.zeros(N), [-np.inf], np.zeros(n_aux)]),
@@ -130,6 +113,20 @@ def _cvar_enum(instance: CcpInstance) -> tuple:
     return (*best, 2**instance.n)
 
 
+def _cvar_lp(instance: CcpInstance) -> Optional[tuple]:
+    """(value, x, pivots) of the tail-constrained LP; None for rows with no LP form."""
+    try:
+        problem = _tail_problem(instance, None, relaxed=False)
+    except BackendUnavailable:
+        return None
+    out = solve_lp(problem)
+    if out.status == "infeasible":
+        raise Infeasible("cvar: the tail-constrained program is empty")
+    if out.status != "optimal":
+        raise NonFinite(f"cvar lp: unexpected status {out.status}")
+    return float(out.value), out.x[: instance.n], out.pivots
+
+
 def cvar_solution(
     instance: CcpInstance,
     backend: str = "auto",
@@ -137,25 +134,12 @@ def cvar_solution(
 ) -> SolveReport:
     """Minimize c'x under the tail condition; raises Infeasible when empty."""
     start = perf_counter()
-    if any(isinstance(p, BinaryTiny) for p in flatten_set(instance.x_set)):
-        value, x, iterations = _cvar_enum(instance)
-    elif has_affine_rows(instance.constraints) and backend != "sgd":
-        try:
-            out = solve_lp(_tail_problem(instance, None, relaxed=False))
-        except BackendUnavailable:
-            out = None
-        if out is not None:
-            if out.status == "infeasible":
-                raise Infeasible("cvar: the tail-constrained program is empty")
-            if out.status != "optimal":
-                raise NonFinite(f"cvar lp: unexpected status {out.status}")
-            x = out.x[: instance.n]
-            value = float(out.value)
-            iterations = out.pivots
-        else:
-            value, x, iterations = _cvar_bisect(instance, sgd_config)
-    else:
-        value, x, iterations = _cvar_bisect(instance, sgd_config)
+    found = None
+    if has_binary(instance.x_set):
+        found = _cvar_enum(instance)
+    elif backend != "sgd":
+        found = _cvar_lp(instance)
+    value, x, iterations = found or _cvar_bisect(instance, sgd_config)
     return SolveReport(
         method="cvar",
         t_star=value,
@@ -194,7 +178,7 @@ def cvar_lower_value(
     sgd_config: Optional[SgdConfig] = None,
 ) -> float:
     """Tail lower-level value at budget t, clamped below at zero."""
-    if any(isinstance(p, BinaryTiny) for p in flatten_set(instance.x_set)):
+    if has_binary(instance.x_set):
         cap = t + 1e-9 * (1.0 + abs(t))
         eps = instance.epsilon
 
@@ -205,16 +189,14 @@ def cvar_lower_value(
         if best is None:
             raise BadStart(f"cvar lower level: no lattice point satisfies c'x <= {t}")
         return max(best[0], 0.0)
-    if has_affine_rows(instance.constraints):
-        try:
-            out = solve_lp(_tail_problem(instance, t, relaxed=True))
-        except BackendUnavailable:
-            out = None
-        if out is not None:
-            if out.status == "infeasible":
-                raise BadStart(f"cvar lower level: S(t) is empty at t={t}")
-            if out.status != "optimal":
-                raise NonFinite(f"cvar lower lp: unexpected status {out.status}")
-            return max(float(out.value), 0.0)
-    res = solve_cvar_lower_sgd(instance, t, None, None, sgd_config or SgdConfig())
-    return max(float(res.value), 0.0)
+    try:
+        problem = _tail_problem(instance, t, relaxed=True)
+    except BackendUnavailable:                # rows with no LP form
+        res = solve_cvar_lower_sgd(instance, t, None, None, sgd_config or SgdConfig())
+        return max(float(res.value), 0.0)
+    out = solve_lp(problem)
+    if out.status == "infeasible":
+        raise BadStart(f"cvar lower level: S(t) is empty at t={t}")
+    if out.status != "optimal":
+        raise NonFinite(f"cvar lower lp: unexpected status {out.status}")
+    return max(float(out.value), 0.0)

@@ -28,11 +28,9 @@ from .errors import ModeMismatch, NormMismatch, ValidationError
 from .geometry import flatten_set
 from .model import (
     BiAffine,
-    BiAffineEquality,
     BinaryTiny,
     Box,
     CcpInstance,
-    Covering,
     LInf,
     NonNegOrthant,
     NormAugmented,
@@ -75,20 +73,12 @@ def robustify(spec: DrccpSpec) -> CcpInstance:
     model = base.constraints
     theta = spec.theta
     if spec.mode == "dual":
-        if isinstance(model, BiAffine):
-            new = NormAugmented(model.mats, model.offsets, theta, spec.norm)
-        elif isinstance(model, Covering):
-            mats = -model.mats
-            offsets = -np.ones(model.mats.shape[:2])
-            new = NormAugmented(mats, offsets, theta, spec.norm)
-        elif isinstance(model, BiAffineEquality):
-            mats = np.stack([model.d, -model.d], axis=1)
-            offsets = np.stack([model.e, -model.e], axis=1)
-            new = NormAugmented(mats, offsets, theta, spec.norm)
-        else:
+        rows = model.rows
+        if rows is None or rows.theta != 0.0:
             raise ModeMismatch(
-                f"dual reduction needs bi-affine rows, not {type(model).__name__}"
+                f"dual reduction needs affine rows with no norm term, not {type(model).__name__}"
             )
+        new = NormAugmented(rows.R, rows.r, theta, spec.norm)
     else:
         if not isinstance(spec.norm, LInf):
             raise NormMismatch("shift reduction needs the sup-norm transport ball")

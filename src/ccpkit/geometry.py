@@ -102,6 +102,11 @@ def flatten_set(s: FeasibleSet) -> List[FeasibleSet]:
     return [s]
 
 
+def has_binary(s: FeasibleSet) -> bool:
+    """True when s has a binary member, so its points are a lattice."""
+    return any(isinstance(p, BinaryTiny) for p in flatten_set(s))
+
+
 def as_polyhedron(s: FeasibleSet):
     """Polyhedral description (A, b, E, f, lo, hi) with A x <= b and E x = f.
 

@@ -13,6 +13,12 @@ with z in [0,1]^N fixed. Backends:
   "enum"  lattice enumeration; needs a binary feasible set
   "auto"  enum for binary sets, lp for the equality model, sgd otherwise
 
+Every LP here (the hinge LP, and the tail, subset and relaxation LPs that
+cvar and covering build from the same helpers) and the exact-face and DC
+pieces read one thing from the constraint model: its rows, model.rows,
+g_k(x) = max_i (R[k] x - r[k])_i + theta ||x||_*. The power model has no
+rows (None); its LPs raise BackendUnavailable.
+
 The sgd default for affine rows is deliberate: its minimizers land in the
 interior of flat optimal faces, which is the behavior the approximation
 schemes are calibrated against; the lp backend returns vertices instead.
@@ -26,22 +32,19 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from .errors import BackendUnavailable, BadStart, NoConvergence, NonFinite
-from .geometry import as_polyhedron, dykstra_project, flatten_set
+from .geometry import as_polyhedron, dykstra_project, flatten_set, has_binary
 from .lp import LpOutcome, LpProblem, solve_lp
 from .model import (
     AffineEqualities,
-    BiAffine,
+    AffineRows,
     BiAffineEquality,
     BinaryTiny,
     Box,
     CcpInstance,
-    Covering,
     Halfspaces,
     L1,
     LInf,
     NonNegOrthant,
-    NormAugmented,
-    SeparableConvexPower,
     Simplex,
     _times,
     scenario_losses,
@@ -65,30 +68,20 @@ def _hinge_parts(instance: CcpInstance, x: np.ndarray, z: np.ndarray):
     return s, float(np.sum(instance.probabilities * z * s))
 
 
-def has_affine_rows(model) -> bool:
-    """True when affine_rows(model) gives rows rather than None."""
-    return isinstance(model, (BiAffine, NormAugmented, Covering, BiAffineEquality))
+def _lp_rows(model) -> AffineRows:
+    """The model's rows; BackendUnavailable when they are not affine."""
+    if model.rows is None:
+        raise BackendUnavailable(f"no LP form: {type(model).__name__} rows are not affine")
+    return model.rows
 
 
-def affine_rows(model) -> Optional[Tuple[np.ndarray, np.ndarray]]:
-    """Stacked (R, r), shapes (N, I, n) and (N, I), with
-    g_k(x) = max_i (R[k] x - r[k])_i, or None unless the rows are affine."""
-    if isinstance(model, Covering):
-        return -model.mats, -np.ones(model.mats.shape[:2])
-    if isinstance(model, BiAffineEquality):
-        return np.stack([model.d, -model.d], axis=1), np.stack([model.e, -model.e], axis=1)
-    if isinstance(model, (BiAffine, NormAugmented)):
-        return model.mats, model.offsets
-    return None
-
-
-def _norm_aux(model) -> Tuple[int, str]:
+def _norm_aux(rows: AffineRows) -> Tuple[int, str]:
     """(aux column count, kind) for linearizing theta * dual norm in an LP."""
-    if not isinstance(model, NormAugmented) or model.theta == 0.0:
+    if rows.theta == 0.0:
         return 0, "none"
-    if isinstance(model.norm, LInf):      # dual is the 1-norm: one u_j per coordinate
-        return model.dim, "sum"
-    if isinstance(model.norm, L1):        # dual is the sup norm: a single bound v
+    if isinstance(rows.norm, LInf):      # dual is the 1-norm: one u_j per coordinate
+        return rows.R.shape[2], "sum"
+    if isinstance(rows.norm, L1):        # dual is the sup norm: a single bound v
         return 1, "max"
     raise BackendUnavailable("lp backend: only 1-norm / sup-norm balls linearize")
 
@@ -100,23 +93,26 @@ def _padded(x_rows: np.ndarray, ncol: int) -> np.ndarray:
     return out
 
 
-def _scenario_rows(model, R: np.ndarray, ncol: int, aux_col: int, slack_col: Optional[int] = None):
-    """(scen, norm): the LP rows of stacked scenario rows R, shape (K, I, n).
+def _scenario_rows(
+    rows: AffineRows, ncol: int, aux_col: int, slack_col: Optional[int] = None, keep=slice(None)
+):
+    """(scen, norm): the LP rows of R = rows.R[keep], shape (K, I, n).
 
     scen holds R[k][i] x - slack_k + theta * aux, one row per scenario row
-    (its rhs is r[k][i] of affine_rows), with the slack in column
+    (its rhs is rows.r[keep][k][i]), with the slack in column
     slack_col + k, or no slack term when slack_col is None. norm holds the
     dual-norm rows of _norm_aux, rhs 0: +-x_j - u_j ("sum") or +-x_j - v
     ("max"), in the order x_1, -x_1, x_2, ... The aux columns start at aux_col.
     """
+    R = rows.R[keep]
     K, per, n = R.shape
-    n_aux, aux_kind = _norm_aux(model)
+    n_aux, aux_kind = _norm_aux(rows)
     scen = _padded(R.reshape(K * per, n), ncol)
     if slack_col is not None:
         scen[np.arange(K * per), slack_col + np.repeat(np.arange(K), per)] = -1.0
     norm = np.zeros((2 * n if n_aux else 0, ncol))
     if n_aux:
-        scen[:, aux_col : aux_col + n_aux] = model.theta
+        scen[:, aux_col : aux_col + n_aux] = rows.theta
         j = np.repeat(np.arange(n), 2)
         norm[np.arange(2 * n), j] = np.tile([1.0, -1.0], n)
         norm[np.arange(2 * n), aux_col + (j if aux_kind == "sum" else 0)] = -1.0
@@ -129,21 +125,19 @@ def _hinge_lp(instance: CcpInstance, t: float, z: np.ndarray) -> LpProblem:
     One row R_k[i] x - s_k + theta * aux <= r_k[i] per scenario row, the
     dual-norm rows of _norm_aux, c'x <= t when t is finite, then X's rows.
     """
-    model = instance.constraints
-    rows = affine_rows(model)
-    if rows is None:
-        raise BackendUnavailable(f"lp backend: {type(model).__name__} rows are not affine")
-    R, r = rows
-    N, n = R.shape[0], instance.n
-    n_aux = _norm_aux(model)[0]
+    rows = _lp_rows(instance.constraints)
+    N, n = instance.scenario_count, instance.n
+    n_aux = _norm_aux(rows)[0]
     ncol = n + N + n_aux
-    scen, norm = _scenario_rows(model, R, ncol, aux_col=n + N, slack_col=n)
+    scen, norm = _scenario_rows(rows, ncol, aux_col=n + N, slack_col=n)
     xA, xb, xE, xf, lo_x, hi_x = as_polyhedron(instance.x_set)
     budget = instance.cost[None, :] if np.isfinite(t) else np.zeros((0, n))
     return LpProblem(
         c=np.concatenate([np.zeros(n), instance.probabilities * z, np.zeros(n_aux)]),
         A=np.vstack([scen, norm, _padded(budget, ncol), _padded(xA, ncol)]),
-        b=np.concatenate([r.reshape(-1), np.zeros(norm.shape[0]), np.full(budget.shape[0], t), xb]),
+        b=np.concatenate(
+            [rows.r.reshape(-1), np.zeros(norm.shape[0]), np.full(budget.shape[0], t), xb]
+        ),
         E=_padded(xE, ncol),
         f=xf,
         lo=np.concatenate([lo_x, np.zeros(N + n_aux)]),
@@ -224,7 +218,7 @@ def _solve_hinge_enum(instance: CcpInstance, t: float, z: np.ndarray) -> LowerLe
 
 
 def pick_backend(instance: CcpInstance) -> str:
-    if any(isinstance(p, BinaryTiny) for p in flatten_set(instance.x_set)):
+    if has_binary(instance.x_set):
         return "enum"
     if isinstance(instance.constraints, BiAffineEquality):
         return "lp"
@@ -298,25 +292,14 @@ class AmResult:
 
 def _face_pieces(instance: CcpInstance, t: float, z: np.ndarray):
     """Affine pieces of {x in X, c'x <= t, g_k(x) <= 0 for z_k > 0} or None."""
-    model = instance.constraints
-    if isinstance(model, NormAugmented) and model.theta != 0.0:
-        return None
-    if isinstance(model, SeparableConvexPower):
-        return None
-    if any(isinstance(p, BinaryTiny) for p in flatten_set(instance.x_set)):
+    rows = instance.constraints.rows
+    if rows is None or rows.theta != 0.0 or has_binary(instance.x_set):
         return None
     pieces = list(flatten_set(instance.x_set))
     if np.isfinite(t):
         pieces.append(Halfspaces(instance.cost[None, :], np.array([t])))
     for k in np.nonzero(z > 0.0)[0]:
-        if isinstance(model, (BiAffine, NormAugmented)):
-            pieces.append(Halfspaces(model.mats[k], model.offsets[k]))
-        elif isinstance(model, Covering):
-            pieces.append(Halfspaces(-model.mats[k], -np.ones(model.mats.shape[1])))
-        elif isinstance(model, BiAffineEquality):
-            pieces.append(AffineEqualities(model.d[k][:, None], np.array([model.e[k]])))
-        else:
-            return None
+        pieces.append(Halfspaces(rows.R[k], rows.r[k]))
     return pieces
 
 
@@ -402,8 +385,8 @@ class DcResult:
 def _dc_pieces(instance: CcpInstance, t: float):
     """Convex pieces of the coupled set over (x, s, z)."""
     model = instance.constraints
-    rows = affine_rows(model)
-    if rows is None or (isinstance(model, NormAugmented) and model.theta != 0.0):
+    rows = model.rows
+    if rows is None or rows.theta != 0.0:
         raise BackendUnavailable(
             f"dc scheme: {type(model).__name__} rows do not embed as halfspaces"
         )
@@ -442,9 +425,8 @@ def _dc_pieces(instance: CcpInstance, t: float):
         row = np.zeros((1, dim))
         row[0, :n] = instance.cost
         pieces.append(Halfspaces(row, np.array([t])))
-    R, r = rows
-    scen, _ = _scenario_rows(model, R, dim, aux_col=dim, slack_col=n)
-    pieces.append(Halfspaces(scen, r.reshape(-1)))
+    scen, _ = _scenario_rows(rows, dim, aux_col=dim, slack_col=n)
+    pieces.append(Halfspaces(scen, rows.r.reshape(-1)))
     # probability mass kept by z must reach 1 - eps
     row = np.zeros((1, dim))
     row[0, n + N :] = -instance.probabilities

@@ -15,7 +15,7 @@ default to equiprobable when the document omits them.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Tuple, Union
 
 import numpy as np
@@ -290,6 +290,26 @@ def set_contains(s: FeasibleSet, x, tol: float = 1e-7):
 
 
 @dataclass(frozen=True, eq=False)
+class AffineRows:
+    """The row form every solver reads from an affine constraint model:
+
+        g_k(x) = max_i (R[k] x - r[k])_i + theta ||x||_*
+
+    R has shape (N, I, n) and r shape (N, I), I >= 1; norm is the ball's
+    norm (None for a model with no theta term). Built once by the model.
+    """
+
+    R: np.ndarray
+    r: np.ndarray
+    theta: float = 0.0
+    norm: Optional[NormSpec] = None
+
+    def __post_init__(self):
+        if self.R.shape[1] == 0:
+            raise ValidationError("constraint rows: each scenario needs at least one row")
+
+
+@dataclass(frozen=True, eq=False)
 class BiAffine:
     """Per scenario k: g(x, xi^k) = max_j (mats[k] x - offsets[k])_j."""
 
@@ -303,6 +323,7 @@ class BiAffine:
             raise ValidationError("bi-affine: mats/offsets scenario or row counts differ")
         object.__setattr__(self, "mats", m)
         object.__setattr__(self, "offsets", e)
+        object.__setattr__(self, "rows", AffineRows(m, e))
 
     @property
     def scenario_count(self) -> int:
@@ -315,7 +336,12 @@ class BiAffine:
 
 @dataclass(frozen=True, eq=False)
 class BiAffineEquality:
-    """Per scenario k: loss |d_k'x - e_k| (uncertain linear equality)."""
+    """Per scenario k: loss |d_k'x - e_k| (uncertain linear equality).
+
+    Its rows are the pair d_k'x - e_k and e_k - d_k'x. The loss itself is
+    evaluated as |d_k'x - e_k|: the stacked rows, through a batched matmul,
+    can round differently from d_k'x.
+    """
 
     d: np.ndarray   # (N, n)
     e: np.ndarray   # (N,)
@@ -327,6 +353,8 @@ class BiAffineEquality:
             raise ValidationError("equality model: d/e scenario counts differ")
         object.__setattr__(self, "d", d)
         object.__setattr__(self, "e", e)
+        rows = AffineRows(np.stack([d, -d], axis=1), np.stack([e, -e], axis=1))
+        object.__setattr__(self, "rows", rows)
 
     @property
     def scenario_count(self) -> int:
@@ -342,12 +370,15 @@ class SeparableConvexPower:
     """g(x, xi^k) = sum_j weights[k,j] x_j^power - threshold, weights >= 0.
 
     Defined on x >= 0; evaluation clamps negative coordinates to the domain
-    boundary so projected iterates that graze zero stay well-defined.
+    boundary so projected iterates that graze zero stay well-defined. Its
+    rows are not affine: rows is None.
     """
 
     power: float
     weights: np.ndarray   # (N, n)
     threshold: float
+
+    rows = None
 
     def __post_init__(self):
         if not np.isfinite(self.power) or self.power < 1.0:
@@ -372,7 +403,8 @@ class SeparableConvexPower:
 
 @dataclass(frozen=True, eq=False)
 class Covering:
-    """g(x, xi^k) = max_row (1 - mats[k] x) with mats >= 0 (normalized rhs)."""
+    """g(x, xi^k) = max_row (1 - mats[k] x) with mats >= 0 (normalized rhs);
+    its rows are (-mats, -1)."""
 
     mats: np.ndarray   # (N, m, n)
 
@@ -381,6 +413,7 @@ class Covering:
         if np.any(m < 0):
             raise ValidationError("covering model: matrix entries must be >= 0")
         object.__setattr__(self, "mats", m)
+        object.__setattr__(self, "rows", AffineRows(-m, -np.ones(m.shape[:2])))
 
     @property
     def scenario_count(self) -> int:
@@ -414,6 +447,7 @@ class NormAugmented:
         object.__setattr__(self, "mats", m)
         object.__setattr__(self, "offsets", e)
         object.__setattr__(self, "theta", float(self.theta))
+        object.__setattr__(self, "rows", AffineRows(m, e, self.theta, self.norm))
 
     @property
     def scenario_count(self) -> int:
@@ -429,15 +463,9 @@ ConstraintModel = Union[BiAffine, BiAffineEquality, SeparableConvexPower, Coveri
 
 def offset_scale(model: ConstraintModel) -> float:
     """Magnitude of the constraint offsets, used to scale zero tolerances."""
-    if isinstance(model, (BiAffine, NormAugmented)):
-        return float(np.max(np.abs(model.offsets), initial=0.0))
-    if isinstance(model, BiAffineEquality):
-        return float(np.max(np.abs(model.e), initial=0.0))
-    if isinstance(model, SeparableConvexPower):
+    if model.rows is None:
         return abs(model.threshold)
-    if isinstance(model, Covering):
-        return 1.0
-    raise ValidationError(f"unknown constraint model {type(model).__name__}")
+    return float(np.max(np.abs(model.rows.r), initial=0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -523,20 +551,18 @@ def scenario_losses(instance: CcpInstance, x) -> np.ndarray:
     (B, n) block of points, a (B, N) array with one such vector per row."""
     x = np.asarray(x, dtype=float)
     model = instance.constraints
-    if isinstance(model, BiAffine):
-        return np.max(_times(model.mats, x) - model.offsets, axis=-1)
     if isinstance(model, BiAffineEquality):
         return np.abs(_times(model.d, x) - model.e)
     if isinstance(model, SeparableConvexPower):
         xx = np.maximum(x, 0.0) ** model.power
         return _times(model.weights, xx) - model.threshold
-    if isinstance(model, Covering):
-        return np.max(1.0 - _times(model.mats, x), axis=-1)
-    if isinstance(model, NormAugmented):
-        norms = [dual_norm(model.norm, point) for point in np.atleast_2d(x)]
-        column = np.reshape(norms, x.shape[:-1] + (1,))     # one norm per point
-        return np.max(_times(model.mats, x) - model.offsets, axis=-1) + model.theta * column
-    raise ValidationError(f"unknown constraint model {type(model).__name__}")
+    rows = model.rows
+    losses = np.max(_times(rows.R, x) - rows.r, axis=-1)
+    if rows.theta == 0.0:
+        return losses
+    norms = [dual_norm(rows.norm, point) for point in np.atleast_2d(x)]
+    column = np.reshape(norms, x.shape[:-1] + (1,))     # one norm per point
+    return losses + rows.theta * column
 
 
 def evaluate_g(instance: CcpInstance, x, k: int) -> float:

@@ -25,12 +25,11 @@ import numpy as np
 
 from .covering import SubsetChain, scenario_costs, subset_min_cost
 from .errors import CapExceeded, Infeasible, NonFinite, ValidationError
-from .geometry import as_polyhedron, flatten_set
+from .geometry import as_polyhedron, has_binary
 from .lowerlevel import lattice_argmin
 from .lp import LpProblem, solve_lp
 from .model import (
     BiAffineEquality,
-    BinaryTiny,
     CcpInstance,
     SolveReport,
     is_feasible,
@@ -111,7 +110,7 @@ def exact_solve(
     are pruned using single-scenario bounds.
     """
     start = perf_counter()
-    if any(isinstance(p, BinaryTiny) for p in flatten_set(instance.x_set)):
+    if has_binary(instance.x_set):
         return exact_solve_binary(instance)
     N = instance.scenario_count
     if instance.equiprobable:

@@ -18,18 +18,14 @@ from typing import Callable, Optional, Tuple, Union
 
 import numpy as np
 
-from .errors import BadStart, NoConvergence, NonFinite, UnsupportedSet
+from .errors import BadStart, NoConvergence, NonFinite
 from .geometry import dykstra_project, flatten_set
 from .model import (
-    BiAffine,
     BiAffineEquality,
     Box,
     CcpInstance,
-    Covering,
     Halfspaces,
     NonNegOrthant,
-    NormAugmented,
-    SeparableConvexPower,
     dual_norm,
     dual_norm_subgradient,
 )
@@ -78,31 +74,24 @@ class SgdResult:
 def losses_and_grads(instance: CcpInstance, x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """g(x, xi^k) and one subgradient per scenario, shapes (N,) and (N, n)."""
     model = instance.constraints
-    N = instance.scenario_count
-    if isinstance(model, (BiAffine, NormAugmented)):
-        rows = model.mats @ x - model.offsets           # (N, I)
-        j = np.argmax(rows, axis=1)
-        idx = np.arange(N)
-        vals = rows[idx, j]
-        grads = model.mats[idx, j, :]                   # fancy indexing copies
-        if isinstance(model, NormAugmented) and model.theta > 0.0:
-            vals = vals + model.theta * dual_norm(model.norm, x)
-            grads += model.theta * dual_norm_subgradient(model.norm, x)[None, :]
-        return vals, grads
     if isinstance(model, BiAffineEquality):
         r = model.d @ x - model.e
         return np.abs(r), np.sign(r)[:, None] * model.d
-    if isinstance(model, SeparableConvexPower):
+    rows = model.rows
+    if rows is None:                                    # the power model
         xx = np.maximum(x, 0.0)
         vals = model.weights @ (xx ** model.power) - model.threshold
         grads = model.power * model.weights * (xx ** (model.power - 1.0))[None, :]
         return vals, grads
-    if isinstance(model, Covering):
-        rows = 1.0 - model.mats @ x
-        j = np.argmax(rows, axis=1)
-        idx = np.arange(N)
-        return rows[idx, j], -model.mats[idx, j, :]
-    raise UnsupportedSet(f"no subgradient rule for {type(model).__name__}")
+    values = rows.R @ x - rows.r                        # (N, I)
+    j = np.argmax(values, axis=1)
+    idx = np.arange(instance.scenario_count)
+    vals = values[idx, j]
+    grads = rows.R[idx, j, :]                           # fancy indexing copies
+    if rows.theta > 0.0:
+        vals = vals + rows.theta * dual_norm(rows.norm, x)
+        grads += rows.theta * dual_norm_subgradient(rows.norm, x)[None, :]
+    return vals, grads
 
 
 # ---------------------------------------------------------------------------

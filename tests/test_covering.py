@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import ccpkit.covering
 import ccpkit.lowerlevel
 from ccpkit import (
     BiAffine,
@@ -13,6 +14,7 @@ from ccpkit import (
     Halfspaces,
     Infeasible,
     Intersection,
+    L2,
     LInf,
     NonNegOrthant,
     SgdConfig,
@@ -98,6 +100,28 @@ def test_power_model_subset_costs_by_bisection():
     value = -6.574798583984375          # frozen; the bound is tight on this instance
     assert quantile_lower_bound(inst, cfg) == pytest.approx(value, abs=1e-5)
     assert exact_solve(inst, sgd_config=cfg).objective == pytest.approx(value, abs=1e-5)
+
+
+def test_rows_with_no_lp_form_take_the_subgradient_path(monkeypatch):
+    # an L2 ball's dual norm has no LP form: the LP builders raise
+    # BackendUnavailable and every subset cost is a subgradient search
+    inst = robustify(DrccpSpec(generate_instance("linear", 2, 5, 0.2, 1), 0.05, L2()))
+    cfg = SgdConfig(max_iter=200, stall_window=200)
+
+    def no_lp(*args, **kwargs):
+        raise AssertionError("an LP was solved for rows with no LP form")
+
+    searched = []
+    sgd = ccpkit.covering._subset_min_cost_sgd
+    monkeypatch.setattr(ccpkit.covering, "solve_lp", no_lp)
+    monkeypatch.setattr(ccpkit.covering, "_subset_min_cost_sgd",
+                        lambda *args: searched.append(1) or sgd(*args))
+    bound = quantile_lower_bound(inst, cfg)
+    assert len(searched) == inst.scenario_count
+    out = exact_solve(inst, sgd_config=cfg)
+    assert np.isfinite(bound)
+    assert out.objective >= bound - 1e-5
+    assert is_feasible(inst, out.x_star)
 
 
 def _binary_cost_instances():

@@ -57,6 +57,13 @@ def test_dual_reduction_rejects_power_rows():
         robustify(DrccpSpec(inst, 0.1, L2()))
 
 
+def test_dual_reduction_rejects_rows_that_already_carry_a_norm(two_var_cover):
+    robust = robustify(DrccpSpec(two_var_cover, 0.1, L2()))
+    assert robust.constraints.theta > 0.0
+    with pytest.raises(ModeMismatch):
+        robustify(DrccpSpec(robust, 0.1, L2()))
+
+
 def test_shift_reduction_needs_sup_norm(two_var_cover):
     with pytest.raises(NormMismatch):
         robustify(DrccpSpec(two_var_cover, 0.1, L2(), mode="shift"))

@@ -176,7 +176,7 @@ def _row_by_row_hinge_lp(instance, t, z):
                   for k in range(N)]
     else:
         blocks = [(model.mats[k], model.offsets[k]) for k in range(N)]
-    n_aux, aux_kind = _norm_aux(model)
+    n_aux, aux_kind = _norm_aux(model.rows)
     theta = model.theta if isinstance(model, NormAugmented) else 0.0
     xA, xb, xE, xf, lo_x, hi_x = as_polyhedron(instance.x_set)
     ncol = n + N + n_aux
@@ -246,7 +246,7 @@ def _row_by_row_subset_lp(instance, keep):
     """The subset-cost LP as the earlier row-at-a-time builder assembled it."""
     model = instance.constraints
     n = instance.n
-    n_aux, aux_kind = _norm_aux(model)
+    n_aux, aux_kind = _norm_aux(model.rows)
     theta = model.theta if isinstance(model, NormAugmented) else 0.0
     xA, xb, xE, xf, lo_x, hi_x = as_polyhedron(instance.x_set)
     ncol = n + n_aux
@@ -297,7 +297,7 @@ def _row_by_row_tail_lp(instance, t, relaxed):
     model = instance.constraints
     n, N = instance.n, instance.scenario_count
     eps = instance.epsilon
-    n_aux, aux_kind = _norm_aux(model)
+    n_aux, aux_kind = _norm_aux(model.rows)
     theta = model.theta if isinstance(model, NormAugmented) else 0.0
     xA, xb, xE, xf, lo_x, hi_x = as_polyhedron(instance.x_set)
     ncol = n + N + 1 + n_aux

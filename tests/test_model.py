@@ -171,6 +171,22 @@ def test_equality_rejects_mismatched_counts():
         BiAffineEquality(np.ones((3, 2)), np.ones(2))
 
 
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: Covering(np.zeros((3, 0, 2))),
+        lambda: BiAffine(np.zeros((3, 0, 2)), np.zeros((3, 0))),
+        lambda: NormAugmented(np.zeros((3, 0, 2)), np.zeros((3, 0)), 0.1, LInf()),
+    ],
+    ids=["covering", "biaffine", "norm_augmented"],
+)
+def test_zero_row_models_are_rejected(make):
+    # a scenario with no row has no maximum to take: a typed error at
+    # construction, not a numpy error at the first evaluation
+    with pytest.raises(ValidationError):
+        make()
+
+
 def test_serialization_round_trip(finite_instances):
     for name, inst in finite_instances.items():
         text = dump_instance(inst)

@@ -5,18 +5,70 @@ import pytest
 
 from ccpkit import (
     BadStart,
+    BiAffine,
     Box,
     Constant,
+    DrccpSpec,
     Harmonic,
+    LInf,
     NonNegOrthant,
     SgdConfig,
     Simplex,
     feasible_start,
+    robustify,
+    scenario_losses,
     solve_hinge_sgd,
 )
-from ccpkit.subgrad import make_cap_projector
+from ccpkit.cli import generate_instance
+from ccpkit.subgrad import losses_and_grads, make_cap_projector
 
-from conftest import make_two_var_cover, random_hinge_problem
+from conftest import equiprobable, make_two_var_cover, random_hinge_problem
+
+
+def _row_cases():
+    """(instance, mats, offsets, theta): the losses are max(mats x - offsets)
+    plus theta ||x||_1, or max(1 - mats x) plus theta ||x||_1 for covering
+    rows (offsets None)."""
+    rng = np.random.default_rng(4)
+    mats, offsets = rng.normal(size=(9, 3, 4)), rng.normal(size=(9, 3))
+    multi = equiprobable(4, BiAffine(mats, offsets), Box(-np.ones(4), np.ones(4)), np.ones(4), 0.2)
+    linear = generate_instance("linear", 5, 12, 0.1, 2)
+    covering = generate_instance("covering", 5, 12, 0.1, 2)
+    for base in (linear, covering, multi):
+        model = base.constraints
+        offsets = None if base is covering else model.offsets
+        yield base, model.mats, offsets, 0.0
+        yield robustify(DrccpSpec(base, 0.05, LInf())), model.mats, offsets, 0.05
+
+
+def _independent_rows(mats, offsets, x):
+    return mats @ x - offsets if offsets is not None else 1.0 - mats @ x
+
+
+def _independent_losses(mats, offsets, theta, x):
+    worst = np.max(_independent_rows(mats, offsets, x), axis=1)
+    return worst + theta * np.sum(np.abs(x)) if theta else worst
+
+
+def test_affine_row_losses_match_the_independent_formulas_bit_for_bit():
+    # every affine model is evaluated through its one row form; on linear
+    # and covering rows, and their sup-norm robust versions, that form
+    # must give max(R x - r) and max(1 - A x) exactly
+    rng = np.random.default_rng(11)
+    for inst, mats, offsets, theta in _row_cases():
+        block = rng.uniform(-1.0, 1.0, size=(6, inst.n))
+        want = [_independent_losses(mats, offsets, theta, x) for x in block]
+        assert np.array_equal(scenario_losses(inst, block), np.array(want))
+        for x, losses in zip(block, want):
+            assert np.array_equal(scenario_losses(inst, x), losses)
+            vals, grads = losses_and_grads(inst, x)
+            assert np.array_equal(vals, losses)
+            j = np.argmax(_independent_rows(mats, offsets, x), axis=1)
+            pick = mats[np.arange(inst.scenario_count), j]
+            want_grads = pick if offsets is not None else -pick
+            if theta:
+                want_grads = want_grads + theta * np.sign(x)
+            assert np.array_equal(grads, want_grads)
 
 
 def test_step_rules():
