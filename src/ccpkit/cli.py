@@ -11,9 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from time import perf_counter
 from typing import List, Optional
@@ -119,17 +117,6 @@ def _load_document(path: str):
     if isinstance(doc, dict) and doc.get("type") == "elliptical_gaussian":
         return elliptical_from_doc(doc)
     return load_instance(text)
-
-
-def _thread_cap(jobs: int) -> int:
-    env = os.environ.get("CCP_SOLVE_THREADS", "")
-    try:
-        cap = int(env)
-    except ValueError:
-        cap = 0
-    if cap <= 0:
-        cap = 4
-    return max(1, min(cap, max(jobs, 1)))
 
 
 def _run_method(problem, method: str, args) -> SolveReport:
@@ -239,8 +226,7 @@ def cmd_compare(args) -> int:
             "time": report.wall_time,
         }
 
-    with ThreadPoolExecutor(max_workers=_thread_cap(len(methods))) as pool:
-        rows = list(pool.map(run, methods))
+    rows = [run(method) for method in methods]
     values = {r["method"]: r["objective"] for r in rows if "objective" in r}
     v_cvar = values.get("cvar")
     if v_cvar is not None and abs(v_cvar) > 0:
@@ -351,8 +337,7 @@ def cmd_bench(args) -> int:
         )
         return base
 
-    with ThreadPoolExecutor(max_workers=_thread_cap(len(jobs))) as pool:
-        rows = list(pool.map(run, jobs))
+    rows = [run(job) for job in jobs]
     if args.format == "json":
         text = json.dumps({"rows": rows}, indent=2, sort_keys=True) + "\n"
     else:

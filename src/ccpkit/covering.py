@@ -19,7 +19,7 @@ from typing import Iterable, List, Optional
 
 import numpy as np
 
-from .errors import BackendUnavailable, BadStart, Infeasible, NonFinite, ValidationError
+from .errors import BackendUnavailable, BadStart, Infeasible, NoConvergence, NonFinite, ValidationError
 from .geometry import as_polyhedron, dykstra_project, flatten_set, has_binary
 from .lowerlevel import _lp_rows, _norm_aux, _padded, _scenario_rows, lattice_argmin
 from .lp import LpOutcome, LpProblem, solve_lp
@@ -219,9 +219,16 @@ def _subset_min_cost_sgd(
     z = np.zeros(instance.scenario_count)
     z[keep] = 1.0
     # feasibility phase: can the kept scenarios be satisfied inside X at all?
+    # Only a stalled descent reads as "no"; a spent step budget proves nothing.
     feas = solve_hinge_sgd(instance, np.inf, z, None, cfg)
     if feas.value > 1e-6:
-        return np.inf, None
+        if feas.stalled:
+            return np.inf, None
+        raise NoConvergence(
+            f"subset cost: hinge mass {feas.value:.6g} left after {feas.iterations} "
+            "subgradient steps; raise SgdConfig.max_iter",
+            best=feas.x,
+        )
 
     def satisfiable(t: float):
         try:

@@ -25,18 +25,14 @@ from .alsox import also_x
 from .alsoxplus import also_x_plus
 from .cvar import cvar_solution
 from .errors import ModeMismatch, NormMismatch, ValidationError
-from .geometry import flatten_set
+from .geometry import as_polyhedron, has_binary
 from .model import (
     BiAffine,
-    BinaryTiny,
-    Box,
     CcpInstance,
     LInf,
-    NonNegOrthant,
     NormAugmented,
     NormSpec,
     SeparableConvexPower,
-    Simplex,
     SolveReport,
 )
 from .subgrad import SgdConfig
@@ -55,15 +51,6 @@ class DrccpSpec:
         if self.mode not in ("dual", "shift"):
             raise ValidationError(f"mode: expected 'dual' or 'shift', got {self.mode!r}")
         object.__setattr__(self, "theta", float(self.theta))
-
-
-def _structurally_nonneg(x_set) -> bool:
-    for piece in flatten_set(x_set):
-        if isinstance(piece, (NonNegOrthant, Simplex, BinaryTiny)):
-            return True
-        if isinstance(piece, Box) and np.all(piece.lower >= 0.0):
-            return True
-    return False
 
 
 def robustify(spec: DrccpSpec) -> CcpInstance:
@@ -85,7 +72,8 @@ def robustify(spec: DrccpSpec) -> CcpInstance:
         if isinstance(model, SeparableConvexPower):
             new = SeparableConvexPower(model.power, model.weights + theta, model.threshold)
         elif isinstance(model, BiAffine):
-            if not _structurally_nonneg(base.x_set):
+            # x >= 0 on the whole domain: a lattice, or lower bounds >= 0
+            if not (has_binary(base.x_set) or np.all(as_polyhedron(base.x_set)[4] >= 0.0)):
                 raise ModeMismatch(
                     "componentwise worst case needs x >= 0 baked into the domain"
                 )

@@ -229,20 +229,60 @@ def _margin_and_supergrad(ec: EllipticalCcp, r: float, x: np.ndarray) -> Tuple[f
     return -mean - r * sd, grad - r * (ec.a.T @ (ec.sigma @ ec.a1(x))) / sd
 
 
-def _budget_polyhedron(ec: EllipticalCcp, t: float):
-    """Rows of S(t) = X cap {c'x <= t} in an (x, eta) column layout."""
+def _cutting_planes(ec: EllipticalCcp, t: float, oracle, sense: int, eta_lo: float, done,
+                    max_cuts: int = 120):
+    """Kelley's (1960) cutting planes for sense * f over S(t); (best value, point).
+
+    oracle(x) gives f(x) and a subgradient of f (sense +1: f convex and
+    minimized; -1: f concave and maximized). Each cut sense * (f(x_k) +
+    g'(x - x_k)) <= sense * eta is a row [sense * g, -sense] over (x, eta),
+    so the cut LP's eta bounds the optimum and the best evaluated point
+    bounds it from the other side. The loop stops once a point has
+    sense * f <= 0 (a nonnegative margin is a witness, a zero hinge is
+    optimal), or when done(best value, eta) holds after a cut LP.
+    A trust box around the starting point keeps the first LPs bounded on
+    free domains; it only ever expands, so no optimum is cut off. Raises
+    BadStart when S(t) is empty.
+    """
+    x = feasible_start(ec.domain(), ec.cost, t)
+    n = ec.n
     xA, xb, xE, xf, lo, hi = as_polyhedron(ec.domain())
-    rows = [np.concatenate([row, [0.0]]) for row in xA]
-    rhs = [float(v) for v in xb]
     if np.isfinite(t) and float(np.linalg.norm(ec.cost)) > 0.0:
-        rows.append(np.concatenate([ec.cost, [0.0]]))
-        rhs.append(float(t))
-    eq = None
-    eqrhs = None
-    if xE.shape[0]:
-        eq = np.hstack([xE, np.zeros((xE.shape[0], 1))])
-        eqrhs = xf
-    return rows, rhs, eq, eqrhs, lo, hi
+        xA, xb = np.vstack([xA, ec.cost]), np.append(xb, t)
+    base = np.hstack([xA, np.zeros((xA.shape[0], 1))])
+    eq = np.hstack([xE, np.zeros((xE.shape[0], 1))])
+    radius = 10.0 * (1.0 + float(np.max(np.abs(x))))
+    obj = np.append(np.zeros(n), float(sense))
+    cut_rows, cut_rhs = [], []
+    best_val, best_x = sense * np.inf, x
+    for _ in range(max_cuts):
+        val, g = oracle(x)
+        if sense * val < sense * best_val:
+            best_val, best_x = val, x
+        if sense * best_val <= 0.0:
+            break
+        cut_rows.append(np.concatenate([sense * g, [-sense]]))
+        cut_rhs.append(sense * float(g @ x) - sense * val)
+        out = solve_lp(
+            LpProblem(
+                c=obj,
+                A=np.vstack([base] + cut_rows),
+                b=np.concatenate([xb, cut_rhs]),
+                E=eq,
+                f=xf,
+                lo=np.concatenate([np.maximum(lo, x - radius), [eta_lo]]),
+                hi=np.concatenate([np.minimum(hi, x + radius), [np.inf]]),
+            )
+        )
+        if out.status == "infeasible":
+            raise BadStart("empty budget slice")
+        if done(best_val, float(out.x[n])):
+            break
+        new_x = np.array(out.x[:n])
+        if float(np.max(np.abs(new_x - x))) >= radius - 1e-9:
+            radius *= 10.0             # trust box hit; widen and keep going
+        x = new_x
+    return best_val, best_x
 
 
 def _margin_ascent(
@@ -254,58 +294,18 @@ def _margin_ascent(
 ) -> Tuple[float, Optional[np.ndarray]]:
     """Certified max of the concave margin over S(t) by cutting planes.
 
-    Linearizations overestimate a concave function, so the cut LP value is
-    an upper bound and the best evaluated point a lower bound; the loop
-    exits as soon as a point with nonnegative margin is in hand (witness),
-    the upper bound goes negative (certificate of infeasibility), or the
-    two meet. Returns (-inf, None) when S(t) itself is empty. A trust box
-    around the starting point keeps the first LPs bounded on free domains;
-    it only ever expands, so no optimum is cut off.
+    Cut LP values bound the margin from above. The loop exits with a point
+    of nonnegative margin (witness), an upper bound below zero
+    (certificate of infeasibility), or once the two bounds meet. Returns
+    (-inf, None) when S(t) itself is empty.
     """
     try:
-        x = feasible_start(ec.domain(), ec.cost, t)
+        return _cutting_planes(
+            ec, t, lambda x: _margin_and_supergrad(ec, r, x), -1, -np.inf,
+            lambda best, ub: ub < 0.0 or ub - best <= tol * (1.0 + abs(ub)), max_cuts,
+        )
     except BadStart:
         return -np.inf, None
-    n = ec.n
-    base_rows, base_rhs, eq, eqrhs, lo, hi = _budget_polyhedron(ec, t)
-    radius = 10.0 * (1.0 + float(np.max(np.abs(x))))
-    obj = np.zeros(n + 1)
-    obj[n] = -1.0                      # maximize the cut value eta
-    cut_rows: list = []
-    cut_rhs: list = []
-    best_val = -np.inf
-    best_x = None
-    for _ in range(max_cuts):
-        val, g = _margin_and_supergrad(ec, r, x)
-        if val > best_val:
-            best_val, best_x = val, x
-        if best_val >= 0.0:
-            return best_val, best_x
-        cut_rows.append(np.concatenate([-g, [1.0]]))
-        cut_rhs.append(float(val - g @ x))
-        out = solve_lp(
-            LpProblem(
-                c=obj,
-                A=np.array(base_rows + cut_rows),
-                b=np.array(base_rhs + cut_rhs),
-                E=eq,
-                f=eqrhs,
-                lo=np.concatenate([np.maximum(lo, x - radius), [-np.inf]]),
-                hi=np.concatenate([np.minimum(hi, x + radius), [np.inf]]),
-            )
-        )
-        if out.status == "infeasible":
-            return -np.inf, None
-        ub = float(out.x[n])
-        new_x = np.array(out.x[:n])
-        if ub < 0.0:
-            return best_val, best_x
-        if ub - best_val <= tol * (1.0 + abs(ub)):
-            return best_val, best_x
-        if float(np.max(np.abs(new_x - x))) >= radius - 1e-9:
-            radius *= 10.0             # trust box hit; widen and keep going
-        x = new_x
-    return best_val, best_x
 
 
 def _hinge_cut_min(
@@ -316,50 +316,13 @@ def _hinge_cut_min(
 ) -> np.ndarray:
     """Minimize the closed-form hinge over S(t) by cutting planes.
 
-    Convex counterpart of the margin ascent: cut LP values bound the hinge
-    from below, evaluated points from above. Raises BadStart on empty S(t).
+    Cut LP values bound the hinge (>= 0) from below, evaluated points from
+    above. Raises BadStart on empty S(t).
     """
-    x = feasible_start(ec.domain(), ec.cost, t)
-    n = ec.n
-    base_rows, base_rhs, eq, eqrhs, lo, hi = _budget_polyhedron(ec, t)
-    radius = 10.0 * (1.0 + float(np.max(np.abs(x))))
-    obj = np.zeros(n + 1)
-    obj[n] = 1.0
-    cut_rows: list = []
-    cut_rhs: list = []
-    best_val = np.inf
-    best_x = x
-    for _ in range(max_cuts):
-        val = gaussian_hinge(ec, x)
-        if val < best_val:
-            best_val, best_x = val, x
-        if best_val <= 0.0:
-            return best_x
-        g = gaussian_hinge_gradient(ec, x)
-        # hinge >= val + g'(x - x_k), i.e. g'x - eta <= g'x_k - val
-        cut_rows.append(np.concatenate([g, [-1.0]]))
-        cut_rhs.append(float(g @ x - val))
-        out = solve_lp(
-            LpProblem(
-                c=obj,
-                A=np.array(base_rows + cut_rows),
-                b=np.array(base_rhs + cut_rhs),
-                E=eq,
-                f=eqrhs,
-                lo=np.concatenate([np.maximum(lo, x - radius), [0.0]]),
-                hi=np.concatenate([np.minimum(hi, x + radius), [np.inf]]),
-            )
-        )
-        if out.status == "infeasible":
-            raise BadStart("empty budget slice")
-        lb = float(out.x[n])
-        new_x = np.array(out.x[:n])
-        if best_val - lb <= tol * (1.0 + abs(best_val)):
-            return best_x
-        if float(np.max(np.abs(new_x - x))) >= radius - 1e-9:
-            radius *= 10.0
-        x = new_x
-    return best_x
+    return _cutting_planes(
+        ec, t, lambda x: (gaussian_hinge(ec, x), gaussian_hinge_gradient(ec, x)), 1, 0.0,
+        lambda best, lb: best - lb <= tol * (1.0 + abs(best)), max_cuts,
+    )[1]
 
 
 def exact_conic_solve(

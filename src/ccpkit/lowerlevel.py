@@ -31,7 +31,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .errors import BackendUnavailable, BadStart, NoConvergence, NonFinite
+from .errors import BackendUnavailable, BadStart, NoConvergence, NonFinite, UnsupportedSet
 from .geometry import as_polyhedron, dykstra_project, flatten_set, has_binary
 from .lp import LpOutcome, LpProblem, solve_lp
 from .model import (
@@ -44,8 +44,6 @@ from .model import (
     Halfspaces,
     L1,
     LInf,
-    NonNegOrthant,
-    Simplex,
     _times,
     scenario_losses,
     set_contains,
@@ -383,55 +381,34 @@ class DcResult:
 
 
 def _dc_pieces(instance: CcpInstance, t: float):
-    """Convex pieces of the coupled set over (x, s, z)."""
+    """Convex pieces of the coupled set over (x, s, z): one box (X's bounds,
+    s >= 0, z in [0, 1]), X's equality rows, then one system of X's rows,
+    the budget row, the scenario rows and the mass row."""
     model = instance.constraints
     rows = model.rows
     if rows is None or rows.theta != 0.0:
         raise BackendUnavailable(
             f"dc scheme: {type(model).__name__} rows do not embed as halfspaces"
         )
+    try:
+        xA, xb, xE, xf, lo, hi = as_polyhedron(instance.x_set)
+    except UnsupportedSet as exc:
+        raise BackendUnavailable(f"dc scheme: {exc}") from exc
     n, N = instance.n, instance.scenario_count
     dim = n + 2 * N
-    pieces = []
-    for piece in flatten_set(instance.x_set):
-        if isinstance(piece, Box):
-            lo = np.concatenate([piece.lower, np.full(2 * N, -np.inf)])
-            hi = np.concatenate([piece.upper, np.full(2 * N, np.inf)])
-            pieces.append(Box(lo, hi))
-        elif isinstance(piece, NonNegOrthant):
-            lo = np.concatenate([np.zeros(n), np.full(2 * N, -np.inf)])
-            pieces.append(Box(lo, np.full(dim, np.inf)))
-        elif isinstance(piece, Halfspaces):
-            a = np.zeros((piece.a.shape[0], dim))
-            a[:, :n] = piece.a
-            pieces.append(Halfspaces(a, piece.b))
-        elif isinstance(piece, Simplex):
-            lo = np.concatenate([np.zeros(n), np.full(2 * N, -np.inf)])
-            pieces.append(Box(lo, np.full(dim, np.inf)))
-            u = np.zeros((dim, 1))
-            u[:n, 0] = 1.0
-            pieces.append(AffineEqualities(u, np.array([piece.total])))
-        elif isinstance(piece, AffineEqualities):
-            u = np.zeros((dim, piece.u.shape[1]))
-            u[:n] = piece.u
-            pieces.append(AffineEqualities(u, piece.h))
-        else:
-            raise BackendUnavailable(f"dc scheme: set {type(piece).__name__} unsupported")
-    # s >= 0, z in [0, 1]
-    lo = np.concatenate([np.full(n, -np.inf), np.zeros(2 * N)])
-    hi = np.concatenate([np.full(n + N, np.inf), np.ones(N)])
-    pieces.append(Box(lo, hi))
-    if np.isfinite(t):
-        row = np.zeros((1, dim))
-        row[0, :n] = instance.cost
-        pieces.append(Halfspaces(row, np.array([t])))
+    pieces = [
+        Box(np.concatenate([lo, np.zeros(2 * N)]), np.concatenate([hi, np.full(N, np.inf), np.ones(N)]))
+    ]
+    if xE.shape[0]:
+        pieces.append(AffineEqualities(_padded(xE, dim).T, xf))
+    budget = instance.cost[None, :] if np.isfinite(t) else np.zeros((0, n))
     scen, _ = _scenario_rows(rows, dim, aux_col=dim, slack_col=n)
-    pieces.append(Halfspaces(scen, rows.r.reshape(-1)))
     # probability mass kept by z must reach 1 - eps
-    row = np.zeros((1, dim))
-    row[0, n + N :] = -instance.probabilities
-    pieces.append(Halfspaces(row, np.array([-(1.0 - instance.epsilon)])))
-    return pieces
+    mass = np.zeros((1, dim))
+    mass[0, n + N :] = -instance.probabilities
+    A = np.vstack([_padded(xA, dim), _padded(budget, dim), scen, mass])
+    b = np.concatenate([xb, np.full(budget.shape[0], t), rows.r.reshape(-1), [-(1.0 - instance.epsilon)]])
+    return pieces + [Halfspaces(A, b)]
 
 
 def dc_solve(

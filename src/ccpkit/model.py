@@ -565,12 +565,6 @@ def scenario_losses(instance: CcpInstance, x) -> np.ndarray:
     return losses + rows.theta * column
 
 
-def evaluate_g(instance: CcpInstance, x, k: int) -> float:
-    if not 0 <= int(k) < instance.scenario_count:
-        raise IndexError(f"scenario index {k} out of range")
-    return float(scenario_losses(instance, x)[int(k)])
-
-
 def default_zero_tol(instance: CcpInstance) -> float:
     # exact-zero test on s_i needs a scale-aware tolerance in floating point
     return 1e-8 * (1.0 + offset_scale(instance.constraints))

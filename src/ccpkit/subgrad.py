@@ -1,8 +1,10 @@
 """Projected subgradient descent for weighted hinge objectives.
 
-Works over S(t) = X intersect {c'x <= t}. Box-like feasible sets get an
-exact O(n log n) projection via the KKT multiplier of the budget row;
-everything else falls back to Dykstra sweeps.
+Works over S(t) = X intersect {c'x <= t}. X is read through
+geometry.as_polyhedron: when it has no rows, only bounds lo <= hi, S(t)
+gets an exact O(n log n) projection via the KKT multiplier of the budget
+row; any other X (rows, equalities, a binary set, or bounds that cross) is
+projected by Dykstra sweeps over its pieces and the budget row.
 
 Step sizes shrink harmonically by default and directions are normalized
 once their norm exceeds one, which keeps the scheme scale-free across the
@@ -19,13 +21,11 @@ from typing import Callable, Optional, Tuple, Union
 import numpy as np
 
 from .errors import BadStart, NoConvergence, NonFinite
-from .geometry import dykstra_project, flatten_set
+from .geometry import as_polyhedron, dykstra_project, flatten_set, has_binary
 from .model import (
     BiAffineEquality,
-    Box,
     CcpInstance,
     Halfspaces,
-    NonNegOrthant,
     dual_norm,
     dual_norm_subgradient,
 )
@@ -98,24 +98,6 @@ def losses_and_grads(instance: CcpInstance, x: np.ndarray) -> Tuple[np.ndarray, 
 # projection onto X intersect {c'x <= t}
 
 
-def _merge_boxes(pieces) -> Optional[Tuple[np.ndarray, np.ndarray]]:
-    lo = None
-    hi = None
-    for p in pieces:
-        if isinstance(p, Box):
-            plo, phi = p.lower, p.upper
-        elif isinstance(p, NonNegOrthant):
-            plo = np.zeros(p.dim)
-            phi = np.full(p.dim, np.inf)
-        else:
-            return None
-        lo = plo if lo is None else np.maximum(lo, plo)
-        hi = phi if hi is None else np.minimum(hi, phi)
-    if lo is None or np.any(lo > hi):
-        return None
-    return lo, hi
-
-
 def _clip(y, lo, hi) -> np.ndarray:
     # np.clip's values through two ufunc calls, without its dispatch layers
     return np.minimum(np.maximum(y, lo), hi)
@@ -175,23 +157,33 @@ def _box_cap_projector(lo, hi, c, t) -> Callable[[np.ndarray], np.ndarray]:
     return project
 
 
-def make_cap_projector(x_set, cost, t: float) -> Callable[[np.ndarray], np.ndarray]:
-    """Projection closure for S(t) = X intersect {c'x <= t}."""
-    c = np.asarray(cost, dtype=float)
-    pieces = flatten_set(x_set)
-    merged = _merge_boxes(pieces)
+def _cap_setup(x_set, c: np.ndarray, t: float):
+    """(box projection or None, Dykstra pieces) for S(t) = X cap {c'x <= t}.
+
+    A box X (no rows in as_polyhedron, lo <= hi) gets the exact closed-form
+    projection; any other X gets its primitive pieces plus the cap row. The
+    cap is void when t is infinite or c = 0, and then a t < 0 is BadStart.
+    """
     uncapped = not np.isfinite(t) or float(np.linalg.norm(c)) == 0.0
     if uncapped and t < 0.0:
-        def infeasible(_y):
-            raise BadStart("budget below the infimum of c'x over X")
-        return infeasible
-    if merged is not None:
-        lo, hi = merged
-        if uncapped:
-            return lambda y: _clip(y, lo, hi)
-        return _box_cap_projector(lo, hi, c, t)
+        raise BadStart("budget below the infimum of c'x over X")
+    if not has_binary(x_set):
+        A, _, E, _, lo, hi = as_polyhedron(x_set)
+        if not A.shape[0] and not E.shape[0] and np.all(lo <= hi):
+            if uncapped:
+                return (lambda y: _clip(y, lo, hi)), None
+            return _box_cap_projector(lo, hi, c, t), None
+    sets = flatten_set(x_set)
+    if not uncapped:
+        sets.append(Halfspaces(c[None, :], np.array([t])))
+    return None, sets
 
-    sets = pieces if uncapped else pieces + [Halfspaces(c[None, :], np.array([t]))]
+
+def make_cap_projector(x_set, cost, t: float) -> Callable[[np.ndarray], np.ndarray]:
+    """Projection closure for S(t) = X intersect {c'x <= t}."""
+    box, sets = _cap_setup(x_set, np.asarray(cost, dtype=float), t)
+    if box is not None:
+        return box
 
     def proj(y: np.ndarray) -> np.ndarray:
         try:
@@ -207,21 +199,15 @@ def feasible_start(x_set, cost, t: float, x0=None) -> np.ndarray:
     """Point of S(t) near x0 (origin by default); BadStart if none is found."""
     c = np.asarray(cost, dtype=float)
     y = np.zeros(c.shape[0]) if x0 is None else np.asarray(x0, dtype=float)
-    pieces = flatten_set(x_set)
-    merged = _merge_boxes(pieces)
-    uncapped = not np.isfinite(t) or float(np.linalg.norm(c)) == 0.0
-    if uncapped and t < 0.0:
-        raise BadStart("budget below the infimum of c'x over X")
-    if merged is not None:
-        if uncapped:
-            return np.clip(y, merged[0], merged[1])
-        return _box_cap_projector(merged[0], merged[1], c, t)(y)
-    sets = pieces if uncapped else pieces + [Halfspaces(c[None, :], np.array([t]))]
+    box, sets = _cap_setup(x_set, c, t)
+    if box is not None:
+        return box(y)
     try:
         x = dykstra_project(sets, y)
     except NoConvergence as exc:
         raise BadStart("no feasible start: projection onto S(t) failed") from exc
-    if not uncapped and float(c @ x) > t + 1e-6 * (1.0 + abs(t)):
+    # an uncapped t is infinite or c = 0, so the check below cannot fire
+    if float(c @ x) > t + 1e-6 * (1.0 + abs(t)):
         raise BadStart("no feasible start: budget cap violated after projection")
     return x
 

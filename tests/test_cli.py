@@ -194,8 +194,7 @@ def test_gen_families_match_their_shapes():
     assert np.all(cov.cost >= 1.0)
 
 
-def test_bench_deterministic_modulo_time(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("CCP_SOLVE_THREADS", "2")
+def test_bench_deterministic_modulo_time(tmp_path, capsys):
     argv = [
         "bench",
         "--family",

@@ -16,9 +16,11 @@ from ccpkit import (
     Intersection,
     L2,
     LInf,
+    NoConvergence,
     NonNegOrthant,
     SgdConfig,
     ValidationError,
+    also_x,
     covering_relaxation,
     exact_solve,
     is_feasible,
@@ -122,6 +124,20 @@ def test_rows_with_no_lp_form_take_the_subgradient_path(monkeypatch):
     assert np.isfinite(bound)
     assert out.objective >= bound - 1e-5
     assert is_feasible(inst, out.x_star)
+
+
+def test_a_spent_step_budget_is_not_read_as_an_unsatisfiable_scenario():
+    # at 300 steps the feasibility phase of the first scenario still carries
+    # hinge mass; that proves nothing, so the search reports NoConvergence
+    # (the point reached on .best) instead of a cost of +inf
+    inst = robustify(DrccpSpec(generate_instance("covering", 4, 12, 0.1, 3), 0.05, L2()))
+    cfg = SgdConfig(max_iter=300, stall_window=300)
+    with pytest.raises(NoConvergence, match="hinge mass") as info:
+        scenario_costs(inst, cfg)
+    x = info.value.best
+    assert x.shape == (4,) and np.all((x >= 0.0) & (x <= 1.0))
+    with pytest.raises(NoConvergence):     # not NoFeasibleT: the instance is feasible
+        also_x(inst, sgd_config=cfg)
 
 
 def _binary_cost_instances():

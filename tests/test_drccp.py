@@ -1,5 +1,7 @@
 """Ambiguity-ball reductions and worst-case solves."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from ccpkit import (
     BinaryTiny,
     Box,
     DrccpSpec,
+    Intersection,
     L2,
     LInf,
     ModeMismatch,
@@ -96,6 +99,20 @@ def test_shift_reduction_guards_signed_domains():
     )
     with pytest.raises(ModeMismatch):
         robustify(DrccpSpec(signed, 0.1, LInf(), mode="shift"))
+
+
+def test_shift_reduction_reads_the_combined_lower_bound():
+    # neither box alone keeps x >= 0, but their intersection does
+    inst = make_two_var_cover()
+    both = Intersection(
+        (Box(np.array([0.0, -1.0]), np.full(2, 2.0)), Box(np.array([-1.0, 0.0]), np.full(2, 2.0)))
+    )
+    shift = robustify(DrccpSpec(replace(inst, x_set=both), 0.15, LInf(), mode="shift"))
+    assert isinstance(shift.constraints, BiAffine)
+    assert np.array_equal(shift.constraints.mats, inst.constraints.mats + 0.15)
+    signed = Intersection((Box(np.array([0.0, -1.0]), np.full(2, 2.0)), Box(-np.ones(2), np.full(2, 2.0))))
+    with pytest.raises(ModeMismatch):
+        robustify(DrccpSpec(replace(inst, x_set=signed), 0.15, LInf(), mode="shift"))
 
 
 def test_zero_radius_is_the_base_problem():

@@ -8,8 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ccpkit import (
+    AffineEqualities,
     BackendUnavailable,
     BiAffineEquality,
+    Box,
     Covering,
     DrccpSpec,
     Halfspaces,
@@ -18,6 +20,7 @@ from ccpkit import (
     L2,
     LInf,
     LpProblem,
+    NoConvergence,
     NormAugmented,
     NonNegOrthant,
     SgdConfig,
@@ -33,10 +36,10 @@ from ccpkit import (
     z_update,
 )
 from ccpkit.cli import generate_instance
-from ccpkit.geometry import as_polyhedron
+from ccpkit.geometry import as_polyhedron, dykstra_project, flatten_set
 from ccpkit.covering import _relaxation_lp, _subset_lp
 from ccpkit.cvar import _tail_problem
-from ccpkit.lowerlevel import _hinge_lp, _norm_aux
+from ccpkit.lowerlevel import _dc_pieces, _hinge_lp, _norm_aux, _scenario_rows
 
 from conftest import (
     equiprobable,
@@ -444,3 +447,86 @@ def test_subset_tail_and_relaxation_lps_match_the_row_by_row_builders():
                 assert np.array_equal(getattr(new, field), getattr(ref, field)), (name, field)
             built += 1
     assert built == 8 * 5 + 2            # two covering instances add the relaxation
+
+
+def _per_piece_dc_pieces(instance, t):
+    """The DC pieces as the earlier builder made them: one lifted piece per
+    primitive of X, then the (s, z) box, the budget, scenario and mass rows."""
+    rows = instance.constraints.rows
+    n, N = instance.n, instance.scenario_count
+    dim = n + 2 * N
+    pieces = []
+    for piece in flatten_set(instance.x_set):
+        if isinstance(piece, Box):
+            lo = np.concatenate([piece.lower, np.full(2 * N, -np.inf)])
+            hi = np.concatenate([piece.upper, np.full(2 * N, np.inf)])
+            pieces.append(Box(lo, hi))
+        elif isinstance(piece, NonNegOrthant):
+            lo = np.concatenate([np.zeros(n), np.full(2 * N, -np.inf)])
+            pieces.append(Box(lo, np.full(dim, np.inf)))
+        elif isinstance(piece, Halfspaces):
+            a = np.zeros((piece.a.shape[0], dim))
+            a[:, :n] = piece.a
+            pieces.append(Halfspaces(a, piece.b))
+        elif isinstance(piece, Simplex):
+            lo = np.concatenate([np.zeros(n), np.full(2 * N, -np.inf)])
+            pieces.append(Box(lo, np.full(dim, np.inf)))
+            u = np.zeros((dim, 1))
+            u[:n, 0] = 1.0
+            pieces.append(AffineEqualities(u, np.array([piece.total])))
+        else:
+            u = np.zeros((dim, piece.u.shape[1]))
+            u[:n] = piece.u
+            pieces.append(AffineEqualities(u, piece.h))
+    lo = np.concatenate([np.full(n, -np.inf), np.zeros(2 * N)])
+    hi = np.concatenate([np.full(n + N, np.inf), np.ones(N)])
+    pieces.append(Box(lo, hi))
+    if np.isfinite(t):
+        row = np.zeros((1, dim))
+        row[0, :n] = instance.cost
+        pieces.append(Halfspaces(row, np.array([t])))
+    scen, _ = _scenario_rows(rows, dim, aux_col=dim, slack_col=n)
+    pieces.append(Halfspaces(scen, rows.r.reshape(-1)))
+    row = np.zeros((1, dim))
+    row[0, n + N :] = -instance.probabilities
+    pieces.append(Halfspaces(row, np.array([-(1.0 - instance.epsilon)])))
+    return pieces
+
+
+def _dykstra_point(pieces, u):
+    try:
+        return dykstra_project(pieces, u, max_iter=2000)
+    except NoConvergence as exc:      # dc_solve keeps the best iterate too
+        return exc.best
+
+
+@pytest.mark.parametrize("family", ["linear", "covering"])
+def test_dc_pieces_read_as_polyhedron_and_project_like_the_per_piece_builder(family):
+    n = 4
+    unit = Box(np.zeros(n), np.ones(n))
+    cut = Halfspaces(np.ones((1, n)), np.array([2.5]))
+    sets = [
+        ("box", unit, 0.0),
+        ("simplex", Simplex(n, 2.0), 0.0),
+        ("equalities", AffineEqualities(np.ones((n, 1)), np.array([1.5])), 0.0),
+        ("halfspaces then box", Intersection((cut, unit)), 1e-9),
+    ]
+    base = generate_instance(family, n, 12, 0.1, 1)
+    rng = np.random.default_rng(5)
+    for name, x_set, tol in sets:
+        inst = replace(base, x_set=x_set)
+        t = float(inst.cost @ np.full(n, 0.5))
+        new, ref = _dc_pieces(inst, t), _per_piece_dc_pieces(inst, t)
+        assert len(new) == (3 if name in ("simplex", "equalities") else 2)
+        for _ in range(3):
+            u = rng.normal(0.0, 2.0, n + 2 * inst.scenario_count)
+            a, b = _dykstra_point(new, u), _dykstra_point(ref, u)
+            if tol == 0.0:
+                assert np.array_equal(a, b), name
+            else:
+                assert np.max(np.abs(a - b)) <= tol, name
+
+
+def test_dc_pieces_reject_a_binary_set(binary_pair_cover):
+    with pytest.raises(BackendUnavailable):
+        _dc_pieces(binary_pair_cover, 1.0)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import ccpkit.subgrad
 from ccpkit import (
     BadStart,
     BiAffine,
@@ -10,7 +11,9 @@ from ccpkit import (
     Constant,
     DrccpSpec,
     Harmonic,
+    Intersection,
     LInf,
+    NoConvergence,
     NonNegOrthant,
     SgdConfig,
     Simplex,
@@ -147,3 +150,24 @@ def test_descent_matches_across_configs():
     a = solve_hinge_sgd(inst, t, z, None, SgdConfig(max_iter=3000))
     b = solve_hinge_sgd(inst, t, z, None, SgdConfig(max_iter=12000))
     assert b.value <= a.value + 1e-6
+
+
+def test_boxes_with_an_empty_overlap_take_the_dykstra_path(monkeypatch):
+    # their merged bounds cross (lo > hi), so no closed-form box projection
+    # exists; both entry points must hand the two boxes to Dykstra
+    calls = []
+
+    def spy(sets, y, *args, **kwargs):
+        calls.append(len(sets))
+        raise NoConvergence("spy: no convergence", best=np.asarray(y, dtype=float))
+
+    monkeypatch.setattr(ccpkit.subgrad, "dykstra_project", spy)
+    apart = Intersection((Box(np.zeros(2), np.ones(2)), Box(np.full(2, 2.0), np.full(2, 3.0))))
+    cost = np.array([1.0, 1.0])
+    y = np.array([0.5, 2.5])
+    assert np.array_equal(make_cap_projector(apart, cost, 4.0)(y), y)   # best iterate kept
+    with pytest.raises(BadStart):
+        feasible_start(apart, cost, 4.0)
+    with pytest.raises(BadStart):
+        feasible_start(apart, cost, np.inf)
+    assert calls == [3, 3, 2]         # two boxes, plus the cap row when t is finite
