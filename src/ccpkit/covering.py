@@ -140,8 +140,8 @@ class SubsetChain:
     The chain's LP has the rows of every scenario. A call switches the rows
     of the scenarios it does not keep off by raising their rhs above the
     row's maximum over the LP's bound box, so every subset LP of the run
-    shares A, E, lo and hi and re-solves from the last optimal outcome
-    (solve_lp's dual loop). Instances with a scenario row that has no
+    shares c, A, E, lo and hi (LpProblem.with_rhs: the same arrays) and
+    re-solves from the last optimal outcome (solve_lp's dual loop). Instances with a scenario row that has no
     finite maximum over the box keep the compact cold LP of _subset_lp.
     Create one per run; it holds that run's LP and its last optimal outcome.
     """
@@ -166,7 +166,7 @@ class SubsetChain:
         on[keep] = True
         b = lp.b.copy()
         b[: self._off.size] = np.where(np.repeat(on, self._per), b[: self._off.size], self._off)
-        return LpProblem(c=lp.c, A=lp.A, b=b, E=lp.E, f=lp.f, lo=lp.lo, hi=lp.hi)
+        return lp.with_rhs(b)
 
     def _build(self) -> None:
         self._built = True

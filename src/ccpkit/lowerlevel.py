@@ -42,6 +42,7 @@ from .model import (
     Box,
     CcpInstance,
     Halfspaces,
+    Intersection,
     L1,
     LInf,
     _times,
@@ -304,6 +305,11 @@ def _face_pieces(instance: CcpInstance, t: float, z: np.ndarray):
 def _exact_face_polish(instance, t, z, x) -> Optional[np.ndarray]:
     pieces = _face_pieces(instance, t, z)
     if pieces is None:
+        return None
+    # Dykstra cannot converge on an empty face and would spend its whole
+    # sweep budget finding that out; one feasibility LP proves it at once
+    A, b, E, f, lo, hi = as_polyhedron(Intersection(pieces))
+    if solve_lp(LpProblem(np.zeros(instance.n), A, b, E, f, lo, hi)).status == "infeasible":
         return None
     try:
         return dykstra_project(pieces, x)

@@ -1,13 +1,21 @@
-"""Dense two-phase primal simplex for small linear programs, with warm
+"""Dense simplex for small linear programs, with two engines and warm
 re-solves from an earlier optimal basis.
 
     min c'x   s.t.  A x <= b,  E x = f,  lo <= x <= hi
 
-Every variable becomes a column z >= 0 (x = lo + z, x = hi - z, or a free
-pair), and every finite range hi - lo becomes one more <= row. A <= row
-whose shifted rhs is nonnegative starts with its slack basic; only the
-rows with a negative rhs (negated) and the equality rows get an artificial
-column, and phase 1 runs only when there is one.
+Which engine. A cold solve takes the long-step dual engine when the LP has
+no equality rows and every column has a nonzero cost and a finite bound on
+its cheaper side (lo where c_j > 0, hi where c_j < 0): every column at that
+bound with every slack basic is then strictly dual feasible, so no phase 1
+is needed and the LP cannot be unbounded. Every other LP takes the row-form
+engine. A warm solve (start=) stays in the engine its start came from.
+`pivots` counts basis changes in both engines, never bound flips.
+
+Row-form engine. Every variable becomes a column z >= 0 (x = lo + z,
+x = hi - z, or a free pair), and every finite range hi - lo becomes one more
+<= row. A <= row whose shifted rhs is nonnegative starts with its slack
+basic; only the rows with a negative rhs (negated) and the equality rows
+get an artificial column, and phase 1 runs only when there is one.
 
 Pricing is Dantzig's rule (the most negative reduced cost, lowest index on
 ties), except that the pivot after a degenerate one (zero step) uses Bland's
@@ -21,15 +29,16 @@ CycleGuardTripped if exhausted. Intended for desk-scale problems (at most
 10_000 columns after standard-form conversion); everything is dense numpy.
 
 Warm re-solves. solve_lp(problem, start=outcome) starts from the final
-tableau of an optimal outcome of an LP with the same A, E, lo and hi (checked
-with np.array_equal; any other start is ignored and the LP is solved cold).
-That tableau holds the basis inverse in the columns that began as unit
-vectors, the slacks and the equality rows' artificials, so a copy of it
-takes the new rhs as that inverse times the new shifted rhs, and the new
-cost is priced against the old basis. A basis that is still primal feasible
-goes on with the primal loop above. One that is only dual feasible, as after
-a change of b alone, goes to a dual simplex loop (Lemke 1954). One that is
-neither, or a start whose phase 1 dropped redundant rows, is solved cold.
+tableau of an optimal outcome of an LP with the same A, E, lo and hi (the
+same arrays, as LpProblem.with_rhs shares them, or equal ones; any other
+start is ignored and the LP is solved cold). That tableau holds the basis
+inverse in the columns that began as unit vectors, the slacks and the
+equality rows' artificials, so a copy of it takes the new rhs as that
+inverse times the new shifted rhs, and the new cost is priced against the
+old basis. A basis that is still primal feasible goes on with the primal
+loop above. One that is only dual feasible, as after a change of b alone,
+goes to a dual simplex loop (Lemke 1954). One that is neither, or a start
+whose phase 1 dropped redundant rows, is solved cold.
 
 The dual loop prices like the primal one: the row with the most negative
 basic value leaves (lowest index on ties), and the entering column has the
@@ -44,9 +53,30 @@ basic value and no negative entry proves the LP infeasible. Once every basic
 value is nonnegative, the primal loop confirms optimality (it normally makes
 no pivot). The start is never modified.
 
+Long-step dual engine (the bounded-variable simplex of Dantzig 1955 with
+the bound-flipping ratio test of Fourer 1994). The columns are x itself and
+one slack per <= row, and the bounds stay implicit: a nonbasic column sits
+at its lower or its upper bound, and no range is a row. The basic value
+furthest outside its bounds leaves (lowest index on ties). The columns that
+can move it toward that bound are sorted by the ratio of their reduced cost
+to their entry in its row (lowest index on ties). Walking up those
+breakpoints, the dual objective rises at a slope that starts at the leaving
+value's distance to its bound and falls at each breakpoint by |entry| times
+the column's range. While the slope stays positive, the column is boxed and
+flips to its other bound; the first column at which the slope would reach
+zero enters, so one pivot replaces a run of short-step dual pivots. When
+the slope stays positive past every breakpoint, or no column can move the
+row, the LP is infeasible. A warm solve (same c, A, lo and hi) takes the
+new basic values from the basis inverse in the slack columns. It
+terminates like the dual loop above: a step of positive length raises the
+dual objective strictly, since the flips passed only segments of positive
+slope; after a zero-length step the next leaving row is picked by Bland's
+rule, and the same pivot budget raises CycleGuardTripped.
+
 The optimal outcome carries a dual certificate (row multipliers, the most
-negative reduced cost, and the primal-dual gap) so callers can verify
-optimality independently.
+negative reduced cost of a nonbasic column measured in its feasible
+direction, and the primal-dual gap) so callers can verify optimality
+independently.
 """
 
 from __future__ import annotations
@@ -99,6 +129,53 @@ class LpProblem:
     @property
     def n(self) -> int:
         return self.c.shape[0]
+
+    def with_rhs(self, b) -> "LpProblem":
+        """This LP with the inequality right-hand side b. Only b is checked.
+        The other arrays are shared with this problem, read-only (frozen
+        copies on the first call), so a start from either problem matches
+        the other by identity instead of by comparing matrices."""
+        b = np.array(b, dtype=float)
+        if b.shape != self.b.shape:
+            raise ValidationError("lp: constraint matrix/rhs shapes disagree")
+        if not np.isfinite(b).all():
+            raise NonFinite("lp: non-finite entries in b")
+        child = object.__new__(LpProblem)
+        for name in ("c", "A", "E", "f", "lo", "hi"):
+            value = _frozen(getattr(self, name))
+            object.__setattr__(self, name, value)
+            object.__setattr__(child, name, value)
+        object.__setattr__(child, "b", b)
+        return child
+
+
+def _is_frozen(a: np.ndarray) -> bool:
+    """Read-only and owning its data (a read-only view of a writeable
+    array can still change)."""
+    flags = a.flags
+    return not flags.writeable and flags.owndata
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    """a itself when it is frozen, else a frozen copy."""
+    if _is_frozen(a):
+        return a
+    a = a.copy()
+    a.flags.writeable = False
+    return a
+
+
+def _kept(a: np.ndarray) -> np.ndarray:
+    """What a warm-start match keeps of a problem's array: the array itself
+    when it is frozen, else a private copy, so that a caller's later edit
+    of its array cannot pass the match."""
+    return a if _is_frozen(a) else a.copy()
+
+
+def _same(kept: np.ndarray, given: np.ndarray) -> bool:
+    """Whether given equals an array that _kept returned: by identity, else
+    by value."""
+    return kept is given or np.array_equal(kept, given)
 
 
 def _reject(c, A, b, E, f, lo, hi):
@@ -158,17 +235,28 @@ class _Form:
         self.n_eq = problem.E.shape[0]
         self.nslack = self.n_ineq + self.up_cols.shape[0]
         self.m = self.nslack + self.n_eq
-        # copies, so a caller's later edit of its arrays cannot pass fits()
-        self.A, self.E, self.lo, self.hi = problem.A.copy(), problem.E.copy(), lo.copy(), hi.copy()
+        self.A, self.E, self.lo, self.hi = _kept(problem.A), _kept(problem.E), _kept(lo), _kept(hi)
 
     def fits(self, problem: LpProblem) -> bool:
-        return (np.array_equal(self.A, problem.A) and np.array_equal(self.E, problem.E)
-                and np.array_equal(self.lo, problem.lo) and np.array_equal(self.hi, problem.hi))
+        return (_same(self.A, problem.A) and _same(self.E, problem.E)
+                and _same(self.lo, problem.lo) and _same(self.hi, problem.hi))
 
     def rhs(self, problem: LpProblem) -> np.ndarray:
         """Right-hand sides of the rows in z, before any row is negated."""
         off = self.offsets
         return np.concatenate([problem.b - problem.A @ off, self.u_rhs, problem.f - problem.E @ off])
+
+
+def _eliminate(T: np.ndarray, row: int, col: int) -> None:
+    """Gauss-Jordan step: scale T[row] to a unit entry in col and clear col
+    from every other row."""
+    prow = T[row]
+    prow /= prow[col]
+    fac = T[:, col].copy()
+    fac[row] = 0.0
+    T -= np.multiply.outer(fac, prow)
+    T[:, col] = 0.0
+    T[row, col] = 1.0
 
 
 class _Tableau:
@@ -193,18 +281,11 @@ class _Tableau:
         self.T[m, n] = -float(cb @ self.T[:m, n])
 
     def pivot(self, row: int, col: int) -> None:
-        T = self.T
-        prow = T[row]
-        prow /= prow[col]
-        fac = T[:, col].copy()
-        fac[row] = 0.0
-        T -= np.multiply.outer(fac, prow)
-        T[:, col] = 0.0
-        T[row, col] = 1.0
+        _eliminate(self.T, row, col)
         self.basis[row] = col
         self.pivots += 1
         # tiny negative basic values are rounding debris
-        rhs = T[: self.m, self.n]
+        rhs = self.T[: self.m, self.n]
         if rhs.min() < 0:
             rhs[(rhs < 0) & (rhs > -_PIVOT_TOL)] = 0.0
 
@@ -282,15 +363,21 @@ def _phase2_cost(problem: LpProblem, form: _Form, total_cols: int) -> np.ndarray
 def solve_lp(problem: LpProblem, start: Optional[LpOutcome] = None) -> LpOutcome:
     """Solve an LpProblem; outcome status is "optimal", "infeasible" or "unbounded".
 
-    start: an optimal outcome of an LP with the same A, E, lo and hi, which
-    the solve re-solves from (module docstring); any other start is ignored.
+    start: an optimal outcome of an LP with the same A, E, lo and hi (and,
+    for the long-step engine, the same c), which the solve re-solves from in
+    the engine that produced it (module docstring); any other start is
+    ignored.
     """
     old = None if start is None else start.tableau
-    if old is not None and old.form.fits(problem):
+    if isinstance(old, _BoundTableau) and old.fits(problem):
+        return _long_step_solve(problem, old)
+    if isinstance(old, _Tableau) and old.form.fits(problem):
         out = _warm_solve(problem, old)
         if out is not None:
             return out
         return _cold_solve(problem, old.form)
+    if _long_step_applies(problem):
+        return _long_step_solve(problem, None)
     return _cold_solve(problem, _Form(problem))
 
 
@@ -424,4 +511,153 @@ def _optimal(problem: LpProblem, tab: _Tableau, rhs: np.ndarray, cost: np.ndarra
         duality_gap=float(gap / scale),
         pivots=tab.pivots,
         tableau=None if dropped else tab,
+    )
+
+
+# ---------------------------------------------------------------------------
+# long-step dual simplex over implicit bounds
+
+
+def _long_step_applies(problem: LpProblem) -> bool:
+    """No equality rows, and every cost is nonzero with a finite bound on
+    its cheaper side: the start at those bounds is strictly dual feasible."""
+    c = problem.c
+    return (problem.E.shape[0] == 0 and bool(c.all())
+            and bool(np.isfinite(np.where(c > 0, problem.lo, problem.hi)).all()))
+
+
+class _BoundTableau:
+    """T = B^-1 [A I] over the n structural columns and the m slacks, with
+    the reduced costs in its last row. A nonbasic column sits at its lower
+    bound, or at its upper one where `upper` is set; the basic values are
+    kept apart from T, since they depend on those bounds."""
+
+    def __init__(self, problem: LpProblem, T: np.ndarray, basis: np.ndarray, upper: np.ndarray):
+        m, n = problem.A.shape
+        self.c, self.A = _kept(problem.c), _kept(problem.A)
+        self.lo, self.hi = lo, hi = _kept(problem.lo), _kept(problem.hi)
+        self.lo_all = np.concatenate([lo, np.zeros(m)])      # slacks lie in [0, inf)
+        self.hi_all = np.concatenate([hi, np.full(m, np.inf)])
+        self.width = self.hi_all - self.lo_all
+        self.T = T
+        self.basis = basis
+        self.upper = upper
+        self.pivots = 0
+
+    def fits(self, problem: LpProblem) -> bool:
+        return (problem.E.shape[0] == 0 and _same(self.c, problem.c) and _same(self.A, problem.A)
+                and _same(self.lo, problem.lo) and _same(self.hi, problem.hi))
+
+    def copy(self) -> "_BoundTableau":
+        new = object.__new__(_BoundTableau)
+        new.__dict__.update(self.__dict__)
+        new.T, new.basis, new.upper, new.pivots = self.T.copy(), self.basis.copy(), self.upper.copy(), 0
+        return new
+
+    def nonbasic_values(self) -> np.ndarray:
+        """Every column at its bound, basic columns at 0."""
+        x = np.where(self.upper, self.hi_all, self.lo_all)
+        x[self.basis] = 0.0
+        return x
+
+    def run(self, xb: np.ndarray, cap: int) -> str:
+        """Dual simplex with the long-step ratio test, updating the basic
+        values xb in place, until they lie within their bounds or a row
+        proves the LP infeasible."""
+        T, basis, upper, width = self.T, self.basis, self.upper, self.width
+        m = basis.shape[0]
+        if m == 0:
+            return "optimal"
+        bland = False
+        while True:
+            lower_gap = self.lo_all[basis] - xb
+            gap = np.maximum(lower_gap, xb - self.hi_all[basis])  # > 0 where out of bounds
+            if bland:
+                short = (gap > _PIVOT_TOL).nonzero()[0]
+                if short.size == 0:
+                    return "optimal"
+                leave = int(short[basis[short].argmin()])
+            else:
+                leave = int(gap.argmax())
+                if gap[leave] <= _PIVOT_TOL:
+                    return "optimal"
+            # the leaving value must rise (to its lower bound) or fall (to its
+            # upper one); alpha is its row signed so that rising is positive
+            rise = lower_gap[leave] > 0.0
+            alpha = T[leave] if rise else -T[leave]
+            # a column at its lower bound can move up, one at its upper bound
+            # down; either helps where it moves the leaving value toward its bound
+            toward = np.where(upper, alpha, -alpha)
+            toward[basis] = 0.0
+            cols = (toward > _PIVOT_TOL).nonzero()[0]
+            if cols.size == 0:
+                return "infeasible"
+            ratios = T[m, cols] / -alpha[cols]
+            order = np.argsort(ratios, kind="stable")
+            cols, ratios = cols[order], ratios[order]
+            # passing a breakpoint flips a boxed column to its other bound;
+            # the first column whose flip would cover the rest of the gap enters
+            left = gap[leave] - np.cumsum(np.abs(alpha[cols]) * width[cols])
+            k = int((left <= _PIVOT_TOL).argmax())
+            if left[k] > _PIVOT_TOL:
+                return "infeasible"
+            enter = int(cols[k])
+            if self.pivots >= cap:
+                raise CycleGuardTripped(f"lp: pivot budget {cap} exhausted")
+            flips = cols[:k]
+            if flips.size:
+                xb -= T[:m, flips] @ np.where(upper[flips], -width[flips], width[flips])
+                upper[flips] = ~upper[flips]
+            col = T[:m, enter]
+            target = self.lo_all[basis[leave]] if rise else self.hi_all[basis[leave]]
+            step = (xb[leave] - target) / col[leave]
+            start = self.hi_all[enter] if upper[enter] else self.lo_all[enter]
+            xb -= step * col
+            xb[leave] = start + step
+            upper[basis[leave]] = not rise
+            upper[enter] = False
+            _eliminate(T, leave, enter)
+            basis[leave] = enter
+            self.pivots += 1
+            bland = ratios[k] <= _PIVOT_TOL
+
+
+def _long_step_solve(problem: LpProblem, old: Optional[_BoundTableau]) -> LpOutcome:
+    """Solve cold from the slack basis with every column at its cheaper
+    bound, or warm from a copy of old's basis."""
+    A, b, c = problem.A, problem.b, problem.c
+    m, n = A.shape
+    if old is None:
+        if n > _MAX_COLUMNS:
+            raise ValidationError(f"lp: {n} columns exceeds the {_MAX_COLUMNS} cap")
+        T = np.zeros((m + 1, n + m))
+        T[:m, :n] = A
+        T[np.arange(m), n + np.arange(m)] = 1.0
+        T[m, :n] = c
+        tab = _BoundTableau(problem, T, n + np.arange(m), np.concatenate([c < 0, np.zeros(m, bool)]))
+    else:
+        tab = old.copy()
+    # x_B = B^-1 (b - N x_N), with B^-1 in the slack columns
+    T = tab.T
+    xb = T[:m, n:] @ b - T[:m, :n] @ tab.nonbasic_values()[:n]
+    if tab.run(xb, 50 * (m + T.shape[1])) == "infeasible":
+        return LpOutcome(status="infeasible", pivots=tab.pivots)
+    x_all = tab.nonbasic_values()
+    x_all[tab.basis] = xb
+    x = x_all[:n]
+    value = float(c @ x)
+    d = T[m]
+    # a slack column is e_i with cost 0, so its reduced cost is -y_i
+    y = -d[n:]
+    dual_obj = float(y @ b + d[:n] @ x)
+    return LpOutcome(
+        status="optimal",
+        x=x,
+        value=value,
+        dual_ineq=y,
+        dual_eq=np.zeros(0),
+        reduced_cost_min=float(np.min(np.where(tab.upper, -d, d), initial=0.0)),
+        duality_gap=abs(value - dual_obj) / (1.0 + abs(value)),
+        pivots=tab.pivots,
+        tableau=tab,
     )

@@ -39,7 +39,7 @@ from ccpkit.cli import generate_instance
 from ccpkit.geometry import as_polyhedron, dykstra_project, flatten_set
 from ccpkit.covering import _relaxation_lp, _subset_lp
 from ccpkit.cvar import _tail_problem
-from ccpkit.lowerlevel import _dc_pieces, _hinge_lp, _norm_aux, _scenario_rows
+from ccpkit.lowerlevel import _dc_pieces, _exact_face_polish, _hinge_lp, _norm_aux, _scenario_rows
 
 from conftest import (
     equiprobable,
@@ -530,3 +530,23 @@ def test_dc_pieces_read_as_polyhedron_and_project_like_the_per_piece_builder(fam
 def test_dc_pieces_reject_a_binary_set(binary_pair_cover):
     with pytest.raises(BackendUnavailable):
         _dc_pieces(binary_pair_cover, 1.0)
+
+
+def test_an_empty_face_never_reaches_dykstra(monkeypatch):
+    calls = []
+
+    def spy(pieces, y, *args, **kwargs):
+        calls.append(len(pieces))
+        return dykstra_project(pieces, y, *args, **kwargs)
+
+    monkeypatch.setattr("ccpkit.lowerlevel.dykstra_project", spy)
+    inst = generate_instance("linear", 4, 12, 0.1, 1)
+    x = np.full(4, 0.5)
+    # no point of [0, 1]^4 reaches c'x <= sum(c) - 1: the feasibility LP says
+    # so, and the polish returns None before any sweep
+    empty_t = float(inst.cost.sum()) - 1.0
+    assert _exact_face_polish(inst, empty_t, np.ones(12), x) is None
+    assert calls == []
+    # a face with points still goes to Dykstra
+    got = _exact_face_polish(inst, np.inf, np.zeros(12), x)
+    assert calls == [1] and np.array_equal(got, x)

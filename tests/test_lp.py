@@ -3,13 +3,27 @@
 import os
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import ccpkit.lp
-from ccpkit import LpProblem, NonFinite, SubsetChain, ValidationError, solve_lp
+from ccpkit import (
+    DrccpSpec,
+    Intersection,
+    LInf,
+    LpProblem,
+    NonFinite,
+    Simplex,
+    SubsetChain,
+    ValidationError,
+    robustify,
+    solve_lp,
+)
 from ccpkit.cli import generate_instance
+from ccpkit.covering import _relaxation_lp, _subset_lp
+from ccpkit.cvar import _tail_problem
 from ccpkit.lowerlevel import _hinge_lp
 
 
@@ -158,19 +172,29 @@ def test_beale_degenerate_lp_does_not_cycle():
 
 
 def test_slack_basis_skips_phase_one():
-    # every <= row has rhs >= 0, so the slack basis is feasible from the start
+    # every <= row has rhs >= 0, so the slack basis is feasible from the
+    # start; the zero-cost third column keeps the LP on the row form
     p = LpProblem(
-        c=np.array([-1.0, -1.0]),
-        A=np.array([[1.0, 1.0]]),
+        c=np.array([-1.0, -1.0, 0.0]),
+        A=np.array([[1.0, 1.0, 0.0]]),
         b=np.array([1.0]),
-        lo=np.zeros(2),
-        hi=np.ones(2),
+        lo=np.zeros(3),
+        hi=np.ones(3),
     )
     out = solve_lp(p)
+    assert isinstance(out.tableau, ccpkit.lp._Tableau)
     assert out.status == "optimal"
     assert out.value == pytest.approx(-1.0)
     assert out.pivots == 1
     assert certificate_ok(p, out)
+    # without it the long-step engine starts both columns at their upper
+    # bound, flips the first and lets the second enter: one pivot as well
+    q = LpProblem(c=p.c[:2], A=p.A[:, :2], b=p.b, lo=np.zeros(2), hi=np.ones(2))
+    out = solve_lp(q)
+    assert isinstance(out.tableau, ccpkit.lp._BoundTableau)
+    assert out.value == pytest.approx(-1.0)
+    assert out.pivots == 1
+    assert certificate_ok(q, out)
 
 
 def _phase_one_lp(rng, redundant=True):
@@ -343,20 +367,24 @@ def test_start_of_another_matrix_gives_the_cold_result():
 
 def test_budget_cut_takes_one_dual_pivot_per_dropped_item():
     # a continuous knapsack, max 3 x1 + 2 x2 + x3 + 0.5 x4 s.t. sum x <= t,
-    # 0 <= x <= 1: after t falls by k, the old basis stays dual feasible, and
-    # each dual pivot takes out the least valuable item still packed
-    def knapsack(t):
-        return LpProblem(c=[-3.0, -2.0, -1.0, -0.5], A=[[1.0] * 4], b=[t],
-                         lo=np.zeros(4), hi=np.ones(4))
+    # 0 <= x <= 1: after t falls by k, the old basis stays dual feasible. On
+    # the row form (a zero-cost fifth column sends it there) each dual pivot
+    # takes out the least valuable item still packed; the long-step engine
+    # flips the k - 1 cheapest items to 0 and pivots once.
+    for extra, kind in (([0.0], ccpkit.lp._Tableau), ([], ccpkit.lp._BoundTableau)):
+        def knapsack(t):
+            return LpProblem(c=[-3.0, -2.0, -1.0, -0.5] + extra, A=[[1.0] * 4 + extra], b=[t],
+                             lo=np.zeros(4 + len(extra)), hi=np.ones(4 + len(extra)))
 
-    start = solve_lp(knapsack(3.5))
-    assert start.value == pytest.approx(-6.25)
-    for k, value in ((1, -5.5), (2, -4.0), (3, -1.5)):
-        warm = solve_lp(knapsack(3.5 - k), start=start)
-        assert warm.status == "optimal" and warm.value == pytest.approx(value)
-        assert warm.pivots == k
-        assert certificate_ok(knapsack(3.5 - k), warm)
-    assert solve_lp(knapsack(-0.5), start=start).status == "infeasible"
+        start = solve_lp(knapsack(3.5))
+        assert isinstance(start.tableau, kind)
+        assert start.value == pytest.approx(-6.25)
+        for k, value in ((1, -5.5), (2, -4.0), (3, -1.5)):
+            warm = solve_lp(knapsack(3.5 - k), start=start)
+            assert warm.status == "optimal" and warm.value == pytest.approx(value)
+            assert warm.pivots == (k if extra else 1)
+            assert certificate_ok(knapsack(3.5 - k), warm)
+        assert solve_lp(knapsack(-0.5), start=start).status == "infeasible"
 
 
 def _reference_pivot(self, row, col):
@@ -447,3 +475,145 @@ def test_pivot_and_run_match_their_reference_bit_for_bit(monkeypatch):
             assert np.array_equal(got.tableau.T, want.tableau.T)
             assert np.array_equal(got.tableau.basis, want.tableau.basis)
     assert statuses == {"optimal", "infeasible", "unbounded"}
+
+
+def _long_step_lp(rng):
+    """A feasible LP that the long-step engine takes: no equality rows, and
+    every cost nonzero with a finite bound on its cheaper side (the other
+    side finite or not). Integer costs half of the time, so ratios tie."""
+    n = int(rng.integers(1, 7))
+    m = int(rng.integers(0, 7))
+    sign = rng.choice([-1.0, 1.0], n)
+    c = sign * (rng.integers(1, 4, n) if rng.random() < 0.5 else rng.uniform(0.1, 3.0, n))
+    lo = rng.normal(size=n)
+    hi = lo + rng.uniform(0.0, 3.0, n) * (rng.random(n) < 0.9)   # a few fixed columns
+    lo = np.where((c < 0) & (rng.random(n) < 0.3), -np.inf, lo)
+    hi = np.where((c > 0) & (rng.random(n) < 0.3), np.inf, hi)
+    x0 = np.clip(rng.normal(size=n), lo, hi)
+    A = rng.normal(size=(m, n))
+    b = A @ x0 + rng.uniform(0.0, 1.0, m)
+    return LpProblem(c=c, A=A, b=b, lo=lo, hi=hi)
+
+
+def _row_form(p):
+    """The row-form engine's cold solve of p, whichever engine solve_lp picks."""
+    return ccpkit.lp._cold_solve(p, ccpkit.lp._Form(p))
+
+
+def test_long_step_lps_match_the_row_form_and_highs_cold_and_warm():
+    try:
+        import scipy.optimize  # noqa: F401
+        highs = True
+    except ImportError:
+        highs = False
+    rng = np.random.default_rng(31)
+    seen = set()
+    for trial in range(150):
+        p = _long_step_lp(rng)
+        start = solve_lp(p)
+        assert isinstance(start.tableau, ccpkit.lp._BoundTableau)
+        b = p.b + rng.choice([0.1, 1.0, 3.0]) * rng.normal(size=p.b.shape)
+        # the shared-array constructor and a fresh problem both match the start
+        q = p.with_rhs(b) if trial % 2 else LpProblem(c=p.c, A=p.A, b=b, lo=p.lo, hi=p.hi)
+        for problem, out in ((p, start), (q, solve_lp(q, start=start)), (q, solve_lp(q))):
+            row = _row_form(problem)
+            seen.add((problem is q, out.status))
+            assert out.status == row.status
+            if out.status == "optimal":
+                assert out.value == pytest.approx(row.value, rel=1e-9, abs=1e-9)
+                assert certificate_ok(problem, out)
+            if highs:
+                status, value = _highs_status(problem)
+                assert out.status == status
+                if status == "optimal":
+                    assert out.value == pytest.approx(value, rel=1e-7, abs=1e-7)
+    assert {(False, "optimal"), (True, "optimal"), (True, "infeasible")} <= seen
+
+
+def test_long_step_proves_infeasibility_with_and_without_flips():
+    # x1 + x2 <= -1 on [0, 1]^2: no column can lower the row
+    p = LpProblem(c=[1.0, 2.0], A=[[1.0, 1.0]], b=[-1.0], lo=np.zeros(2), hi=np.ones(2))
+    # x1 + x2 >= 3 on [0, 1]^2: flipping both columns up still leaves it short
+    q = LpProblem(c=[1.0, 2.0], A=[[-1.0, -1.0]], b=[-3.0], lo=np.zeros(2), hi=np.ones(2))
+    for problem in (p, q):
+        out = solve_lp(problem)
+        assert out.status == "infeasible" and out.pivots == 0
+        assert _row_form(problem).status == "infeasible"
+
+
+def test_long_step_ties_flip_the_lowest_index_first_and_degenerate_steps_certify():
+    # min -(x1 + x2 + x3) s.t. sum x <= 1.5 on [0, 1]^3: every ratio is 1, so
+    # x1 flips to 0 and x2 enters at 0.5 in one pivot
+    p = LpProblem(c=[-1.0, -1.0, -1.0], A=[[1.0, 1.0, 1.0]], b=[1.5], lo=np.zeros(3), hi=np.ones(3))
+    out = solve_lp(p)
+    assert out.pivots == 1 and np.array_equal(out.x, [0.0, 0.5, 1.0])
+    assert certificate_ok(p, out)
+    # at b = 0.2, x2 leaves and x3, whose reduced cost is now 0, enters: a
+    # zero-length dual step
+    q = p.with_rhs([0.2])
+    warm = solve_lp(q, start=out)
+    assert warm.pivots == 1 and warm.value == pytest.approx(-0.2)
+    assert np.allclose(warm.x, [0.0, 0.0, 0.2])
+    assert certificate_ok(q, warm)
+
+
+def test_long_step_without_rows_sits_at_the_cheaper_bounds():
+    p = LpProblem(c=[1.0, -2.0], lo=[0.5, -np.inf], hi=[np.inf, 3.0])
+    out = solve_lp(p)
+    assert isinstance(out.tableau, ccpkit.lp._BoundTableau)
+    assert out.status == "optimal" and out.pivots == 0
+    assert np.array_equal(out.x, [0.5, 3.0]) and out.value == -5.5
+    assert certificate_ok(p, out)
+
+
+def test_engine_selection_by_lp_kind():
+    def engine(problem):
+        return type(solve_lp(problem).tableau).__name__
+
+    for family in ("linear", "covering"):
+        inst = generate_instance(family, 10, 20, 0.1, 1)
+        chain = SubsetChain(inst)
+        # the single-scenario LPs of the quantile bound and the oracle's chain
+        assert engine(_subset_lp(inst, [3])) == "_BoundTableau"
+        assert engine(chain.problem(list(range(2, 20)))) == "_BoundTableau"
+        # hinge and tail LPs have zero-cost columns
+        assert engine(_hinge_lp(inst, 5.0, np.ones(20))) == "_Tableau"
+        assert engine(_tail_problem(inst, None, relaxed=False)) == "_Tableau"
+        # the L-inf ball's aux columns cost nothing
+        robust = robustify(DrccpSpec(inst, 0.05, LInf()))
+        assert engine(_subset_lp(robust, [3])) == "_Tableau"
+        # a simplex X brings an equality row
+        simplex = replace(inst, x_set=Intersection((inst.x_set, Simplex(inst.n, 3.0))))
+        assert engine(_subset_lp(simplex, [3])) == "_Tableau"
+    assert engine(_relaxation_lp(inst)) == "_Tableau"
+
+
+def test_with_rhs_shares_frozen_arrays_and_checks_only_b():
+    rng = np.random.default_rng(4)
+    p = _long_step_lp(rng)
+    q = p.with_rhs(p.b + 1.0)
+    for name in ("c", "A", "E", "f", "lo", "hi"):
+        assert getattr(q, name) is getattr(p, name)
+        assert not getattr(q, name).flags.writeable
+    assert np.array_equal(q.b, p.b + 1.0)
+    with pytest.raises(ValidationError):
+        p.with_rhs(np.ones(p.b.size + 1))
+    with pytest.raises(NonFinite):
+        p.with_rhs(np.full(p.b.size, np.nan))
+
+
+@pytest.mark.parametrize("make", [_long_step_lp, lambda rng: _phase_one_lp(rng, redundant=False)])
+def test_editing_a_callers_matrix_in_place_gives_the_cold_result(make):
+    rng = np.random.default_rng(9)
+    p = make(rng)
+    while p.A.shape[0] == 0:
+        p = make(rng)
+    A = p.A.copy()                      # caller-owned, passed in as is
+    first = LpProblem(c=p.c, A=A, b=p.b, E=p.E, f=p.f, lo=p.lo, hi=p.hi)
+    start = solve_lp(first)
+    A[0, 0] += 1e-3
+    second = LpProblem(c=p.c, A=A, b=p.b, E=p.E, f=p.f, lo=p.lo, hi=p.hi)
+    warm, cold = solve_lp(second, start=start), solve_lp(second)
+    assert warm.status == cold.status
+    assert warm.value == cold.value and warm.pivots == cold.pivots
+    assert np.array_equal(warm.x, cold.x) and np.array_equal(warm.dual_ineq, cold.dual_ineq)
