@@ -1,77 +1,73 @@
-"""Dense simplex for small linear programs, with two engines and warm
-re-solves from an earlier optimal basis.
+"""Dense bounded-variable simplex for small linear programs, with dual
+certificates and warm re-solves from an earlier optimal basis.
 
     min c'x   s.t.  A x <= b,  E x = f,  lo <= x <= hi
 
-Which engine. A cold solve takes the long-step dual engine when the LP has
-no equality rows and every column has a nonzero cost and a finite bound on
-its cheaper side (lo where c_j > 0, hi where c_j < 0): every column at that
-bound with every slack basic is then strictly dual feasible, so no phase 1
-is needed and the LP cannot be unbounded. Every other LP takes the row-form
-engine. A warm solve (start=) stays in the engine its start came from.
-`pivots` counts basis changes in both engines, never bound flips.
+Tableau. Every LP is solved on one tableau T = B^-1 [A I; E I] over the n
+columns of x and one slack per row: a <= row's slack lies in [0, inf), an
+equality row's slack is fixed at 0. Bounds stay implicit (Dantzig 1955): no
+range is a row, and a nonbasic column sits at its lower bound, at its upper
+bound, or at 0 when it is free. The last column of T holds the basic values
+and the last row the reduced costs; since every slack column began as a unit
+vector, the slack columns hold B^-1 itself.
 
-Row-form engine. Every variable becomes a column z >= 0 (x = lo + z,
-x = hi - z, or a free pair), and every finite range hi - lo becomes one more
-<= row. A <= row whose shifted rhs is nonnegative starts with its slack
-basic; only the rows with a negative rhs (negated) and the equality rows
-get an artificial column, and phase 1 runs only when there is one.
+Start rule. When the LP has no equality rows and every column has a nonzero
+cost and a finite bound on its cheaper side (lo where c_j > 0, hi where
+c_j < 0), every column starts at that bound with every slack basic: that
+basis is strictly dual feasible, so the long-step dual loop below solves it
+with no phase 1, and the LP cannot be unbounded. Every other LP starts each
+column at its lower bound (its upper bound when only that is finite, 0 when
+free); a row whose slack would then lie outside its bounds, and every
+equality row, gets an artificial column, basic at the size of the row's
+residual. When there is one, phase 1 minimises their sum with the primal
+loop below; a sum left above 1e-7 (1 + max |residual|) proves the LP
+infeasible. The artificial columns are then fixed at 0, so one still basic
+on a redundant row keeps that row's multiplier at 0, and phase 2 runs the
+primal loop on c.
 
-Pricing is Dantzig's rule (the most negative reduced cost, lowest index on
-ties), except that the pivot after a degenerate one (zero step) uses Bland's
-rule (Bland 1977): the lowest-index improving column, and on ratio ties the
-row whose basic column has the lowest index. This terminates: each
-nondegenerate pivot strictly lowers the objective, so no basis comes back
-across one, and inside a run of degenerate pivots every pivot after the
-first is a Bland pivot, which cannot cycle. A pivot budget of
-50 * (rows + columns) still guards the loop against rounding and raises
-CycleGuardTripped if exhausted. Intended for desk-scale problems (at most
-10_000 columns after standard-form conversion); everything is dense numpy.
+Bounded primal loop. Pricing is Dantzig's rule on the reduced cost measured
+in each nonbasic column's feasible direction (the most negative, lowest index
+on ties), except that the pivot after a degenerate one (zero step) uses
+Bland's rule (Bland 1977): the lowest-index improving column, and on ratio
+ties the row whose basic column has the lowest index. A basic value blocks
+the step at whichever of its bounds it moves toward. When the entering
+column's own range is shorter than the smallest blocking step, it flips to
+its other bound instead of pivoting. This terminates: a pivot of positive
+step or a flip strictly lowers the objective, so no basis comes back across
+one; a column that just flipped cannot flip back before the next pivot, and
+inside a run of degenerate pivots every pivot after the first is a Bland
+pivot, which cannot cycle.
 
-Warm re-solves. solve_lp(problem, start=outcome) starts from the final
-tableau of an optimal outcome of an LP with the same A, E, lo and hi (the
-same arrays, as LpProblem.with_rhs shares them, or equal ones; any other
-start is ignored and the LP is solved cold). That tableau holds the basis
-inverse in the columns that began as unit vectors, the slacks and the
-equality rows' artificials, so a copy of it takes the new rhs as that
-inverse times the new shifted rhs, and the new cost is priced against the
-old basis. A basis that is still primal feasible goes on with the primal
-loop above. One that is only dual feasible, as after a change of b alone,
-goes to a dual simplex loop (Lemke 1954). One that is neither, or a start
-whose phase 1 dropped redundant rows, is solved cold.
+Long-step dual loop (the bound-flipping ratio test of Fourer 1994). The
+basic value furthest outside its bounds leaves (lowest index on ties). The
+nonbasic columns that can move it toward that bound are sorted by the ratio
+of their reduced cost to their entry in its row (lowest index on ties).
+Walking up those breakpoints, the dual objective rises at a slope that starts
+at the leaving value's distance to its bound and falls at each breakpoint by
+|entry| times the column's range. While the slope stays positive, the column
+is boxed and flips to its other bound; the first column at which the slope
+would reach zero enters, so one pivot replaces a run of short-step dual
+pivots. When the slope stays positive past every breakpoint, or no column can
+move the row, the LP is infeasible. It terminates like the primal loop: a
+step of positive length raises the dual objective strictly, since the flips
+passed only segments of positive slope; after a zero-length step the next
+leaving row is picked by Bland's rule.
 
-The dual loop prices like the primal one: the row with the most negative
-basic value leaves (lowest index on ties), and the entering column has the
-smallest ratio of its reduced cost to minus its entry in that row (lowest
-index on ties). The pivot after a degenerate one (zero ratio) is a dual Bland
-pivot: the infeasible row whose basic column has the lowest index leaves. It
-terminates for the same reason: each nondegenerate dual pivot strictly raises
-the objective while every reduced cost stays nonnegative, so no basis comes
-back across one, and a run of degenerate pivots is Bland's rule on the dual
-after its first pivot. The same pivot budget guards it. A row with a negative
-basic value and no negative entry proves the LP infeasible. Once every basic
-value is nonnegative, the primal loop confirms optimality (it normally makes
-no pivot). The start is never modified.
+Both loops share a pivot budget of 50 * (rows + columns), which guards them
+against rounding and raises CycleGuardTripped if exhausted. `pivots` counts
+basis changes, never bound flips. Intended for desk-scale problems (at most
+10_000 columns); everything is dense numpy.
 
-Long-step dual engine (the bounded-variable simplex of Dantzig 1955 with
-the bound-flipping ratio test of Fourer 1994). The columns are x itself and
-one slack per <= row, and the bounds stay implicit: a nonbasic column sits
-at its lower or its upper bound, and no range is a row. The basic value
-furthest outside its bounds leaves (lowest index on ties). The columns that
-can move it toward that bound are sorted by the ratio of their reduced cost
-to their entry in its row (lowest index on ties). Walking up those
-breakpoints, the dual objective rises at a slope that starts at the leaving
-value's distance to its bound and falls at each breakpoint by |entry| times
-the column's range. While the slope stays positive, the column is boxed and
-flips to its other bound; the first column at which the slope would reach
-zero enters, so one pivot replaces a run of short-step dual pivots. When
-the slope stays positive past every breakpoint, or no column can move the
-row, the LP is infeasible. A warm solve (same c, A, lo and hi) takes the
-new basic values from the basis inverse in the slack columns. It
-terminates like the dual loop above: a step of positive length raises the
-dual objective strictly, since the flips passed only segments of positive
-slope; after a zero-length step the next leaving row is picked by Bland's
-rule, and the same pivot budget raises CycleGuardTripped.
+Warm re-solves. solve_lp(problem, start=outcome) starts from a copy of the
+final tableau of an optimal outcome of an LP with the same A, E, lo and hi
+(the same arrays, as LpProblem.with_rhs shares them, or equal ones; any other
+start is ignored and the LP is solved cold). The new basic values are B^-1
+times the new right-hand side less the nonbasic columns at their bounds. With
+the same c the old basis is still dual feasible, and the long-step dual loop
+re-solves it. A new c is priced against the old basis: the primal loop goes
+on from a basis that is still primal feasible, the long-step dual loop from
+one that is only dual feasible, and one that is neither is solved cold. The
+start is never modified.
 
 The optimal outcome carries a dual certificate (row multipliers, the most
 negative reduced cost of a nonbasic column measured in its feasible
@@ -82,7 +78,7 @@ independently.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -202,49 +198,7 @@ class LpOutcome:
     duality_gap: Optional[float] = None
     pivots: int = 0
     # the final tableau of an optimal solve, for solve_lp(..., start=outcome)
-    tableau: Optional["_Tableau"] = field(default=None, repr=False)
-
-
-class _Form:
-    """Standard form of an LP's A, E, lo and hi: columns z >= 0 with x equal to
-    offsets plus sign * z summed over the columns of each variable (src).
-
-    A finite lo gives x = lo + z (plus a row z <= hi - lo when hi is finite),
-    a finite hi alone gives x = hi - z, and a free x is a pair z+ - z-.
-    """
-
-    def __init__(self, problem: LpProblem):
-        lo, hi = problem.lo, problem.hi
-        lo_fin = np.isfinite(lo)
-        hi_fin = np.isfinite(hi)
-        free = ~(lo_fin | hi_fin)
-        width = 1 + free.astype(int)
-        self.ncols = int(width.sum())
-        if self.ncols > _MAX_COLUMNS:
-            raise ValidationError(f"lp: {self.ncols} columns exceeds the {_MAX_COLUMNS} cap")
-        first = np.cumsum(width) - width
-        self.src = np.repeat(np.arange(problem.n), width)   # original variable of each column
-        self.sign = np.ones(self.ncols)
-        self.sign[first[~lo_fin & hi_fin]] = -1.0
-        self.sign[first[free] + 1] = -1.0
-        self.offsets = np.where(lo_fin, lo, np.where(hi_fin, hi, 0.0))
-        boxed = lo_fin & hi_fin
-        self.up_cols = first[boxed]
-        self.u_rhs = (hi - lo)[boxed]
-        self.n_ineq = problem.A.shape[0]
-        self.n_eq = problem.E.shape[0]
-        self.nslack = self.n_ineq + self.up_cols.shape[0]
-        self.m = self.nslack + self.n_eq
-        self.A, self.E, self.lo, self.hi = _kept(problem.A), _kept(problem.E), _kept(lo), _kept(hi)
-
-    def fits(self, problem: LpProblem) -> bool:
-        return (_same(self.A, problem.A) and _same(self.E, problem.E)
-                and _same(self.lo, problem.lo) and _same(self.hi, problem.hi))
-
-    def rhs(self, problem: LpProblem) -> np.ndarray:
-        """Right-hand sides of the rows in z, before any row is negated."""
-        off = self.offsets
-        return np.concatenate([problem.b - problem.A @ off, self.u_rhs, problem.f - problem.E @ off])
+    tableau: Optional["_BoundTableau"] = field(default=None, repr=False)
 
 
 def _eliminate(T: np.ndarray, row: int, col: int) -> None:
@@ -259,265 +213,6 @@ def _eliminate(T: np.ndarray, row: int, col: int) -> None:
     T[row, col] = 1.0
 
 
-class _Tableau:
-    """Full tableau T = [rows | rhs] over a standard form, with the
-    reduced-cost row at the bottom. Rows with row_sign -1 were negated, and
-    the columns from art0 on are artificials."""
-
-    def __init__(self, form: _Form, T: np.ndarray, basis: np.ndarray, row_sign: np.ndarray, art0: int):
-        self.form = form
-        self.T = T
-        self.m = T.shape[0] - 1
-        self.n = T.shape[1] - 1
-        self.basis = basis
-        self.row_sign = row_sign
-        self.art0 = art0
-        self.pivots = 0
-
-    def set_costs(self, c: np.ndarray) -> None:
-        m, n = self.m, self.n
-        cb = c[self.basis]
-        self.T[m, :n] = c - cb @ self.T[:m, :n]
-        self.T[m, n] = -float(cb @ self.T[:m, n])
-
-    def pivot(self, row: int, col: int) -> None:
-        _eliminate(self.T, row, col)
-        self.basis[row] = col
-        self.pivots += 1
-        # tiny negative basic values are rounding debris
-        rhs = self.T[: self.m, self.n]
-        if rhs.min() < 0:
-            rhs[(rhs < 0) & (rhs > -_PIVOT_TOL)] = 0.0
-
-    def run(self, limit: int, cap: int) -> str:
-        """Pivot over the first `limit` columns until optimal or unbounded."""
-        T = self.T
-        m, n = self.m, self.n
-        rhs = T[:m, n]
-        bland = False
-        while True:
-            costs = T[m, :limit]
-            if bland:
-                improving = (costs < -_PIVOT_TOL).nonzero()[0]
-                if improving.size == 0:
-                    return "optimal"
-                enter = int(improving[0])
-            else:
-                enter = int(costs.argmin())
-                if costs[enter] >= -_PIVOT_TOL:
-                    return "optimal"
-            col = T[:m, enter]
-            rows = (col > _PIVOT_TOL).nonzero()[0]
-            if rows.size == 0:
-                return "unbounded"
-            ratios = rhs[rows] / col[rows]
-            best = float(ratios.min())
-            if rows.size == 1:
-                leave = int(rows[0])
-            else:
-                # Bland tie-break: smallest basis index among minimizing rows
-                tie = rows[ratios <= best + _PIVOT_TOL * (1.0 + abs(best))]
-                leave = int(tie[self.basis[tie].argmin()])
-            if self.pivots >= cap:
-                raise CycleGuardTripped(f"lp: pivot budget {cap} exhausted")
-            self.pivot(leave, enter)
-            bland = best <= _PIVOT_TOL
-
-    def run_dual(self, limit: int, cap: int) -> str:
-        """Dual simplex over the first `limit` columns from a dual-feasible
-        basis, until every basic value is nonnegative or a row proves the LP
-        infeasible."""
-        T = self.T
-        m, n = self.m, self.n
-        bland = False
-        while True:
-            rhs = T[:m, n]
-            if bland:
-                short = (rhs < -_PIVOT_TOL).nonzero()[0]
-                if short.size == 0:
-                    return "optimal"
-                leave = int(short[self.basis[short].argmin()])
-            else:
-                leave = int(rhs.argmin())
-                if rhs[leave] >= -_PIVOT_TOL:
-                    return "optimal"
-            row = T[leave, :limit]
-            cols = (row < -_PIVOT_TOL).nonzero()[0]
-            if cols.size == 0:
-                return "infeasible"
-            ratios = T[m, cols] / -row[cols]
-            best = float(ratios.min())
-            enter = int(cols[(ratios <= best + _PIVOT_TOL * (1.0 + abs(best))).argmax()])
-            if self.pivots >= cap:
-                raise CycleGuardTripped(f"lp: pivot budget {cap} exhausted")
-            self.pivot(leave, enter)
-            bland = best <= _PIVOT_TOL
-
-
-def _phase2_cost(problem: LpProblem, form: _Form, total_cols: int) -> np.ndarray:
-    cost = np.zeros(total_cols)
-    cost[: form.ncols] = problem.c[form.src] * form.sign
-    return cost
-
-
-def solve_lp(problem: LpProblem, start: Optional[LpOutcome] = None) -> LpOutcome:
-    """Solve an LpProblem; outcome status is "optimal", "infeasible" or "unbounded".
-
-    start: an optimal outcome of an LP with the same A, E, lo and hi (and,
-    for the long-step engine, the same c), which the solve re-solves from in
-    the engine that produced it (module docstring); any other start is
-    ignored.
-    """
-    old = None if start is None else start.tableau
-    if isinstance(old, _BoundTableau) and old.fits(problem):
-        return _long_step_solve(problem, old)
-    if isinstance(old, _Tableau) and old.form.fits(problem):
-        out = _warm_solve(problem, old)
-        if out is not None:
-            return out
-        return _cold_solve(problem, old.form)
-    if _long_step_applies(problem):
-        return _long_step_solve(problem, None)
-    return _cold_solve(problem, _Form(problem))
-
-
-def _cold_solve(problem: LpProblem, form: _Form) -> LpOutcome:
-    ncols, nslack, m = form.ncols, form.nslack, form.m
-    n_ineq, n_up = form.n_ineq, form.up_cols.shape[0]
-    rhs = form.rhs(problem)
-
-    # rows with a negative rhs are negated; they and the equality rows get an
-    # artificial column, every other row starts with its slack basic
-    row_sign = np.where(rhs < 0, -1.0, 1.0)
-    needs_art = row_sign < 0
-    needs_art[nslack:] = True
-    art_rows = np.flatnonzero(needs_art)
-    n_art = art_rows.shape[0]
-    art0 = ncols + nslack
-    total_cols = art0 + n_art
-
-    T = np.zeros((m + 1, total_cols + 1))
-    T[:n_ineq, :ncols] = problem.A[:, form.src] * form.sign
-    T[n_ineq + np.arange(n_up), form.up_cols] = 1.0
-    T[nslack:m, :ncols] = problem.E[:, form.src] * form.sign
-    T[np.arange(nslack), ncols + np.arange(nslack)] = 1.0
-    T[:m, total_cols] = rhs
-    T[:m] *= row_sign[:, None]
-    T[art_rows, art0 + np.arange(n_art)] = 1.0
-    basis = ncols + np.arange(m)
-    basis[art_rows] = art0 + np.arange(n_art)
-
-    tab = _Tableau(form, T, basis, row_sign, art0)
-    cap = 50 * (m + total_cols)
-
-    # --- phase 1 ------------------------------------------------------------
-    dropped: List[int] = []              # rows found redundant keep multiplier zero
-    if n_art:
-        phase1_cost = np.zeros(total_cols)
-        phase1_cost[art0:] = 1.0
-        tab.set_costs(phase1_cost)
-        status = tab.run(total_cols, cap)
-        if status == "unbounded":       # cannot happen: phase-1 objective >= 0
-            raise NonFinite("lp: phase 1 reported unbounded")
-        infeas = -float(tab.T[tab.m, tab.n])
-        if infeas > 1e-7 * (1.0 + float(np.max(np.abs(rhs), initial=0.0))):
-            return LpOutcome(status="infeasible", pivots=tab.pivots)
-
-        # drive artificials out of the basis; rows that will not pivot are redundant
-        keep = np.ones(tab.m, dtype=bool)
-        for i in np.flatnonzero(tab.basis >= art0):
-            cand = np.flatnonzero(np.abs(tab.T[i, :art0]) > _PIVOT_TOL)
-            if cand.size:
-                tab.pivot(int(i), int(cand[0]))
-            else:
-                keep[i] = False
-                dropped.append(art_rows[tab.basis[i] - art0])
-        if dropped:
-            tab.T = np.vstack([tab.T[:-1][keep], tab.T[-1:]])
-            tab.basis = tab.basis[keep]
-            tab.m = int(keep.sum())
-
-    # --- phase 2 ------------------------------------------------------------
-    cost = _phase2_cost(problem, form, total_cols)
-    tab.set_costs(cost)
-    status = tab.run(art0, cap)
-    if status == "unbounded":
-        return LpOutcome(status="unbounded", pivots=tab.pivots)
-    return _optimal(problem, tab, rhs, cost, dropped)
-
-
-def _warm_solve(problem: LpProblem, old: _Tableau) -> Optional[LpOutcome]:
-    """Re-solve from a copy of old's basis; None when it is neither primal
-    nor dual feasible for the new data."""
-    form = old.form
-    tab = _Tableau(form, old.T.copy(), old.basis.copy(), old.row_sign, old.art0)
-    T, m, n = tab.T, tab.m, tab.n
-    rhs = form.rhs(problem)
-    # the new rhs column is B^-1 (row_sign * rhs); B^-1 e_i is row_sign_i times
-    # the slack column of <= row i (the signs cancel) and, on equality row i,
-    # the artificial column
-    inverse = np.concatenate([form.ncols + np.arange(form.nslack), np.arange(n - form.n_eq, n)])
-    scaled = rhs.copy()
-    scaled[form.nslack:] *= tab.row_sign[form.nslack:]
-    values = T[:m, inverse] @ scaled
-    values[(values < 0) & (values > -_PIVOT_TOL)] = 0.0
-    T[:m, n] = values
-    cost = _phase2_cost(problem, form, n)
-    tab.set_costs(cost)
-    cap = 50 * (m + n)
-    if values.min(initial=0.0) < 0.0:
-        if T[m, : tab.art0].min(initial=0.0) < -_PIVOT_TOL:
-            return None
-        if tab.run_dual(tab.art0, cap) == "infeasible":
-            return LpOutcome(status="infeasible", pivots=tab.pivots)
-    if tab.run(tab.art0, cap) == "unbounded":
-        return LpOutcome(status="unbounded", pivots=tab.pivots)
-    return _optimal(problem, tab, rhs, cost, [])
-
-
-def _optimal(problem: LpProblem, tab: _Tableau, rhs: np.ndarray, cost: np.ndarray,
-             dropped: List[int]) -> LpOutcome:
-    """Primal point, duals and certificate at an optimal tableau."""
-    form = tab.form
-    ncols, nslack, art0, total_cols = form.ncols, form.nslack, tab.art0, tab.n
-    z = np.zeros(total_cols)
-    z[tab.basis] = tab.T[: tab.m, tab.n]
-    x = form.offsets + np.bincount(form.src, weights=form.sign * z[:ncols], minlength=problem.n)
-    shift_cost = float(problem.c @ form.offsets)
-    value = float(cost[:ncols] @ z[:ncols]) + shift_cost
-
-    # a slack column is e_i, so y_i = -cbar(slack_i) on <= rows; an equality
-    # row's artificial column is sign_i * e_i, so y_i = -sign_i * cbar(art_i)
-    cbar = tab.T[tab.m, :total_cols]
-    y = np.empty(form.m)
-    y[:nslack] = -cbar[ncols:art0]
-    y[nslack:] = -tab.row_sign[nslack:] * cbar[total_cols - form.n_eq :]
-    y[dropped] = 0.0
-    dual_ineq = y[: form.n_ineq].copy()
-    dual_eq = y[nslack:].copy()
-    # standard-form dual objective on the original (unnegated) rows
-    dual_obj = float(y @ rhs) + shift_cost
-    scale = 1.0 + abs(value)
-    gap = abs(value - dual_obj)
-    reduced_min = float(np.min(cbar[:art0], initial=0.0))
-
-    return LpOutcome(
-        status="optimal",
-        x=x,
-        value=value,
-        dual_ineq=dual_ineq,
-        dual_eq=dual_eq,
-        reduced_cost_min=reduced_min,
-        duality_gap=float(gap / scale),
-        pivots=tab.pivots,
-        tableau=None if dropped else tab,
-    )
-
-
-# ---------------------------------------------------------------------------
-# long-step dual simplex over implicit bounds
-
-
 def _long_step_applies(problem: LpProblem) -> bool:
     """No equality rows, and every cost is nonzero with a finite bound on
     its cheaper side: the start at those bounds is strictly dual feasible."""
@@ -527,51 +222,165 @@ def _long_step_applies(problem: LpProblem) -> bool:
 
 
 class _BoundTableau:
-    """T = B^-1 [A I] over the n structural columns and the m slacks, with
-    the reduced costs in its last row. A nonbasic column sits at its lower
-    bound, or at its upper one where `upper` is set; the basic values are
-    kept apart from T, since they depend on those bounds."""
+    """T = B^-1 [A I; E I | x_B] over the n columns of x, one slack per row and
+    the artificial columns of phase 1, with the reduced costs in its last row
+    and the basic values in its last column. A nonbasic column sits where
+    `sgn` says: +1 at its lower bound, -1 at its upper bound, 0 at its fixed
+    value or, when free, at 0; `free` lists the free columns still nonbasic,
+    and lob, hib hold the bounds of the basic columns."""
 
-    def __init__(self, problem: LpProblem, T: np.ndarray, basis: np.ndarray, upper: np.ndarray):
-        m, n = problem.A.shape
-        self.c, self.A = _kept(problem.c), _kept(problem.A)
-        self.lo, self.hi = lo, hi = _kept(problem.lo), _kept(problem.hi)
-        self.lo_all = np.concatenate([lo, np.zeros(m)])      # slacks lie in [0, inf)
-        self.hi_all = np.concatenate([hi, np.full(m, np.inf)])
+    def __init__(self, problem: LpProblem, sgn: np.ndarray, residual: np.ndarray, art: np.ndarray):
+        """The tableau at a start: x nonbasic where sgn puts it, each row's
+        slack basic at its residual (rhs minus the row at those values), and
+        on the rows in art an artificial column basic at |residual| instead,
+        with the reduced costs of c at a slack basis."""
+        A, E, lo = problem.A, problem.E, problem.lo
+        n, m_ineq, n_art = problem.n, A.shape[0], art.size
+        if n > _MAX_COLUMNS:
+            raise ValidationError(f"lp: {n} columns exceeds the {_MAX_COLUMNS} cap")
+        m = m_ineq + E.shape[0]
+        ncols = n + m + n_art
+        self.c, self.A, self.E, self.lo, self.hi = map(_kept, (problem.c, A, E, lo, problem.hi))
+        self.n, self.m = n, m
+        self.lo_all = np.zeros(ncols)
+        self.lo_all[:n] = lo
+        self.hi_all = np.full(ncols, np.inf)
+        self.hi_all[:n] = problem.hi
+        self.hi_all[n + m_ineq : n + m] = 0.0     # equality rows' slacks
         self.width = self.hi_all - self.lo_all
-        self.T = T
-        self.basis = basis
-        self.upper = upper
+        self.sgn = np.ones(ncols)
+        self.sgn[:n] = sgn
+        self.sgn[n + m_ineq : n + m] = 0.0
+        self.free = np.flatnonzero((sgn == 0.0) & (lo == -np.inf))
+        self.base = self.lo_all                    # where a column with sgn >= 0 sits
+        if self.free.size:
+            self.base = self.lo_all.copy()
+            self.base[self.free] = 0.0
+        self.T = T = np.zeros((m + 1, ncols + 1))
+        T[:m_ineq, :n] = A
+        T[m_ineq:m, :n] = E
+        T.reshape(-1)[n : m * (ncols + 1) : ncols + 2] = 1.0   # the slacks' unit columns
+        T[:m, -1] = residual
+        T[m, :n] = problem.c
+        self.basis = np.arange(n, n + m)
+        if n_art:
+            # scaling an artificial's row by the sign of its residual keeps
+            # B^-1 in the slack columns
+            T[art] *= np.where(residual[art] < 0.0, -1.0, 1.0)[:, None]
+            T[art, n + m + np.arange(n_art)] = 1.0
+            self.basis[art] = n + m + np.arange(n_art)
+        self.lob, self.hib = self.lo_all[self.basis], self.hi_all[self.basis]
         self.pivots = 0
 
     def fits(self, problem: LpProblem) -> bool:
-        return (problem.E.shape[0] == 0 and _same(self.c, problem.c) and _same(self.A, problem.A)
+        return (_same(self.A, problem.A) and _same(self.E, problem.E)
                 and _same(self.lo, problem.lo) and _same(self.hi, problem.hi))
 
     def copy(self) -> "_BoundTableau":
         new = object.__new__(_BoundTableau)
         new.__dict__.update(self.__dict__)
-        new.T, new.basis, new.upper, new.pivots = self.T.copy(), self.basis.copy(), self.upper.copy(), 0
+        for name in ("T", "basis", "sgn", "lob", "hib"):
+            setattr(new, name, getattr(self, name).copy())
+        new.pivots = 0
         return new
 
-    def nonbasic_values(self) -> np.ndarray:
-        """Every column at its bound, basic columns at 0."""
-        x = np.where(self.upper, self.hi_all, self.lo_all)
+    def values(self) -> np.ndarray:
+        """Every nonbasic column at its bound, basic columns at 0."""
+        x = np.where(self.sgn < 0, self.hi_all, self.base)
         x[self.basis] = 0.0
         return x
 
-    def run(self, xb: np.ndarray, cap: int) -> str:
-        """Dual simplex with the long-step ratio test, updating the basic
-        values xb in place, until they lie within their bounds or a row
-        proves the LP infeasible."""
-        T, basis, upper, width = self.T, self.basis, self.upper, self.width
-        m = basis.shape[0]
+    def price(self, cost: np.ndarray) -> None:
+        """Reduced costs of cost (one entry per column of T, 0 on the last)."""
+        m = self.m
+        self.T[m] = cost - cost[self.basis] @ self.T[:m]
+
+    def score(self) -> np.ndarray:
+        """Reduced costs measured in each column's feasible direction: the
+        negative ones improve."""
+        d = self.T[self.m, :-1]
+        score = d * self.sgn
+        if self.free.size:
+            score[self.free] = -np.abs(d[self.free])
+        return score
+
+    def pivot(self, leave: int, enter: int, delta: float, lower: bool) -> None:
+        """Move column enter by delta, so that the basic column of row leave
+        reaches its lower (or upper) bound and leaves there, and make enter
+        basic in its place."""
+        T, sgn = self.T, self.sgn
+        out = self.basis[leave]
+        value = (self.hi_all[enter] if sgn[enter] < 0 else self.base[enter]) + delta
+        sgn[out] = 0.0 if self.width[out] == 0.0 else (1.0 if lower else -1.0)
+        T[leave, -1] = delta * T[leave, enter]    # the elimination then moves x_B
+        _eliminate(T, leave, enter)
+        T[leave, -1] = value
+        self.basis[leave] = enter
+        self.lob[leave], self.hib[leave] = self.lo_all[enter], self.hi_all[enter]
+        if self.free.size:
+            self.free = self.free[self.free != enter]
+        self.pivots += 1
+
+    def primal(self) -> str:
+        """Bounded primal simplex from a primal-feasible basis, until optimal
+        or unbounded."""
+        T, basis, sgn, width = self.T, self.basis, self.sgn, self.width
+        m = self.m
+        cap = 50 * (m + T.shape[1] - 1)
+        xb = T[:m, -1]
+        bland = False
+        ratios = np.empty(m + 1)
+        while True:
+            score = self.score()
+            if bland:
+                improving = (score < -_PIVOT_TOL).nonzero()[0]
+                if improving.size == 0:
+                    return "optimal"
+                enter = int(improving[0])
+            else:
+                enter = int(score.argmin())
+                if score[enter] >= -_PIVOT_TOL:
+                    return "optimal"
+            # x_enter moves up when its reduced cost is negative; x_B then
+            # moves by -g per unit and blocks at its lower bound where g > 0
+            up = T[m, enter] < 0.0
+            g = T[:m, enter] if up else -T[:m, enter]
+            ratios.fill(np.inf)
+            np.divide(xb - np.where(g > 0.0, self.lob, self.hib), g, out=ratios[:m],
+                      where=np.abs(g) > _PIVOT_TOL)
+            ratios[m] = width[enter]          # the entering column's own range
+            leave = int(ratios.argmin())
+            best = float(ratios[leave])
+            if best == np.inf:
+                return "unbounded"
+            if leave == m:
+                T[:, -1] -= (best if up else -best) * T[:, enter]
+                sgn[enter] = -sgn[enter]
+                bland = False
+                continue
+            tie = (ratios[:m] <= best + _PIVOT_TOL * (1.0 + abs(best))).nonzero()[0]
+            if tie.size > 1:
+                leave = int(tie[basis[tie].argmin()])
+            if self.pivots >= cap:
+                raise CycleGuardTripped(f"lp: pivot budget {cap} exhausted")
+            step = max(best, 0.0)
+            self.pivot(leave, enter, step if up else -step, g[leave] > 0.0)
+            bland = step <= _PIVOT_TOL
+
+    def dual(self) -> str:
+        """Dual simplex with the long-step ratio test from a dual-feasible
+        basis, until the basic values lie within their bounds or a row proves
+        the LP infeasible."""
+        T, basis, sgn, width = self.T, self.basis, self.sgn, self.width
+        m = self.m
         if m == 0:
             return "optimal"
+        cap = 50 * (m + T.shape[1] - 1)
+        xb = T[:m, -1]
         bland = False
         while True:
-            lower_gap = self.lo_all[basis] - xb
-            gap = np.maximum(lower_gap, xb - self.hi_all[basis])  # > 0 where out of bounds
+            lower_gap = self.lob - xb
+            gap = np.maximum(lower_gap, xb - self.hib)  # > 0 where out of bounds
             if bland:
                 short = (gap > _PIVOT_TOL).nonzero()[0]
                 if short.size == 0:
@@ -584,12 +393,15 @@ class _BoundTableau:
             # the leaving value must rise (to its lower bound) or fall (to its
             # upper one); alpha is its row signed so that rising is positive
             rise = lower_gap[leave] > 0.0
-            alpha = T[leave] if rise else -T[leave]
+            alpha = T[leave, :-1] if rise else -T[leave, :-1]
             # a column at its lower bound can move up, one at its upper bound
-            # down; either helps where it moves the leaving value toward its bound
-            toward = np.where(upper, alpha, -alpha)
-            toward[basis] = 0.0
-            cols = (toward > _PIVOT_TOL).nonzero()[0]
+            # down and a free one either way; it helps where it moves the
+            # leaving value toward its bound
+            helps = alpha * sgn
+            if self.free.size:
+                helps[self.free] = -np.abs(alpha[self.free])
+            helps[basis] = 0.0
+            cols = (helps < -_PIVOT_TOL).nonzero()[0]
             if cols.size == 0:
                 return "infeasible"
             ratios = T[m, cols] / -alpha[cols]
@@ -606,57 +418,107 @@ class _BoundTableau:
                 raise CycleGuardTripped(f"lp: pivot budget {cap} exhausted")
             flips = cols[:k]
             if flips.size:
-                xb -= T[:m, flips] @ np.where(upper[flips], -width[flips], width[flips])
-                upper[flips] = ~upper[flips]
-            col = T[:m, enter]
-            target = self.lo_all[basis[leave]] if rise else self.hi_all[basis[leave]]
-            step = (xb[leave] - target) / col[leave]
-            start = self.hi_all[enter] if upper[enter] else self.lo_all[enter]
-            xb -= step * col
-            xb[leave] = start + step
-            upper[basis[leave]] = not rise
-            upper[enter] = False
-            _eliminate(T, leave, enter)
-            basis[leave] = enter
-            self.pivots += 1
+                T[:, -1] -= T[:, flips] @ (sgn[flips] * width[flips])
+                sgn[flips] = -sgn[flips]
+            target = self.lob[leave] if rise else self.hib[leave]
+            self.pivot(leave, enter, (xb[leave] - target) / T[leave, enter], rise)
             bland = ratios[k] <= _PIVOT_TOL
 
 
-def _long_step_solve(problem: LpProblem, old: Optional[_BoundTableau]) -> LpOutcome:
-    """Solve cold from the slack basis with every column at its cheaper
-    bound, or warm from a copy of old's basis."""
-    A, b, c = problem.A, problem.b, problem.c
-    m, n = A.shape
-    if old is None:
-        if n > _MAX_COLUMNS:
-            raise ValidationError(f"lp: {n} columns exceeds the {_MAX_COLUMNS} cap")
-        T = np.zeros((m + 1, n + m))
-        T[:m, :n] = A
-        T[np.arange(m), n + np.arange(m)] = 1.0
-        T[m, :n] = c
-        tab = _BoundTableau(problem, T, n + np.arange(m), np.concatenate([c < 0, np.zeros(m, bool)]))
+def _cold(problem: LpProblem) -> Tuple[_BoundTableau, str]:
+    """A new tableau for problem and its status after solving it from the
+    start rule of the module docstring."""
+    c, lo, hi = problem.c, problem.lo, problem.hi
+    n, m_ineq = problem.n, problem.A.shape[0]
+    dual_start = _long_step_applies(problem)
+    if dual_start:
+        sgn = np.sign(c)
+        home = np.where(sgn < 0.0, hi, lo)
     else:
+        lo_fin = np.isfinite(lo)
+        sgn = np.where(lo_fin, 1.0, np.where(hi < np.inf, -1.0, 0.0))
+        home = np.where(lo_fin, lo, np.where(sgn < 0.0, hi, 0.0))
+    sgn[lo == hi] = 0.0
+    residual = problem.b - problem.A @ home
+    if problem.E.shape[0]:
+        residual = np.concatenate([residual, problem.f - problem.E @ home])
+    art = np.zeros(0, dtype=int)
+    if not dual_start:
+        needs = residual < 0.0
+        needs[m_ineq:] = True
+        art = np.flatnonzero(needs)
+    tab = _BoundTableau(problem, sgn, residual, art)
+    if dual_start:
+        return tab, tab.dual()
+    if art.size:
+        T, m, art0 = tab.T, tab.m, n + tab.m
+        cost = np.zeros(T.shape[1])
+        cost[art0:-1] = 1.0
+        tab.price(cost)
+        if tab.primal() == "unbounded":    # cannot happen: phase-1 objective >= 0
+            raise NonFinite("lp: phase 1 reported unbounded")
+        infeas = float(T[:m, -1][tab.basis >= art0].sum())
+        if infeas > 1e-7 * (1.0 + float(np.max(np.abs(residual), initial=0.0))):
+            return tab, "infeasible"
+        tab.hi_all[art0:] = tab.width[art0:] = tab.sgn[art0:] = 0.0
+        tab.hib[tab.basis >= art0] = 0.0
+        cost[art0:-1] = 0.0
+        cost[:n] = c
+        tab.price(cost)
+    return tab, tab.primal()
+
+
+def _warm(problem: LpProblem, tab: _BoundTableau) -> Optional[str]:
+    """Re-solve problem from tab, a copy of a start's tableau; None when its
+    basis is neither primal nor dual feasible for the new data."""
+    T, n, m = tab.T, tab.n, tab.m
+    rhs = np.concatenate([problem.b, problem.f])
+    # x_B = B^-1 (rhs - N x_N), with B^-1 in the slack columns
+    T[:m, -1] = T[:m, n:n + m] @ rhs - T[:m, :n] @ tab.values()[:n]
+    if not _same(tab.c, problem.c):
+        tab.c = _kept(problem.c)
+        cost = np.zeros(T.shape[1])
+        cost[:n] = problem.c
+        tab.price(cost)
+        xb = T[:m, -1]
+        if np.max(np.maximum(tab.lob - xb, xb - tab.hib), initial=0.0) <= _PIVOT_TOL:
+            return tab.primal()
+        if tab.score().min(initial=0.0) < -_PIVOT_TOL:
+            return None
+    return tab.dual()
+
+
+def solve_lp(problem: LpProblem, start: Optional[LpOutcome] = None) -> LpOutcome:
+    """Solve an LpProblem; outcome status is "optimal", "infeasible" or "unbounded".
+
+    start: an optimal outcome of an LP with the same A, E, lo and hi, which
+    the solve re-solves from (module docstring); any other start is ignored.
+    """
+    old = None if start is None else start.tableau
+    status = None
+    if old is not None and old.fits(problem):
         tab = old.copy()
-    # x_B = B^-1 (b - N x_N), with B^-1 in the slack columns
-    T = tab.T
-    xb = T[:m, n:] @ b - T[:m, :n] @ tab.nonbasic_values()[:n]
-    if tab.run(xb, 50 * (m + T.shape[1])) == "infeasible":
-        return LpOutcome(status="infeasible", pivots=tab.pivots)
-    x_all = tab.nonbasic_values()
-    x_all[tab.basis] = xb
+        status = _warm(problem, tab)
+    if status is None:
+        tab, status = _cold(problem)
+    if status != "optimal":
+        return LpOutcome(status=status, pivots=tab.pivots)
+    T, n, m = tab.T, tab.n, tab.m
+    x_all = tab.values()
+    x_all[tab.basis] = T[:m, -1]
     x = x_all[:n]
-    value = float(c @ x)
-    d = T[m]
+    value = float(problem.c @ x)
+    d = T[m, :n + m]
     # a slack column is e_i with cost 0, so its reduced cost is -y_i
     y = -d[n:]
-    dual_obj = float(y @ b + d[:n] @ x)
+    dual_obj = float(y @ np.concatenate([problem.b, problem.f]) + d[:n] @ x)
     return LpOutcome(
         status="optimal",
         x=x,
         value=value,
-        dual_ineq=y,
-        dual_eq=np.zeros(0),
-        reduced_cost_min=float(np.min(np.where(tab.upper, -d, d), initial=0.0)),
+        dual_ineq=y[: problem.A.shape[0]],
+        dual_eq=y[problem.A.shape[0]:],
+        reduced_cost_min=float(tab.score()[: n + m].min(initial=0.0)),
         duality_gap=abs(value - dual_obj) / (1.0 + abs(value)),
         pivots=tab.pivots,
         tableau=tab,

@@ -48,6 +48,18 @@ def certificate_ok(problem: LpProblem, out, tol=1e-7) -> bool:
     return out.duality_gap <= 1e-6 and out.reduced_cost_min >= -1e-7
 
 
+@pytest.fixture
+def loops(monkeypatch):
+    """The simplex loops ("primal" or "dual") that solve_lp runs, in order."""
+    seen = []
+    for name in ("primal", "dual"):
+        def spy(self, real=getattr(ccpkit.lp._BoundTableau, name), name=name):
+            seen.append(name)
+            return real(self)
+        monkeypatch.setattr(ccpkit.lp._BoundTableau, name, spy)
+    return seen
+
+
 def test_simple_bounded_optimum():
     # min x1 + 2 x2 subject to x1 + x2 >= 1, x >= 0
     p = LpProblem(
@@ -110,6 +122,7 @@ def test_free_variable_via_lo():
     out = solve_lp(p)
     assert out.status == "optimal"
     assert out.value == pytest.approx(-3.0)
+    assert certificate_ok(p, out)
 
 
 def test_redundant_rows_keep_zero_multiplier():
@@ -171,9 +184,10 @@ def test_beale_degenerate_lp_does_not_cycle():
     assert certificate_ok(p, out)
 
 
-def test_slack_basis_skips_phase_one():
+def test_slack_basis_skips_phase_one(loops):
     # every <= row has rhs >= 0, so the slack basis is feasible from the
-    # start; the zero-cost third column keeps the LP on the row form
+    # start; the zero-cost third column sends the LP to the primal start,
+    # which adds no artificial column and runs the primal loop once
     p = LpProblem(
         c=np.array([-1.0, -1.0, 0.0]),
         A=np.array([[1.0, 1.0, 0.0]]),
@@ -182,30 +196,53 @@ def test_slack_basis_skips_phase_one():
         hi=np.ones(3),
     )
     out = solve_lp(p)
-    assert isinstance(out.tableau, ccpkit.lp._Tableau)
+    assert loops == ["primal"] and out.tableau.T.shape == (2, 3 + 1 + 1)
     assert out.status == "optimal"
     assert out.value == pytest.approx(-1.0)
     assert out.pivots == 1
     assert certificate_ok(p, out)
-    # without it the long-step engine starts both columns at their upper
+    # without it the long-step start puts both columns at their upper
     # bound, flips the first and lets the second enter: one pivot as well
+    loops.clear()
     q = LpProblem(c=p.c[:2], A=p.A[:, :2], b=p.b, lo=np.zeros(2), hi=np.ones(2))
     out = solve_lp(q)
-    assert isinstance(out.tableau, ccpkit.lp._BoundTableau)
+    assert loops == ["dual"]
     assert out.value == pytest.approx(-1.0)
     assert out.pivots == 1
     assert certificate_ok(q, out)
 
 
-def _phase_one_lp(rng, redundant=True):
+def test_two_phase_path_counts_basis_changes_not_flips(monkeypatch, loops):
+    # min -x1 - 2 x2 + 0 x3 s.t. x1 + x2 + x3 >= 2, x1 + x2 <= 1.5 on [0, 1]^3.
+    # The first row starts short, so phase 1 runs: x1 flips to 1 without a
+    # pivot (its range, 1, is shorter than the artificial's step, 2), then x2
+    # and x3 enter. Phase 2 lowers x1 to 0.5 while x2 leaves at its upper
+    # bound: three basis changes in all.
+    eliminations = []
+    eliminate = ccpkit.lp._eliminate
+    monkeypatch.setattr(ccpkit.lp, "_eliminate", lambda T, r, c: (eliminations.append(c), eliminate(T, r, c)))
+    p = LpProblem(c=[-1.0, -2.0, 0.0], A=[[-1.0, -1.0, -1.0], [1.0, 1.0, 0.0]], b=[-2.0, 1.5],
+                  lo=np.zeros(3), hi=np.ones(3))
+    out = solve_lp(p)
+    assert loops == ["primal", "primal"]
+    assert out.status == "optimal" and out.pivots == 3 and eliminations == [1, 2, 0]
+    assert np.allclose(out.x, [0.5, 1.0, 0.5]) and out.value == pytest.approx(-2.5)
+    assert certificate_ok(p, out)
+
+
+def _phase_one_lp(rng, redundant=True, mixed=False):
     """A feasible, bounded LP with mixed-sign rhs, equality rows (one of them
     redundant unless redundant=False) and a mix of finite and infinite lower
-    bounds."""
-    n = int(rng.integers(2, 7))
+    bounds. mixed=True puts six columns of fixed kinds first: free, lower
+    bound only, upper bound only, boxed, fixed, and boxed at zero cost."""
+    n = int(rng.integers(2, 7)) + 6 * mixed
     m = int(rng.integers(1, 6))
     k = int(rng.integers(1, 3))
     lo = np.where(rng.random(n) < 0.6, rng.normal(size=n), -np.inf)
     hi = np.where(rng.random(n) < 0.5, rng.uniform(0.5, 3.0, n) + np.maximum(lo, 0.0), np.inf)
+    if mixed:
+        lo[:6] = [-np.inf, -1.0, -np.inf, 0.0, 0.5, 0.0]
+        hi[:6] = [np.inf, np.inf, 1.0, 2.0, 0.5, 1.0]
     x0 = np.clip(2.0 * rng.normal(size=n), lo, hi)      # a feasible point
     A = rng.normal(size=(m, n))
     b = A @ x0 + rng.uniform(0.0, 1.0, m) * (rng.random(m) < 0.7)
@@ -219,6 +256,8 @@ def _phase_one_lp(rng, redundant=True):
     r_lo = np.where(np.isfinite(lo), rng.uniform(0.0, 1.0, n), 0.0)
     r_hi = np.where(np.isfinite(hi), rng.uniform(0.0, 1.0, n), 0.0)
     c = -A.T @ y + E.T @ v + r_lo - r_hi
+    if mixed:
+        c[5] = 0.0          # still dual feasible: the column is boxed
     return LpProblem(c=c, A=A, b=b, E=E, f=f, lo=lo, hi=hi)
 
 
@@ -226,8 +265,8 @@ def test_phase_one_lps_certify_and_match_highs():
     linprog = pytest.importorskip("scipy.optimize").linprog
     rng = np.random.default_rng(7)
     negative_rhs = 0
-    for _ in range(80):
-        p = _phase_one_lp(rng)
+    for trial in range(120):
+        p = _phase_one_lp(rng, mixed=trial >= 80)
         shift = np.where(np.isfinite(p.lo), p.lo, np.where(np.isfinite(p.hi), p.hi, 0.0))
         negative_rhs += bool(np.any(p.b - p.A @ shift < 0))
         out = solve_lp(p)
@@ -308,8 +347,9 @@ def test_warm_solves_match_cold_solves_and_highs():
     rng = np.random.default_rng(11)
     seen = set()
     warm_pivots = cold_pivots = 0
-    for trial in range(150):
-        p = _phase_one_lp(rng, redundant=False)
+    for trial in range(210):
+        # the last 60 LPs have every kind of column and a redundant equality row
+        p = _phase_one_lp(rng, redundant=trial >= 150, mixed=trial >= 150)
         start = solve_lp(p)
         assert start.status == "optimal"
         moved = ("b", "c", "both")[trial % 3]
@@ -344,6 +384,7 @@ def test_warm_solve_leaves_its_start_alone_and_repeats_exactly():
     q = LpProblem(c=p.c, A=p.A, b=p.b + 0.5 * rng.normal(size=p.b.shape), E=p.E, f=p.f,
                   lo=p.lo, hi=p.hi)
     first, second = solve_lp(q, start=start), solve_lp(q, start=start)
+    assert first.status != "optimal" or certificate_ok(q, first)
     assert np.array_equal(start.tableau.T, before[0])
     assert np.array_equal(start.tableau.basis, before[1])
     for name in ("status", "value", "reduced_cost_min", "duality_gap", "pivots"):
@@ -361,110 +402,79 @@ def test_start_of_another_matrix_gives_the_cold_result():
     q = LpProblem(c=p.c, A=A, b=p.b, E=p.E, f=p.f, lo=p.lo, hi=p.hi)
     warm, cold = solve_lp(q, start=start), solve_lp(q)
     assert warm.status == cold.status
+    assert warm.status != "optimal" or certificate_ok(q, warm)
     assert warm.value == cold.value and warm.pivots == cold.pivots
     assert np.array_equal(warm.x, cold.x) and np.array_equal(warm.dual_ineq, cold.dual_ineq)
 
 
-def test_budget_cut_takes_one_dual_pivot_per_dropped_item():
+def test_budget_cut_takes_one_dual_pivot_per_dropped_item(loops):
     # a continuous knapsack, max 3 x1 + 2 x2 + x3 + 0.5 x4 s.t. sum x <= t,
-    # 0 <= x <= 1: after t falls by k, the old basis stays dual feasible. On
-    # the row form (a zero-cost fifth column sends it there) each dual pivot
-    # takes out the least valuable item still packed; the long-step engine
-    # flips the k - 1 cheapest items to 0 and pivots once.
-    for extra, kind in (([0.0], ccpkit.lp._Tableau), ([], ccpkit.lp._BoundTableau)):
+    # 0 <= x <= 1: after t falls by k, the old basis stays dual feasible, and
+    # the long-step dual loop flips the k - 1 cheapest items still packed to 0
+    # and pivots once. A zero-cost fifth column sends the cold solve to the
+    # primal start instead; the cut is the same one pivot.
+    for extra, first in (([0.0], "primal"), ([], "dual")):
         def knapsack(t):
             return LpProblem(c=[-3.0, -2.0, -1.0, -0.5] + extra, A=[[1.0] * 4 + extra], b=[t],
                              lo=np.zeros(4 + len(extra)), hi=np.ones(4 + len(extra)))
 
+        loops.clear()
         start = solve_lp(knapsack(3.5))
-        assert isinstance(start.tableau, kind)
-        assert start.value == pytest.approx(-6.25)
+        assert loops == [first]
+        assert start.value == pytest.approx(-6.25) and certificate_ok(knapsack(3.5), start)
         for k, value in ((1, -5.5), (2, -4.0), (3, -1.5)):
+            loops.clear()
             warm = solve_lp(knapsack(3.5 - k), start=start)
+            assert loops == ["dual"]
             assert warm.status == "optimal" and warm.value == pytest.approx(value)
-            assert warm.pivots == (k if extra else 1)
+            assert warm.pivots == 1
             assert certificate_ok(knapsack(3.5 - k), warm)
         assert solve_lp(knapsack(-0.5), start=start).status == "infeasible"
 
 
-def _reference_pivot(self, row, col):
-    """_Tableau.pivot as it was before its numpy calls were trimmed."""
-    T = self.T
+def _reference_eliminate(T, row, col):
+    """_eliminate as it was before its numpy calls were trimmed."""
     T[row] = T[row] / T[row, col]
     fac = T[:, col].copy()
     fac[row] = 0.0
     T -= fac[:, None] * T[row]
     T[:, col] = 0.0
     T[row, col] = 1.0
-    self.basis[row] = col
-    self.pivots += 1
-    rhs = T[: self.m, self.n]
-    rhs[(rhs < 0) & (rhs > -ccpkit.lp._PIVOT_TOL)] = 0.0
-
-
-def _reference_run(self, limit, cap):
-    """_Tableau.run as it was before its numpy calls were trimmed."""
-    tol = ccpkit.lp._PIVOT_TOL
-    T = self.T
-    m, n = self.m, self.n
-    bland = False
-    while True:
-        costs = T[m, :limit]
-        if bland:
-            improving = (costs < -tol).nonzero()[0]
-            if improving.size == 0:
-                return "optimal"
-            enter = int(improving[0])
-        else:
-            enter = int(costs.argmin())
-            if costs[enter] >= -tol:
-                return "optimal"
-        col = T[:m, enter]
-        rows = (col > tol).nonzero()[0]
-        if rows.size == 0:
-            return "unbounded"
-        ratios = T[rows, n] / col[rows]
-        best = float(ratios.min())
-        tie = rows[ratios <= best + tol * (1.0 + abs(best))]
-        leave = int(tie[self.basis[tie].argmin()])
-        if self.pivots >= cap:
-            raise ccpkit.CycleGuardTripped(f"lp: pivot budget {cap} exhausted")
-        self.pivot(leave, enter)
-        bland = best <= tol
 
 
 def _solve_sequence():
-    """Cold and warm solves of seeded LPs: random phase-1 LPs with a moved b
-    or c, hinge LPs over a budget sweep, and a chain of subset LPs."""
+    """(problem, outcome) of cold and warm solves of seeded LPs: random
+    phase-1 LPs with a moved b or c, hinge LPs over a budget sweep, and a
+    chain of subset LPs."""
     rng = np.random.default_rng(21)
-    outs = []
+    solves = []
     for trial in range(40):
         p = _phase_one_lp(rng, redundant=trial % 4 == 0)
-        outs.append(solve_lp(p))
+        solves.append((p, solve_lp(p)))
         q = LpProblem(c=p.c + 3.0 * (trial % 2) * rng.normal(size=p.c.shape), A=p.A,
                       b=p.b + (1 - trial % 2) * rng.normal(size=p.b.shape),
                       E=p.E, f=p.f, lo=p.lo, hi=p.hi)
-        outs.append(solve_lp(q, start=outs[-1]))
+        solves.append((q, solve_lp(q, start=solves[-1][1])))
     for family in ("linear", "covering"):
         inst = generate_instance(family, 10, 20, 0.1, 2)
         z = np.ones(20)
         for t in (np.inf, 5.0, 2.0, -5.0, -20.0):
-            outs.append(solve_lp(_hinge_lp(inst, t, z), start=outs[-1]))
+            p = _hinge_lp(inst, t, z)
+            solves.append((p, solve_lp(p, start=solves[-1][1])))
         chain = SubsetChain(inst)
         for drop in ((0, 1), (0, 2), (1, 2), (0, 3), (2, 3), (5, 9)):
-            keep = [k for k in range(20) if k not in drop]
-            outs.append(solve_lp(chain.problem(keep), start=chain.start))
-            chain.start = outs[-1] if outs[-1].status == "optimal" else chain.start
-    return outs
+            p = chain.problem([k for k in range(20) if k not in drop])
+            solves.append((p, solve_lp(p, start=chain.start)))
+            chain.start = solves[-1][1] if solves[-1][1].status == "optimal" else chain.start
+    return solves
 
 
-def test_pivot_and_run_match_their_reference_bit_for_bit(monkeypatch):
+def test_elimination_matches_its_reference_bit_for_bit(monkeypatch):
     fast = _solve_sequence()
-    monkeypatch.setattr(ccpkit.lp._Tableau, "pivot", _reference_pivot)
-    monkeypatch.setattr(ccpkit.lp._Tableau, "run", _reference_run)
+    monkeypatch.setattr(ccpkit.lp, "_eliminate", _reference_eliminate)
     reference = _solve_sequence()
     statuses = set()
-    for got, want in zip(fast, reference, strict=True):
+    for (problem, got), (_, want) in zip(fast, reference, strict=True):
         statuses.add(want.status)
         for name in ("status", "value", "reduced_cost_min", "duality_gap", "pivots"):
             assert getattr(got, name) == getattr(want, name)
@@ -474,11 +484,12 @@ def test_pivot_and_run_match_their_reference_bit_for_bit(monkeypatch):
         if want.tableau is not None:
             assert np.array_equal(got.tableau.T, want.tableau.T)
             assert np.array_equal(got.tableau.basis, want.tableau.basis)
+            assert certificate_ok(problem, got)
     assert statuses == {"optimal", "infeasible", "unbounded"}
 
 
 def _long_step_lp(rng):
-    """A feasible LP that the long-step engine takes: no equality rows, and
+    """A feasible LP that the long-step start takes: no equality rows, and
     every cost nonzero with a finite bound on its cheaper side (the other
     side finite or not). Integer costs half of the time, so ratios tie."""
     n = int(rng.integers(1, 7))
@@ -495,12 +506,7 @@ def _long_step_lp(rng):
     return LpProblem(c=c, A=A, b=b, lo=lo, hi=hi)
 
 
-def _row_form(p):
-    """The row-form engine's cold solve of p, whichever engine solve_lp picks."""
-    return ccpkit.lp._cold_solve(p, ccpkit.lp._Form(p))
-
-
-def test_long_step_lps_match_the_row_form_and_highs_cold_and_warm():
+def test_long_step_lps_match_highs_cold_and_warm(loops):
     try:
         import scipy.optimize  # noqa: F401
         highs = True
@@ -510,17 +516,19 @@ def test_long_step_lps_match_the_row_form_and_highs_cold_and_warm():
     seen = set()
     for trial in range(150):
         p = _long_step_lp(rng)
+        loops.clear()
         start = solve_lp(p)
-        assert isinstance(start.tableau, ccpkit.lp._BoundTableau)
+        assert loops == ["dual"]
         b = p.b + rng.choice([0.1, 1.0, 3.0]) * rng.normal(size=p.b.shape)
         # the shared-array constructor and a fresh problem both match the start
         q = p.with_rhs(b) if trial % 2 else LpProblem(c=p.c, A=p.A, b=b, lo=p.lo, hi=p.hi)
-        for problem, out in ((p, start), (q, solve_lp(q, start=start)), (q, solve_lp(q))):
-            row = _row_form(problem)
+        warm, cold = solve_lp(q, start=start), solve_lp(q)
+        assert warm.status == cold.status
+        if cold.status == "optimal":
+            assert warm.value == pytest.approx(cold.value, rel=1e-9, abs=1e-9)
+        for problem, out in ((p, start), (q, warm), (q, cold)):
             seen.add((problem is q, out.status))
-            assert out.status == row.status
             if out.status == "optimal":
-                assert out.value == pytest.approx(row.value, rel=1e-9, abs=1e-9)
                 assert certificate_ok(problem, out)
             if highs:
                 status, value = _highs_status(problem)
@@ -530,15 +538,16 @@ def test_long_step_lps_match_the_row_form_and_highs_cold_and_warm():
     assert {(False, "optimal"), (True, "optimal"), (True, "infeasible")} <= seen
 
 
-def test_long_step_proves_infeasibility_with_and_without_flips():
+def test_long_step_proves_infeasibility_with_and_without_flips(loops):
     # x1 + x2 <= -1 on [0, 1]^2: no column can lower the row
     p = LpProblem(c=[1.0, 2.0], A=[[1.0, 1.0]], b=[-1.0], lo=np.zeros(2), hi=np.ones(2))
     # x1 + x2 >= 3 on [0, 1]^2: flipping both columns up still leaves it short
     q = LpProblem(c=[1.0, 2.0], A=[[-1.0, -1.0]], b=[-3.0], lo=np.zeros(2), hi=np.ones(2))
     for problem in (p, q):
+        loops.clear()
         out = solve_lp(problem)
+        assert loops == ["dual"]
         assert out.status == "infeasible" and out.pivots == 0
-        assert _row_form(problem).status == "infeasible"
 
 
 def test_long_step_ties_flip_the_lowest_index_first_and_degenerate_steps_certify():
@@ -566,26 +575,30 @@ def test_long_step_without_rows_sits_at_the_cheaper_bounds():
     assert certificate_ok(p, out)
 
 
-def test_engine_selection_by_lp_kind():
-    def engine(problem):
-        return type(solve_lp(problem).tableau).__name__
+def test_engine_selection_by_lp_kind(loops):
+    def start(problem):
+        """The loop a cold solve of problem starts with."""
+        loops.clear()
+        out = solve_lp(problem)
+        assert out.status == "optimal" and certificate_ok(problem, out)
+        return loops[0]
 
     for family in ("linear", "covering"):
         inst = generate_instance(family, 10, 20, 0.1, 1)
         chain = SubsetChain(inst)
         # the single-scenario LPs of the quantile bound and the oracle's chain
-        assert engine(_subset_lp(inst, [3])) == "_BoundTableau"
-        assert engine(chain.problem(list(range(2, 20)))) == "_BoundTableau"
+        assert start(_subset_lp(inst, [3])) == "dual"
+        assert start(chain.problem(list(range(2, 20)))) == "dual"
         # hinge and tail LPs have zero-cost columns
-        assert engine(_hinge_lp(inst, 5.0, np.ones(20))) == "_Tableau"
-        assert engine(_tail_problem(inst, None, relaxed=False)) == "_Tableau"
+        assert start(_hinge_lp(inst, 5.0, np.ones(20))) == "primal"
+        assert start(_tail_problem(inst, None, relaxed=False)) == "primal"
         # the L-inf ball's aux columns cost nothing
         robust = robustify(DrccpSpec(inst, 0.05, LInf()))
-        assert engine(_subset_lp(robust, [3])) == "_Tableau"
+        assert start(_subset_lp(robust, [3])) == "primal"
         # a simplex X brings an equality row
         simplex = replace(inst, x_set=Intersection((inst.x_set, Simplex(inst.n, 3.0))))
-        assert engine(_subset_lp(simplex, [3])) == "_Tableau"
-    assert engine(_relaxation_lp(inst)) == "_Tableau"
+        assert start(_subset_lp(simplex, [3])) == "primal"
+    assert start(_relaxation_lp(inst)) == "primal"
 
 
 def test_with_rhs_shares_frozen_arrays_and_checks_only_b():
@@ -615,5 +628,6 @@ def test_editing_a_callers_matrix_in_place_gives_the_cold_result(make):
     second = LpProblem(c=p.c, A=A, b=p.b, E=p.E, f=p.f, lo=p.lo, hi=p.hi)
     warm, cold = solve_lp(second, start=start), solve_lp(second)
     assert warm.status == cold.status
+    assert warm.status != "optimal" or certificate_ok(second, warm)
     assert warm.value == cold.value and warm.pivots == cold.pivots
     assert np.array_equal(warm.x, cold.x) and np.array_equal(warm.dual_ineq, cold.dual_ineq)
