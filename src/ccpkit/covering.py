@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import BackendUnavailable, BadStart, Infeasible, NoConvergence, NonFinite, ValidationError
 from .geometry import as_polyhedron, dykstra_project, flatten_set, has_binary
-from .lowerlevel import _lp_rows, _norm_aux, _padded, _scenario_rows, lattice_argmin
+from .lowerlevel import _lp_rows, _norm_aux, _padded, _scenario_rows, _x_rows, lattice_argmin
 from .lp import LpOutcome, LpProblem, solve_lp
 from .model import (
     CcpInstance,
@@ -50,8 +50,8 @@ def _relaxation_lp(instance: CcpInstance) -> LpProblem:
     n, N = instance.n, instance.scenario_count
     rows = instance.constraints.rows
     ncol = n + N
-    scen, _ = _scenario_rows(rows, ncol, aux_col=ncol, slack_col=n)
     xA, xb, xE, xf, lo_x, hi_x = as_polyhedron(instance.x_set)
+    scen, _ = _scenario_rows(rows, ncol, ncol, lo_x, hi_x, slack_col=n)
     mass = np.zeros((1, ncol))
     mass[0, n:] = 1.0
     return LpProblem(
@@ -119,10 +119,16 @@ def _subset_lp(instance: CcpInstance, keep: List[int]) -> LpProblem:
     order of `keep`, their dual-norm rows, then X's rows."""
     rows = _lp_rows(instance.constraints)
     n = instance.n
-    n_aux = _norm_aux(rows)[0]
-    ncol = n + n_aux
-    scen, norm = _scenario_rows(rows, ncol, aux_col=n, keep=keep)
     xA, xb, xE, xf, lo_x, hi_x = as_polyhedron(instance.x_set)
+    n_aux = _norm_aux(rows, lo_x, hi_x)[0]
+    if n_aux == 0 and xA.shape[0] == 0 and xE.shape[0] == 0:
+        # nothing to pad or stack: the kept rows over X's box
+        return LpProblem(
+            c=instance.cost, A=_x_rows(rows, lo_x, hi_x, keep), b=rows.r[keep].reshape(-1),
+            lo=lo_x, hi=hi_x,
+        )
+    ncol = n + n_aux
+    scen, norm = _scenario_rows(rows, ncol, n, lo_x, hi_x, keep=keep)
     return LpProblem(
         c=np.concatenate([instance.cost, np.zeros(n_aux)]),
         A=np.vstack([scen, norm, _padded(xA, ncol)]),
@@ -142,7 +148,9 @@ class SubsetChain:
     row's maximum over the LP's bound box, so every subset LP of the run
     shares c, A, E, lo and hi (LpProblem.with_rhs: the same arrays) and
     re-solves from the last optimal outcome (solve_lp's dual loop). Instances with a scenario row that has no
-    finite maximum over the box keep the compact cold LP of _subset_lp.
+    finite maximum over the box (say, a sup-norm ball's aux column, which
+    only a coordinate whose box straddles 0 has) keep the compact cold LP
+    of _subset_lp.
     Create one per run; it holds that run's LP and its last optimal outcome.
     """
 

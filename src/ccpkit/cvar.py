@@ -44,13 +44,13 @@ def _tail_problem(instance: CcpInstance, t: Optional[float], relaxed: bool) -> L
     rows = _lp_rows(instance.constraints)
     n, N = instance.n, instance.scenario_count
     eps = instance.epsilon
-    n_aux = _norm_aux(rows)[0]
     xA, xb, xE, xf, lo_x, hi_x = as_polyhedron(instance.x_set)
+    n_aux = _norm_aux(rows, lo_x, hi_x)[0]
 
     # columns: x | w (N) | beta | aux
     ncol = n + N + 1 + n_aux
     b_col = n + N
-    scen, norm = _scenario_rows(rows, ncol, aux_col=b_col + 1, slack_col=n)
+    scen, norm = _scenario_rows(rows, ncol, b_col + 1, lo_x, hi_x, slack_col=n)
     scen[:, b_col] = -1.0
     if relaxed:
         if t is None or not np.isfinite(t):

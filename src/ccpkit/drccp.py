@@ -11,6 +11,11 @@ instance:
          the loss is monotone in xi (sup-norm ball, componentwise worst
          case), so only the scenario data changes.
 
+For bi-affine rows on x >= 0 the two agree: theta ||x||_1 = theta 1'x, so
+shifting the row matrices by theta is the dual term written into them. The
+LP builders use the same identity on the dual reduction, per coordinate of
+X's box whose sign is fixed (lowerlevel._x_rows).
+
 The reduced instance runs through the ordinary solvers unchanged.
 """
 

@@ -19,6 +19,13 @@ pieces read one thing from the constraint model: its rows, model.rows,
 g_k(x) = max_i (R[k] x - r[k])_i + theta ||x||_*. The power model has no
 rows (None); its LPs raise BackendUnavailable.
 
+The norm term is linear wherever X's box fixes the signs. For the sup-norm
+ball (dual 1-norm), theta |x_j| is theta x_j where lo_j >= 0 and -theta x_j
+where hi_j <= 0, so the LP rows carry it in column j, and only a
+coordinate whose box straddles 0 gets an aux column u_j >= |x_j|. On a box
+in the nonnegative orthant these LPs have no aux columns at all. Verdicts
+still read the exact g (scenario_losses).
+
 The sgd default for affine rows is deliberate: its minimizers land in the
 interior of flat optimal faces, which is the behavior the approximation
 schemes are calibrated against; the lp backend returns vertices instead.
@@ -74,15 +81,40 @@ def _lp_rows(model) -> AffineRows:
     return model.rows
 
 
-def _norm_aux(rows: AffineRows) -> Tuple[int, str]:
-    """(aux column count, kind) for linearizing theta * dual norm in an LP."""
+def _straddling(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """The coordinates j whose box lo_j <= x_j <= hi_j leaves the sign of
+    x_j open, as a mask."""
+    return (lo < 0.0) & (hi > 0.0)
+
+
+def _norm_aux(rows: AffineRows, lo: np.ndarray, hi: np.ndarray) -> Tuple[int, str]:
+    """(aux column count, kind) for linearizing theta * dual norm in an LP
+    whose x lies in the box lo <= x <= hi.
+
+    "sum" (sup-norm ball, dual 1-norm): one u_j per coordinate whose box
+    straddles 0 (_straddling); the others have a known sign s_j, so
+    theta |x_j| is theta s_j x_j and _x_rows folds it into the scenario rows.
+    "max" (1-norm ball, dual sup norm): a single bound v on every |x_j|.
+    """
     if rows.theta == 0.0:
         return 0, "none"
-    if isinstance(rows.norm, LInf):      # dual is the 1-norm: one u_j per coordinate
-        return rows.R.shape[2], "sum"
-    if isinstance(rows.norm, L1):        # dual is the sup norm: a single bound v
+    if isinstance(rows.norm, LInf):
+        return int(np.count_nonzero(_straddling(lo, hi))), "sum"
+    if isinstance(rows.norm, L1):
         return 1, "max"
     raise BackendUnavailable("lp backend: only 1-norm / sup-norm balls linearize")
+
+
+def _x_rows(rows: AffineRows, lo: np.ndarray, hi: np.ndarray, keep=slice(None)) -> np.ndarray:
+    """The scenario rows of rows.R[keep] over x, shape (K * I, n). For the
+    sup-norm ball, column j carries theta s_j where the box fixes the sign
+    s_j of x_j: on those coordinates theta |x_j| needs no aux."""
+    R = rows.R[keep]
+    x_rows = R.reshape(-1, R.shape[2])
+    if rows.theta != 0.0 and isinstance(rows.norm, LInf):
+        sign = np.where(lo >= 0.0, 1.0, np.where(hi <= 0.0, -1.0, 0.0))
+        x_rows = x_rows + rows.theta * sign
+    return x_rows
 
 
 def _padded(x_rows: np.ndarray, ncol: int) -> np.ndarray:
@@ -93,43 +125,54 @@ def _padded(x_rows: np.ndarray, ncol: int) -> np.ndarray:
 
 
 def _scenario_rows(
-    rows: AffineRows, ncol: int, aux_col: int, slack_col: Optional[int] = None, keep=slice(None)
+    rows: AffineRows,
+    ncol: int,
+    aux_col: int,
+    lo: np.ndarray,
+    hi: np.ndarray,
+    slack_col: Optional[int] = None,
+    keep=slice(None),
 ):
-    """(scen, norm): the LP rows of R = rows.R[keep], shape (K, I, n).
+    """(scen, norm): the LP rows of R = rows.R[keep], shape (K, I, n), with
+    x in the box lo <= x <= hi.
 
-    scen holds R[k][i] x - slack_k + theta * aux, one row per scenario row
-    (its rhs is rows.r[keep][k][i]), with the slack in column
-    slack_col + k, or no slack term when slack_col is None. norm holds the
-    dual-norm rows of _norm_aux, rhs 0: +-x_j - u_j ("sum") or +-x_j - v
-    ("max"), in the order x_1, -x_1, x_2, ... The aux columns start at aux_col.
+    scen holds _x_rows (R[k][i] x, plus the folded theta s_j x_j of the
+    sup-norm ball) - slack_k + theta * aux, one row per scenario row (its
+    rhs is rows.r[keep][k][i]), with the slack in column slack_col + k, or
+    no slack term when slack_col is None. norm holds the dual-norm rows of
+    _norm_aux, rhs 0: +-x_j - u_j for each coordinate j that straddles 0
+    ("sum", u_j in the order of j) or +-x_j - v for every j ("max"), in the
+    order x_j, -x_j, next j. The aux columns start at aux_col.
     """
-    R = rows.R[keep]
-    K, per, n = R.shape
-    n_aux, aux_kind = _norm_aux(rows)
-    scen = _padded(R.reshape(K * per, n), ncol)
+    per, n = rows.R.shape[1:]
+    n_aux, aux_kind = _norm_aux(rows, lo, hi)
+    scen = _padded(_x_rows(rows, lo, hi, keep), ncol)
     if slack_col is not None:
-        scen[np.arange(K * per), slack_col + np.repeat(np.arange(K), per)] = -1.0
-    norm = np.zeros((2 * n if n_aux else 0, ncol))
+        i = np.arange(scen.shape[0])
+        scen[i, slack_col + i // per] = -1.0
+    aux_j = np.flatnonzero(_straddling(lo, hi)) if aux_kind == "sum" else np.arange(n)
+    norm = np.zeros((2 * aux_j.size if n_aux else 0, ncol))
     if n_aux:
         scen[:, aux_col : aux_col + n_aux] = rows.theta
-        j = np.repeat(np.arange(n), 2)
-        norm[np.arange(2 * n), j] = np.tile([1.0, -1.0], n)
-        norm[np.arange(2 * n), aux_col + (j if aux_kind == "sum" else 0)] = -1.0
+        m = np.repeat(np.arange(aux_j.size), 2)
+        norm[np.arange(2 * aux_j.size), aux_j[m]] = np.tile([1.0, -1.0], aux_j.size)
+        norm[np.arange(2 * aux_j.size), aux_col + (m if aux_kind == "sum" else 0)] = -1.0
     return scen, norm
 
 
 def _hinge_lp(instance: CcpInstance, t: float, z: np.ndarray) -> LpProblem:
     """The weighted hinge problem as an LP over (x, s, aux).
 
-    One row R_k[i] x - s_k + theta * aux <= r_k[i] per scenario row, the
-    dual-norm rows of _norm_aux, c'x <= t when t is finite, then X's rows.
+    One row R_k[i] x - s_k + theta * aux <= r_k[i] per scenario row (the
+    sign-definite part of the norm folded into x, _x_rows), the dual-norm
+    rows of _norm_aux, c'x <= t when t is finite, then X's rows.
     """
     rows = _lp_rows(instance.constraints)
     N, n = instance.scenario_count, instance.n
-    n_aux = _norm_aux(rows)[0]
-    ncol = n + N + n_aux
-    scen, norm = _scenario_rows(rows, ncol, aux_col=n + N, slack_col=n)
     xA, xb, xE, xf, lo_x, hi_x = as_polyhedron(instance.x_set)
+    n_aux = _norm_aux(rows, lo_x, hi_x)[0]
+    ncol = n + N + n_aux
+    scen, norm = _scenario_rows(rows, ncol, n + N, lo_x, hi_x, slack_col=n)
     budget = instance.cost[None, :] if np.isfinite(t) else np.zeros((0, n))
     return LpProblem(
         c=np.concatenate([np.zeros(n), instance.probabilities * z, np.zeros(n_aux)]),
@@ -408,7 +451,7 @@ def _dc_pieces(instance: CcpInstance, t: float):
     if xE.shape[0]:
         pieces.append(AffineEqualities(_padded(xE, dim).T, xf))
     budget = instance.cost[None, :] if np.isfinite(t) else np.zeros((0, n))
-    scen, _ = _scenario_rows(rows, dim, aux_col=dim, slack_col=n)
+    scen, _ = _scenario_rows(rows, dim, dim, lo, hi, slack_col=n)
     # probability mass kept by z must reach 1 - eps
     mass = np.zeros((1, dim))
     mass[0, n + N :] = -instance.probabilities

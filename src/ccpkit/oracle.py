@@ -129,7 +129,10 @@ def exact_solve(
     for drop in drops:
         dropped = set(drop)
         bound = next((float(h[k]) for k in order if k not in dropped), -np.inf)
-        if bound >= best:
+        # a kept set must beat best by more than 1e-15 to replace it (below),
+        # so one whose bound is within that of best is skipped: which sets are
+        # solved does not hang on the last bit of an LP value
+        if bound >= best - 1e-15:
             continue
         keep = [k for k in range(N) if k not in dropped]
         val, x = subset_min_cost(instance, keep, sgd_config, with_point=True, chain=chain)

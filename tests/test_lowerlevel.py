@@ -39,8 +39,9 @@ from ccpkit.cli import generate_instance
 from ccpkit.geometry import as_polyhedron, dykstra_project, flatten_set
 from ccpkit.covering import _relaxation_lp, _subset_lp
 from ccpkit.cvar import _tail_problem
-from ccpkit.lowerlevel import _dc_pieces, _exact_face_polish, _hinge_lp, _norm_aux, _scenario_rows
+from ccpkit.lowerlevel import _dc_pieces, _exact_face_polish, _hinge_lp, _scenario_rows
 
+from test_lp import certificate_ok
 from conftest import (
     equiprobable,
     make_binary_pair_cover,
@@ -167,7 +168,48 @@ def test_am_traces_monotone_on_random_instances():
         assert np.all(np.diff(trace) <= 1e-9)
 
 
-def _row_by_row_hinge_lp(instance, t, z):
+def _norm_form(instance, fold=True):
+    """(kind, aux coordinates, folded x-row term) of the theta * dual-norm
+    term, worked out one coordinate at a time. With fold, a sup-norm ball
+    puts +-theta on each coordinate whose box fixes its sign, and u_j only
+    on the coordinates that straddle 0; fold=False gives every coordinate
+    its u_j (the all-aux form)."""
+    model = instance.constraints
+    theta = model.theta if isinstance(model, NormAugmented) else 0.0
+    lo, hi = as_polyhedron(instance.x_set)[4:]
+    folded = np.zeros(instance.n)
+    if theta == 0.0:
+        return "none", [], folded
+    if isinstance(model.norm, L1):
+        return "max", list(range(instance.n)), folded
+    aux = []
+    for j in range(instance.n):
+        if fold and lo[j] >= 0.0:
+            folded[j] = theta
+        elif fold and hi[j] <= 0.0:
+            folded[j] = -theta
+        else:
+            aux.append(j)
+    return "sum", aux, folded
+
+
+def _aux_count(kind, aux):
+    return 1 if kind == "max" else len(aux)
+
+
+def _norm_rows(kind, aux, ncol, aux_col):
+    """The dual-norm rows +-x_j - u_j ("sum") or +-x_j - v ("max"), rhs 0."""
+    rows = []
+    for m, j in enumerate(aux):
+        for sign in (1.0, -1.0):
+            row = np.zeros(ncol)
+            row[j] = sign
+            row[aux_col + (m if kind == "sum" else 0)] = -1.0
+            rows.append(row)
+    return rows
+
+
+def _row_by_row_hinge_lp(instance, t, z, fold=True):
     """The hinge LP as the earlier row-at-a-time builder assembled it; the
     reference the vectorized builder must reproduce bit for bit."""
     model = instance.constraints
@@ -179,7 +221,8 @@ def _row_by_row_hinge_lp(instance, t, z):
                   for k in range(N)]
     else:
         blocks = [(model.mats[k], model.offsets[k]) for k in range(N)]
-    n_aux, aux_kind = _norm_aux(model.rows)
+    aux_kind, aux, folded = _norm_form(instance, fold)
+    n_aux = _aux_count(aux_kind, aux)
     theta = model.theta if isinstance(model, NormAugmented) else 0.0
     xA, xb, xE, xf, lo_x, hi_x = as_polyhedron(instance.x_set)
     ncol = n + N + n_aux
@@ -198,21 +241,11 @@ def _row_by_row_hinge_lp(instance, t, z):
         for i in range(Rk.shape[0]):
             s_vec = np.zeros(N)
             s_vec[k] = -1.0
-            u_vec = None
-            if aux_kind == "sum":
-                u_vec = np.full(n_aux, theta)
-            elif aux_kind == "max":
-                u_vec = np.array([theta])
-            rows.append(pad(Rk[i], s_vec, u_vec))
+            rows.append(pad(Rk[i] + folded, s_vec, np.full(n_aux, theta)))
             rhs.append(float(rk[i]))
-    if aux_kind != "none":
-        for j in range(n):
-            for sign in (1.0, -1.0):
-                r = np.zeros(ncol)
-                r[j] = sign
-                r[n + N + (j if aux_kind == "sum" else 0)] = -1.0
-                rows.append(r)
-                rhs.append(0.0)
+    norm = _norm_rows(aux_kind, aux, ncol, n + N)
+    rows += norm
+    rhs += [0.0] * len(norm)
     if np.isfinite(t):
         rows.append(pad(instance.cost))
         rhs.append(float(t))
@@ -245,11 +278,12 @@ def _row_by_row_blocks(model, keep=None):
     return blocks if keep is None else [blocks[k] for k in keep]
 
 
-def _row_by_row_subset_lp(instance, keep):
+def _row_by_row_subset_lp(instance, keep, fold=True):
     """The subset-cost LP as the earlier row-at-a-time builder assembled it."""
     model = instance.constraints
     n = instance.n
-    n_aux, aux_kind = _norm_aux(model.rows)
+    aux_kind, aux, folded = _norm_form(instance, fold)
+    n_aux = _aux_count(aux_kind, aux)
     theta = model.theta if isinstance(model, NormAugmented) else 0.0
     xA, xb, xE, xf, lo_x, hi_x = as_polyhedron(instance.x_set)
     ncol = n + n_aux
@@ -258,21 +292,13 @@ def _row_by_row_subset_lp(instance, keep):
     for Rk, rk in _row_by_row_blocks(model, keep):
         for i in range(Rk.shape[0]):
             row = np.zeros(ncol)
-            row[:n] = Rk[i]
-            if aux_kind == "sum":
-                row[n:] = theta
-            elif aux_kind == "max":
-                row[n] = theta
+            row[:n] = Rk[i] + folded
+            row[n:] = theta
             rows.append(row)
             rhs.append(float(rk[i]))
-    if aux_kind != "none":
-        for j in range(n):
-            for sign in (1.0, -1.0):
-                row = np.zeros(ncol)
-                row[j] = sign
-                row[n + (j if aux_kind == "sum" else 0)] = -1.0
-                rows.append(row)
-                rhs.append(0.0)
+    norm = _norm_rows(aux_kind, aux, ncol, n)
+    rows += norm
+    rhs += [0.0] * len(norm)
     for i in range(xA.shape[0]):
         row = np.zeros(ncol)
         row[:n] = xA[i]
@@ -295,12 +321,13 @@ def _row_by_row_subset_lp(instance, keep):
     )
 
 
-def _row_by_row_tail_lp(instance, t, relaxed):
+def _row_by_row_tail_lp(instance, t, relaxed, fold=True):
     """The CVaR LP in (x, w, beta, aux) as the earlier row-at-a-time builder assembled it."""
     model = instance.constraints
     n, N = instance.n, instance.scenario_count
     eps = instance.epsilon
-    n_aux, aux_kind = _norm_aux(model.rows)
+    aux_kind, aux, folded = _norm_form(instance, fold)
+    n_aux = _aux_count(aux_kind, aux)
     theta = model.theta if isinstance(model, NormAugmented) else 0.0
     xA, xb, xE, xf, lo_x, hi_x = as_polyhedron(instance.x_set)
     ncol = n + N + 1 + n_aux
@@ -310,23 +337,15 @@ def _row_by_row_tail_lp(instance, t, relaxed):
     for k, (Rk, rk) in enumerate(_row_by_row_blocks(model)):
         for i in range(Rk.shape[0]):
             row = np.zeros(ncol)
-            row[:n] = Rk[i]
+            row[:n] = Rk[i] + folded
             row[n + k] = -1.0
             row[b_col] = -1.0
-            if aux_kind == "sum":
-                row[b_col + 1 :] = theta
-            elif aux_kind == "max":
-                row[b_col + 1] = theta
+            row[b_col + 1 :] = theta
             rows.append(row)
             rhs.append(float(rk[i]))
-    if aux_kind != "none":
-        for j in range(n):
-            for sign in (1.0, -1.0):
-                row = np.zeros(ncol)
-                row[j] = sign
-                row[b_col + 1 + (j if aux_kind == "sum" else 0)] = -1.0
-                rows.append(row)
-                rhs.append(0.0)
+    norm = _norm_rows(aux_kind, aux, ncol, b_col + 1)
+    rows += norm
+    rhs += [0.0] * len(norm)
     row = np.zeros(ncol)
     if relaxed:
         row[:n] = instance.cost
@@ -405,6 +424,15 @@ def _row_by_row_relaxation_lp(instance):
     )
 
 
+# boxes on which x_j has a fixed sign in every coordinate, in none, or in some
+_SIGN_BOXES = {
+    "nonnegative": Box(np.zeros(4), np.ones(4)),
+    "nonpositive": Box(-np.ones(4), np.zeros(4)),
+    "straddling": Box(-np.ones(4), np.ones(4)),
+    "mixed": Box(np.array([0.0, -1.0, -1.0, 0.2]), np.array([1.0, 0.0, 1.0, 0.8])),
+}
+
+
 def _builder_instances():
     linear = generate_instance("linear", 4, 7, 0.2, 3)
     yield linear
@@ -413,6 +441,7 @@ def _builder_instances():
     yield replace(covering, x_set=Simplex(5, 3.0))
     yield robustify(DrccpSpec(linear, 0.05, L1()))
     yield robustify(DrccpSpec(linear, 0.05, LInf()))
+    yield robustify(DrccpSpec(replace(linear, x_set=_SIGN_BOXES["mixed"]), 0.05, LInf()))
     cut = Halfspaces(np.array([[1.0, 2.0, 0.0, -1.0], [0.0, 1.0, 1.0, 1.0]]), np.array([1.5, 2.0]))
     yield replace(linear, x_set=Intersection((linear.x_set, cut)))
     yield replace(linear, x_set=Simplex(4, 2.0))
@@ -446,7 +475,43 @@ def test_subset_tail_and_relaxation_lps_match_the_row_by_row_builders():
             for field in ("c", "A", "b", "E", "f", "lo", "hi"):
                 assert np.array_equal(getattr(new, field), getattr(ref, field)), (name, field)
             built += 1
-    assert built == 8 * 5 + 2            # two covering instances add the relaxation
+    assert built == 9 * 5 + 2            # two covering instances add the relaxation
+
+
+@pytest.mark.parametrize("box", list(_SIGN_BOXES))
+def test_folded_sup_norm_lps_solve_like_the_all_aux_form(box):
+    straddling = {"nonnegative": [], "nonpositive": [], "straddling": [0, 1, 2, 3], "mixed": [2]}[box]
+    base = generate_instance("linear", 4, 7, 0.2, 3)
+    inst = robustify(DrccpSpec(replace(base, x_set=_SIGN_BOXES[box]), 0.05, LInf()))
+    n, N = inst.n, inst.scenario_count
+    lo, hi = as_polyhedron(inst.x_set)[4:]
+    n_aux = len(straddling)
+    # the budgets c'x can meet on the box, from its cheapest corner up
+    cheap, dear = np.minimum(inst.cost * lo, inst.cost * hi), np.maximum(inst.cost * lo, inst.cost * hi)
+    budgets = list(np.linspace(cheap.sum(), dear.sum(), 5)[1:]) + [np.inf]
+    rng = np.random.default_rng(7)
+    pairs = [(_tail_problem(inst, None, False), _row_by_row_tail_lp(inst, None, False, fold=False))]
+    for t in budgets:
+        for z in (np.ones(N), rng.uniform(0.0, 1.0, N)):
+            pairs.append((_hinge_lp(inst, t, z), _row_by_row_hinge_lp(inst, t, z, fold=False)))
+            assert pairs[-1][0].n == n + N + n_aux and pairs[-1][1].n == n + N + n
+        if np.isfinite(t):
+            pairs.append((_tail_problem(inst, t, True), _row_by_row_tail_lp(inst, t, True, fold=False)))
+    for keep in ([0], [3], [N - 1], [1, 4, 5], list(range(N))):
+        folded = _subset_lp(inst, keep)
+        # the dual-norm rows touch exactly the coordinates that straddle 0
+        assert folded.n == n + n_aux
+        assert sorted(set(np.nonzero(folded.A[len(keep):, :n])[1])) == straddling
+        pairs.append((folded, _row_by_row_subset_lp(inst, keep, fold=False)))
+    solved = 0
+    for folded, all_aux in pairs:
+        new, ref = solve_lp(folded), solve_lp(all_aux)
+        assert new.status == ref.status
+        if ref.status == "optimal":
+            assert new.value == pytest.approx(ref.value, rel=1e-9, abs=1e-9)
+            assert certificate_ok(folded, new) and certificate_ok(all_aux, ref)
+            solved += 1
+    assert solved == len(pairs)
 
 
 def _per_piece_dc_pieces(instance, t):
@@ -485,7 +550,7 @@ def _per_piece_dc_pieces(instance, t):
         row = np.zeros((1, dim))
         row[0, :n] = instance.cost
         pieces.append(Halfspaces(row, np.array([t])))
-    scen, _ = _scenario_rows(rows, dim, aux_col=dim, slack_col=n)
+    scen, _ = _scenario_rows(rows, dim, aux_col=dim, lo=lo[:n], hi=hi[:n], slack_col=n)
     pieces.append(Halfspaces(scen, rows.r.reshape(-1)))
     row = np.zeros((1, dim))
     row[0, n + N :] = -instance.probabilities

@@ -10,6 +10,7 @@ import pytest
 
 import ccpkit.lp
 from ccpkit import (
+    Box,
     DrccpSpec,
     Intersection,
     LInf,
@@ -592,9 +593,12 @@ def test_engine_selection_by_lp_kind(loops):
         # hinge and tail LPs have zero-cost columns
         assert start(_hinge_lp(inst, 5.0, np.ones(20))) == "primal"
         assert start(_tail_problem(inst, None, relaxed=False)) == "primal"
-        # the L-inf ball's aux columns cost nothing
+        # the L-inf ball's norm term folds into the rows on [0, 1]^10, but
+        # on a box that straddles 0 it keeps aux columns, which cost nothing
         robust = robustify(DrccpSpec(inst, 0.05, LInf()))
-        assert start(_subset_lp(robust, [3])) == "primal"
+        assert start(_subset_lp(robust, [3])) == "dual"
+        straddling = replace(robust, x_set=Box(-np.ones(inst.n), np.ones(inst.n)))
+        assert start(_subset_lp(straddling, [3])) == "primal"
         # a simplex X brings an equality row
         simplex = replace(inst, x_set=Intersection((inst.x_set, Simplex(inst.n, 3.0))))
         assert start(_subset_lp(simplex, [3])) == "primal"

@@ -10,6 +10,7 @@ import ccpkit.oracle
 from ccpkit import (
     BiAffine,
     BiAffineEquality,
+    Box,
     CapExceeded,
     DrccpSpec,
     LInf,
@@ -156,8 +157,23 @@ def test_chained_oracle_matches_cold_on_the_dfs_path(monkeypatch):
     _assert_same_optimum(inst, *_chained_and_cold(monkeypatch, inst))
 
 
+def _robust(x_set=None):
+    """The sup-norm-robust linear instance, over [0, 1]^4 or over x_set."""
+    inst = robustify(DrccpSpec(generate_instance("linear", 4, 8, 0.25, 2), 0.05, LInf()))
+    return inst if x_set is None else replace(inst, x_set=x_set)
+
+
+def test_sign_definite_robust_rows_join_the_chain(monkeypatch):
+    # on [0, 1]^4 the norm term folds into the rows, so every row has a
+    # finite maximum over the box
+    inst = _robust()
+    assert SubsetChain(inst).problem([0]) is not None
+    _assert_same_optimum(inst, *_chained_and_cold(monkeypatch, inst))
+
+
 @pytest.mark.parametrize("make", [
-    lambda: robustify(DrccpSpec(generate_instance("linear", 4, 8, 0.25, 2), 0.05, LInf())),
+    # a box that straddles 0 keeps the norm's aux columns, which have no upper bound
+    lambda: _robust(Box(-np.ones(4), np.ones(4))),
     _orthant_rows,
 ])
 def test_rows_with_no_finite_maximum_keep_the_compact_lp(monkeypatch, make):
