@@ -20,8 +20,8 @@ from typing import Iterable, List, Optional
 import numpy as np
 
 from .errors import BackendUnavailable, BadStart, Infeasible, NoConvergence, NonFinite, ValidationError
-from .geometry import as_polyhedron, dykstra_project, flatten_set, has_binary
-from .lowerlevel import _lp_rows, _norm_aux, _padded, _scenario_rows, _x_rows, lattice_argmin
+from .geometry import dykstra_project, flatten_set, has_binary
+from .lowerlevel import _scenario_lp, _slack_rows, lattice_argmin
 from .lp import LpOutcome, LpProblem, solve_lp
 from .model import (
     CcpInstance,
@@ -46,22 +46,18 @@ class RelaxationResult:
 
 def _relaxation_lp(instance: CcpInstance) -> LpProblem:
     """min c'x over (x, s): -A_k[i] x - s_k <= -1 per covering row,
-    sum_k s_k <= floor(N eps), then X's rows; x >= 0 and 0 <= s <= 1."""
+    sum_k s_k <= floor(N eps), then X's rows; x >= 0 and 0 <= s <= 1
+    (lowerlevel._scenario_lp)."""
     n, N = instance.n, instance.scenario_count
-    rows = instance.constraints.rows
-    ncol = n + N
-    xA, xb, xE, xf, lo_x, hi_x = as_polyhedron(instance.x_set)
-    scen, _ = _scenario_rows(rows, ncol, ncol, lo_x, hi_x, slack_col=n)
-    mass = np.zeros((1, ncol))
-    mass[0, n:] = 1.0
-    return LpProblem(
-        c=np.concatenate([instance.cost, np.zeros(N)]),
-        A=np.vstack([scen, mass, _padded(xA, ncol)]),
-        b=np.concatenate([rows.r.reshape(-1), [np.floor(N * instance.epsilon)], xb]),
-        E=_padded(xE, ncol),
-        f=xf,
-        lo=np.concatenate([np.maximum(lo_x, 0.0), np.zeros(N)]),
-        hi=np.concatenate([hi_x, np.ones(N)]),
+    return _scenario_lp(
+        instance,
+        x_cost=instance.cost,
+        y_rows=_slack_rows(instance),
+        y_lo=np.zeros(N),
+        y_hi=np.ones(N),
+        extra=np.concatenate([np.zeros(n), np.ones(N)])[None, :],
+        extra_rhs=[np.floor(N * instance.epsilon)],
+        x_lo=0.0,
     )
 
 
@@ -116,28 +112,9 @@ def relax_and_scale(instance: CcpInstance) -> SolveReport:
 
 def _subset_lp(instance: CcpInstance, keep: List[int]) -> LpProblem:
     """min c'x over (x, aux) with the rows of the kept scenarios, in the
-    order of `keep`, their dual-norm rows, then X's rows."""
-    rows = _lp_rows(instance.constraints)
-    n = instance.n
-    xA, xb, xE, xf, lo_x, hi_x = as_polyhedron(instance.x_set)
-    n_aux = _norm_aux(rows, lo_x, hi_x)[0]
-    if n_aux == 0 and xA.shape[0] == 0 and xE.shape[0] == 0:
-        # nothing to pad or stack: the kept rows over X's box
-        return LpProblem(
-            c=instance.cost, A=_x_rows(rows, lo_x, hi_x, keep), b=rows.r[keep].reshape(-1),
-            lo=lo_x, hi=hi_x,
-        )
-    ncol = n + n_aux
-    scen, norm = _scenario_rows(rows, ncol, n, lo_x, hi_x, keep=keep)
-    return LpProblem(
-        c=np.concatenate([instance.cost, np.zeros(n_aux)]),
-        A=np.vstack([scen, norm, _padded(xA, ncol)]),
-        b=np.concatenate([rows.r[keep].reshape(-1), np.zeros(norm.shape[0]), xb]),
-        E=_padded(xE, ncol),
-        f=xf,
-        lo=np.concatenate([lo_x, np.zeros(n_aux)]),
-        hi=np.concatenate([hi_x, np.full(n_aux, np.inf)]),
-    )
+    order of `keep`, their dual-norm rows, then X's rows
+    (lowerlevel._scenario_lp)."""
+    return _scenario_lp(instance, keep, x_cost=instance.cost)
 
 
 class SubsetChain:

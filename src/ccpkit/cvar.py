@@ -25,8 +25,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import BackendUnavailable, BadStart, Infeasible, NonFinite
-from .geometry import as_polyhedron, has_binary
-from .lowerlevel import _lp_rows, _norm_aux, _padded, _scenario_rows, lattice_argmin
+from .geometry import has_binary
+from .lowerlevel import _scenario_lp, _slack_rows, lattice_argmin
 from .lp import LpProblem, solve_lp
 from .model import CcpInstance, SolveReport, is_feasible, violation_probability
 from .search import bisect_from
@@ -34,42 +34,26 @@ from .subgrad import SgdConfig, feasible_start, solve_cvar_lower_sgd
 
 
 def _tail_problem(instance: CcpInstance, t: Optional[float], relaxed: bool) -> LpProblem:
-    """Shared LP in (x, w, beta, aux).
+    """Shared LP in (x, w, beta, aux): lowerlevel._scenario_lp with the
+    rows R_k[i] x - w_k - beta + theta * aux <= r_k[i], w >= 0, beta <= 0.
 
-    relaxed=False: min c'x subject to the tail condition (the upper bound).
+    relaxed=False: min c'x subject to the tail row (the upper bound).
     relaxed=True:  min eps*beta + p'w subject to c'x <= t (the lower level).
-    Rows: R_k[i] x - w_k - beta + theta * aux <= r_k[i] per scenario row,
-    the dual-norm rows of _norm_aux, the budget or tail row, then X's rows.
     """
-    rows = _lp_rows(instance.constraints)
-    n, N = instance.n, instance.scenario_count
-    eps = instance.epsilon
-    xA, xb, xE, xf, lo_x, hi_x = as_polyhedron(instance.x_set)
-    n_aux = _norm_aux(rows, lo_x, hi_x)[0]
-
-    # columns: x | w (N) | beta | aux
-    ncol = n + N + 1 + n_aux
-    b_col = n + N
-    scen, norm = _scenario_rows(rows, ncol, b_col + 1, lo_x, hi_x, slack_col=n)
-    scen[:, b_col] = -1.0
-    if relaxed:
-        if t is None or not np.isfinite(t):
-            raise BadStart("cvar lower level needs a finite budget t")
-        limit, limit_rhs = _padded(instance.cost[None, :], ncol), t
-        cost = np.concatenate([np.zeros(n), instance.probabilities, [eps], np.zeros(n_aux)])
-    else:
-        limit, limit_rhs = np.zeros((1, ncol)), 0.0
-        limit[0, n : n + N] = instance.probabilities / eps
-        limit[0, b_col] = 1.0
-        cost = np.concatenate([instance.cost, np.zeros(N + 1 + n_aux)])
-    return LpProblem(
-        c=cost,
-        A=np.vstack([scen, norm, limit, _padded(xA, ncol)]),
-        b=np.concatenate([rows.r.reshape(-1), np.zeros(norm.shape[0]), [limit_rhs], xb]),
-        E=_padded(xE, ncol),
-        f=xf,
-        lo=np.concatenate([lo_x, np.zeros(N), [-np.inf], np.zeros(n_aux)]),
-        hi=np.concatenate([hi_x, np.full(N, np.inf), [0.0], np.full(n_aux, np.inf)]),
+    slacks = _slack_rows(instance)
+    n, N, p, eps = instance.n, instance.scenario_count, instance.probabilities, instance.epsilon
+    if relaxed and (t is None or not np.isfinite(t)):
+        raise BadStart("cvar lower level needs a finite budget t")
+    limit = instance.cost if relaxed else np.concatenate([np.zeros(n), p / eps, [1.0]])
+    return _scenario_lp(
+        instance,
+        x_cost=None if relaxed else instance.cost,
+        y_rows=np.hstack([slacks, np.full((slacks.shape[0], 1), -1.0)]),
+        y_cost=np.concatenate([p, [eps]]) if relaxed else None,
+        y_lo=np.concatenate([np.zeros(N), [-np.inf]]),
+        y_hi=np.concatenate([np.full(N, np.inf), [0.0]]),
+        extra=limit[None, :],
+        extra_rhs=[t if relaxed else 0.0],
     )
 
 

@@ -13,8 +13,8 @@ instance:
 
 For bi-affine rows on x >= 0 the two agree: theta ||x||_1 = theta 1'x, so
 shifting the row matrices by theta is the dual term written into them. The
-LP builders use the same identity on the dual reduction, per coordinate of
-X's box whose sign is fixed (lowerlevel._x_rows).
+LP builder uses the same identity on the dual reduction, per coordinate of
+X's box whose sign is fixed (lowerlevel._scenario_lp).
 
 The reduced instance runs through the ordinary solvers unchanged.
 """

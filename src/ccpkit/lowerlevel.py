@@ -13,18 +13,13 @@ with z in [0,1]^N fixed. Backends:
   "enum"  lattice enumeration; needs a binary feasible set
   "auto"  enum for binary sets, lp for the equality model, sgd otherwise
 
-Every LP here (the hinge LP, and the tail, subset and relaxation LPs that
-cvar and covering build from the same helpers) and the exact-face and DC
-pieces read one thing from the constraint model: its rows, model.rows,
-g_k(x) = max_i (R[k] x - r[k])_i + theta ||x||_*. The power model has no
-rows (None); its LPs raise BackendUnavailable.
-
-The norm term is linear wherever X's box fixes the signs. For the sup-norm
-ball (dual 1-norm), theta |x_j| is theta x_j where lo_j >= 0 and -theta x_j
-where hi_j <= 0, so the LP rows carry it in column j, and only a
-coordinate whose box straddles 0 gets an aux column u_j >= |x_j|. On a box
-in the nonnegative orthant these LPs have no aux columns at all. Verdicts
-still read the exact g (scenario_losses).
+Every LP here and in cvar and covering (hinge, tail, subset, relaxation)
+and the DC pieces come from one builder, _scenario_lp, the one place that
+knows their layout and how they linearize the norm term. It and the
+exact-face pieces read one thing from the constraint model: its rows,
+model.rows, g_k(x) = max_i (R[k] x - r[k])_i + theta ||x||_*. The power
+model has no rows (None); its LPs raise BackendUnavailable. Verdicts still
+read the exact g (scenario_losses).
 
 The sgd default for affine rows is deliberate: its minimizers land in the
 interior of flat optimal faces, which is the behavior the approximation
@@ -81,109 +76,108 @@ def _lp_rows(model) -> AffineRows:
     return model.rows
 
 
-def _straddling(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """The coordinates j whose box lo_j <= x_j <= hi_j leaves the sign of
-    x_j open, as a mask."""
-    return (lo < 0.0) & (hi > 0.0)
-
-
-def _norm_aux(rows: AffineRows, lo: np.ndarray, hi: np.ndarray) -> Tuple[int, str]:
-    """(aux column count, kind) for linearizing theta * dual norm in an LP
-    whose x lies in the box lo <= x <= hi.
-
-    "sum" (sup-norm ball, dual 1-norm): one u_j per coordinate whose box
-    straddles 0 (_straddling); the others have a known sign s_j, so
-    theta |x_j| is theta s_j x_j and _x_rows folds it into the scenario rows.
-    "max" (1-norm ball, dual sup norm): a single bound v on every |x_j|.
-    """
-    if rows.theta == 0.0:
-        return 0, "none"
-    if isinstance(rows.norm, LInf):
-        return int(np.count_nonzero(_straddling(lo, hi))), "sum"
-    if isinstance(rows.norm, L1):
-        return 1, "max"
-    raise BackendUnavailable("lp backend: only 1-norm / sup-norm balls linearize")
-
-
-def _x_rows(rows: AffineRows, lo: np.ndarray, hi: np.ndarray, keep=slice(None)) -> np.ndarray:
-    """The scenario rows of rows.R[keep] over x, shape (K * I, n). For the
-    sup-norm ball, column j carries theta s_j where the box fixes the sign
-    s_j of x_j: on those coordinates theta |x_j| needs no aux."""
-    R = rows.R[keep]
-    x_rows = R.reshape(-1, R.shape[2])
-    if rows.theta != 0.0 and isinstance(rows.norm, LInf):
-        sign = np.where(lo >= 0.0, 1.0, np.where(hi <= 0.0, -1.0, 0.0))
-        x_rows = x_rows + rows.theta * sign
-    return x_rows
-
-
-def _padded(x_rows: np.ndarray, ncol: int) -> np.ndarray:
-    """Rows over x, followed by zeros up to ncol columns."""
-    out = np.zeros((x_rows.shape[0], ncol))
-    out[:, : x_rows.shape[1]] = x_rows
+def _slack_rows(instance: CcpInstance) -> np.ndarray:
+    """y_rows for one slack column per scenario: -1 in column k on each row
+    of scenario k."""
+    N, per = _lp_rows(instance.constraints).r.shape
+    out = np.zeros((N * per, N))
+    out[np.arange(N * per), np.repeat(np.arange(N), per)] = -1.0
     return out
 
 
-def _scenario_rows(
-    rows: AffineRows,
-    ncol: int,
-    aux_col: int,
-    lo: np.ndarray,
-    hi: np.ndarray,
-    slack_col: Optional[int] = None,
+def _scenario_lp(
+    instance: CcpInstance,
     keep=slice(None),
-):
-    """(scen, norm): the LP rows of R = rows.R[keep], shape (K, I, n), with
-    x in the box lo <= x <= hi.
+    *,
+    x_cost: Optional[np.ndarray] = None,
+    y_rows: Optional[np.ndarray] = None,
+    y_cost: Optional[np.ndarray] = None,
+    y_lo=(),
+    y_hi=(),
+    extra: Optional[np.ndarray] = None,
+    extra_rhs=(),
+    x_lo: Optional[float] = None,
+) -> LpProblem:
+    """The LP over the rows of the kept scenarios, in the order of keep:
+    the one layout of every hinge, tail, subset, relaxation and DC program.
 
-    scen holds _x_rows (R[k][i] x, plus the folded theta s_j x_j of the
-    sup-norm ball) - slack_k + theta * aux, one row per scenario row (its
-    rhs is rows.r[keep][k][i]), with the slack in column slack_col + k, or
-    no slack term when slack_col is None. norm holds the dual-norm rows of
-    _norm_aux, rhs 0: +-x_j - u_j for each coordinate j that straddles 0
-    ("sum", u_j in the order of j) or +-x_j - v for every j ("max"), in the
-    order x_j, -x_j, next j. The aux columns start at aux_col.
+    Columns x | y | aux. x lies in X's box (lower bounds raised to x_lo when
+    given) at cost x_cost; y are the caller's columns, in [y_lo, y_hi] at
+    cost y_cost (a cost of None is 0); aux, in [0, inf) at cost 0,
+    linearizes theta ||x||_*. For the sup-norm ball (dual 1-norm), theta
+    |x_j| is theta s_j x_j where the box fixes the sign s_j of x_j, folded
+    into column j of the scenario rows, and each j whose box straddles 0
+    gets a u_j >= |x_j|; the 1-norm ball (dual sup norm) gets one v >= |x_j|.
+    Rows, in order: R[k][i] x + y_rows[k I + i] y + theta * aux <= r[k][i];
+    the dual-norm rows +-x_j - u_j (or - v) <= 0, x_j then -x_j, next j;
+    extra <= extra_rhs; X's rows, with X's equalities as E x = f. y_rows
+    and extra cover the leading columns of x | y, zeros the rest. With no
+    y, no aux and no other row, A is the kept rows themselves, not a
+    zero-filled copy.
     """
-    per, n = rows.R.shape[1:]
-    n_aux, aux_kind = _norm_aux(rows, lo, hi)
-    scen = _padded(_x_rows(rows, lo, hi, keep), ncol)
-    if slack_col is not None:
-        i = np.arange(scen.shape[0])
-        scen[i, slack_col + i // per] = -1.0
-    aux_j = np.flatnonzero(_straddling(lo, hi)) if aux_kind == "sum" else np.arange(n)
-    norm = np.zeros((2 * aux_j.size if n_aux else 0, ncol))
+    rows = _lp_rows(instance.constraints)
+    xA, xb, xE, xf, lo, hi = as_polyhedron(instance.x_set)
+    if x_lo is not None:
+        lo = np.maximum(lo, x_lo)
+    theta, R = rows.theta, rows.R[keep]
+    n = R.shape[2]
+    x_rows = R.reshape(-1, n)
+    aux_j, n_aux = np.zeros(0, dtype=int), 0
+    if theta != 0.0:
+        if isinstance(rows.norm, LInf):
+            x_rows = x_rows + theta * np.where(lo >= 0.0, 1.0, np.where(hi <= 0.0, -1.0, 0.0))
+            aux_j = np.flatnonzero((lo < 0.0) & (hi > 0.0))
+            n_aux = aux_j.size
+        elif isinstance(rows.norm, L1):
+            aux_j, n_aux = np.arange(n), 1
+        else:
+            raise BackendUnavailable("lp backend: only 1-norm / sup-norm balls linearize")
+    b = rows.r[keep].reshape(-1)
+    x_cost = np.zeros(n) if x_cost is None else x_cost
+    ny = len(y_lo)
+    if ny + n_aux == 0 and extra is None and xA.shape[0] == 0:
+        return LpProblem(c=x_cost, A=x_rows, b=b, E=xE, f=xf, lo=lo, hi=hi)
+    extra = np.zeros((0, n)) if extra is None else extra
+    m, n_norm, n_extra = x_rows.shape[0], 2 * aux_j.size, extra.shape[0]
+    A = np.zeros((m + n_norm + n_extra + xA.shape[0], n + ny + n_aux))
+    A[:m, :n] = x_rows
+    if y_rows is not None:
+        A[:m, n : n + y_rows.shape[1]] = y_rows
     if n_aux:
-        scen[:, aux_col : aux_col + n_aux] = rows.theta
-        m = np.repeat(np.arange(aux_j.size), 2)
-        norm[np.arange(2 * aux_j.size), aux_j[m]] = np.tile([1.0, -1.0], aux_j.size)
-        norm[np.arange(2 * aux_j.size), aux_col + (m if aux_kind == "sum" else 0)] = -1.0
-    return scen, norm
+        A[:m, n + ny :] = theta
+        pair = np.repeat(np.arange(aux_j.size), 2)
+        norm = A[m : m + n_norm]
+        norm[np.arange(n_norm), aux_j[pair]] = np.tile([1.0, -1.0], aux_j.size)
+        # the j-th straddling coordinate's u_j, or the one v
+        norm[np.arange(n_norm), n + ny + (pair if n_aux > 1 else 0)] = -1.0
+    A[m + n_norm : m + n_norm + n_extra, : extra.shape[1]] = extra
+    A[m + n_norm + n_extra :, :n] = xA
+    E = np.zeros((xE.shape[0], n + ny + n_aux))
+    E[:, :n] = xE
+    return LpProblem(
+        c=np.concatenate([x_cost, np.zeros(ny) if y_cost is None else y_cost, np.zeros(n_aux)]),
+        A=A,
+        b=np.concatenate([b, np.zeros(n_norm), extra_rhs, xb]),
+        E=E,
+        f=xf,
+        lo=np.concatenate([lo, y_lo, np.zeros(n_aux)]),
+        hi=np.concatenate([hi, y_hi, np.full(n_aux, np.inf)]),
+    )
 
 
 def _hinge_lp(instance: CcpInstance, t: float, z: np.ndarray) -> LpProblem:
-    """The weighted hinge problem as an LP over (x, s, aux).
-
-    One row R_k[i] x - s_k + theta * aux <= r_k[i] per scenario row (the
-    sign-definite part of the norm folded into x, _x_rows), the dual-norm
-    rows of _norm_aux, c'x <= t when t is finite, then X's rows.
-    """
-    rows = _lp_rows(instance.constraints)
-    N, n = instance.scenario_count, instance.n
-    xA, xb, xE, xf, lo_x, hi_x = as_polyhedron(instance.x_set)
-    n_aux = _norm_aux(rows, lo_x, hi_x)[0]
-    ncol = n + N + n_aux
-    scen, norm = _scenario_rows(rows, ncol, n + N, lo_x, hi_x, slack_col=n)
-    budget = instance.cost[None, :] if np.isfinite(t) else np.zeros((0, n))
-    return LpProblem(
-        c=np.concatenate([np.zeros(n), instance.probabilities * z, np.zeros(n_aux)]),
-        A=np.vstack([scen, norm, _padded(budget, ncol), _padded(xA, ncol)]),
-        b=np.concatenate(
-            [rows.r.reshape(-1), np.zeros(norm.shape[0]), np.full(budget.shape[0], t), xb]
-        ),
-        E=_padded(xE, ncol),
-        f=xf,
-        lo=np.concatenate([lo_x, np.zeros(N + n_aux)]),
-        hi=np.concatenate([hi_x, np.full(N + n_aux, np.inf)]),
+    """The weighted hinge problem as an LP over (x, s, aux): _scenario_lp
+    with one slack s_k >= 0 per scenario at cost p_k z_k, and c'x <= t
+    when t is finite."""
+    N, finite = instance.scenario_count, bool(np.isfinite(t))
+    return _scenario_lp(
+        instance,
+        y_rows=_slack_rows(instance),
+        y_cost=instance.probabilities * z,
+        y_lo=np.zeros(N),
+        y_hi=np.full(N, np.inf),
+        extra=instance.cost[None, :] if finite else None,
+        extra_rhs=[t] if finite else (),
     )
 
 
@@ -439,25 +433,31 @@ def _dc_pieces(instance: CcpInstance, t: float):
         raise BackendUnavailable(
             f"dc scheme: {type(model).__name__} rows do not embed as halfspaces"
         )
+    n, N, finite = instance.n, instance.scenario_count, int(np.isfinite(t))
+    extra = np.zeros((finite + 1, n + 2 * N))
+    extra[:finite, :n] = instance.cost
+    # probability mass kept by z must reach 1 - eps
+    extra[finite, n + N :] = -instance.probabilities
     try:
-        xA, xb, xE, xf, lo, hi = as_polyhedron(instance.x_set)
+        lp = _scenario_lp(
+            instance,
+            y_rows=_slack_rows(instance),
+            y_lo=np.zeros(2 * N),
+            y_hi=np.concatenate([np.full(N, np.inf), np.ones(N)]),
+            extra=extra,
+            extra_rhs=[t] * finite + [-(1.0 - instance.epsilon)],
+        )
     except UnsupportedSet as exc:
         raise BackendUnavailable(f"dc scheme: {exc}") from exc
-    n, N = instance.n, instance.scenario_count
-    dim = n + 2 * N
-    pieces = [
-        Box(np.concatenate([lo, np.zeros(2 * N)]), np.concatenate([hi, np.full(N, np.inf), np.ones(N)]))
-    ]
-    if xE.shape[0]:
-        pieces.append(AffineEqualities(_padded(xE, dim).T, xf))
-    budget = instance.cost[None, :] if np.isfinite(t) else np.zeros((0, n))
-    scen, _ = _scenario_rows(rows, dim, dim, lo, hi, slack_col=n)
-    # probability mass kept by z must reach 1 - eps
-    mass = np.zeros((1, dim))
-    mass[0, n + N :] = -instance.probabilities
-    A = np.vstack([_padded(xA, dim), _padded(budget, dim), scen, mass])
-    b = np.concatenate([xb, np.full(budget.shape[0], t), rows.r.reshape(-1), [-(1.0 - instance.epsilon)]])
-    return pieces + [Halfspaces(A, b)]
+    pieces = [Box(lp.lo, lp.hi)]
+    if lp.E.shape[0]:
+        pieces.append(AffineEqualities(lp.E.T, lp.f))
+    # Dykstra projects onto these rows one at a time, in this order: X's
+    # rows, then the budget, scenario and mass rows
+    M = rows.r.size
+    mass = M + finite
+    order = np.r_[mass + 1 : lp.A.shape[0], M:mass, :M, mass]
+    return pieces + [Halfspaces(lp.A[order], lp.b[order])]
 
 
 def dc_solve(

@@ -21,9 +21,9 @@ free); a row whose slack would then lie outside its bounds, and every
 equality row, gets an artificial column, basic at the size of the row's
 residual. When there is one, phase 1 minimises their sum with the primal
 loop below; a sum left above 1e-7 (1 + max |residual|) proves the LP
-infeasible. The artificial columns are then fixed at 0, so one still basic
-on a redundant row keeps that row's multiplier at 0, and phase 2 runs the
-primal loop on c.
+infeasible. The artificial columns then leave the tableau when none is
+basic, and are all fixed at 0 otherwise, so one still basic on a redundant
+row keeps that row's multiplier at 0. Phase 2 runs the primal loop on c.
 
 Bounded primal loop. Pricing is Dantzig's rule on the reduced cost measured
 in each nonbasic column's feasible direction (the most negative, lowest index
@@ -457,12 +457,19 @@ def _cold(problem: LpProblem) -> Tuple[_BoundTableau, str]:
         tab.price(cost)
         if tab.primal() == "unbounded":    # cannot happen: phase-1 objective >= 0
             raise NonFinite("lp: phase 1 reported unbounded")
-        infeas = float(T[:m, -1][tab.basis >= art0].sum())
+        still = tab.basis >= art0
+        infeas = float(T[:m, -1][still].sum())
         if infeas > 1e-7 * (1.0 + float(np.max(np.abs(residual), initial=0.0))):
             return tab, "infeasible"
-        tab.hi_all[art0:] = tab.width[art0:] = tab.sgn[art0:] = 0.0
-        tab.hib[tab.basis >= art0] = 0.0
-        cost[art0:-1] = 0.0
+        if still.any():
+            # a redundant row keeps its artificial basic: all stay, fixed at 0
+            tab.hi_all[art0:] = tab.width[art0:] = tab.sgn[art0:] = 0.0
+            tab.hib[still] = 0.0
+        else:
+            tab.T = np.concatenate([T[:, :art0], T[:, -1:]], axis=1)
+            for name in ("lo_all", "hi_all", "width", "sgn", "base"):
+                setattr(tab, name, getattr(tab, name)[:art0])
+        cost = np.zeros(tab.T.shape[1])
         cost[:n] = c
         tab.price(cost)
     return tab, tab.primal()

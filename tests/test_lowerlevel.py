@@ -39,7 +39,7 @@ from ccpkit.cli import generate_instance
 from ccpkit.geometry import as_polyhedron, dykstra_project, flatten_set
 from ccpkit.covering import _relaxation_lp, _subset_lp
 from ccpkit.cvar import _tail_problem
-from ccpkit.lowerlevel import _dc_pieces, _exact_face_polish, _hinge_lp, _scenario_rows
+from ccpkit.lowerlevel import _dc_pieces, _exact_face_polish, _hinge_lp
 
 from test_lp import certificate_ok
 from conftest import (
@@ -514,10 +514,76 @@ def test_folded_sup_norm_lps_solve_like_the_all_aux_form(box):
     assert solved == len(pairs)
 
 
+def _l1_ball_expanded_lp(instance, kind, keep=None, t=None, z=None):
+    """The subset ("subset"), hinge ("hinge") or CVaR ("tail", "tail
+    relaxed") LP of a 1-norm ball over a nonnegative box, written with no
+    aux column: there theta ||x||_inf = max_j theta x_j, so each scenario row
+    R_k[i] x <= r_k[i] becomes the n rows R_k[i] x + theta x_j <= r_k[i]."""
+    model = instance.constraints
+    n, N, p, eps = instance.n, instance.scenario_count, instance.probabilities, instance.epsilon
+    lo_x, hi_x = as_polyhedron(instance.x_set)[4:]
+    assert isinstance(model.norm, L1) and np.all(lo_x >= 0.0)
+    ny = {"subset": 0, "hinge": N}.get(kind, N + 1)
+    blocks = _row_by_row_blocks(model)
+    rows, rhs = [], []
+    for k in range(N) if keep is None else keep:
+        Rk, rk = blocks[k]
+        for i in range(Rk.shape[0]):
+            for j in range(n):
+                row = np.zeros(n + ny)
+                row[:n] = Rk[i]
+                row[j] += model.theta
+                if ny:
+                    row[n + k] = -1.0
+                if ny == N + 1:
+                    row[n + N] = -1.0
+                rows.append(row)
+                rhs.append(float(rk[i]))
+    if kind == "tail":
+        rows.append(np.concatenate([np.zeros(n), p / eps, [1.0]]))
+        rhs.append(0.0)
+    elif t is not None and np.isfinite(t):
+        rows.append(np.concatenate([instance.cost, np.zeros(ny)]))
+        rhs.append(float(t))
+    cost = {
+        "subset": instance.cost,
+        "hinge": np.concatenate([np.zeros(n), p * z if z is not None else p]),
+        "tail": np.concatenate([instance.cost, np.zeros(N + 1)]),
+        "tail relaxed": np.concatenate([np.zeros(n), p, [eps]]),
+    }[kind]
+    lo_y, hi_y = np.zeros(ny), np.full(ny, np.inf)
+    if ny == N + 1:
+        lo_y[N], hi_y[N] = -np.inf, 0.0
+    return LpProblem(c=cost, A=np.array(rows), b=np.array(rhs),
+                     lo=np.concatenate([lo_x, lo_y]), hi=np.concatenate([hi_x, hi_y]))
+
+
+def test_l1_ball_lps_solve_like_the_expanded_rows():
+    inst = robustify(DrccpSpec(generate_instance("linear", 4, 7, 0.2, 3), 0.05, L1()))
+    n, N = inst.n, inst.scenario_count
+    # the LPs under test carry the one "max" aux column v >= |x_j|
+    assert _subset_lp(inst, [0]).n == n + 1 and _hinge_lp(inst, np.inf, np.ones(N)).n == n + N + 1
+    lo, hi = as_polyhedron(inst.x_set)[4:]
+    cheap, dear = np.minimum(inst.cost * lo, inst.cost * hi), np.maximum(inst.cost * lo, inst.cost * hi)
+    budgets = list(np.linspace(cheap.sum(), dear.sum(), 5)[1:]) + [np.inf]
+    rng = np.random.default_rng(11)
+    pairs = [(_subset_lp(inst, [k]), _l1_ball_expanded_lp(inst, "subset", keep=[k])) for k in range(N)]
+    for t in budgets:
+        for z in (np.ones(N), rng.uniform(0.0, 1.0, N)):
+            pairs.append((_hinge_lp(inst, t, z), _l1_ball_expanded_lp(inst, "hinge", t=t, z=z)))
+    pairs.append((_tail_problem(inst, None, False), _l1_ball_expanded_lp(inst, "tail")))
+    for t in budgets[:-1]:
+        pairs.append((_tail_problem(inst, t, True), _l1_ball_expanded_lp(inst, "tail relaxed", t=t)))
+    for with_aux, expanded in pairs:
+        got, want = solve_lp(with_aux), solve_lp(expanded)
+        assert got.status == want.status == "optimal"
+        assert got.value == pytest.approx(want.value, rel=1e-9, abs=1e-9)
+        assert certificate_ok(with_aux, got) and certificate_ok(expanded, want)
+
+
 def _per_piece_dc_pieces(instance, t):
     """The DC pieces as the earlier builder made them: one lifted piece per
     primitive of X, then the (s, z) box, the budget, scenario and mass rows."""
-    rows = instance.constraints.rows
     n, N = instance.n, instance.scenario_count
     dim = n + 2 * N
     pieces = []
@@ -550,8 +616,15 @@ def _per_piece_dc_pieces(instance, t):
         row = np.zeros((1, dim))
         row[0, :n] = instance.cost
         pieces.append(Halfspaces(row, np.array([t])))
-    scen, _ = _scenario_rows(rows, dim, aux_col=dim, lo=lo[:n], hi=hi[:n], slack_col=n)
-    pieces.append(Halfspaces(scen, rows.r.reshape(-1)))
+    scen, rhs = [], []
+    for k, (Rk, rk) in enumerate(_row_by_row_blocks(instance.constraints)):
+        for i in range(Rk.shape[0]):
+            row = np.zeros(dim)
+            row[:n] = Rk[i]
+            row[n + k] = -1.0
+            scen.append(row)
+            rhs.append(float(rk[i]))
+    pieces.append(Halfspaces(np.array(scen), np.array(rhs)))
     row = np.zeros((1, dim))
     row[0, n + N :] = -instance.probabilities
     pieces.append(Halfspaces(row, np.array([-(1.0 - instance.epsilon)])))

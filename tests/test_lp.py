@@ -231,6 +231,47 @@ def test_two_phase_path_counts_basis_changes_not_flips(monkeypatch, loops):
     assert certificate_ok(p, out)
 
 
+def test_artificial_columns_leave_the_tableau_after_phase_one(loops):
+    # every covering row starts short at x = 0, so each of the 45 scenario
+    # rows gets an artificial column; none is basic once phase 1 is done
+    inst = generate_instance("covering", 10, 45, 0.1, 1)
+    p = _hinge_lp(inst, 5.0, np.ones(45))
+    m = p.A.shape[0] + p.E.shape[0]
+    out = solve_lp(p)
+    assert loops == ["primal", "primal"]
+    assert out.status == "optimal" and certificate_ok(p, out)
+    assert out.tableau.T.shape == (m + 1, p.n + m + 1)
+    # a budget probe re-solves over the same columns
+    loops.clear()
+    budget_row = inst.constraints.rows.r.size
+    q = p.with_rhs(np.where(np.arange(p.b.size) == budget_row, 4.0, p.b))
+    warm, cold = solve_lp(q, start=out), solve_lp(q)
+    assert loops == ["dual", "primal", "primal"]
+    assert warm.status == "optimal" and certificate_ok(q, warm)
+    assert warm.value == pytest.approx(cold.value, rel=1e-9, abs=1e-9)
+    assert warm.tableau.T.shape == out.tableau.T.shape
+
+
+def test_a_basic_artificial_on_a_redundant_row_stays_and_still_warm_starts(loops):
+    # the second equality row repeats the first: one of their artificial
+    # columns is still basic, at 0, after phase 1, so every artificial stays
+    p = LpProblem(c=[1.0, 1.0, 0.0], A=[[-1.0, 0.0, 1.0]], b=[-0.5],
+                  E=[[1.0, 1.0, 1.0], [1.0, 1.0, 1.0]], f=[2.0, 2.0], lo=np.zeros(3), hi=np.full(3, 3.0))
+    out = solve_lp(p)
+    n_art = 3                          # the short row and both equality rows
+    assert loops == ["primal", "primal"]
+    assert out.status == "optimal" and certificate_ok(p, out)
+    assert out.tableau.T.shape == (3 + 1, 3 + 3 + n_art + 1)
+    assert (out.tableau.basis >= 3 + 3).any()
+    for b in ([-1.0], [0.5], [-1.5]):
+        loops.clear()
+        q = p.with_rhs(b)
+        warm, cold = solve_lp(q, start=out), solve_lp(q)
+        assert loops[0] == "dual" and loops[1:] == ["primal", "primal"]
+        assert warm.status == cold.status == "optimal" and certificate_ok(q, warm)
+        assert warm.value == pytest.approx(cold.value, rel=1e-9, abs=1e-9)
+
+
 def _phase_one_lp(rng, redundant=True, mixed=False):
     """A feasible, bounded LP with mixed-sign rhs, equality rows (one of them
     redundant unless redundant=False) and a mix of finite and infinite lower
