@@ -49,8 +49,9 @@ from .model import (
     SeparableConvexPower,
     SolveReport,
     dump_instance,
-    load_instance,
+    instance_from_doc,
     norm_from_tag,
+    parse_document,
 )
 from .oracle import exact_solve
 
@@ -112,11 +113,10 @@ def _csv_text(rows: List[dict]) -> str:
 
 def _load_document(path: str):
     with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    doc = json.loads(text)
+        doc = parse_document(fh.read())
     if isinstance(doc, dict) and doc.get("type") == "elliptical_gaussian":
         return elliptical_from_doc(doc)
-    return load_instance(text)
+    return instance_from_doc(doc)
 
 
 def _run_method(problem, method: str, args) -> SolveReport:
@@ -420,7 +420,7 @@ def main(argv=None) -> int:
     except CcpError as exc:
         _print_error(exc)
         return EXIT_USAGE
-    except (OSError, json.JSONDecodeError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         _print_error(exc)
         return EXIT_USAGE
 

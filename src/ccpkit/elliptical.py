@@ -15,7 +15,6 @@ is a budget bisection around a supergradient ascent of the margin.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from time import perf_counter
@@ -31,7 +30,6 @@ from .errors import (
     NoFeasibleT,
     NonFinite,
     NormMismatch,
-    ParseError,
     ValidationError,
 )
 from .geometry import as_polyhedron
@@ -42,11 +40,12 @@ from .model import (
     Mahalanobis,
     NormSpec,
     SolveReport,
-    _set_from_doc,
-    _set_to_doc,
-    norm_from_tag,
-    norm_to_tag,
+    _mat,
+    _real,
+    from_doc,
+    parse_document,
     set_dim,
+    to_doc,
 )
 from .search import bisect_budget, bisect_from
 from .subgrad import feasible_start
@@ -92,12 +91,15 @@ class EllipticalCcp:
     wasserstein_norm: Optional[NormSpec] = None
 
     def __post_init__(self):
-        mu = np.asarray(self.mu, dtype=float)
-        sigma = np.asarray(self.sigma, dtype=float)
-        a = np.asarray(self.a, dtype=float)
-        a0 = np.asarray(self.a0, dtype=float)
-        b = np.asarray(self.b, dtype=float)
-        cost = np.asarray(self.cost, dtype=float)
+        if self.generator != "gaussian":
+            raise BackendUnavailable(f"no closed forms for generator {self.generator!r}")
+        mu = _mat(self.mu, "mu", 1)
+        sigma = _mat(self.sigma, "sigma", 2)
+        a = _mat(self.a, "a", 2)
+        a0 = _mat(self.a0, "a0", 1)
+        b = _mat(self.b, "b", 1)
+        cost = _mat(self.cost, "cost", 1)
+        epsilon = _real(self.epsilon, "epsilon")
         m = mu.shape[0]
         if sigma.shape != (m, m):
             raise ValidationError("sigma: shape must match mu")
@@ -111,17 +113,17 @@ class EllipticalCcp:
         n = a.shape[1]
         if a0.shape != (m,) or b.shape != (n,) or cost.shape != (n,):
             raise ValidationError("a0/b/cost: inconsistent shapes")
-        if not 0.0 < float(self.epsilon) < 1.0:
+        if not 0.0 < epsilon < 1.0:
             raise ValidationError("epsilon: must lie strictly inside (0, 1)")
         if self.x_set is not None and set_dim(self.x_set) != n:
             raise ValidationError("x_set: dimension differs from n")
-        if self.theta is not None and (not np.isfinite(self.theta) or self.theta < 0):
-            raise ValidationError("theta: must be >= 0")
+        if self.theta is not None:
+            _real(self.theta, "theta", 0.0)
         for name, val in (("mu", mu), ("sigma", sigma), ("a", a), ("a0", a0), ("b", b)):
             object.__setattr__(self, name, val)
         object.__setattr__(self, "cost", cost)
-        object.__setattr__(self, "b0", float(self.b0))
-        object.__setattr__(self, "epsilon", float(self.epsilon))
+        object.__setattr__(self, "b0", _real(self.b0, "b0"))
+        object.__setattr__(self, "epsilon", epsilon)
         object.__setattr__(self, "_chol", chol)
 
     @property
@@ -147,14 +149,8 @@ class EllipticalCcp:
         return mean, sd
 
 
-def _require_gaussian(ec: EllipticalCcp) -> None:
-    if ec.generator != "gaussian":
-        raise BackendUnavailable(f"no closed forms for generator {ec.generator!r}")
-
-
 def gaussian_hinge(ec: EllipticalCcp, x) -> float:
     """E[(g(x, xi))_+] in closed form; degenerates to (mean)_+ when sd = 0."""
-    _require_gaussian(ec)
     mean, sd = ec.loss_moments(x)
     if sd < 1e-15:
         return max(mean, 0.0)
@@ -163,7 +159,6 @@ def gaussian_hinge(ec: EllipticalCcp, x) -> float:
 
 
 def gaussian_hinge_gradient(ec: EllipticalCcp, x) -> np.ndarray:
-    _require_gaussian(ec)
     mean, sd = ec.loss_moments(x)
     mean_grad = ec.a.T @ ec.mu - ec.b
     if sd < 1e-15:
@@ -177,7 +172,6 @@ def gaussian_hinge_gradient(ec: EllipticalCcp, x) -> np.ndarray:
 
 def gaussian_violation(ec: EllipticalCcp, x) -> float:
     """P{g(x, xi) > 0}."""
-    _require_gaussian(ec)
     mean, sd = ec.loss_moments(x)
     if sd < 1e-15:
         return 0.0 if mean <= 0.0 else 1.0
@@ -190,7 +184,6 @@ def conic_margin(ec: EllipticalCcp, x) -> float:
     With sd = 0 the verdict is deterministic and the margin is +-inf by the
     sign of the mean.
     """
-    _require_gaussian(ec)
     mean, sd = ec.loss_moments(x)
     if sd < 1e-15:
         return np.inf if mean <= 0.0 else -np.inf
@@ -203,7 +196,6 @@ def robust_conic_margin(ec: EllipticalCcp, x) -> float:
     The ball must be measured in the Mahalanobis norm of this instance's
     sigma; the radius then simply inflates the quantile.
     """
-    _require_gaussian(ec)
     if ec.theta is None:
         raise ValidationError("robust margin needs a wasserstein radius theta")
     if not isinstance(ec.wasserstein_norm, Mahalanobis) or not np.allclose(
@@ -331,7 +323,6 @@ def exact_conic_solve(
     tol: float = 1e-7,
 ) -> Tuple[float, np.ndarray]:
     """Bisection on the budget against the concave margin; needs eps <= 1/2."""
-    _require_gaussian(ec)
     if ec.epsilon > 0.5:
         raise ValidationError("exact conic solve needs eps <= 1/2 (concave margin)")
     r = std_normal_quantile(1.0 - ec.epsilon)
@@ -364,7 +355,6 @@ def also_x_elliptical(
     become incumbents, so the report shows what the hinge scheme achieves,
     not the conic optimum.
     """
-    _require_gaussian(ec)
     start = perf_counter()
     margin = (lambda x: robust_conic_margin(ec, x)) if robust else (lambda x: conic_margin(ec, x))
 
@@ -395,67 +385,31 @@ def also_x_elliptical(
 
 def sample_losses(ec: EllipticalCcp, x, count: int, seed: int = 0) -> np.ndarray:
     """Monte-Carlo draws of g(x, xi); used to cross-check the closed forms."""
-    _require_gaussian(ec)
     rng = np.random.default_rng(seed)
     draws = rng.standard_normal((int(count), ec.mu.shape[0])) @ ec._chol.T + ec.mu
     return draws @ ec.a1(x) - ec.b1(x)
 
 
 # ---------------------------------------------------------------------------
-# serialization
+# serialization: one entry in the document tables of the model module. A
+# Mahalanobis ball writes its tag only and reads its matrix from "sigma".
+
+GAUSSIAN_TYPES = {
+    "elliptical_gaussian": (
+        EllipticalCcp,
+        ("mu", "sigma", "a", "a0", "b", "b0", "cost", "epsilon",
+         "x_set", "generator", "theta", "wasserstein_norm"),
+    ),
+}
 
 
 def elliptical_to_doc(ec: EllipticalCcp) -> dict:
-    doc = {
-        "type": "elliptical_gaussian",
-        "mu": ec.mu.tolist(),
-        "sigma": ec.sigma.tolist(),
-        "a": ec.a.tolist(),
-        "a0": ec.a0.tolist(),
-        "b": ec.b.tolist(),
-        "b0": ec.b0,
-        "cost": ec.cost.tolist(),
-        "epsilon": ec.epsilon,
-        "generator": ec.generator,
-    }
-    if ec.x_set is not None:
-        doc["x_set"] = _set_to_doc(ec.x_set)
-    if ec.theta is not None:
-        doc["theta"] = ec.theta
-    if ec.wasserstein_norm is not None:
-        doc["wasserstein_norm"] = norm_to_tag(ec.wasserstein_norm)
-    return doc
+    return to_doc(ec, GAUSSIAN_TYPES)
 
 
 def elliptical_from_doc(doc: dict) -> EllipticalCcp:
-    if doc.get("type") != "elliptical_gaussian":
-        raise ParseError(f"expected type 'elliptical_gaussian', got {doc.get('type')!r}")
-    for key in ("mu", "sigma", "a", "a0", "b", "b0", "cost", "epsilon"):
-        if key not in doc:
-            raise ParseError(f"elliptical document: missing key {key!r}")
-    norm = None
-    if "wasserstein_norm" in doc:
-        tag = doc["wasserstein_norm"]
-        norm = norm_from_tag(tag, doc["sigma"] if tag == "mahalanobis" else None)
-    return EllipticalCcp(
-        mu=doc["mu"],
-        sigma=doc["sigma"],
-        a=doc["a"],
-        a0=doc["a0"],
-        b=doc["b"],
-        b0=doc["b0"],
-        cost=doc["cost"],
-        epsilon=doc["epsilon"],
-        x_set=_set_from_doc(doc["x_set"]) if "x_set" in doc else None,
-        generator=doc.get("generator", "gaussian"),
-        theta=doc.get("theta"),
-        wasserstein_norm=norm,
-    )
+    return from_doc(doc, GAUSSIAN_TYPES, "elliptical document")
 
 
 def load_elliptical(text: str) -> EllipticalCcp:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON: {exc}") from exc
-    return elliptical_from_doc(doc)
+    return elliptical_from_doc(parse_document(text))

@@ -8,14 +8,16 @@ with scenario data stored per constraint-model variant. All types are
 immutable after construction and safe to share across threads; operations
 here are pure functions.
 
-Instance documents are JSON, schema described in the README. Probabilities
-default to equiprobable when the document omits them.
+Instance documents are JSON. The document tables at the end of this module
+(SET_TYPES, MODEL_TYPES, NORM_TYPES) are their schema, read and written by
+one codec, from_doc and to_doc. Probabilities default to equiprobable when
+the document omits them.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from typing import Optional, Tuple, Union
 
 import numpy as np
@@ -25,22 +27,39 @@ from .errors import ParseError, ValidationError
 _FEAS_TOL = 1e-12
 
 
-def _vec(a, name: str) -> np.ndarray:
-    out = np.asarray(a, dtype=float)
-    if out.ndim != 1:
-        raise ValidationError(f"{name}: expected a 1-d array, got shape {out.shape}")
-    if not np.all(np.isfinite(out)):
-        raise ValidationError(f"{name}: entries must be finite")
-    return out
-
-
-def _mat(a, name: str, ndim: int) -> np.ndarray:
-    out = np.asarray(a, dtype=float)
+def _mat(a, name: str, ndim: int, finite: bool = True) -> np.ndarray:
+    """a as a float array with ndim axes; ValidationError on ragged nesting,
+    entries that are not numbers (booleans and strings included), NaN, and
+    with finite, infinities."""
+    try:
+        raw = np.asarray(a)
+    except ValueError as exc:
+        raise ValidationError(f"{name}: not a rectangular array") from exc
+    if raw.dtype.kind not in "iuf":
+        raise ValidationError(f"{name}: entries must be numbers")
+    out = raw.astype(float, copy=False)
     if out.ndim != ndim:
         raise ValidationError(f"{name}: expected a {ndim}-d array, got shape {out.shape}")
-    if not np.all(np.isfinite(out)):
-        raise ValidationError(f"{name}: entries must be finite")
+    if np.any(~np.isfinite(out) if finite else np.isnan(out)):
+        raise ValidationError(f"{name}: {'non-finite' if finite else 'NaN'} entries")
     return out
+
+
+def _real(v, name: str, lo: float = -np.inf, hi: float = np.inf) -> float:
+    """v as a finite float in [lo, hi]; ValidationError on anything else,
+    booleans and strings included."""
+    out = float(_mat(v, name, 0))
+    if not lo <= out <= hi:
+        raise ValidationError(f"{name}: must lie in [{lo}, {hi}], got {out}")
+    return out
+
+
+def _count(v, name: str, lo: float = 0, hi: float = np.inf) -> int:
+    """v as an int in [lo, hi]; ValidationError on non-integral numbers too."""
+    out = _real(v, name, lo, hi)
+    if not out.is_integer():
+        raise ValidationError(f"{name}: expected an integer, got {v!r}")
+    return int(out)
 
 
 # ---------------------------------------------------------------------------
@@ -132,12 +151,10 @@ class Box:
     upper: np.ndarray
 
     def __post_init__(self):
-        lo = np.asarray(self.lower, dtype=float)
-        hi = np.asarray(self.upper, dtype=float)
-        if lo.ndim != 1 or lo.shape != hi.shape:
+        lo = _mat(self.lower, "box lower", 1, finite=False)
+        hi = _mat(self.upper, "box upper", 1, finite=False)
+        if lo.shape != hi.shape:
             raise ValidationError("box bounds: lower/upper must be matching vectors")
-        if np.any(np.isnan(lo)) or np.any(np.isnan(hi)):
-            raise ValidationError("box bounds: NaN entries")
         if np.any(lo > hi):
             raise ValidationError("box bounds: lower exceeds upper")
         object.__setattr__(self, "lower", lo)
@@ -157,7 +174,7 @@ class Halfspaces:
 
     def __post_init__(self):
         a = _mat(self.a, "a", 2)
-        b = _vec(self.b, "b")
+        b = _mat(self.b, "b", 1)
         if a.shape[0] != b.shape[0]:
             raise ValidationError("halfspaces: row counts of a and b differ")
         object.__setattr__(self, "a", a)
@@ -173,9 +190,7 @@ class NonNegOrthant:
     dim: int
 
     def __post_init__(self):
-        if int(self.dim) < 1:
-            raise ValidationError("orthant: dim must be >= 1")
-        object.__setattr__(self, "dim", int(self.dim))
+        object.__setattr__(self, "dim", _count(self.dim, "orthant: dim", 1))
 
 
 @dataclass(frozen=True, eq=False)
@@ -186,12 +201,8 @@ class Simplex:
     total: float = 1.0
 
     def __post_init__(self):
-        if int(self.dim) < 1:
-            raise ValidationError("simplex: dim must be >= 1")
-        if not np.isfinite(self.total) or self.total < 0:
-            raise ValidationError("simplex: total must be finite and >= 0")
-        object.__setattr__(self, "dim", int(self.dim))
-        object.__setattr__(self, "total", float(self.total))
+        object.__setattr__(self, "dim", _count(self.dim, "simplex: dim", 1))
+        object.__setattr__(self, "total", _real(self.total, "simplex: total", 0.0))
 
 
 @dataclass(frozen=True, eq=False)
@@ -203,7 +214,7 @@ class AffineEqualities:
 
     def __post_init__(self):
         u = _mat(self.u, "u", 2)
-        h = _vec(self.h, "h")
+        h = _mat(self.h, "h", 1)
         if u.shape[1] != h.shape[0]:
             raise ValidationError("affine equalities: column count of u != len(h)")
         object.__setattr__(self, "u", u)
@@ -223,10 +234,7 @@ class BinaryTiny:
     dim: int
 
     def __post_init__(self):
-        d = int(self.dim)
-        if not 1 <= d <= 20:
-            raise ValidationError("binary set: dim must be in [1, 20]")
-        object.__setattr__(self, "dim", d)
+        object.__setattr__(self, "dim", _count(self.dim, "binary set: dim", 1, 20))
 
 
 @dataclass(frozen=True, eq=False)
@@ -309,8 +317,24 @@ class AffineRows:
             raise ValidationError("constraint rows: each scenario needs at least one row")
 
 
+class _ScenarioShape:
+    """N and n of a constraint model: the first and last axes of its rows
+    (of its weights, for the power model, which has none)."""
+
+    @property
+    def scenario_count(self) -> int:
+        return self._shape()[0]
+
+    @property
+    def dim(self) -> int:
+        return self._shape()[-1]
+
+    def _shape(self):
+        return (self.weights if self.rows is None else self.rows.R).shape
+
+
 @dataclass(frozen=True, eq=False)
-class BiAffine:
+class BiAffine(_ScenarioShape):
     """Per scenario k: g(x, xi^k) = max_j (mats[k] x - offsets[k])_j."""
 
     mats: np.ndarray      # (N, I, n)
@@ -325,17 +349,9 @@ class BiAffine:
         object.__setattr__(self, "offsets", e)
         object.__setattr__(self, "rows", AffineRows(m, e))
 
-    @property
-    def scenario_count(self) -> int:
-        return self.mats.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.mats.shape[2]
-
 
 @dataclass(frozen=True, eq=False)
-class BiAffineEquality:
+class BiAffineEquality(_ScenarioShape):
     """Per scenario k: loss |d_k'x - e_k| (uncertain linear equality).
 
     Its rows are the pair d_k'x - e_k and e_k - d_k'x. The loss itself is
@@ -348,7 +364,7 @@ class BiAffineEquality:
 
     def __post_init__(self):
         d = _mat(self.d, "d", 2)
-        e = _vec(self.e, "e")
+        e = _mat(self.e, "e", 1)
         if d.shape[0] != e.shape[0]:
             raise ValidationError("equality model: d/e scenario counts differ")
         object.__setattr__(self, "d", d)
@@ -356,17 +372,9 @@ class BiAffineEquality:
         rows = AffineRows(np.stack([d, -d], axis=1), np.stack([e, -e], axis=1))
         object.__setattr__(self, "rows", rows)
 
-    @property
-    def scenario_count(self) -> int:
-        return self.d.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.d.shape[1]
-
 
 @dataclass(frozen=True, eq=False)
-class SeparableConvexPower:
+class SeparableConvexPower(_ScenarioShape):
     """g(x, xi^k) = sum_j weights[k,j] x_j^power - threshold, weights >= 0.
 
     Defined on x >= 0; evaluation clamps negative coordinates to the domain
@@ -381,28 +389,16 @@ class SeparableConvexPower:
     rows = None
 
     def __post_init__(self):
-        if not np.isfinite(self.power) or self.power < 1.0:
-            raise ValidationError("power model: power must be >= 1")
         w = _mat(self.weights, "weights", 2)
         if np.any(w < 0):
             raise ValidationError("power model: weights must be nonnegative")
-        if not np.isfinite(self.threshold):
-            raise ValidationError("power model: threshold must be finite")
-        object.__setattr__(self, "power", float(self.power))
+        object.__setattr__(self, "power", _real(self.power, "power model: power", 1.0))
         object.__setattr__(self, "weights", w)
-        object.__setattr__(self, "threshold", float(self.threshold))
-
-    @property
-    def scenario_count(self) -> int:
-        return self.weights.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.weights.shape[1]
+        object.__setattr__(self, "threshold", _real(self.threshold, "threshold"))
 
 
 @dataclass(frozen=True, eq=False)
-class Covering:
+class Covering(_ScenarioShape):
     """g(x, xi^k) = max_row (1 - mats[k] x) with mats >= 0 (normalized rhs);
     its rows are (-mats, -1)."""
 
@@ -415,17 +411,9 @@ class Covering:
         object.__setattr__(self, "mats", m)
         object.__setattr__(self, "rows", AffineRows(-m, -np.ones(m.shape[:2])))
 
-    @property
-    def scenario_count(self) -> int:
-        return self.mats.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.mats.shape[2]
-
 
 @dataclass(frozen=True, eq=False)
-class NormAugmented:
+class NormAugmented(_ScenarioShape):
     """Robustified rows: g(x, k) = theta ||x||_* + max_j (mats[k] x - offsets[k])_j.
 
     Produced by the Wasserstein robustification of bi-affine rows under the
@@ -442,20 +430,10 @@ class NormAugmented:
         e = _mat(self.offsets, "offsets", 2)
         if m.shape[:2] != e.shape:
             raise ValidationError("robust rows: mats/offsets scenario or row counts differ")
-        if not np.isfinite(self.theta) or self.theta < 0:
-            raise ValidationError("robust rows: theta must be >= 0")
         object.__setattr__(self, "mats", m)
         object.__setattr__(self, "offsets", e)
-        object.__setattr__(self, "theta", float(self.theta))
+        object.__setattr__(self, "theta", _real(self.theta, "robust rows: theta", 0.0))
         object.__setattr__(self, "rows", AffineRows(m, e, self.theta, self.norm))
-
-    @property
-    def scenario_count(self) -> int:
-        return self.mats.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.mats.shape[2]
 
 
 ConstraintModel = Union[BiAffine, BiAffineEquality, SeparableConvexPower, Covering, NormAugmented]
@@ -483,17 +461,18 @@ class CcpInstance:
     epsilon: float
 
     def __post_init__(self):
-        n = int(self.n)
-        count = int(self.scenario_count)
-        p = _vec(self.probabilities, "probabilities")
-        c = _vec(self.cost, "cost")
+        n = _count(self.n, "n")
+        count = _count(self.scenario_count, "scenario_count")
+        p = _mat(self.probabilities, "probabilities", 1)
+        c = _mat(self.cost, "cost", 1)
+        epsilon = _real(self.epsilon, "epsilon")
         if p.shape[0] != count:
             raise ValidationError("probabilities: length differs from scenario count")
         if np.any(p < 0):
             raise ValidationError("probabilities: entries must be >= 0")
         if abs(float(np.sum(p)) - 1.0) > _FEAS_TOL * max(1, count):
             raise ValidationError("probabilities: mass must sum to 1")
-        if not 0.0 < float(self.epsilon) < 1.0:
+        if not 0.0 < epsilon < 1.0:
             raise ValidationError("epsilon: must lie strictly inside (0, 1)")
         if c.shape[0] != n:
             raise ValidationError("cost: length differs from n")
@@ -503,11 +482,9 @@ class CcpInstance:
             raise ValidationError("constraints: decision dimension differs from n")
         if self.constraints.scenario_count != count:
             raise ValidationError("constraints: scenario count differs from N")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "scenario_count", count)
-        object.__setattr__(self, "probabilities", p)
-        object.__setattr__(self, "cost", c)
-        object.__setattr__(self, "epsilon", float(self.epsilon))
+        for name, value in (("n", n), ("scenario_count", count), ("probabilities", p),
+                            ("cost", c), ("epsilon", epsilon)):
+            object.__setattr__(self, name, value)
 
     @property
     def equiprobable(self) -> bool:
@@ -528,18 +505,7 @@ class SolveReport:
     wall_time: float
 
     def to_dict(self) -> dict:
-        return {
-            "method": self.method,
-            "t_star": self.t_star,
-            "x_star": [float(v) for v in np.asarray(self.x_star, dtype=float)],
-            "objective": self.objective,
-            "feasible": bool(self.feasible),
-            "violation_prob": self.violation_prob,
-            "iterations": int(self.iterations),
-            "lower_bound_used": self.lower_bound_used,
-            "upper_bound_used": self.upper_bound_used,
-            "wall_time": self.wall_time,
-        }
+        return {f.name: _plain(getattr(self, f.name)) for f in fields(self)}
 
 
 # ---------------------------------------------------------------------------
@@ -589,131 +555,131 @@ def is_feasible(instance: CcpInstance, x, tol_zero: Optional[float] = None) -> b
 
 # ---------------------------------------------------------------------------
 # serialization
+#
+# The tables are the document schema. Each maps a document "type" to its
+# class and to the document key of each constructor argument, in order;
+# to_doc and from_doc serve every table, the Gaussian one in elliptical.py
+# included.
+
+SET_TYPES = {
+    "box": (Box, ("lower", "upper")),
+    "halfspaces": (Halfspaces, ("a", "b")),
+    "nonneg": (NonNegOrthant, ("dim",)),
+    "simplex": (Simplex, ("dim", "total")),
+    "affine_eq": (AffineEqualities, ("u", "h")),
+    "binary": (BinaryTiny, ("dim",)),
+    "intersection": (Intersection, ("parts",)),
+}
+MODEL_TYPES = {
+    "biaffine": (BiAffine, ("d", "e")),
+    "biaffine_eq": (BiAffineEquality, ("d", "e")),
+    "separable_power": (SeparableConvexPower, ("power", "weights", "threshold")),
+    "covering": (Covering, ("a",)),
+    "norm_augmented": (NormAugmented, ("d", "e", "theta", "norm")),
+}
+NORM_TYPES = {
+    "l1": (L1, ()),
+    "l2": (L2, ()),
+    "linf": (LInf, ()),
+    "mahalanobis": (Mahalanobis, ("sigma",)),
+}
+_NESTED = {"x_set": SET_TYPES, "constraints": MODEL_TYPES}
+_NORM_KEYS = ("norm", "wasserstein_norm")
 
 
-def _set_to_doc(s: FeasibleSet) -> dict:
-    if isinstance(s, Box):
-        return {"type": "box", "lower": s.lower.tolist(), "upper": s.upper.tolist()}
-    if isinstance(s, Halfspaces):
-        return {"type": "halfspaces", "a": s.a.tolist(), "b": s.b.tolist()}
-    if isinstance(s, NonNegOrthant):
-        return {"type": "nonneg", "dim": s.dim}
-    if isinstance(s, Simplex):
-        return {"type": "simplex", "dim": s.dim, "total": s.total}
-    if isinstance(s, AffineEqualities):
-        return {"type": "affine_eq", "u": s.u.tolist(), "h": s.h.tolist()}
-    if isinstance(s, BinaryTiny):
-        return {"type": "binary", "dim": s.dim}
-    if isinstance(s, Intersection):
-        return {"type": "intersection", "parts": [_set_to_doc(p) for p in s.parts]}
-    raise ValidationError(f"unknown feasible set {type(s).__name__}")
+def _plain(value):
+    """JSON value of a field: arrays as lists, numpy scalars as Python ones."""
+    return value.tolist() if isinstance(value, (np.ndarray, np.generic)) else value
 
 
-def _set_from_doc(doc: dict) -> FeasibleSet:
-    kind = doc.get("type")
-    try:
-        if kind == "box":
-            return Box(doc["lower"], doc["upper"])
-        if kind == "halfspaces":
-            return Halfspaces(doc["a"], doc["b"])
-        if kind == "nonneg":
-            return NonNegOrthant(doc["dim"])
-        if kind == "simplex":
-            return Simplex(doc["dim"], doc.get("total", 1.0))
-        if kind == "affine_eq":
-            return AffineEqualities(doc["u"], doc["h"])
-        if kind == "binary":
-            return BinaryTiny(doc["dim"])
-        if kind == "intersection":
-            return Intersection(tuple(_set_from_doc(p) for p in doc["parts"]))
-    except KeyError as exc:
-        raise ParseError(f"x_set: missing key {exc}") from exc
-    raise ParseError(f"x_set: unknown type {kind!r}")
+def _encode(doc: dict, key: str, value) -> None:
+    if value is None:
+        return
+    if key in _NESTED:
+        doc[key] = to_doc(value, _NESTED[key])
+    elif key == "parts":
+        doc[key] = [to_doc(p, SET_TYPES) for p in value]
+    elif key in _NORM_KEYS:
+        # a norm is its tag; its matrix goes under "sigma" unless the
+        # document has a "sigma" of its own (the Gaussian covariance)
+        params = to_doc(value, NORM_TYPES)
+        doc[key] = params.pop("type")
+        for name, param in params.items():
+            doc.setdefault(name, param)
+    else:
+        doc[key] = _plain(value)
+
+
+def _decode(doc: dict, key: str):
+    value = doc[key]
+    if key in _NESTED:
+        return from_doc(value, _NESTED[key], key)
+    if key == "parts":
+        if not isinstance(value, list):
+            raise ParseError("x_set: parts must be a JSON list")
+        return tuple(from_doc(p, SET_TYPES, "x_set") for p in value)
+    if key in _NORM_KEYS:
+        return norm_from_tag(value, doc.get("sigma"))
+    return value
+
+
+def _object(doc, where: str) -> dict:
+    if not isinstance(doc, dict):
+        raise ParseError(f"{where}: expected a JSON object, got {type(doc).__name__}")
+    return doc
+
+
+def to_doc(obj, table: dict) -> dict:
+    """Document of obj under the table entry of its class; None fields are left out."""
+    for kind, (cls, keys) in table.items():
+        if type(obj) is cls:
+            break
+    else:
+        raise ValidationError(f"no document type for {type(obj).__name__}")
+    doc = {"type": kind}
+    for field, key in zip(fields(cls), keys):
+        _encode(doc, key, getattr(obj, field.name))
+    return doc
+
+
+def from_doc(doc, table: dict, where: str):
+    """Object of doc's "type" in the table; a missing or null key takes the
+    constructor's default, and ParseError names a node that is not an
+    object, an unknown type or a missing required key."""
+    kind = _object(doc, where).get("type")
+    if not isinstance(kind, str) or kind not in table:
+        raise ParseError(f"{where}: unknown type {kind!r}")
+    cls, keys = table[kind]
+    args = {}
+    for field, key in zip(fields(cls), keys):
+        if doc.get(key) is not None:
+            args[field.name] = _decode(doc, key)
+        elif field.default is MISSING:
+            raise ParseError(f"{where}: missing key {key!r}")
+    return cls(**args)
 
 
 def norm_to_tag(spec: NormSpec) -> str:
-    return {L1: "l1", L2: "l2", LInf: "linf", Mahalanobis: "mahalanobis"}[type(spec)]
+    return to_doc(spec, NORM_TYPES)["type"]
 
 
 def norm_from_tag(tag: str, sigma=None) -> NormSpec:
-    if tag == "l1":
-        return L1()
-    if tag == "l2":
-        return L2()
-    if tag == "linf":
-        return LInf()
-    if tag == "mahalanobis":
-        if sigma is None:
-            raise ParseError("mahalanobis norm requires a sigma matrix")
-        return Mahalanobis(np.asarray(sigma, dtype=float))
-    raise ParseError(f"unknown norm tag {tag!r}")
-
-
-def _model_to_doc(model: ConstraintModel) -> dict:
-    if isinstance(model, BiAffine):
-        return {"type": "biaffine", "d": model.mats.tolist(), "e": model.offsets.tolist()}
-    if isinstance(model, BiAffineEquality):
-        return {"type": "biaffine_eq", "d": model.d.tolist(), "e": model.e.tolist()}
-    if isinstance(model, SeparableConvexPower):
-        return {
-            "type": "separable_power",
-            "power": model.power,
-            "weights": model.weights.tolist(),
-            "threshold": model.threshold,
-        }
-    if isinstance(model, Covering):
-        return {"type": "covering", "a": model.mats.tolist()}
-    if isinstance(model, NormAugmented):
-        doc = {
-            "type": "norm_augmented",
-            "d": model.mats.tolist(),
-            "e": model.offsets.tolist(),
-            "theta": model.theta,
-            "norm": norm_to_tag(model.norm),
-        }
-        if isinstance(model.norm, Mahalanobis):
-            doc["sigma"] = model.norm.sigma.tolist()
-        return doc
-    raise ValidationError(f"unknown constraint model {type(model).__name__}")
-
-
-def _model_from_doc(doc: dict) -> ConstraintModel:
-    kind = doc.get("type")
-    try:
-        if kind == "biaffine":
-            return BiAffine(doc["d"], doc["e"])
-        if kind == "biaffine_eq":
-            return BiAffineEquality(doc["d"], doc["e"])
-        if kind == "separable_power":
-            return SeparableConvexPower(doc["power"], doc["weights"], doc["threshold"])
-        if kind == "covering":
-            return Covering(doc["a"])
-        if kind == "norm_augmented":
-            norm = norm_from_tag(doc["norm"], doc.get("sigma"))
-            return NormAugmented(doc["d"], doc["e"], doc["theta"], norm)
-    except KeyError as exc:
-        raise ParseError(f"constraints: missing key {exc}") from exc
-    raise ParseError(f"constraints: unknown type {kind!r}")
+    return from_doc({"type": tag, "sigma": sigma}, NORM_TYPES, f"{tag} norm")
 
 
 def instance_to_doc(instance: CcpInstance) -> dict:
-    return {
-        "n": instance.n,
-        "epsilon": instance.epsilon,
-        "cost": instance.cost.tolist(),
-        "probabilities": instance.probabilities.tolist(),
-        "x_set": _set_to_doc(instance.x_set),
-        "constraints": _model_to_doc(instance.constraints),
-    }
+    doc: dict = {}
+    for key in ("n", "epsilon", "cost", "probabilities", "x_set", "constraints"):
+        _encode(doc, key, getattr(instance, key))
+    return doc
 
 
 def instance_from_doc(doc: dict) -> CcpInstance:
-    if not isinstance(doc, dict):
-        raise ParseError("instance document must be a JSON object")
+    _object(doc, "instance document")
     for key in ("n", "epsilon", "cost", "x_set", "constraints"):
         if key not in doc:
             raise ParseError(f"instance document: missing key {key!r}")
-    model = _model_from_doc(doc["constraints"])
+    model = _decode(doc, "constraints")
     count = model.scenario_count
     probs = doc.get("probabilities")
     if probs is None:
@@ -723,18 +689,22 @@ def instance_from_doc(doc: dict) -> CcpInstance:
         scenario_count=count,
         probabilities=probs,
         constraints=model,
-        x_set=_set_from_doc(doc["x_set"]),
+        x_set=_decode(doc, "x_set"),
         cost=doc["cost"],
         epsilon=doc["epsilon"],
     )
 
 
-def load_instance(text: str) -> CcpInstance:
+def parse_document(text: str):
+    """The JSON value of a document's text; ParseError on invalid JSON."""
     try:
-        doc = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc}") from exc
-    return instance_from_doc(doc)
+
+
+def load_instance(text: str) -> CcpInstance:
+    return instance_from_doc(parse_document(text))
 
 
 def dump_instance(instance: CcpInstance) -> str:

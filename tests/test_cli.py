@@ -260,3 +260,58 @@ def test_elliptical_radius_requires_matching_norm(plane_path, capsys):
     captured = capsys.readouterr()
     assert code == 1
     assert json.loads(captured.err)["error"] == "NormMismatch"
+
+
+def _two_var_cover_doc():
+    return json.loads(dump_instance(make_two_var_cover()))
+
+
+@pytest.mark.parametrize(
+    "mutate",
+    [
+        lambda doc: doc.update(x_set=5),
+        lambda doc: doc.update(x_set="nonneg"),
+        lambda doc: doc.update(constraints=[1, 2]),
+        lambda doc: doc.update(x_set={"type": "intersection", "parts": 5}),
+        lambda doc: doc.update(x_set={"type": "intersection", "parts": [doc["x_set"], 5]}),
+    ],
+    ids=[
+        "x_set-number",
+        "x_set-string",
+        "constraints-list",
+        "parts-number",
+        "parts-member-number",
+    ],
+)
+def test_malformed_nodes_exit_one_with_a_parse_error(mutate, tmp_path, capsys):
+    doc = _two_var_cover_doc()
+    mutate(doc)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_json(["solve", "--instance", str(path), "--method", "alsox"], capsys)
+    assert code == 1
+    assert out is None
+    assert json.loads(err)["error"] == "ParseError"
+
+
+def test_invalid_json_is_a_parse_error(tmp_path, capsys):
+    path = tmp_path / "broken.json"
+    path.write_text('{"n": 2,')
+    code, out, err = run_json(["solve", "--instance", str(path), "--method", "cvar"], capsys)
+    assert code == 1
+    assert out is None
+    assert json.loads(err)["error"] == "ParseError"
+
+
+def test_unknown_gaussian_generator_exits_three(tmp_path, capsys):
+    doc = elliptical_to_doc(make_gaussian_plane())
+    doc["generator"] = "student"
+    path = tmp_path / "student.json"
+    path.write_text(json.dumps(doc))
+    for method in ("alsox", "oracle", "cvar"):
+        code, out, err = run_json(["solve", "--instance", str(path), "--method", method], capsys)
+        assert code == 3, method
+        assert out is None, method
+        error = json.loads(err)
+        assert error["error"] == "BackendUnavailable", method
+        assert "student" in error["message"], method

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ccpkit import (
+    BackendUnavailable,
     Mahalanobis,
     also_x_elliptical,
     conic_margin,
@@ -145,3 +146,12 @@ def test_document_round_trip(gaussian_plane, simplex_portfolio):
         assert gaussian_violation(again, x) == pytest.approx(
             gaussian_violation(ec, x), abs=1e-12
         )
+
+
+def test_only_the_gaussian_generator_constructs(gaussian_plane):
+    with pytest.raises(BackendUnavailable, match="student"):
+        replace(gaussian_plane, generator="student")
+    doc = elliptical_to_doc(gaussian_plane)
+    doc["generator"] = "student"
+    with pytest.raises(BackendUnavailable):
+        elliptical_from_doc(doc)

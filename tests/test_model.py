@@ -1,5 +1,7 @@
 """Model layer: constructors, losses, norms, serialization."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 from ccpkit import (
     BiAffine,
     BiAffineEquality,
+    BinaryTiny,
     Box,
     CcpInstance,
     Covering,
@@ -19,6 +22,7 @@ from ccpkit import (
     NormAugmented,
     ParseError,
     SeparableConvexPower,
+    Simplex,
     ValidationError,
     dual_norm,
     dual_norm_subgradient,
@@ -30,7 +34,7 @@ from ccpkit import (
 )
 from ccpkit.model import norm_from_tag, norm_to_tag
 
-from conftest import equiprobable, make_two_var_cover
+from conftest import equiprobable, load_document, make_two_var_cover
 
 
 def test_biaffine_losses_take_row_maximum():
@@ -203,6 +207,75 @@ def test_serialization_round_trip(finite_instances):
 def test_load_instance_rejects_junk():
     with pytest.raises(ParseError):
         load_instance("not json at all {")
+
+
+def _document(name, **changes):
+    doc = json.loads(dump_instance(load_document(name)))
+    for key, value in changes.items():
+        if key == "dim":
+            doc["x_set"][key] = value
+        else:
+            doc[key] = value
+    return json.dumps(doc)
+
+
+@pytest.mark.parametrize(
+    "name,changes",
+    [
+        ("two_var_cover", {"cost": ["a", "b"]}),
+        ("two_var_cover", {"cost": [True, False]}),
+        ("two_var_cover", {"cost": [[1.0], 1.0]}),
+        ("two_var_cover", {"probabilities": ["0.5", "0.25", "0.25"]}),
+        ("two_var_cover", {"epsilon": "x"}),
+        ("two_var_cover", {"n": 2.7}),
+        ("two_var_cover", {"n": "2"}),
+        ("scalar_chain", {"n": True}),
+        ("two_var_cover", {"dim": 2.5}),
+        ("scalar_chain", {"dim": True}),
+    ],
+    ids=[
+        "cost-strings",
+        "cost-booleans",
+        "cost-ragged",
+        "probabilities-strings",
+        "epsilon-string",
+        "n-fraction",
+        "n-string",
+        "n-boolean",
+        "dim-fraction",
+        "dim-boolean",
+    ],
+)
+def test_non_numeric_and_non_integral_values_are_validation_errors(name, changes):
+    with pytest.raises(ValidationError):
+        load_instance(_document(name, **changes))
+
+
+@pytest.mark.parametrize(
+    "lower,upper",
+    [(["a"], ["b"]), ([0.0], [[1.0], 2.0]), ([False], [True])],
+    ids=["strings", "ragged", "booleans"],
+)
+def test_box_rejects_non_numeric_bounds(lower, upper):
+    with pytest.raises(ValidationError):
+        Box(lower, upper)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: Simplex(True, 1.0),
+        lambda: Simplex(2, "1"),
+        lambda: BinaryTiny(1.5),
+        lambda: NonNegOrthant(True),
+        lambda: SeparableConvexPower("2", np.ones((1, 1)), 1.0),
+        lambda: NormAugmented(np.ones((1, 1, 1)), np.ones((1, 1)), "0.1", LInf()),
+    ],
+    ids=["simplex-dim", "simplex-total", "binary-dim", "orthant-dim", "power", "theta"],
+)
+def test_set_and_model_scalars_are_checked(make):
+    with pytest.raises(ValidationError):
+        make()
 
 
 @given(
