@@ -39,7 +39,6 @@ from .errors import (
     NoFeasibleT,
     NormMismatch,
 )
-from .geometry import has_binary
 from .model import (
     BiAffine,
     Box,
@@ -125,10 +124,15 @@ def _run_method(problem, method: str, args) -> SolveReport:
     instance = problem
     theta = getattr(args, "theta", None)
     if theta is not None:
+        tag = getattr(args, "norm", None) or "linf"
+        if tag == "mahalanobis":
+            raise NormMismatch(
+                "--norm mahalanobis needs a covariance: finite-scenario documents have none"
+            )
         spec = DrccpSpec(
             instance,
             theta,
-            norm_from_tag(getattr(args, "norm", None) or "linf"),
+            norm_from_tag(tag),
             getattr(args, "mode", None) or "dual",
         )
         instance = robustify(spec)
@@ -234,7 +238,7 @@ def cmd_compare(args) -> int:
             if row["method"] != "cvar" and "objective" in row:
                 row["improvement_pct"] = (v_cvar - row["objective"]) / abs(v_cvar) * 100.0
     doc = {"instance": args.instance, "results": rows}
-    convex = isinstance(problem, EllipticalCcp) or not has_binary(problem.x_set)
+    convex = isinstance(problem, EllipticalCcp) or not problem.x_set.binary
     if convex and "alsox" in values and v_cvar is not None:
         ordered = values["alsox"] <= v_cvar + args.delta1
         if "alsoxplus" in values:

@@ -20,7 +20,7 @@ from typing import Iterable, List, Optional
 import numpy as np
 
 from .errors import BackendUnavailable, BadStart, Infeasible, NoConvergence, NonFinite, ValidationError
-from .geometry import dykstra_project, flatten_set, has_binary
+from .geometry import dykstra_project
 from .lowerlevel import _scenario_lp, _slack_rows, lattice_argmin
 from .lp import LpOutcome, LpProblem, solve_lp
 from .model import (
@@ -29,7 +29,6 @@ from .model import (
     SolveReport,
     default_zero_tol,
     is_feasible,
-    set_contains,
     violation_probability,
 )
 from .search import bisect_budget
@@ -87,8 +86,8 @@ def relax_and_scale(instance: CcpInstance) -> SolveReport:
     rel = covering_relaxation(instance)
     scale = float(np.floor(instance.scenario_count * instance.epsilon)) + 1.0
     x = scale * rel.x
-    if not set_contains(instance.x_set, x):
-        x = dykstra_project(list(flatten_set(instance.x_set)), x)
+    if not instance.x_set.contains(x):
+        x = dykstra_project([instance.x_set], x)
     if not is_feasible(instance, x):
         raise Infeasible("relax-and-scale: scaled point failed the chance constraint")
     value = float(instance.cost @ x)
@@ -248,7 +247,7 @@ def subset_min_cost(
     keep = list(keep)
     if chain is not None and chain.instance is not instance:
         raise ValidationError("subset_min_cost: the chain belongs to another instance")
-    if has_binary(instance.x_set):
+    if instance.x_set.binary:
         pair = _subset_min_cost_enum(instance, keep)
     else:
         try:
@@ -267,7 +266,7 @@ def scenario_costs(
     On a binary X one lattice pass scores every scenario at once; on any
     other X each h_k is its own subset_min_cost solve.
     """
-    if has_binary(instance.x_set):
+    if instance.x_set.binary:
         tol = default_zero_tol(instance)
 
         def kept_costs(points, costs, losses):

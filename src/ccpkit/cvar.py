@@ -25,7 +25,6 @@ from typing import Optional
 import numpy as np
 
 from .errors import BackendUnavailable, BadStart, Infeasible, NonFinite
-from .geometry import has_binary
 from .lowerlevel import _scenario_lp, _slack_rows, lattice_argmin
 from .lp import LpProblem, solve_lp
 from .model import CcpInstance, SolveReport, is_feasible, violation_probability
@@ -119,7 +118,7 @@ def cvar_solution(
     """Minimize c'x under the tail condition; raises Infeasible when empty."""
     start = perf_counter()
     found = None
-    if has_binary(instance.x_set):
+    if instance.x_set.binary:
         found = _cvar_enum(instance)
     elif backend != "sgd":
         found = _cvar_lp(instance)
@@ -162,7 +161,7 @@ def cvar_lower_value(
     sgd_config: Optional[SgdConfig] = None,
 ) -> float:
     """Tail lower-level value at budget t, clamped below at zero."""
-    if has_binary(instance.x_set):
+    if instance.x_set.binary:
         cap = t + 1e-9 * (1.0 + abs(t))
         eps = instance.epsilon
 

@@ -5,7 +5,7 @@ Every distribution within transport radius theta of the empirical one
 chance constraint. Two reductions bring this back to a plain scenario
 instance:
 
-  dual   g_k(x) + theta * dual_norm(x-gradient of the scenario row)
+  dual   g_k(x) + theta * ||x-gradient of the scenario row||_*
          for bi-affine rows, handled by the norm-augmented model;
   shift  move each scenario itself to its worst position, valid when
          the loss is monotone in xi (sup-norm ball, componentwise worst
@@ -30,7 +30,6 @@ from .alsox import also_x
 from .alsoxplus import also_x_plus
 from .cvar import cvar_solution
 from .errors import ModeMismatch, NormMismatch, ValidationError
-from .geometry import as_polyhedron, has_binary
 from .model import (
     BiAffine,
     CcpInstance,
@@ -78,7 +77,7 @@ def robustify(spec: DrccpSpec) -> CcpInstance:
             new = SeparableConvexPower(model.power, model.weights + theta, model.threshold)
         elif isinstance(model, BiAffine):
             # x >= 0 on the whole domain: a lattice, or lower bounds >= 0
-            if not (has_binary(base.x_set) or np.all(as_polyhedron(base.x_set)[4] >= 0.0)):
+            if not (base.x_set.binary or np.all(base.x_set.polyhedron()[4] >= 0.0)):
                 raise ModeMismatch(
                     "componentwise worst case needs x >= 0 baked into the domain"
                 )

@@ -32,7 +32,6 @@ from .errors import (
     NormMismatch,
     ValidationError,
 )
-from .geometry import as_polyhedron
 from .lp import LpProblem, solve_lp
 from .model import (
     Box,
@@ -44,7 +43,6 @@ from .model import (
     _real,
     from_doc,
     parse_document,
-    set_dim,
     to_doc,
 )
 from .search import bisect_budget, bisect_from
@@ -103,11 +101,9 @@ class EllipticalCcp:
         m = mu.shape[0]
         if sigma.shape != (m, m):
             raise ValidationError("sigma: shape must match mu")
-        sigma = 0.5 * (sigma + sigma.T)
-        try:
-            chol = np.linalg.cholesky(sigma)
-        except np.linalg.LinAlgError:
-            raise ValidationError("sigma: not positive definite")
+        # sigma must pass as the Mahalanobis norm a Wasserstein radius puts on it
+        norm = Mahalanobis(sigma)
+        sigma, chol = norm.sigma, norm._chol
         if a.ndim != 2 or a.shape[0] != m:
             raise ValidationError("a: shape must be (len(mu), n)")
         n = a.shape[1]
@@ -115,7 +111,7 @@ class EllipticalCcp:
             raise ValidationError("a0/b/cost: inconsistent shapes")
         if not 0.0 < epsilon < 1.0:
             raise ValidationError("epsilon: must lie strictly inside (0, 1)")
-        if self.x_set is not None and set_dim(self.x_set) != n:
+        if self.x_set is not None and self.x_set.dim != n:
             raise ValidationError("x_set: dimension differs from n")
         if self.theta is not None:
             _real(self.theta, "theta", 0.0)
@@ -238,7 +234,7 @@ def _cutting_planes(ec: EllipticalCcp, t: float, oracle, sense: int, eta_lo: flo
     """
     x = feasible_start(ec.domain(), ec.cost, t)
     n = ec.n
-    xA, xb, xE, xf, lo, hi = as_polyhedron(ec.domain())
+    xA, xb, xE, xf, lo, hi = ec.domain().polyhedron()
     if np.isfinite(t) and float(np.linalg.norm(ec.cost)) > 0.0:
         xA, xb = np.vstack([xA, ec.cost]), np.append(xb, t)
     base = np.hstack([xA, np.zeros((xA.shape[0], 1))])

@@ -34,13 +34,12 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from .errors import BackendUnavailable, BadStart, NoConvergence, NonFinite, UnsupportedSet
-from .geometry import as_polyhedron, dykstra_project, flatten_set, has_binary
+from .geometry import dykstra_project
 from .lp import LpOutcome, LpProblem, solve_lp
 from .model import (
     AffineEqualities,
     AffineRows,
     BiAffineEquality,
-    BinaryTiny,
     Box,
     CcpInstance,
     Halfspaces,
@@ -49,7 +48,6 @@ from .model import (
     LInf,
     _times,
     scenario_losses,
-    set_contains,
 )
 from .subgrad import SgdConfig, solve_hinge_sgd
 
@@ -116,7 +114,7 @@ def _scenario_lp(
     zero-filled copy.
     """
     rows = _lp_rows(instance.constraints)
-    xA, xb, xE, xf, lo, hi = as_polyhedron(instance.x_set)
+    xA, xb, xE, xf, lo, hi = instance.x_set.polyhedron()
     if x_lo is not None:
         lo = np.maximum(lo, x_lo)
     theta, R = rows.theta, rows.R[keep]
@@ -214,7 +212,7 @@ def lattice_argmin(instance: CcpInstance, score):
     pairs or None. Every block is built, filtered by X and scored once, so
     K minima cost one scan of the lattice rather than K.
     """
-    if sum(isinstance(p, BinaryTiny) for p in flatten_set(instance.x_set)) != 1:
+    if sum(p.binary for p in instance.x_set.pieces()) != 1:
         raise BackendUnavailable("lattice scan: needs exactly one binary set")
     n = instance.n
     shifts = np.arange(n - 1, -1, -1)
@@ -222,7 +220,7 @@ def lattice_argmin(instance: CcpInstance, score):
     for first in range(0, 2**n, _LATTICE_BLOCK):
         codes = np.arange(first, min(first + _LATTICE_BLOCK, 2**n))
         points = ((codes[:, None] >> shifts) & 1).astype(float)
-        points = points[set_contains(instance.x_set, points)]
+        points = points[instance.x_set.contains(points)]
         values = score(points, _times(instance.cost, points), scenario_losses(instance, points))
         columns = values[:, None] if values.ndim == 1 else values
         if best is None:
@@ -254,7 +252,7 @@ def _solve_hinge_enum(instance: CcpInstance, t: float, z: np.ndarray) -> LowerLe
 
 
 def pick_backend(instance: CcpInstance) -> str:
-    if has_binary(instance.x_set):
+    if instance.x_set.binary:
         return "enum"
     if isinstance(instance.constraints, BiAffineEquality):
         return "lp"
@@ -329,9 +327,9 @@ class AmResult:
 def _face_pieces(instance: CcpInstance, t: float, z: np.ndarray):
     """Affine pieces of {x in X, c'x <= t, g_k(x) <= 0 for z_k > 0} or None."""
     rows = instance.constraints.rows
-    if rows is None or rows.theta != 0.0 or has_binary(instance.x_set):
+    if rows is None or rows.theta != 0.0 or instance.x_set.binary:
         return None
-    pieces = list(flatten_set(instance.x_set))
+    pieces = instance.x_set.pieces()
     if np.isfinite(t):
         pieces.append(Halfspaces(instance.cost[None, :], np.array([t])))
     for k in np.nonzero(z > 0.0)[0]:
@@ -345,7 +343,7 @@ def _exact_face_polish(instance, t, z, x) -> Optional[np.ndarray]:
         return None
     # Dykstra cannot converge on an empty face and would spend its whole
     # sweep budget finding that out; one feasibility LP proves it at once
-    A, b, E, f, lo, hi = as_polyhedron(Intersection(pieces))
+    A, b, E, f, lo, hi = Intersection(pieces).polyhedron()
     if solve_lp(LpProblem(np.zeros(instance.n), A, b, E, f, lo, hi)).status == "infeasible":
         return None
     try:

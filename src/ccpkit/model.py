@@ -8,6 +8,10 @@ with scenario data stored per constraint-model variant. All types are
 immutable after construction and safe to share across threads; operations
 here are pure functions.
 
+Each feasible set answers for itself what the solvers ask of X: contains,
+project, pieces (for geometry.dykstra_project), polyhedron and binary. Each
+norm answers for its dual: dual and dual_subgradient.
+
 Instance documents are JSON. The document tables at the end of this module
 (SET_TYPES, MODEL_TYPES, NORM_TYPES) are their schema, read and written by
 one codec, from_doc and to_doc. Probabilities default to equiprobable when
@@ -22,7 +26,7 @@ from typing import Optional, Tuple, Union
 
 import numpy as np
 
-from .errors import ParseError, ValidationError
+from .errors import ParseError, UnsupportedSet, ValidationError
 
 _FEAS_TOL = 1e-12
 
@@ -68,17 +72,44 @@ def _count(v, name: str, lo: float = 0, hi: float = np.inf) -> int:
 
 @dataclass(frozen=True, eq=False)
 class L1:
-    pass
+    """Norm ||y||_1; its dual is the sup norm."""
+
+    def dual(self, y) -> float:
+        y = np.asarray(y, dtype=float)
+        return float(np.max(np.abs(y))) if y.size else 0.0
+
+    def dual_subgradient(self, y) -> np.ndarray:
+        """One subgradient of y -> dual(y); zero vector at the kink y = 0."""
+        y = np.asarray(y, dtype=float)
+        g = np.zeros_like(y)
+        j = int(np.argmax(np.abs(y)))
+        if abs(y[j]) > 0.0:
+            g[j] = np.sign(y[j])
+        return g
 
 
 @dataclass(frozen=True, eq=False)
 class L2:
-    pass
+    """Euclidean norm, its own dual."""
+
+    def dual(self, y) -> float:
+        return float(np.linalg.norm(np.asarray(y, dtype=float)))
+
+    def dual_subgradient(self, y) -> np.ndarray:
+        y = np.asarray(y, dtype=float)
+        nrm = np.linalg.norm(y)
+        return y / nrm if nrm > 0.0 else np.zeros_like(y)
 
 
 @dataclass(frozen=True, eq=False)
 class LInf:
-    pass
+    """Sup norm; its dual is the 1-norm."""
+
+    def dual(self, y) -> float:
+        return float(np.sum(np.abs(np.asarray(y, dtype=float))))
+
+    def dual_subgradient(self, y) -> np.ndarray:
+        return np.sign(np.asarray(y, dtype=float))
 
 
 @dataclass(frozen=True, eq=False)
@@ -101,50 +132,58 @@ class Mahalanobis:
         object.__setattr__(self, "sigma", s)
         object.__setattr__(self, "_chol", chol)
 
+    def dual(self, y) -> float:
+        y = np.asarray(y, dtype=float)
+        return float(np.sqrt(max(y @ self.sigma @ y, 0.0)))
+
+    def dual_subgradient(self, y) -> np.ndarray:
+        y = np.asarray(y, dtype=float)
+        val = self.dual(y)
+        return (self.sigma @ y) / val if val > 0.0 else np.zeros_like(y)
+
 
 NormSpec = Union[L1, L2, LInf, Mahalanobis]
-
-
-def dual_norm(spec: NormSpec, y) -> float:
-    """Dual norm ||y||_* of the given norm."""
-    y = np.asarray(y, dtype=float)
-    if isinstance(spec, L1):
-        return float(np.max(np.abs(y))) if y.size else 0.0
-    if isinstance(spec, L2):
-        return float(np.linalg.norm(y))
-    if isinstance(spec, LInf):
-        return float(np.sum(np.abs(y)))
-    if isinstance(spec, Mahalanobis):
-        return float(np.sqrt(max(y @ spec.sigma @ y, 0.0)))
-    raise ValidationError(f"unknown norm spec {type(spec).__name__}")
-
-
-def dual_norm_subgradient(spec: NormSpec, y) -> np.ndarray:
-    """One subgradient of y -> ||y||_*; zero vector at the kink y = 0."""
-    y = np.asarray(y, dtype=float)
-    if isinstance(spec, L1):
-        g = np.zeros_like(y)
-        j = int(np.argmax(np.abs(y)))
-        if abs(y[j]) > 0.0:
-            g[j] = np.sign(y[j])
-        return g
-    if isinstance(spec, L2):
-        nrm = np.linalg.norm(y)
-        return y / nrm if nrm > 0.0 else np.zeros_like(y)
-    if isinstance(spec, LInf):
-        return np.sign(y)
-    if isinstance(spec, Mahalanobis):
-        val = dual_norm(spec, y)
-        return (spec.sigma @ y) / val if val > 0.0 else np.zeros_like(y)
-    raise ValidationError(f"unknown norm spec {type(spec).__name__}")
 
 
 # ---------------------------------------------------------------------------
 # feasible sets
 
 
+class _Set:
+    """What every solver asks of X: membership (contains), exact projection
+    (project), the primitives Dykstra sweeps over (pieces), rows and bounds
+    (polyhedron(); UnsupportedSet for a lattice), and whether its points are
+    a lattice (binary)."""
+
+    binary = False
+
+    def contains(self, x, tol: float = 1e-7):
+        """Membership of x; for a (B, n) block of points, a bool per row."""
+        x = np.asarray(x, dtype=float)
+        inside = self._inside(x, tol)
+        return bool(inside) if x.ndim == 1 else inside
+
+    def project(self, y) -> np.ndarray:
+        """Exact Euclidean projection of y; UnsupportedSet for a set that
+        needs geometry.dykstra_project over its pieces."""
+        return self._project(np.asarray(y, dtype=float))
+
+    def pieces(self) -> list:
+        """A fresh list of primitives whose project is exact and whose
+        intersection is this set."""
+        return [self]
+
+    def _free(self):
+        """The polyhedron of R^dim, the start of every set's polyhedron():
+        fresh arrays (A, b, E, f, lo, hi) for A x <= b, E x = f, lo <= x <= hi,
+        here with no rows and infinite bounds."""
+        n = self.dim
+        return (np.zeros((0, n)), np.zeros(0), np.zeros((0, n)), np.zeros(0),
+                np.full(n, -np.inf), np.full(n, np.inf))
+
+
 @dataclass(frozen=True, eq=False)
-class Box:
+class Box(_Set):
     """Bounds may be infinite; a fully free variable is lower=-inf, upper=+inf."""
 
     lower: np.ndarray
@@ -157,6 +196,10 @@ class Box:
             raise ValidationError("box bounds: lower/upper must be matching vectors")
         if np.any(lo > hi):
             raise ValidationError("box bounds: lower exceeds upper")
+        if np.any(lo == np.inf) or np.any(hi == -np.inf):
+            raise ValidationError(
+                "box bounds: a lower bound of +inf or an upper bound of -inf admits no point"
+            )
         object.__setattr__(self, "lower", lo)
         object.__setattr__(self, "upper", hi)
 
@@ -164,9 +207,19 @@ class Box:
     def dim(self) -> int:
         return self.lower.shape[0]
 
+    def _inside(self, x, tol):
+        return np.all((x >= self.lower - tol) & (x <= self.upper + tol), axis=-1)
+
+    def _project(self, y):
+        return np.clip(y, self.lower, self.upper)
+
+    def polyhedron(self):
+        A, b, E, f, _, _ = self._free()
+        return A, b, E, f, self.lower.copy(), self.upper.copy()
+
 
 @dataclass(frozen=True, eq=False)
-class Halfspaces:
+class Halfspaces(_Set):
     """Rows a_i'x <= b_i."""
 
     a: np.ndarray
@@ -184,17 +237,50 @@ class Halfspaces:
     def dim(self) -> int:
         return self.a.shape[1]
 
+    def _inside(self, x, tol):
+        return np.all(_times(self.a, x) <= self.b + tol, axis=-1)
+
+    def _project(self, y):
+        if self.a.shape[0] != 1:
+            raise UnsupportedSet("multi-row halfspace system: use dykstra_project")
+        a = self.a[0]
+        slack = float(a @ y - self.b[0])
+        nrm2 = float(a @ a)
+        if slack <= 0.0 or nrm2 == 0.0:
+            return y.copy()
+        return y - (slack / nrm2) * a
+
+    def pieces(self) -> list:
+        """One single-row Halfspaces per row."""
+        if self.a.shape[0] > 1:
+            return [Halfspaces(self.a[i : i + 1], self.b[i : i + 1]) for i in range(self.a.shape[0])]
+        return [self]
+
+    def polyhedron(self):
+        _, _, E, f, lo, hi = self._free()
+        return self.a.copy(), self.b.copy(), E, f, lo, hi
+
 
 @dataclass(frozen=True, eq=False)
-class NonNegOrthant:
+class NonNegOrthant(_Set):
     dim: int
 
     def __post_init__(self):
         object.__setattr__(self, "dim", _count(self.dim, "orthant: dim", 1))
 
+    def _inside(self, x, tol):
+        return np.all(x >= -tol, axis=-1)
+
+    def _project(self, y):
+        return np.maximum(y, 0.0)
+
+    def polyhedron(self):
+        A, b, E, f, _, hi = self._free()
+        return A, b, E, f, np.zeros(self.dim), hi
+
 
 @dataclass(frozen=True, eq=False)
-class Simplex:
+class Simplex(_Set):
     """{x >= 0, sum x = total}."""
 
     dim: int
@@ -204,9 +290,26 @@ class Simplex:
         object.__setattr__(self, "dim", _count(self.dim, "simplex: dim", 1))
         object.__setattr__(self, "total", _real(self.total, "simplex: total", 0.0))
 
+    def _inside(self, x, tol):
+        return np.all(x >= -tol, axis=-1) & (np.abs(np.sum(x, axis=-1) - self.total) <= tol)
+
+    def _project(self, y):
+        # sort and threshold
+        u = np.sort(y)[::-1]
+        css = np.cumsum(u) - self.total
+        ks = np.arange(1, y.shape[0] + 1)
+        cond = u - css / ks > 0
+        rho = int(np.nonzero(cond)[0][-1]) + 1 if np.any(cond) else 1
+        tau = css[rho - 1] / rho
+        return np.maximum(y - tau, 0.0)
+
+    def polyhedron(self):
+        A, b, _, _, _, hi = self._free()
+        return A, b, np.ones((1, self.dim)), np.array([self.total]), np.zeros(self.dim), hi
+
 
 @dataclass(frozen=True, eq=False)
-class AffineEqualities:
+class AffineEqualities(_Set):
     """{x : U'x = h}; u has shape (dim, m), one column per equality."""
 
     u: np.ndarray
@@ -226,40 +329,83 @@ class AffineEqualities:
     def dim(self) -> int:
         return self.u.shape[0]
 
+    def _inside(self, x, tol):
+        return np.all(np.abs(_times(self.u.T, x) - self.h) <= tol, axis=-1)
+
+    def _project(self, y):
+        # x = y - pinv(U') (U'y - h)
+        return y - self._pinv_ut @ (self.u.T @ y - self.h)
+
+    def polyhedron(self):
+        A, b, _, _, lo, hi = self._free()
+        return A, b, self.u.T.copy(), self.h.copy(), lo, hi
+
 
 @dataclass(frozen=True, eq=False)
-class BinaryTiny:
+class BinaryTiny(_Set):
     """{0,1}^dim with dim <= 20 (enumeration cap)."""
 
     dim: int
 
+    binary = True
+
     def __post_init__(self):
         object.__setattr__(self, "dim", _count(self.dim, "binary set: dim", 1, 20))
 
+    def _inside(self, x, tol):
+        return np.all(np.minimum(np.abs(x), np.abs(x - 1.0)) <= tol, axis=-1)
+
+    def _project(self, y):
+        return np.where(y >= 0.5, 1.0, 0.0)
+
+    def polyhedron(self):
+        raise UnsupportedSet("no polyhedral description for BinaryTiny")
+
 
 @dataclass(frozen=True, eq=False)
-class Intersection:
+class Intersection(_Set):
     parts: Tuple
 
     def __post_init__(self):
         parts = tuple(self.parts)
         if not parts:
             raise ValidationError("intersection: needs at least one member")
-        dims = {set_dim(p) for p in parts}
+        dims = {p.dim for p in parts}
         if len(dims) != 1:
             raise ValidationError(f"intersection: members disagree on dimension {dims}")
         object.__setattr__(self, "parts", parts)
 
     @property
     def dim(self) -> int:
-        return set_dim(self.parts[0])
+        return self.parts[0].dim
+
+    @property
+    def binary(self) -> bool:
+        return any(p.binary for p in self.parts)
+
+    def _inside(self, x, tol):
+        return np.logical_and.reduce([p._inside(x, tol) for p in self.parts])
+
+    def _project(self, y):
+        raise UnsupportedSet("intersection: use dykstra_project")
+
+    def pieces(self) -> list:
+        return [q for p in self.parts for q in p.pieces()]
+
+    def polyhedron(self):
+        A, b, E, f, lo, hi = self._free()
+        for p in self.parts:
+            pA, pb, pE, pf, plo, phi = p.polyhedron()
+            A = np.vstack([A, pA])
+            b = np.concatenate([b, pb])
+            E = np.vstack([E, pE])
+            f = np.concatenate([f, pf])
+            lo = np.maximum(lo, plo)
+            hi = np.minimum(hi, phi)
+        return A, b, E, f, lo, hi
 
 
 FeasibleSet = Union[Box, Halfspaces, NonNegOrthant, Simplex, AffineEqualities, BinaryTiny, Intersection]
-
-
-def set_dim(s: FeasibleSet) -> int:
-    return s.dim
 
 
 def _times(m: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -269,28 +415,6 @@ def _times(m: np.ndarray, x: np.ndarray) -> np.ndarray:
         return m @ x
     column = x.reshape((x.shape[0],) + (1,) * max(m.ndim - 2, 0) + (x.shape[1], 1))
     return (m @ column)[..., 0]
-
-
-def set_contains(s: FeasibleSet, x, tol: float = 1e-7):
-    """Membership of x; for a (B, n) block of points, a bool per row."""
-    x = np.asarray(x, dtype=float)
-    if isinstance(s, Box):
-        inside = np.all((x >= s.lower - tol) & (x <= s.upper + tol), axis=-1)
-    elif isinstance(s, Halfspaces):
-        inside = np.all(_times(s.a, x) <= s.b + tol, axis=-1)
-    elif isinstance(s, NonNegOrthant):
-        inside = np.all(x >= -tol, axis=-1)
-    elif isinstance(s, Simplex):
-        inside = np.all(x >= -tol, axis=-1) & (np.abs(np.sum(x, axis=-1) - s.total) <= tol)
-    elif isinstance(s, AffineEqualities):
-        inside = np.all(np.abs(_times(s.u.T, x) - s.h) <= tol, axis=-1)
-    elif isinstance(s, BinaryTiny):
-        inside = np.all(np.minimum(np.abs(x), np.abs(x - 1.0)) <= tol, axis=-1)
-    elif isinstance(s, Intersection):
-        inside = np.logical_and.reduce([set_contains(p, x, tol) for p in s.parts])
-    else:
-        raise ValidationError(f"unknown feasible set {type(s).__name__}")
-    return bool(inside) if x.ndim == 1 else inside
 
 
 # ---------------------------------------------------------------------------
@@ -476,7 +600,7 @@ class CcpInstance:
             raise ValidationError("epsilon: must lie strictly inside (0, 1)")
         if c.shape[0] != n:
             raise ValidationError("cost: length differs from n")
-        if set_dim(self.x_set) != n:
+        if self.x_set.dim != n:
             raise ValidationError("x_set: dimension differs from n")
         if self.constraints.dim != n:
             raise ValidationError("constraints: decision dimension differs from n")
@@ -526,7 +650,7 @@ def scenario_losses(instance: CcpInstance, x) -> np.ndarray:
     losses = np.max(_times(rows.R, x) - rows.r, axis=-1)
     if rows.theta == 0.0:
         return losses
-    norms = [dual_norm(rows.norm, point) for point in np.atleast_2d(x)]
+    norms = [rows.norm.dual(point) for point in np.atleast_2d(x)]
     column = np.reshape(norms, x.shape[:-1] + (1,))     # one norm per point
     return losses + rows.theta * column
 

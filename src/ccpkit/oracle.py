@@ -25,7 +25,6 @@ import numpy as np
 
 from .covering import SubsetChain, scenario_costs, subset_min_cost
 from .errors import CapExceeded, Infeasible, NonFinite, ValidationError
-from .geometry import as_polyhedron, has_binary
 from .lowerlevel import lattice_argmin
 from .lp import LpProblem, solve_lp
 from .model import (
@@ -110,7 +109,7 @@ def exact_solve(
     are pruned using single-scenario bounds.
     """
     start = perf_counter()
-    if has_binary(instance.x_set):
+    if instance.x_set.binary:
         return exact_solve_binary(instance)
     N = instance.scenario_count
     if instance.equiprobable:
@@ -191,7 +190,7 @@ def check_nullspace_property(
     if total > lp_budget:
         return NullspaceVerdict(status="cap_exceeded", lps_solved=0)
     d = model.d
-    _, _, xE, _, _, _ = as_polyhedron(instance.x_set)
+    _, _, xE, _, _, _ = instance.x_set.polyhedron()
     eq_rows = [instance.cost]
     if xE.shape[0]:
         eq_rows.extend(xE)              # homogeneous: directions, not points

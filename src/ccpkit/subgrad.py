@@ -1,7 +1,7 @@
 """Projected subgradient descent for weighted hinge objectives.
 
-Works over S(t) = X intersect {c'x <= t}. X is read through
-geometry.as_polyhedron: when it has no rows, only bounds lo <= hi, S(t)
+Works over S(t) = X intersect {c'x <= t}. X is read through its
+polyhedron(): when it has no rows, only bounds lo <= hi, S(t)
 gets an exact O(n log n) projection via the KKT multiplier of the budget
 row; any other X (rows, equalities, a binary set, or bounds that cross) is
 projected by Dykstra sweeps over its pieces and the budget row.
@@ -21,14 +21,8 @@ from typing import Callable, Optional, Tuple, Union
 import numpy as np
 
 from .errors import BadStart, NoConvergence, NonFinite
-from .geometry import as_polyhedron, dykstra_project, flatten_set, has_binary
-from .model import (
-    BiAffineEquality,
-    CcpInstance,
-    Halfspaces,
-    dual_norm,
-    dual_norm_subgradient,
-)
+from .geometry import dykstra_project
+from .model import BiAffineEquality, CcpInstance, Halfspaces
 
 
 @dataclass(frozen=True)
@@ -89,8 +83,8 @@ def losses_and_grads(instance: CcpInstance, x: np.ndarray) -> Tuple[np.ndarray, 
     vals = values[idx, j]
     grads = rows.R[idx, j, :]                           # fancy indexing copies
     if rows.theta > 0.0:
-        vals = vals + rows.theta * dual_norm(rows.norm, x)
-        grads += rows.theta * dual_norm_subgradient(rows.norm, x)[None, :]
+        vals = vals + rows.theta * rows.norm.dual(x)
+        grads += rows.theta * rows.norm.dual_subgradient(x)[None, :]
     return vals, grads
 
 
@@ -160,20 +154,20 @@ def _box_cap_projector(lo, hi, c, t) -> Callable[[np.ndarray], np.ndarray]:
 def _cap_setup(x_set, c: np.ndarray, t: float):
     """(box projection or None, Dykstra pieces) for S(t) = X cap {c'x <= t}.
 
-    A box X (no rows in as_polyhedron, lo <= hi) gets the exact closed-form
+    A box X (no rows in its polyhedron, lo <= hi) gets the exact closed-form
     projection; any other X gets its primitive pieces plus the cap row. The
     cap is void when t is infinite or c = 0, and then a t < 0 is BadStart.
     """
     uncapped = not np.isfinite(t) or float(np.linalg.norm(c)) == 0.0
     if uncapped and t < 0.0:
         raise BadStart("budget below the infimum of c'x over X")
-    if not has_binary(x_set):
-        A, _, E, _, lo, hi = as_polyhedron(x_set)
+    if not x_set.binary:
+        A, _, E, _, lo, hi = x_set.polyhedron()
         if not A.shape[0] and not E.shape[0] and np.all(lo <= hi):
             if uncapped:
                 return (lambda y: _clip(y, lo, hi)), None
             return _box_cap_projector(lo, hi, c, t), None
-    sets = flatten_set(x_set)
+    sets = x_set.pieces()
     if not uncapped:
         sets.append(Halfspaces(c[None, :], np.array([t])))
     return None, sets

@@ -262,6 +262,25 @@ def test_elliptical_radius_requires_matching_norm(plane_path, capsys):
     assert json.loads(captured.err)["error"] == "NormMismatch"
 
 
+def test_finite_document_rejects_the_mahalanobis_flag(cover_path, capsys):
+    code = main(
+        [
+            "solve",
+            "--instance",
+            cover_path,
+            "--method",
+            "alsox",
+            "--theta",
+            "0.05",
+            "--norm",
+            "mahalanobis",
+        ]
+    )
+    err = json.loads(capsys.readouterr().err)
+    assert code == 1
+    assert err["error"] == "NormMismatch" and "--norm mahalanobis" in err["message"]
+
+
 def _two_var_cover_doc():
     return json.loads(dump_instance(make_two_var_cover()))
 

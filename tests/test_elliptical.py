@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from ccpkit import (
     BackendUnavailable,
     Mahalanobis,
+    ValidationError,
     also_x_elliptical,
     conic_margin,
     elliptical_from_doc,
@@ -154,4 +155,12 @@ def test_only_the_gaussian_generator_constructs(gaussian_plane):
     doc = elliptical_to_doc(gaussian_plane)
     doc["generator"] = "student"
     with pytest.raises(BackendUnavailable):
+        elliptical_from_doc(doc)
+
+
+def test_sigma_is_checked_as_the_mahalanobis_norm_checks_it(gaussian_plane):
+    # Cholesky succeeds, but its second pivot (1e-13) is below the norm's floor
+    doc = elliptical_to_doc(gaussian_plane)
+    doc["sigma"] = np.diag([1.0, 1e-26]).tolist()
+    with pytest.raises(ValidationError, match="Cholesky pivot"):
         elliptical_from_doc(doc)

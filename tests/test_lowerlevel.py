@@ -36,7 +36,7 @@ from ccpkit import (
     z_update,
 )
 from ccpkit.cli import generate_instance
-from ccpkit.geometry import as_polyhedron, dykstra_project, flatten_set
+from ccpkit.geometry import dykstra_project
 from ccpkit.covering import _relaxation_lp, _subset_lp
 from ccpkit.cvar import _tail_problem
 from ccpkit.lowerlevel import _dc_pieces, _exact_face_polish, _hinge_lp
@@ -176,7 +176,7 @@ def _norm_form(instance, fold=True):
     its u_j (the all-aux form)."""
     model = instance.constraints
     theta = model.theta if isinstance(model, NormAugmented) else 0.0
-    lo, hi = as_polyhedron(instance.x_set)[4:]
+    lo, hi = instance.x_set.polyhedron()[4:]
     folded = np.zeros(instance.n)
     if theta == 0.0:
         return "none", [], folded
@@ -224,7 +224,7 @@ def _row_by_row_hinge_lp(instance, t, z, fold=True):
     aux_kind, aux, folded = _norm_form(instance, fold)
     n_aux = _aux_count(aux_kind, aux)
     theta = model.theta if isinstance(model, NormAugmented) else 0.0
-    xA, xb, xE, xf, lo_x, hi_x = as_polyhedron(instance.x_set)
+    xA, xb, xE, xf, lo_x, hi_x = instance.x_set.polyhedron()
     ncol = n + N + n_aux
     rows, rhs = [], []
 
@@ -285,7 +285,7 @@ def _row_by_row_subset_lp(instance, keep, fold=True):
     aux_kind, aux, folded = _norm_form(instance, fold)
     n_aux = _aux_count(aux_kind, aux)
     theta = model.theta if isinstance(model, NormAugmented) else 0.0
-    xA, xb, xE, xf, lo_x, hi_x = as_polyhedron(instance.x_set)
+    xA, xb, xE, xf, lo_x, hi_x = instance.x_set.polyhedron()
     ncol = n + n_aux
     rows = []
     rhs = []
@@ -329,7 +329,7 @@ def _row_by_row_tail_lp(instance, t, relaxed, fold=True):
     aux_kind, aux, folded = _norm_form(instance, fold)
     n_aux = _aux_count(aux_kind, aux)
     theta = model.theta if isinstance(model, NormAugmented) else 0.0
-    xA, xb, xE, xf, lo_x, hi_x = as_polyhedron(instance.x_set)
+    xA, xb, xE, xf, lo_x, hi_x = instance.x_set.polyhedron()
     ncol = n + N + 1 + n_aux
     b_col = n + N
     rows = []
@@ -386,7 +386,7 @@ def _row_by_row_relaxation_lp(instance):
     model = instance.constraints
     n, N = instance.n, instance.scenario_count
     budget = float(np.floor(N * instance.epsilon))
-    xA, xb, xE, xf, lo_x, hi_x = as_polyhedron(instance.x_set)
+    xA, xb, xE, xf, lo_x, hi_x = instance.x_set.polyhedron()
     ncol = n + N
     rows = []
     rhs = []
@@ -484,7 +484,7 @@ def test_folded_sup_norm_lps_solve_like_the_all_aux_form(box):
     base = generate_instance("linear", 4, 7, 0.2, 3)
     inst = robustify(DrccpSpec(replace(base, x_set=_SIGN_BOXES[box]), 0.05, LInf()))
     n, N = inst.n, inst.scenario_count
-    lo, hi = as_polyhedron(inst.x_set)[4:]
+    lo, hi = inst.x_set.polyhedron()[4:]
     n_aux = len(straddling)
     # the budgets c'x can meet on the box, from its cheapest corner up
     cheap, dear = np.minimum(inst.cost * lo, inst.cost * hi), np.maximum(inst.cost * lo, inst.cost * hi)
@@ -521,7 +521,7 @@ def _l1_ball_expanded_lp(instance, kind, keep=None, t=None, z=None):
     R_k[i] x <= r_k[i] becomes the n rows R_k[i] x + theta x_j <= r_k[i]."""
     model = instance.constraints
     n, N, p, eps = instance.n, instance.scenario_count, instance.probabilities, instance.epsilon
-    lo_x, hi_x = as_polyhedron(instance.x_set)[4:]
+    lo_x, hi_x = instance.x_set.polyhedron()[4:]
     assert isinstance(model.norm, L1) and np.all(lo_x >= 0.0)
     ny = {"subset": 0, "hinge": N}.get(kind, N + 1)
     blocks = _row_by_row_blocks(model)
@@ -563,7 +563,7 @@ def test_l1_ball_lps_solve_like_the_expanded_rows():
     n, N = inst.n, inst.scenario_count
     # the LPs under test carry the one "max" aux column v >= |x_j|
     assert _subset_lp(inst, [0]).n == n + 1 and _hinge_lp(inst, np.inf, np.ones(N)).n == n + N + 1
-    lo, hi = as_polyhedron(inst.x_set)[4:]
+    lo, hi = inst.x_set.polyhedron()[4:]
     cheap, dear = np.minimum(inst.cost * lo, inst.cost * hi), np.maximum(inst.cost * lo, inst.cost * hi)
     budgets = list(np.linspace(cheap.sum(), dear.sum(), 5)[1:]) + [np.inf]
     rng = np.random.default_rng(11)
@@ -587,7 +587,7 @@ def _per_piece_dc_pieces(instance, t):
     n, N = instance.n, instance.scenario_count
     dim = n + 2 * N
     pieces = []
-    for piece in flatten_set(instance.x_set):
+    for piece in instance.x_set.pieces():
         if isinstance(piece, Box):
             lo = np.concatenate([piece.lower, np.full(2 * N, -np.inf)])
             hi = np.concatenate([piece.upper, np.full(2 * N, np.inf)])

@@ -24,8 +24,6 @@ from ccpkit import (
     SeparableConvexPower,
     Simplex,
     ValidationError,
-    dual_norm,
-    dual_norm_subgradient,
     dump_instance,
     is_feasible,
     load_instance,
@@ -100,7 +98,7 @@ def test_tie_at_epsilon_is_feasible(duplicated_row_cover):
     ],
 )
 def test_dual_norm_values(spec, y, expected):
-    assert dual_norm(spec, y) == pytest.approx(expected)
+    assert spec.dual(y) == pytest.approx(expected)
 
 
 @pytest.mark.parametrize(
@@ -110,8 +108,8 @@ def test_dual_norm_subgradient_attains_value(spec):
     rng = np.random.default_rng(7)
     for _ in range(20):
         y = rng.normal(size=2)
-        g = dual_norm_subgradient(spec, y)
-        assert float(y @ g) == pytest.approx(dual_norm(spec, y), abs=1e-10)
+        g = spec.dual_subgradient(y)
+        assert float(y @ g) == pytest.approx(spec.dual(y), abs=1e-10)
 
 
 @given(
@@ -124,8 +122,8 @@ def test_dual_norm_is_a_norm(y, z, scale):
     y = np.asarray(y)
     z = np.asarray(z)
     for spec in (L1(), L2(), LInf()):
-        assert dual_norm(spec, scale * y) == pytest.approx(scale * dual_norm(spec, y), abs=1e-8)
-        assert dual_norm(spec, y + z) <= dual_norm(spec, y) + dual_norm(spec, z) + 1e-8
+        assert spec.dual(scale * y) == pytest.approx(scale * spec.dual(y), abs=1e-8)
+        assert spec.dual(y + z) <= spec.dual(y) + spec.dual(z) + 1e-8
 
 
 def test_norm_tags_round_trip():
@@ -253,8 +251,14 @@ def test_non_numeric_and_non_integral_values_are_validation_errors(name, changes
 
 @pytest.mark.parametrize(
     "lower,upper",
-    [(["a"], ["b"]), ([0.0], [[1.0], 2.0]), ([False], [True])],
-    ids=["strings", "ragged", "booleans"],
+    [
+        (["a"], ["b"]),
+        ([0.0], [[1.0], 2.0]),
+        ([False], [True]),
+        ([np.inf, 0.0], [np.inf, 1.0]),
+        ([-np.inf, 0.0], [-np.inf, 1.0]),
+    ],
+    ids=["strings", "ragged", "booleans", "lower_plus_inf", "upper_minus_inf"],
 )
 def test_box_rejects_non_numeric_bounds(lower, upper):
     with pytest.raises(ValidationError):
