@@ -69,7 +69,8 @@ def _acceptor(instance, backend, sgd_config, rescue=None):
     """accept(t) for one budget search: the hinge minimizer at budget t if it
     is chance-feasible, else what rescue(t, minimizer) returns, if a rescue
     is given; None when S(t) is empty. Only t moves from one probe to the
-    next, so each probe's LP warm-starts from the last solved one's basis."""
+    next, so each probe starts from the last solved one's `start`: the LP
+    from its basis, the lattice scan from its stored lattice."""
     last = None
 
     def accept(t) -> Optional[np.ndarray]:
@@ -80,7 +81,7 @@ def _acceptor(instance, backend, sgd_config, rescue=None):
             )
         except BadStart:
             return None
-        last = sol.lp_outcome
+        last = sol.start
         if is_feasible(instance, sol.x):
             return sol.x
         return None if rescue is None else rescue(t, sol)

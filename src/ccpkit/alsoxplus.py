@@ -4,7 +4,8 @@ A hinge minimizer that fails the violation check is not discarded: its
 hinge vector seeds the scenario weights and the alternating-minimization
 scheme (or the difference-of-convex scheme) tries to shift the remaining
 hinge mass onto a discardable eps-mass of scenarios. The probe budget is
-accepted if the rescued point passes the violation check.
+accepted if the rescued point lies in X, costs at most the budget and
+passes the violation check.
 """
 
 from __future__ import annotations
@@ -33,7 +34,8 @@ def also_x_plus(
         raise ValueError(f"rescue must be 'am' or 'dc', got {rescue!r}")
 
     def rescued(t: float, sol):
-        """The rescue's point from a rejected hinge minimizer, if it passes at t."""
+        """The rescue's point from a rejected hinge minimizer, if it lies in
+        X, costs at most t and passes the violation check."""
         z0 = z_update(sol.s, instance.probabilities, instance.epsilon)
         try:
             if rescue == "am":
@@ -46,7 +48,7 @@ def also_x_plus(
                     backend=backend,
                     sgd_config=sgd_config,
                     x0=sol.x,
-                    start=sol.lp_outcome,
+                    start=sol.start,
                 )
             else:
                 res = dc_solve(
@@ -61,7 +63,12 @@ def also_x_plus(
         except BadStart:
             return None
         cap = t + 1e-6 * (1.0 + abs(t))
-        if float(instance.cost @ res.x) <= cap and is_feasible(instance, res.x):
+        # a dc point may come from a projection cut off outside X
+        if (
+            float(instance.cost @ res.x) <= cap
+            and instance.x_set.contains(res.x)
+            and is_feasible(instance, res.x)
+        ):
             return res.x
         return None
 

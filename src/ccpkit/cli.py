@@ -118,17 +118,30 @@ def _load_document(path: str):
     return instance_from_doc(doc)
 
 
+def _check_norm(problem, args) -> None:
+    """NormMismatch when --theta's ball cannot be the one --norm names: a
+    Mahalanobis ball on finite scenarios, or any other ball on an
+    elliptical document."""
+    if getattr(args, "theta", None) is None:
+        return
+    tag = getattr(args, "norm", None)
+    if isinstance(problem, EllipticalCcp):
+        if tag is not None and tag != "mahalanobis":
+            raise NormMismatch("elliptical ambiguity balls use the Mahalanobis norm of sigma")
+    elif tag == "mahalanobis":
+        raise NormMismatch(
+            "--norm mahalanobis needs a covariance: finite-scenario documents have none"
+        )
+
+
 def _run_method(problem, method: str, args) -> SolveReport:
+    _check_norm(problem, args)
     if isinstance(problem, EllipticalCcp):
         return _run_elliptical(problem, method, args)
     instance = problem
     theta = getattr(args, "theta", None)
     if theta is not None:
         tag = getattr(args, "norm", None) or "linf"
-        if tag == "mahalanobis":
-            raise NormMismatch(
-                "--norm mahalanobis needs a covariance: finite-scenario documents have none"
-            )
         spec = DrccpSpec(
             instance,
             theta,
@@ -153,9 +166,6 @@ def _run_elliptical(ec: EllipticalCcp, method: str, args) -> SolveReport:
     robust = False
     theta = getattr(args, "theta", None)
     if theta is not None:
-        tag = getattr(args, "norm", None)
-        if tag is not None and tag != "mahalanobis":
-            raise NormMismatch("elliptical ambiguity balls use the Mahalanobis norm of sigma")
         ec = replace(ec, theta=theta, wasserstein_norm=Mahalanobis(ec.sigma))
         robust = True
     if method == "alsox":
@@ -210,6 +220,8 @@ def cmd_compare(args) -> int:
     for m in methods:
         if m not in _METHODS:
             raise ValueError(f"unknown method {m!r}")
+    # a flag mistake every method shares is a usage error, not one per row
+    _check_norm(problem, args)
 
     def run(method: str) -> dict:
         begin = perf_counter()

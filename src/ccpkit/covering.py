@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import BackendUnavailable, BadStart, Infeasible, NoConvergence, NonFinite, ValidationError
 from .geometry import dykstra_project
-from .lowerlevel import _scenario_lp, _slack_rows, lattice_argmin
+from .lowerlevel import _scenario_lp, _slack_rows, lattice_argmin, lattice_chunks
 from .lp import LpOutcome, LpProblem, solve_lp
 from .model import (
     CcpInstance,
@@ -190,7 +190,7 @@ def _subset_min_cost_enum(instance: CcpInstance, keep: Iterable[int]):
     def kept_cost(points, costs, losses):
         return np.where(np.all(losses[:, keep] <= tol, axis=1), costs, np.inf)
 
-    return lattice_argmin(instance, kept_cost) or (np.inf, None)
+    return lattice_argmin(lattice_chunks(instance), kept_cost) or (np.inf, None)
 
 
 def _subset_min_cost_sgd(
@@ -272,7 +272,7 @@ def scenario_costs(
         def kept_costs(points, costs, losses):
             return np.where(losses <= tol, costs[:, None], np.inf)
 
-        found = lattice_argmin(instance, kept_costs)
+        found = lattice_argmin(lattice_chunks(instance), kept_costs)
         return np.array([np.inf if pair is None else pair[0] for pair in found])
     return np.array(
         [subset_min_cost(instance, [k], sgd_config) for k in range(instance.scenario_count)]

@@ -25,7 +25,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import BackendUnavailable, BadStart, Infeasible, NonFinite
-from .lowerlevel import _scenario_lp, _slack_rows, lattice_argmin
+from .lowerlevel import _scenario_lp, _slack_rows, lattice_argmin, lattice_chunks
 from .lp import LpProblem, solve_lp
 from .model import CcpInstance, SolveReport, is_feasible, violation_probability
 from .search import bisect_from
@@ -90,7 +90,7 @@ def _cvar_enum(instance: CcpInstance) -> tuple:
         tail = _tail_values(instance, losses)
         return np.where(tail <= 1e-9 * (1.0 + np.abs(tail)), costs, np.inf)
 
-    best = lattice_argmin(instance, tail_cost)
+    best = lattice_argmin(lattice_chunks(instance), tail_cost)
     if best is None:
         raise Infeasible("cvar: no binary point satisfies the tail condition")
     return (*best, 2**instance.n)
@@ -168,7 +168,7 @@ def cvar_lower_value(
         def tail(points, costs, losses):
             return np.where(costs <= cap, eps * _tail_values(instance, losses), np.inf)
 
-        best = lattice_argmin(instance, tail)
+        best = lattice_argmin(lattice_chunks(instance), tail)
         if best is None:
             raise BadStart(f"cvar lower level: no lattice point satisfies c'x <= {t}")
         return max(best[0], 0.0)

@@ -13,6 +13,14 @@ with z in [0,1]^N fixed. Backends:
   "enum"  lattice enumeration; needs a binary feasible set
   "auto"  enum for binary sets, lp for the equality model, sgd otherwise
 
+The lp and enum solves return a warm start for the next solve of the same
+instance (solve_lower_level): the LP outcome, or the lattice the scan built.
+The lattice's points, costs c'x and scenario losses depend on neither t nor
+z, so the probes and AM rounds of one budget search build it once and then
+only score it. A lattice is kept only while 2^n (N + n + 1) floats fit in
+_LATTICE_KEEP (32 MB); a larger one is built block by block on every solve,
+and is never held whole.
+
 Every LP here and in cvar and covering (hinge, tail, subset, relaxation)
 and the DC pieces come from one builder, _scenario_lp, the one place that
 knows their layout and how they linearize the norm term. It and the
@@ -59,7 +67,7 @@ class LowerLevelSolution:
     value: float           # sum_k p_k z_k s_k
     backend: str
     iterations: int
-    lp_outcome: Optional[LpOutcome] = None   # the lp backend's LP outcome, a warm start for the next
+    start: object = None   # a warm start for the next solve of this instance (solve_lower_level)
 
 
 def _hinge_parts(instance: CcpInstance, x: np.ndarray, z: np.ndarray):
@@ -190,38 +198,48 @@ def _solve_hinge_lp(
     x = out.x[: instance.n]
     s, value = _hinge_parts(instance, x, z)
     return LowerLevelSolution(
-        x=x, s=s, value=value, backend="lp", iterations=out.pivots, lp_outcome=out
+        x=x, s=s, value=value, backend="lp", iterations=out.pivots, start=out
     )
 
 
 # points of a lattice scan scored at once; a dim-20 scan holds one block at a time
 _LATTICE_BLOCK = 4096
+# the most floats a kept lattice may hold, counted as 2^n (N + n + 1) for
+# its points, costs and losses: 2^22 floats, 32 MB
+_LATTICE_KEEP = 2**22
 
 
-def lattice_argmin(instance: CcpInstance, score):
-    """(value, x) at the first minimizer of score over X cap {0,1}^n, or None.
-
-    Points come in itertools.product order, a block of rows at a time;
-    score(points, costs, losses) maps a block, its costs c'x and its scenario
-    losses to one value per point, inf to skip the point. A later point
-    replaces the best only when it is lower by more than 1e-15.
-
-    A score may instead map a block of B points to a (B, K) array: K
-    objectives scored in the same pass, each column minimized on its own
-    under the same rule. The result is then a list of K such (value, x)
-    pairs or None. Every block is built, filtered by X and scored once, so
-    K minima cost one scan of the lattice rather than K.
-    """
+def lattice_chunks(instance: CcpInstance):
+    """X cap {0,1}^n as (points, costs c'x, scenario losses) triples, one
+    _LATTICE_BLOCK of codes at a time, in itertools.product order."""
     if sum(p.binary for p in instance.x_set.pieces()) != 1:
         raise BackendUnavailable("lattice scan: needs exactly one binary set")
     n = instance.n
     shifts = np.arange(n - 1, -1, -1)
-    best = best_x = None
     for first in range(0, 2**n, _LATTICE_BLOCK):
         codes = np.arange(first, min(first + _LATTICE_BLOCK, 2**n))
         points = ((codes[:, None] >> shifts) & 1).astype(float)
         points = points[instance.x_set.contains(points)]
-        values = score(points, _times(instance.cost, points), scenario_losses(instance, points))
+        yield points, _times(instance.cost, points), scenario_losses(instance, points)
+
+
+def lattice_argmin(chunks, score):
+    """(value, x) at the first minimizer of score over a lattice, or None.
+
+    chunks: the lattice's (points, costs, losses) triples in scan order, as
+    lattice_chunks yields them; score(points, costs, losses) maps a chunk to
+    one value per point, inf to skip the point. A later point replaces the
+    best only when it is lower by more than 1e-15.
+
+    A score may instead map a chunk of B points to a (B, K) array: K
+    objectives scored in the same pass, each column minimized on its own
+    under the same rule. The result is then a list of K such (value, x)
+    pairs or None. Every chunk is scored once, so K minima cost one scan of
+    the lattice rather than K.
+    """
+    best = best_x = None
+    for points, costs, losses in chunks:
+        values = score(points, costs, losses)
         columns = values[:, None] if values.ndim == 1 else values
         if best is None:
             best, best_x = np.full(columns.shape[1], np.inf), [None] * columns.shape[1]
@@ -236,19 +254,38 @@ def lattice_argmin(instance: CcpInstance, score):
     return found if values.ndim == 2 else found[0]
 
 
-def _solve_hinge_enum(instance: CcpInstance, t: float, z: np.ndarray) -> LowerLevelSolution:
+@dataclass(frozen=True, eq=False)
+class LatticeStart:
+    """The enum backend's warm start: an instance's lattice chunks, kept."""
+
+    instance: CcpInstance
+    chunks: Tuple[tuple, ...]
+
+
+def _solve_hinge_enum(
+    instance: CcpInstance, t: float, z: np.ndarray, start=None
+) -> LowerLevelSolution:
+    if isinstance(start, LatticeStart) and start.instance is instance:
+        chunks = start.chunks
+    elif 2**instance.n * (instance.scenario_count + instance.n + 1) <= _LATTICE_KEEP:
+        start = LatticeStart(instance, tuple(lattice_chunks(instance)))
+        chunks = start.chunks
+    else:
+        start, chunks = None, lattice_chunks(instance)
     cap = t + 1e-9 * (1.0 + abs(t)) if np.isfinite(t) else np.inf
     weights = instance.probabilities * z
 
     def hinge(points, costs, losses):
         return np.where(costs <= cap, np.sum(weights * np.maximum(losses, 0.0), axis=-1), np.inf)
 
-    best = lattice_argmin(instance, hinge)
+    best = lattice_argmin(chunks, hinge)
     if best is None:
         raise BadStart(f"hinge enum: no lattice point satisfies c'x <= {t}")
     x = best[1]
     s, value = _hinge_parts(instance, x, z)
-    return LowerLevelSolution(x=x, s=s, value=value, backend="enum", iterations=2**instance.n)
+    return LowerLevelSolution(
+        x=x, s=s, value=value, backend="enum", iterations=2**instance.n, start=start
+    )
 
 
 def pick_backend(instance: CcpInstance) -> str:
@@ -266,21 +303,28 @@ def solve_lower_level(
     backend: str = "auto",
     x0=None,
     sgd_config: Optional[SgdConfig] = None,
-    start: Optional[LpOutcome] = None,
+    start=None,
 ) -> LowerLevelSolution:
     """Weighted hinge minimum over S(t); see the module docstring.
 
-    start: the lp_outcome of an earlier lp-backend solve of this instance;
-    the LP then warm-starts from its final basis (lp.solve_lp). Other
-    backends ignore it.
+    start: the `start` of an earlier solve of this instance (the sgd
+    backend's is None). On the lp backend it is the LpOutcome,
+    and the LP warm-starts from its final basis (lp.solve_lp). On the enum
+    backend it is the LatticeStart that holds the lattice's points, costs
+    and scenario losses, which are the same at every t and z: the scan
+    scores them instead of building them again. The enum backend keeps a
+    lattice only while 2^n (N + n + 1) floats fit in _LATTICE_KEEP (32 MB);
+    a larger one streams, block by block, on every solve, and its start is
+    None. A start of another backend or, for enum, of another instance
+    (`is`) is ignored; the sgd backend ignores every start.
     """
     z = np.ones(instance.scenario_count) if z_weights is None else np.asarray(z_weights, dtype=float)
     if backend == "auto":
         backend = pick_backend(instance)
     if backend == "lp":
-        return _solve_hinge_lp(instance, t, z, start)
+        return _solve_hinge_lp(instance, t, z, start if isinstance(start, LpOutcome) else None)
     if backend == "enum":
-        return _solve_hinge_enum(instance, t, z)
+        return _solve_hinge_enum(instance, t, z, start)
     if backend == "sgd":
         out = solve_hinge_sgd(instance, t, z, x0, sgd_config)
         s, value = _hinge_parts(instance, out.x, z)
@@ -361,14 +405,16 @@ def am(
     backend: str = "auto",
     sgd_config: Optional[SgdConfig] = None,
     x0=None,
-    start: Optional[LpOutcome] = None,
+    start=None,
 ) -> AmResult:
     """Alternate weighted hinge solves with the closed-form z update.
 
-    The objective trace is nonincreasing. The lp backend minimizes each
-    round exactly, and warm-starts each round's LP from the previous round's
-    final basis (the first round from `start`, an lp_outcome at this t, if
-    given): only the cost weights move between rounds. The sgd backend
+    The objective trace is nonincreasing. The lp and enum backends
+    minimize each round exactly, each round warm-started from the previous
+    round's `start` (the first round from `start`, if given;
+    solve_lower_level): only the cost weights move between rounds, so the
+    LP re-solves from the last basis and the lattice scan reuses the
+    stored lattice. The sgd backend
     warm-starts each hinge solve from the previous x (x0 for the first),
     and its best iterate can never exceed its start. When the sgd backend
     leaves an interior point with every active scenario nearly tight, a
@@ -391,7 +437,7 @@ def am(
             instance, t, z, backend=backend, x0=x_warm, sgd_config=sgd_config, start=start
         )
         x, s, obj = sol.x, sol.s, sol.value
-        start = sol.lp_outcome
+        start = sol.start
         if sol.backend == "sgd" and np.min(z) == 0.0:
             polished = _exact_face_polish(instance, t, z, x)
             if polished is not None:
@@ -419,6 +465,7 @@ class DcResult:
     value: float                    # E[z * s] at the final triple
     rounds: int
     objective_trace: Tuple[float, ...]
+    capped: int                     # projections cut off at Dykstra's sweep cap
 
 
 def _dc_pieces(instance: CcpInstance, t: float):
@@ -475,16 +522,21 @@ def dc_solve(
     quadratic by projected gradient (the quadratic has curvature p_k per
     scenario block, so the 1/max(p) step is safe). Stops when consecutive
     E[z s] values differ by less than delta2, or immediately once the
-    product is numerically zero.
+    product is numerically zero. A projection that hits Dykstra's sweep cap
+    goes on from the best iterate it reached, which may lie outside the
+    set; `capped` counts them.
     """
     n, N = instance.n, instance.scenario_count
     p = instance.probabilities
     pieces = _dc_pieces(instance, t)
+    capped = 0
 
     def project(u: np.ndarray) -> np.ndarray:
+        nonlocal capped
         try:
             return dykstra_project(pieces, u)
         except NoConvergence as exc:
+            capped += 1
             return exc.best
 
     x = np.zeros(n) if x0 is None else np.asarray(x0, dtype=float)
@@ -529,4 +581,5 @@ def dc_solve(
         value=float(obj),
         rounds=rounds,
         objective_trace=tuple(trace),
+        capped=capped,
     )

@@ -25,7 +25,7 @@ import numpy as np
 
 from .covering import SubsetChain, scenario_costs, subset_min_cost
 from .errors import CapExceeded, Infeasible, NonFinite, ValidationError
-from .lowerlevel import lattice_argmin
+from .lowerlevel import lattice_argmin, lattice_chunks
 from .lp import LpProblem, solve_lp
 from .model import (
     BiAffineEquality,
@@ -44,7 +44,7 @@ def exact_solve_binary(instance: CcpInstance) -> SolveReport:
     def feasible_cost(points, costs, losses):
         return np.where(is_feasible(instance, points), costs, np.inf)
 
-    found = lattice_argmin(instance, feasible_cost)
+    found = lattice_argmin(lattice_chunks(instance), feasible_cost)
     if found is None:
         raise Infeasible("no lattice point is chance-feasible")
     return _exact_report(instance, *found, 2**instance.n, start)

@@ -40,6 +40,40 @@ def force_cold_lp(monkeypatch):
     monkeypatch.setattr(ccpkit.lowerlevel, "solve_lp", lambda problem, start=None: cold(problem))
 
 
+def force_cold_lattice(monkeypatch):
+    """Make every enum hinge solve build its lattice anew, whatever its start."""
+    cold = ccpkit.lowerlevel._solve_hinge_enum
+
+    def ignore_start(instance, t, z, start=None):
+        return cold(instance, t, z)
+
+    monkeypatch.setattr(ccpkit.lowerlevel, "_solve_hinge_enum", ignore_start)
+
+
+def lattice_block_spy(monkeypatch) -> list:
+    """The sizes of the lattice blocks whose scenario losses are built from
+    now on, one entry per block, in build order."""
+    sizes = []
+    losses = ccpkit.lowerlevel.scenario_losses
+
+    def spy(instance, x):
+        if np.ndim(x) == 2:
+            sizes.append(np.shape(x)[0])
+        return losses(instance, x)
+
+    monkeypatch.setattr(ccpkit.lowerlevel, "scenario_losses", spy)
+    return sizes
+
+
+def answer_key(solve, instance):
+    """The bits of a solve's answer (objective, x, probe count), or its error's name."""
+    try:
+        out = solve(instance)
+    except CcpError as exc:
+        return type(exc).__name__
+    return float(out.objective).hex(), out.x_star.tobytes(), out.iterations
+
+
 def report_key(solve, *args, **kwargs):
     """(objective, t_star, iterations, feasible) of a solve, or its error's name."""
     try:

@@ -1,11 +1,14 @@
 """Bisection scheme: frozen optima, exactness cases, failure modes."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 import ccpkit.alsox as alsox_module
 from ccpkit import (
     BiAffine,
+    BinaryTiny,
     Infeasible,
     NoFeasibleT,
     NonNegOrthant,
@@ -17,8 +20,19 @@ from ccpkit import (
     is_feasible,
     violation_probability,
 )
+from ccpkit.cli import generate_instance
 
-from conftest import FINITE_DOCUMENTS, equiprobable, force_cold_lp, load_document, report_key
+from conftest import (
+    FINITE_DOCUMENTS,
+    answer_key,
+    equiprobable,
+    force_cold_lattice,
+    force_cold_lp,
+    lattice_block_spy,
+    load_document,
+    report_key,
+)
+from test_covering import _binary_cost_instances
 
 
 def check_report(inst, out):
@@ -140,3 +154,23 @@ def test_warm_probe_chain_matches_a_cold_one(name, monkeypatch):
     warm = report_key(also_x, inst, backend="lp")
     force_cold_lp(monkeypatch)
     assert report_key(also_x, inst, backend="lp") == warm
+
+
+@pytest.mark.parametrize("method", [also_x, also_x_plus])
+def test_lattice_starts_give_the_answers_of_cold_scans(method, monkeypatch):
+    # the linear, sup-norm-robust, cut and covering binary instances
+    insts = list(_binary_cost_instances())
+    warm = [answer_key(method, inst) for inst in insts]
+    force_cold_lattice(monkeypatch)
+    assert [answer_key(method, inst) for inst in insts] == warm
+
+
+@pytest.mark.parametrize("method", [also_x, also_x_plus])
+def test_one_search_builds_each_lattice_block_once(method, monkeypatch):
+    inst = replace(generate_instance("linear", 13, 6, 0.2, 2), x_set=BinaryTiny(13))
+    sizes = lattice_block_spy(monkeypatch)
+    out = method(inst)
+    assert out.iterations == 10
+    # 2^13 points in two blocks: once for the quantile bound, once for the
+    # CVaR anchor and once for the whole search, not once per probe or AM round
+    assert sizes == [4096] * 6

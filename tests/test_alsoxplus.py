@@ -3,11 +3,14 @@
 import numpy as np
 import pytest
 
+import ccpkit.lowerlevel
 from ccpkit import (
+    NoConvergence,
     am,
     also_x,
     also_x_plus,
     bounds_with_anchor,
+    dc_solve,
     is_feasible,
     solve_lower_level,
     violation_probability,
@@ -80,9 +83,32 @@ def test_warm_am_rounds_match_cold_ones(monkeypatch):
     t = t_low + 0.1 * (t_up - t_low)
     probe = solve_lower_level(inst, t, backend="lp")
     z0 = z_update(probe.s, inst.probabilities, inst.epsilon)
-    warm = am(inst, t, z0=z0, delta2=1e-6, backend="lp", start=probe.lp_outcome)
+    warm = am(inst, t, z0=z0, delta2=1e-6, backend="lp", start=probe.start)
     force_cold_lp(monkeypatch)
-    cold = am(inst, t, z0=z0, delta2=1e-6, backend="lp", start=probe.lp_outcome)
+    cold = am(inst, t, z0=z0, delta2=1e-6, backend="lp", start=probe.start)
     # the same rounds to rounding: a warm round may pivot to another optimal vertex
     assert warm.rounds == cold.rounds == 3
     assert warm.objective_trace == pytest.approx(cold.objective_trace, rel=1e-12, abs=1e-15)
+
+
+def test_dc_counts_capped_projections_and_its_rescue_stays_in_x(two_var_cover, monkeypatch):
+    # every projection "hits the sweep cap" at x = (-1, 1): outside the
+    # orthant, yet it costs 0 and misses only the 1/3 mass of [2, 1]'x >= 1
+    N = two_var_cover.scenario_count
+    outside = np.concatenate([[-1.0, 1.0], np.zeros(N), np.ones(N)])
+    calls = []
+
+    def capped(pieces, u):
+        calls.append(1)
+        raise NoConvergence("sweep cap", best=outside.copy())
+
+    monkeypatch.setattr(ccpkit.lowerlevel, "dykstra_project", capped)
+    out = dc_solve(two_var_cover, 0.6, x0=np.zeros(2))
+    assert out.capped == len(calls) >= 1
+    assert out.x.tolist() == [-1.0, 1.0] and is_feasible(two_var_cover, out.x)
+    plain = also_x(two_var_cover)
+    calls.clear()
+    rescued = also_x_plus(two_var_cover, rescue="dc")
+    assert calls                      # the rescue ran, and its point was refused
+    assert two_var_cover.x_set.contains(rescued.x_star)
+    assert (rescued.objective, rescued.iterations) == (plain.objective, plain.iterations)

@@ -281,6 +281,16 @@ def test_finite_document_rejects_the_mahalanobis_flag(cover_path, capsys):
     assert err["error"] == "NormMismatch" and "--norm mahalanobis" in err["message"]
 
 
+@pytest.mark.parametrize("path, norm", [("cover_path", "mahalanobis"), ("plane_path", "l2")])
+def test_compare_exits_once_on_a_norm_flag_no_method_can_use(path, norm, request, capsys):
+    code = main(["compare", "--instance", request.getfixturevalue(path), "--theta", "0.05",
+                 "--norm", norm])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert json.loads(captured.err)["error"] == "NormMismatch"
+
+
 def _two_var_cover_doc():
     return json.loads(dump_instance(make_two_var_cover()))
 

@@ -7,10 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ccpkit.lowerlevel
 from ccpkit import (
     AffineEqualities,
     BackendUnavailable,
     BiAffineEquality,
+    BinaryTiny,
     Box,
     Covering,
     DrccpSpec,
@@ -24,6 +26,8 @@ from ccpkit import (
     NormAugmented,
     NonNegOrthant,
     SgdConfig,
+    also_x,
+    also_x_plus,
     am,
     dc_solve,
     is_feasible,
@@ -39,11 +43,13 @@ from ccpkit.cli import generate_instance
 from ccpkit.geometry import dykstra_project
 from ccpkit.covering import _relaxation_lp, _subset_lp
 from ccpkit.cvar import _tail_problem
-from ccpkit.lowerlevel import _dc_pieces, _exact_face_polish, _hinge_lp
+from ccpkit.lowerlevel import LatticeStart, _dc_pieces, _exact_face_polish, _hinge_lp
 
 from test_lp import certificate_ok
 from conftest import (
+    answer_key,
     equiprobable,
+    lattice_block_spy,
     make_binary_pair_cover,
     make_equality_pair,
     make_two_var_cover,
@@ -688,3 +694,52 @@ def test_an_empty_face_never_reaches_dykstra(monkeypatch):
     # a face with points still goes to Dykstra
     got = _exact_face_polish(inst, np.inf, np.zeros(12), x)
     assert calls == [1] and np.array_equal(got, x)
+
+
+def test_a_lattice_start_serves_only_its_own_instance(
+    binary_pair_cover, two_var_cover, monkeypatch
+):
+    first = solve_lower_level(binary_pair_cover, 3.0)
+    assert isinstance(first.start, LatticeStart) and first.start.instance is binary_pair_cover
+    sizes = lattice_block_spy(monkeypatch)
+    again = solve_lower_level(binary_pair_cover, 1.0, start=first.start)
+    assert sizes == [] and again.start is first.start
+    # the same data in another instance object: rebuilt, not reused
+    twin = replace(binary_pair_cover)
+    other = solve_lower_level(twin, 1.0, start=first.start)
+    assert sizes == [4] and other.start.instance is twin
+    assert (other.x.tobytes(), other.value) == (again.x.tobytes(), again.value)
+    # a start of the other backend is ignored, on either side
+    lp = solve_lower_level(two_var_cover, 1.0, backend="lp")
+    ignored = solve_lower_level(binary_pair_cover, 1.0, start=lp.start)
+    assert ignored.x.tobytes() == again.x.tobytes()
+    assert sizes == [4, 4]
+    crossed = solve_lower_level(two_var_cover, 1.0, backend="lp", start=first.start)
+    assert (crossed.x.tobytes(), crossed.value) == (lp.x.tobytes(), lp.value)
+
+
+def test_a_lattice_over_the_memory_bound_streams_every_solve(monkeypatch):
+    # a dim-20 lattice is never kept, whatever N
+    assert 2**20 * (1 + 20 + 1) > ccpkit.lowerlevel._LATTICE_KEEP
+    inst = replace(generate_instance("linear", 6, 12, 0.2, 3), x_set=BinaryTiny(6))
+    methods = (also_x, also_x_plus)
+    kept = [answer_key(solve, inst) for solve in methods]
+    monkeypatch.setattr(ccpkit.lowerlevel, "_LATTICE_KEEP", 2**6 * (12 + 6 + 1) - 1)
+    sizes = lattice_block_spy(monkeypatch)
+    assert solve_lower_level(inst, np.inf).start is None
+    assert sizes == [64]
+    solves = []
+    enum = ccpkit.lowerlevel._solve_hinge_enum
+
+    def counted(*args):
+        solves.append(args[1])
+        return enum(*args)
+
+    monkeypatch.setattr(ccpkit.lowerlevel, "_solve_hinge_enum", counted)
+    for solve, want in zip(methods, kept):
+        sizes.clear()
+        solves.clear()
+        assert answer_key(solve, inst) == want
+        # the quantile and CVaR passes, then every enum solve builds anew
+        assert len(solves) >= want[2]
+        assert sizes == [64] * (2 + len(solves))
