@@ -118,56 +118,46 @@ def _load_document(path: str):
     return instance_from_doc(doc)
 
 
-def _check_norm(problem, args) -> None:
-    """NormMismatch when --theta's ball cannot be the one --norm names: a
-    Mahalanobis ball on finite scenarios, or any other ball on an
-    elliptical document."""
-    if getattr(args, "theta", None) is None:
-        return
+def _prepare(problem, args):
+    """The problem that every method of one command solves: --theta's
+    ambiguity ball applied once (robustify, or the Gaussian radius).
+    NormMismatch when the ball cannot be the one --norm names: a Mahalanobis
+    ball on finite scenarios, or any other ball on an elliptical document."""
+    theta = getattr(args, "theta", None)
+    if theta is None:
+        return problem
     tag = getattr(args, "norm", None)
     if isinstance(problem, EllipticalCcp):
         if tag is not None and tag != "mahalanobis":
             raise NormMismatch("elliptical ambiguity balls use the Mahalanobis norm of sigma")
-    elif tag == "mahalanobis":
+        return replace(problem, theta=theta, wasserstein_norm=Mahalanobis(problem.sigma))
+    if tag == "mahalanobis":
         raise NormMismatch(
             "--norm mahalanobis needs a covariance: finite-scenario documents have none"
         )
+    norm = norm_from_tag(tag or "linf")
+    return robustify(DrccpSpec(problem, theta, norm, getattr(args, "mode", None) or "dual"))
 
 
 def _run_method(problem, method: str, args) -> SolveReport:
-    _check_norm(problem, args)
+    """One method on a prepared problem."""
     if isinstance(problem, EllipticalCcp):
         return _run_elliptical(problem, method, args)
-    instance = problem
-    theta = getattr(args, "theta", None)
-    if theta is not None:
-        tag = getattr(args, "norm", None) or "linf"
-        spec = DrccpSpec(
-            instance,
-            theta,
-            norm_from_tag(tag),
-            getattr(args, "mode", None) or "dual",
-        )
-        instance = robustify(spec)
     if method == "alsox":
-        return also_x(instance, delta1=args.delta1)
+        return also_x(problem, delta1=args.delta1)
     if method == "alsoxplus":
-        return also_x_plus(instance, delta1=args.delta1, delta2=args.delta2)
+        return also_x_plus(problem, delta1=args.delta1, delta2=args.delta2)
     if method == "dc":
-        return also_x_plus(instance, delta1=args.delta1, delta2=args.delta2, rescue="dc")
+        return also_x_plus(problem, delta1=args.delta1, delta2=args.delta2, rescue="dc")
     if method == "cvar":
-        return cvar_solution(instance)
+        return cvar_solution(problem)
     if method == "oracle":
-        return exact_solve(instance, subset_cap=getattr(args, "subset_cap", 200_000))
+        return exact_solve(problem, subset_cap=getattr(args, "subset_cap", 200_000))
     raise ValueError(f"unknown method {method!r}")
 
 
 def _run_elliptical(ec: EllipticalCcp, method: str, args) -> SolveReport:
-    robust = False
-    theta = getattr(args, "theta", None)
-    if theta is not None:
-        ec = replace(ec, theta=theta, wasserstein_norm=Mahalanobis(ec.sigma))
-        robust = True
+    robust = getattr(args, "theta", None) is not None
     if method == "alsox":
         return also_x_elliptical(ec, delta1=args.delta1, robust=robust)
     if method == "oracle":
@@ -200,7 +190,7 @@ def _config_dict(args, method: str) -> dict:
 
 
 def cmd_solve(args) -> int:
-    problem = _load_document(args.instance)
+    problem = _prepare(_load_document(args.instance), args)
     report = _run_method(problem, args.method, args)
     doc = report.to_dict()
     doc["config"] = _config_dict(args, args.method)
@@ -220,8 +210,8 @@ def cmd_compare(args) -> int:
     for m in methods:
         if m not in _METHODS:
             raise ValueError(f"unknown method {m!r}")
-    # a flag mistake every method shares is a usage error, not one per row
-    _check_norm(problem, args)
+    # a mistake every method shares is a usage error, not one per row
+    problem = _prepare(problem, args)
 
     def run(method: str) -> dict:
         begin = perf_counter()

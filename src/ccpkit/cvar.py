@@ -137,19 +137,19 @@ def cvar_solution(
     )
 
 
-def _cvar_bisect(instance: CcpInstance, sgd_config: Optional[SgdConfig], width: float = 1e-6):
+def _cvar_bisect(instance: CcpInstance, sgd_config: Optional[SgdConfig]):
     """Budget bisection against the subgradient tail lower level."""
     cfg = sgd_config or SgdConfig()
 
     def accept(t: float):
         try:
-            out = solve_cvar_lower_sgd(instance, t, None, None, cfg)
+            out = solve_cvar_lower_sgd(instance, t, cfg)
         except BadStart:
             return None
         return out.x if out.value <= 1e-6 else None
 
     t0 = float(instance.cost @ feasible_start(instance.x_set, instance.cost, np.inf))
-    found = bisect_from(accept, t0, width)
+    found = bisect_from(accept, t0, 1e-6)
     if found.witness is None:
         raise Infeasible("cvar: tail condition unreachable within the bracket search")
     return found.hi, found.witness, found.probes
@@ -175,7 +175,7 @@ def cvar_lower_value(
     try:
         problem = _tail_problem(instance, t, relaxed=True)
     except BackendUnavailable:                # rows with no LP form
-        res = solve_cvar_lower_sgd(instance, t, None, None, sgd_config or SgdConfig())
+        res = solve_cvar_lower_sgd(instance, t, sgd_config or SgdConfig())
         return max(float(res.value), 0.0)
     out = solve_lp(problem)
     if out.status == "infeasible":

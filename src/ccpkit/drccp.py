@@ -9,7 +9,8 @@ instance:
          for bi-affine rows, handled by the norm-augmented model;
   shift  move each scenario itself to its worst position, valid when
          the loss is monotone in xi (sup-norm ball, componentwise worst
-         case), so only the scenario data changes.
+         case), so only the scenario data changes; each model gives its
+         own shifted data (shifted), or ModeMismatch.
 
 For bi-affine rows on x >= 0 the two agree: theta ||x||_1 = theta 1'x, so
 shifting the row matrices by theta is the dual term written into them. The
@@ -30,15 +31,7 @@ from .alsox import also_x
 from .alsoxplus import also_x_plus
 from .cvar import cvar_solution
 from .errors import ModeMismatch, NormMismatch, ValidationError
-from .model import (
-    BiAffine,
-    CcpInstance,
-    LInf,
-    NormAugmented,
-    NormSpec,
-    SeparableConvexPower,
-    SolveReport,
-)
+from .model import CcpInstance, LInf, NormAugmented, NormSpec, SolveReport
 from .subgrad import SgdConfig
 
 
@@ -73,19 +66,7 @@ def robustify(spec: DrccpSpec) -> CcpInstance:
     else:
         if not isinstance(spec.norm, LInf):
             raise NormMismatch("shift reduction needs the sup-norm transport ball")
-        if isinstance(model, SeparableConvexPower):
-            new = SeparableConvexPower(model.power, model.weights + theta, model.threshold)
-        elif isinstance(model, BiAffine):
-            # x >= 0 on the whole domain: a lattice, or lower bounds >= 0
-            if not (base.x_set.binary or np.all(base.x_set.polyhedron()[4] >= 0.0)):
-                raise ModeMismatch(
-                    "componentwise worst case needs x >= 0 baked into the domain"
-                )
-            new = BiAffine(model.mats + theta, model.offsets)
-        else:
-            raise ModeMismatch(
-                f"shift reduction undefined for {type(model).__name__}"
-            )
+        new = model.shifted(theta, base.x_set)
     return CcpInstance(
         n=base.n,
         scenario_count=base.scenario_count,

@@ -50,6 +50,11 @@ from .subgrad import feasible_start
 
 _SQRT2 = math.sqrt(2.0)
 _SQRT2PI = math.sqrt(2.0 * math.pi)
+# Kelley loops: the cut cap, and the relative gap at which the margin
+# ascent and the hinge minimization stop
+_MAX_CUTS = 120
+_MARGIN_TOL = 1e-8
+_HINGE_TOL = 1e-9
 
 
 def std_normal_pdf(x: float) -> float:
@@ -217,8 +222,7 @@ def _margin_and_supergrad(ec: EllipticalCcp, r: float, x: np.ndarray) -> Tuple[f
     return -mean - r * sd, grad - r * (ec.a.T @ (ec.sigma @ ec.a1(x))) / sd
 
 
-def _cutting_planes(ec: EllipticalCcp, t: float, oracle, sense: int, eta_lo: float, done,
-                    max_cuts: int = 120):
+def _cutting_planes(ec: EllipticalCcp, t: float, oracle, sense: int, eta_lo: float, done):
     """Kelley's (1960) cutting planes for sense * f over S(t); (best value, point).
 
     oracle(x) gives f(x) and a subgradient of f (sense +1: f convex and
@@ -243,7 +247,7 @@ def _cutting_planes(ec: EllipticalCcp, t: float, oracle, sense: int, eta_lo: flo
     obj = np.append(np.zeros(n), float(sense))
     cut_rows, cut_rhs = [], []
     best_val, best_x = sense * np.inf, x
-    for _ in range(max_cuts):
+    for _ in range(_MAX_CUTS):
         val, g = oracle(x)
         if sense * val < sense * best_val:
             best_val, best_x = val, x
@@ -273,13 +277,7 @@ def _cutting_planes(ec: EllipticalCcp, t: float, oracle, sense: int, eta_lo: flo
     return best_val, best_x
 
 
-def _margin_ascent(
-    ec: EllipticalCcp,
-    t: float,
-    r: float,
-    max_cuts: int = 120,
-    tol: float = 1e-8,
-) -> Tuple[float, Optional[np.ndarray]]:
+def _margin_ascent(ec: EllipticalCcp, t: float, r: float) -> Tuple[float, Optional[np.ndarray]]:
     """Certified max of the concave margin over S(t) by cutting planes.
 
     Cut LP values bound the margin from above. The loop exits with a point
@@ -290,18 +288,13 @@ def _margin_ascent(
     try:
         return _cutting_planes(
             ec, t, lambda x: _margin_and_supergrad(ec, r, x), -1, -np.inf,
-            lambda best, ub: ub < 0.0 or ub - best <= tol * (1.0 + abs(ub)), max_cuts,
+            lambda best, ub: ub < 0.0 or ub - best <= _MARGIN_TOL * (1.0 + abs(ub)),
         )
     except BadStart:
         return -np.inf, None
 
 
-def _hinge_cut_min(
-    ec: EllipticalCcp,
-    t: float,
-    max_cuts: int = 120,
-    tol: float = 1e-9,
-) -> np.ndarray:
+def _hinge_cut_min(ec: EllipticalCcp, t: float) -> np.ndarray:
     """Minimize the closed-form hinge over S(t) by cutting planes.
 
     Cut LP values bound the hinge (>= 0) from below, evaluated points from
@@ -309,7 +302,7 @@ def _hinge_cut_min(
     """
     return _cutting_planes(
         ec, t, lambda x: (gaussian_hinge(ec, x), gaussian_hinge_gradient(ec, x)), 1, 0.0,
-        lambda best, lb: best - lb <= tol * (1.0 + abs(best)), max_cuts,
+        lambda best, lb: best - lb <= _HINGE_TOL * (1.0 + abs(best)),
     )[1]
 
 

@@ -10,7 +10,9 @@ here are pure functions.
 
 Each feasible set answers for itself what the solvers ask of X: contains,
 project, pieces (for geometry.dykstra_project), polyhedron and binary. Each
-norm answers for its dual: dual and dual_subgradient.
+norm answers for its dual: dual and dual_subgradient. Each constraint model
+answers for g: losses, losses_and_grads, offset_scale and shifted (the
+sup-norm shift reduction), from its affine rows unless it overrides them.
 
 Instance documents are JSON. The document tables at the end of this module
 (SET_TYPES, MODEL_TYPES, NORM_TYPES) are their schema, read and written by
@@ -26,7 +28,7 @@ from typing import Optional, Tuple, Union
 
 import numpy as np
 
-from .errors import ParseError, UnsupportedSet, ValidationError
+from .errors import ModeMismatch, ParseError, UnsupportedSet, ValidationError
 
 _FEAS_TOL = 1e-12
 
@@ -441,9 +443,9 @@ class AffineRows:
             raise ValidationError("constraint rows: each scenario needs at least one row")
 
 
-class _ScenarioShape:
-    """N and n of a constraint model: the first and last axes of its rows
-    (of its weights, for the power model, which has none)."""
+class _Model:
+    """What every solver asks of a constraint model, answered here from the
+    row form self.rows of the affine models; the others override."""
 
     @property
     def scenario_count(self) -> int:
@@ -454,11 +456,45 @@ class _ScenarioShape:
         return self._shape()[-1]
 
     def _shape(self):
-        return (self.weights if self.rows is None else self.rows.R).shape
+        return self.rows.R.shape
+
+    def losses(self, x) -> np.ndarray:
+        """g(x, xi^k) per scenario, shape (N,); a (B, n) block of points gives (B, N)."""
+        x = np.asarray(x, dtype=float)
+        rows = self.rows
+        losses = np.max(_times(rows.R, x) - rows.r, axis=-1)
+        if rows.theta == 0.0:
+            return losses
+        norms = [rows.norm.dual(point) for point in np.atleast_2d(x)]
+        column = np.reshape(norms, x.shape[:-1] + (1,))     # one norm per point
+        return losses + rows.theta * column
+
+    def losses_and_grads(self, x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """g(x, xi^k) and one subgradient per scenario, shapes (N,) and (N, n)."""
+        rows = self.rows
+        values = rows.R @ x - rows.r                        # (N, I)
+        j = np.argmax(values, axis=1)
+        idx = np.arange(values.shape[0])
+        vals = values[idx, j]
+        grads = rows.R[idx, j, :]                           # fancy indexing copies
+        if rows.theta > 0.0:
+            vals = vals + rows.theta * rows.norm.dual(x)
+            grads += rows.theta * rows.norm.dual_subgradient(x)[None, :]
+        return vals, grads
+
+    @property
+    def offset_scale(self) -> float:
+        """Magnitude of the constraint offsets, used to scale zero tolerances."""
+        return float(np.max(np.abs(self.rows.r), initial=0.0))
+
+    def shifted(self, theta: float, x_set):
+        """Each scenario moved to its worst point in the sup-norm ball of
+        radius theta, for x in x_set (drccp's shift reduction)."""
+        raise ModeMismatch(f"shift reduction undefined for {type(self).__name__}")
 
 
 @dataclass(frozen=True, eq=False)
-class BiAffine(_ScenarioShape):
+class BiAffine(_Model):
     """Per scenario k: g(x, xi^k) = max_j (mats[k] x - offsets[k])_j."""
 
     mats: np.ndarray      # (N, I, n)
@@ -473,9 +509,15 @@ class BiAffine(_ScenarioShape):
         object.__setattr__(self, "offsets", e)
         object.__setattr__(self, "rows", AffineRows(m, e))
 
+    def shifted(self, theta: float, x_set):
+        # x >= 0 on the whole domain: a lattice, or lower bounds >= 0
+        if not (x_set.binary or np.all(x_set.polyhedron()[4] >= 0.0)):
+            raise ModeMismatch("componentwise worst case needs x >= 0 baked into the domain")
+        return BiAffine(self.mats + theta, self.offsets)
+
 
 @dataclass(frozen=True, eq=False)
-class BiAffineEquality(_ScenarioShape):
+class BiAffineEquality(_Model):
     """Per scenario k: loss |d_k'x - e_k| (uncertain linear equality).
 
     Its rows are the pair d_k'x - e_k and e_k - d_k'x. The loss itself is
@@ -496,9 +538,16 @@ class BiAffineEquality(_ScenarioShape):
         rows = AffineRows(np.stack([d, -d], axis=1), np.stack([e, -e], axis=1))
         object.__setattr__(self, "rows", rows)
 
+    def losses(self, x) -> np.ndarray:
+        return np.abs(_times(self.d, np.asarray(x, dtype=float)) - self.e)
+
+    def losses_and_grads(self, x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        r = self.d @ x - self.e
+        return np.abs(r), np.sign(r)[:, None] * self.d
+
 
 @dataclass(frozen=True, eq=False)
-class SeparableConvexPower(_ScenarioShape):
+class SeparableConvexPower(_Model):
     """g(x, xi^k) = sum_j weights[k,j] x_j^power - threshold, weights >= 0.
 
     Defined on x >= 0; evaluation clamps negative coordinates to the domain
@@ -520,9 +569,29 @@ class SeparableConvexPower(_ScenarioShape):
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "threshold", _real(self.threshold, "threshold"))
 
+    def _shape(self):
+        return self.weights.shape
+
+    def losses(self, x) -> np.ndarray:
+        xx = np.maximum(np.asarray(x, dtype=float), 0.0) ** self.power
+        return _times(self.weights, xx) - self.threshold
+
+    def losses_and_grads(self, x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        xx = np.maximum(x, 0.0)
+        vals = self.weights @ (xx ** self.power) - self.threshold
+        grads = self.power * self.weights * (xx ** (self.power - 1.0))[None, :]
+        return vals, grads
+
+    @property
+    def offset_scale(self) -> float:
+        return abs(self.threshold)
+
+    def shifted(self, theta: float, x_set):
+        return SeparableConvexPower(self.power, self.weights + theta, self.threshold)
+
 
 @dataclass(frozen=True, eq=False)
-class Covering(_ScenarioShape):
+class Covering(_Model):
     """g(x, xi^k) = max_row (1 - mats[k] x) with mats >= 0 (normalized rhs);
     its rows are (-mats, -1)."""
 
@@ -537,7 +606,7 @@ class Covering(_ScenarioShape):
 
 
 @dataclass(frozen=True, eq=False)
-class NormAugmented(_ScenarioShape):
+class NormAugmented(_Model):
     """Robustified rows: g(x, k) = theta ||x||_* + max_j (mats[k] x - offsets[k])_j.
 
     Produced by the Wasserstein robustification of bi-affine rows under the
@@ -561,13 +630,6 @@ class NormAugmented(_ScenarioShape):
 
 
 ConstraintModel = Union[BiAffine, BiAffineEquality, SeparableConvexPower, Covering, NormAugmented]
-
-
-def offset_scale(model: ConstraintModel) -> float:
-    """Magnitude of the constraint offsets, used to scale zero tolerances."""
-    if model.rows is None:
-        return abs(model.threshold)
-    return float(np.max(np.abs(model.rows.r), initial=0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -639,25 +701,12 @@ class SolveReport:
 def scenario_losses(instance: CcpInstance, x) -> np.ndarray:
     """Vector of g(x, xi^k) over scenarios (|.| for the equality model); for a
     (B, n) block of points, a (B, N) array with one such vector per row."""
-    x = np.asarray(x, dtype=float)
-    model = instance.constraints
-    if isinstance(model, BiAffineEquality):
-        return np.abs(_times(model.d, x) - model.e)
-    if isinstance(model, SeparableConvexPower):
-        xx = np.maximum(x, 0.0) ** model.power
-        return _times(model.weights, xx) - model.threshold
-    rows = model.rows
-    losses = np.max(_times(rows.R, x) - rows.r, axis=-1)
-    if rows.theta == 0.0:
-        return losses
-    norms = [rows.norm.dual(point) for point in np.atleast_2d(x)]
-    column = np.reshape(norms, x.shape[:-1] + (1,))     # one norm per point
-    return losses + rows.theta * column
+    return instance.constraints.losses(x)
 
 
 def default_zero_tol(instance: CcpInstance) -> float:
     # exact-zero test on s_i needs a scale-aware tolerance in floating point
-    return 1e-8 * (1.0 + offset_scale(instance.constraints))
+    return 1e-8 * (1.0 + instance.constraints.offset_scale)
 
 
 def violation_probability(instance: CcpInstance, x, tol_zero: Optional[float] = None) -> float:

@@ -8,21 +8,23 @@ projected by Dykstra sweeps over its pieces and the budget row.
 
 Step sizes shrink harmonically by default and directions are normalized
 once their norm exceeds one, which keeps the scheme scale-free across the
-coefficient magnitudes the scenario generators produce. The reported
-minimizer is the best iterate seen, not the last one.
+coefficient magnitudes the scenario generators produce. The losses and
+their subgradients come from the constraint model (losses_and_grads). The
+reported minimizer is the best iterate seen, not the last one; a Dykstra
+projection cut off at its sweep cap is counted in SgdResult.capped.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Optional, Tuple, Union
+from dataclasses import dataclass, replace
+from typing import Callable, Optional, Union
 
 import numpy as np
 
 from .errors import BadStart, NoConvergence, NonFinite
 from .geometry import dykstra_project
-from .model import BiAffineEquality, CcpInstance, Halfspaces
+from .model import CcpInstance, Halfspaces
 
 
 @dataclass(frozen=True)
@@ -59,33 +61,7 @@ class SgdResult:
     iterations: int
     stalled: bool
     beta: Optional[float] = None
-
-
-# ---------------------------------------------------------------------------
-# losses and subgradients, vectorized over scenarios
-
-
-def losses_and_grads(instance: CcpInstance, x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """g(x, xi^k) and one subgradient per scenario, shapes (N,) and (N, n)."""
-    model = instance.constraints
-    if isinstance(model, BiAffineEquality):
-        r = model.d @ x - model.e
-        return np.abs(r), np.sign(r)[:, None] * model.d
-    rows = model.rows
-    if rows is None:                                    # the power model
-        xx = np.maximum(x, 0.0)
-        vals = model.weights @ (xx ** model.power) - model.threshold
-        grads = model.power * model.weights * (xx ** (model.power - 1.0))[None, :]
-        return vals, grads
-    values = rows.R @ x - rows.r                        # (N, I)
-    j = np.argmax(values, axis=1)
-    idx = np.arange(instance.scenario_count)
-    vals = values[idx, j]
-    grads = rows.R[idx, j, :]                           # fancy indexing copies
-    if rows.theta > 0.0:
-        vals = vals + rows.theta * rows.norm.dual(x)
-        grads += rows.theta * rows.norm.dual_subgradient(x)[None, :]
-    return vals, grads
+    capped: int = 0             # projections cut off at Dykstra's sweep cap
 
 
 # ---------------------------------------------------------------------------
@@ -174,9 +150,14 @@ def _cap_setup(x_set, c: np.ndarray, t: float):
 
 
 def make_cap_projector(x_set, cost, t: float) -> Callable[[np.ndarray], np.ndarray]:
-    """Projection closure for S(t) = X intersect {c'x <= t}."""
+    """Projection closure for S(t) = X intersect {c'x <= t}.
+
+    A Dykstra projection that hits its sweep cap returns the best iterate it
+    reached, which may lie outside S(t); the closure's `capped` counts them.
+    """
     box, sets = _cap_setup(x_set, np.asarray(cost, dtype=float), t)
     if box is not None:
+        box.capped = 0
         return box
 
     def proj(y: np.ndarray) -> np.ndarray:
@@ -184,8 +165,10 @@ def make_cap_projector(x_set, cost, t: float) -> Callable[[np.ndarray], np.ndarr
             return dykstra_project(sets, y)
         except NoConvergence as exc:
             # best iterate is still a useful search point mid-run
+            proj.capped += 1
             return exc.best
 
+    proj.capped = 0
     return proj
 
 
@@ -281,38 +264,32 @@ def solve_hinge_sgd(
     start = feasible_start(instance.x_set, instance.cost, t, x0)
 
     def objective(x):
-        vals, grads = losses_and_grads(instance, x)
+        vals, grads = instance.constraints.losses_and_grads(x)
         act = vals > 0.0          # zero subgradient at the hinge kink
         if not act.any():
             return 0.0, np.zeros_like(x)
         return float(w[act] @ vals[act]), (w[act, None] * grads[act]).sum(axis=0)
 
-    return _descend_with_polish(objective, start, proj, cfg)
+    return replace(_descend_with_polish(objective, start, proj, cfg), capped=proj.capped)
 
 
-def solve_cvar_lower_sgd(
-    instance: CcpInstance,
-    t: float,
-    x0,
-    beta0: Optional[float] = None,
-    cfg: Optional[SgdConfig] = None,
-) -> SgdResult:
+def solve_cvar_lower_sgd(instance: CcpInstance, t: float, cfg: Optional[SgdConfig] = None) -> SgdResult:
     """min over S(t), beta <= 0 of sum_k p_k max(g_k(x), beta) - (1-eps) beta.
 
-    Joint descent in (x, beta); used as the conditional-value lower bound on
-    models with no linear-programming form.
+    Joint descent in (x, beta) from the feasible start nearest the origin and
+    beta = min(0, its least loss); used as the conditional-value lower bound
+    on models with no linear-programming form.
     """
     cfg = cfg or SgdConfig()
     p = instance.probabilities
     eps = instance.epsilon
     proj_x = make_cap_projector(instance.x_set, instance.cost, t)
-    x_start = feasible_start(instance.x_set, instance.cost, t, x0)
-    losses0, _ = losses_and_grads(instance, x_start)
-    beta_start = min(0.0, float(np.min(losses0))) if beta0 is None else min(0.0, float(beta0))
+    x_start = feasible_start(instance.x_set, instance.cost, t)
+    beta_start = min(0.0, float(np.min(instance.constraints.losses(x_start))))
 
     def objective(xb):
         x, beta = xb[:-1], xb[-1]
-        vals, grads = losses_and_grads(instance, x)
+        vals, grads = instance.constraints.losses_and_grads(x)
         over = vals > beta
         value = float(p[over] @ vals[over] + (1.0 - float(np.sum(p[over]))) * beta
                       - (1.0 - eps) * beta)
@@ -324,4 +301,5 @@ def solve_cvar_lower_sgd(
         return np.concatenate([proj_x(xb[:-1]), [min(0.0, xb[-1])]])
 
     out = _descend_with_polish(objective, np.concatenate([x_start, [beta_start]]), proj, cfg)
-    return SgdResult(out.x[:-1], out.value, out.iterations, out.stalled, beta=float(out.x[-1]))
+    return SgdResult(out.x[:-1], out.value, out.iterations, out.stalled, beta=float(out.x[-1]),
+                     capped=proj_x.capped)

@@ -5,11 +5,13 @@ import json
 import numpy as np
 import pytest
 
+import ccpkit.cli
 from ccpkit import dump_instance, elliptical_to_doc, load_instance
 from ccpkit.cli import generate_instance, main
 from ccpkit.model import SeparableConvexPower
 
 from conftest import (
+    make_equality_pair,
     make_gaussian_plane,
     make_scalar_chain,
     make_split_direction_rows,
@@ -289,6 +291,30 @@ def test_compare_exits_once_on_a_norm_flag_no_method_can_use(path, norm, request
     assert code == 1
     assert captured.out == ""
     assert json.loads(captured.err)["error"] == "NormMismatch"
+
+
+def test_compare_robustifies_once_and_exits_once_on_a_shift_no_model_allows(
+        cover_path, tmp_path, monkeypatch, capsys):
+    calls = []
+    real = ccpkit.cli.robustify
+
+    def counted(spec):
+        calls.append(spec.mode)
+        return real(spec)
+
+    monkeypatch.setattr(ccpkit.cli, "robustify", counted)
+    shift = ["--theta", "0.05", "--norm", "linf", "--mode", "shift"]
+    code, doc, _ = run_json(["compare", "--instance", cover_path] + shift, capsys)
+    assert code == 0 and calls == ["shift"]
+    assert [row["method"] for row in doc["results"]] == ["alsox", "alsoxplus", "cvar"]
+    path = tmp_path / "equality.json"
+    path.write_text(dump_instance(make_equality_pair()))
+    code = main(["compare", "--instance", str(path)] + shift)
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    err = json.loads(captured.err)
+    assert err == {"error": "ModeMismatch", "message": "shift reduction undefined for BiAffineEquality"}
 
 
 def _two_var_cover_doc():

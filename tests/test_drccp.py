@@ -7,8 +7,10 @@ import pytest
 
 from ccpkit import (
     BiAffine,
+    BiAffineEquality,
     BinaryTiny,
     Box,
+    Covering,
     DrccpSpec,
     Intersection,
     L2,
@@ -26,7 +28,7 @@ from ccpkit import (
     worst_case_solve,
 )
 
-from conftest import equiprobable, make_two_var_cover, random_box_instance
+from conftest import equiprobable, make_equality_pair, make_two_var_cover, random_box_instance
 
 
 def test_spec_validation(two_var_cover):
@@ -86,6 +88,31 @@ def test_shift_matches_dual_on_nonnegative_domain():
         assert np.allclose(
             scenario_losses(dual, x), scenario_losses(shift, x), atol=1e-12
         )
+
+
+def test_shift_reduction_moves_the_power_weights_only():
+    weights = np.array([[1.0, 2.0], [0.5, 0.0], [3.0, 1.0]])
+    inst = equiprobable(2, SeparableConvexPower(1.5, weights, 4.0), Box(np.zeros(2), np.ones(2)),
+                        [-1.0, -1.0], 1.0 / 3.0)
+    model = robustify(DrccpSpec(inst, 0.2, LInf(), mode="shift")).constraints
+    assert isinstance(model, SeparableConvexPower)
+    assert np.array_equal(model.weights, weights + 0.2)
+    assert (model.power, model.threshold) == (1.5, 4.0)
+
+
+@pytest.mark.parametrize(
+    "model",
+    [
+        BiAffineEquality(np.array([[2.0, 3.0], [2.0, 1.0], [1.0, 2.0]]), np.ones(3)),
+        Covering(np.ones((3, 1, 2))),
+        NormAugmented(-np.ones((3, 1, 2)), -np.ones((3, 1)), 0.1, L2()),
+    ],
+    ids=lambda model: type(model).__name__,
+)
+def test_shift_reduction_is_undefined_for_the_other_models(model):
+    inst = replace(make_equality_pair(), constraints=model)
+    with pytest.raises(ModeMismatch, match=f"^shift reduction undefined for {type(model).__name__}$"):
+        robustify(DrccpSpec(inst, 0.1, LInf(), mode="shift"))
 
 
 def test_shift_reduction_guards_signed_domains():

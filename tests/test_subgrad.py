@@ -5,16 +5,22 @@ import pytest
 
 import ccpkit.subgrad
 from ccpkit import (
+    L1,
+    L2,
     BadStart,
     BiAffine,
+    BiAffineEquality,
     Box,
     Constant,
     DrccpSpec,
+    Halfspaces,
     Harmonic,
     Intersection,
     LInf,
+    Mahalanobis,
     NoConvergence,
     NonNegOrthant,
+    SeparableConvexPower,
     SgdConfig,
     Simplex,
     feasible_start,
@@ -23,7 +29,7 @@ from ccpkit import (
     solve_hinge_sgd,
 )
 from ccpkit.cli import generate_instance
-from ccpkit.subgrad import losses_and_grads, make_cap_projector
+from ccpkit.subgrad import make_cap_projector, solve_cvar_lower_sgd
 
 from conftest import equiprobable, make_two_var_cover, random_hinge_problem
 
@@ -64,7 +70,7 @@ def test_affine_row_losses_match_the_independent_formulas_bit_for_bit():
         assert np.array_equal(scenario_losses(inst, block), np.array(want))
         for x, losses in zip(block, want):
             assert np.array_equal(scenario_losses(inst, x), losses)
-            vals, grads = losses_and_grads(inst, x)
+            vals, grads = inst.constraints.losses_and_grads(x)
             assert np.array_equal(vals, losses)
             j = np.argmax(_independent_rows(mats, offsets, x), axis=1)
             pick = mats[np.arange(inst.scenario_count), j]
@@ -72,6 +78,82 @@ def test_affine_row_losses_match_the_independent_formulas_bit_for_bit():
             if theta:
                 want_grads = want_grads + theta * np.sign(x)
             assert np.array_equal(grads, want_grads)
+
+
+def _model_cases():
+    """One named (instance, low, high) per constraint model: points are drawn
+    from [low, high]^n, which for the power model lies in its domain x >= 0."""
+    rng = np.random.default_rng(5)
+    signed = Box(-np.ones(4), np.ones(4))
+    linear = generate_instance("linear", 4, 9, 0.2, 3)
+    covering = generate_instance("covering", 4, 9, 0.2, 3)
+    equality = equiprobable(4, BiAffineEquality(rng.normal(size=(9, 4)), rng.normal(size=9)),
+                            signed, np.ones(4), 0.2)
+    multi = equiprobable(4, BiAffine(rng.normal(size=(9, 3, 4)), rng.normal(size=(9, 3))),
+                         signed, np.ones(4), 0.2)
+    root = rng.normal(size=(4, 4))
+    for name, base in (("linear", linear), ("covering", covering), ("equality", equality)):
+        yield pytest.param(base, -1.0, 1.0, id=name)
+    for norm in (L1(), L2(), LInf(), Mahalanobis(root @ root.T + np.eye(4))):
+        robust = robustify(DrccpSpec(multi, 0.3, norm))
+        yield pytest.param(robust, -1.0, 1.0, id=f"robust-{type(norm).__name__}")
+    for power in (1.0, 1.5, 3.0):
+        model = SeparableConvexPower(power, rng.uniform(0.0, 2.0, size=(9, 4)), 1.5)
+        inst = equiprobable(4, model, NonNegOrthant(4), np.ones(4), 0.2)
+        yield pytest.param(inst, 0.0, 2.0, id=f"power-{power}")
+
+
+@pytest.mark.parametrize("inst, low, high", _model_cases())
+def test_every_model_answers_its_losses_and_subgradients_in_one_place(inst, low, high):
+    # losses, losses_and_grads and scenario_losses agree bit for bit, a
+    # block is its rows stacked, and each gradient supports its loss:
+    # g_k(y) >= g_k(x) + grad_k(x)'(y - x) on pairs drawn from the domain
+    model = inst.constraints
+    rng = np.random.default_rng(17)
+    block = rng.uniform(low, high, size=(8, inst.n))
+    rows = [model.losses(x) for x in block]
+    assert np.array_equal(model.losses(block), np.array(rows))
+    assert np.array_equal(scenario_losses(inst, block), np.array(rows))
+    for x, losses in zip(block, rows):
+        vals, grads = model.losses_and_grads(x)
+        assert np.array_equal(vals, losses)
+        assert np.array_equal(scenario_losses(inst, x), losses)
+        assert grads.shape == (inst.scenario_count, inst.n)
+        for y in rng.uniform(low, high, size=(5, inst.n)):
+            support = vals + grads @ (y - x)
+            assert np.all(model.losses(y) >= support - 1e-12 * (1.0 + np.abs(vals)))
+
+
+def _linear_rows_over(x_set):
+    base = generate_instance("linear", 4, 12, 0.1, 2)
+    return equiprobable(4, base.constraints, x_set, base.cost, base.epsilon)
+
+
+def test_sgd_counts_the_projections_cut_off_at_the_sweep_cap(monkeypatch):
+    # the feasible start projects for real; every later projection raises
+    # NoConvergence with a best point, and each one must be counted
+    real = ccpkit.subgrad.dykstra_project
+    calls = []
+
+    def capped(sets, y, *args, **kwargs):
+        calls.append(y)
+        if len(calls) == 1:
+            return real(sets, y, *args, **kwargs)
+        raise NoConvergence("capped", best=np.clip(y, 0.0, 0.5))
+
+    monkeypatch.setattr(ccpkit.subgrad, "dykstra_project", capped)
+    inst = _linear_rows_over(
+        Intersection((Halfspaces(np.ones((1, 4)), np.array([2.5])), Box(np.zeros(4), np.ones(4))))
+    )
+    cfg = SgdConfig(max_iter=40, stall_window=40)
+    for solve in (lambda: solve_hinge_sgd(inst, -5.0, np.ones(12), None, cfg),
+                  lambda: solve_cvar_lower_sgd(inst, -5.0, cfg)):
+        calls.clear()
+        out = solve()
+        assert out.capped == len(calls) - 1 >= 1
+    box = _linear_rows_over(Box(np.zeros(4), np.ones(4)))
+    assert solve_hinge_sgd(box, -5.0, np.ones(12), None, cfg).capped == 0
+    assert solve_cvar_lower_sgd(box, -5.0, cfg).capped == 0
 
 
 def test_step_rules():
