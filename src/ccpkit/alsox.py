@@ -25,7 +25,7 @@ from .errors import (
     UnsupportedSet,
     ValidationError,
 )
-from .lowerlevel import solve_lower_level
+from .lowerlevel import hinge_start, pick_backend, solve_lower_level
 from .model import CcpInstance, Covering, SolveReport, is_feasible, violation_probability
 from .search import bisect_budget
 from .subgrad import SgdConfig
@@ -70,8 +70,12 @@ def _acceptor(instance, backend, sgd_config, rescue=None):
     is chance-feasible, else what rescue(t, minimizer) returns, if a rescue
     is given; None when S(t) is empty. Only t moves from one probe to the
     next, so each probe starts from the last solved one's `start`: the LP
-    from its basis, the lattice scan from its stored lattice."""
-    last = None
+    derived from the last one and re-solved from its basis, the lattice
+    scan from its stored lattice. On the lp backend the search's hinge LP
+    is built here, before any probe, so rows with no LP form raise
+    BackendUnavailable at once."""
+    lp = backend == "lp" or (backend == "auto" and pick_backend(instance) == "lp")
+    last = hinge_start(instance) if lp else None
 
     def accept(t) -> Optional[np.ndarray]:
         nonlocal last
@@ -92,8 +96,8 @@ def _acceptor(instance, backend, sgd_config, rescue=None):
 def _bisect(instance, method, delta1, backend, sgd_config, max_bisections, rescue=None):
     """The scheme of also_x, and of also_x_plus when given its rescue."""
     start = perf_counter()
-    t_low, t_up, incumbent = bounds_with_anchor(instance, sgd_config, backend)
     accept = _acceptor(instance, backend, sgd_config, rescue)
+    t_low, t_up, incumbent = bounds_with_anchor(instance, sgd_config, backend)
     found = bisect_budget(accept, t_low, t_up, delta1, max(1.0, abs(t_up)), max_bisections)
     if found.witness is not None:
         incumbent = found.witness

@@ -117,65 +117,91 @@ def _subset_lp(instance: CcpInstance, keep: List[int]) -> LpProblem:
 
 
 class SubsetChain:
-    """Warm starts for a run of subset_min_cost calls on one instance.
+    """Every subset LP of a run of subset_min_cost calls on one instance,
+    derived from one LP with the rows of every scenario, built on first use.
 
-    The chain's LP has the rows of every scenario. A call switches the rows
-    of the scenarios it does not keep off by raising their rhs above the
-    row's maximum over the LP's bound box, so every subset LP of the run
-    shares c, A, E, lo and hi (LpProblem.with_rhs: the same arrays) and
-    re-solves from the last optimal outcome (solve_lp's dual loop). Instances with a scenario row that has no
-    finite maximum over the box (say, a sup-norm ball's aux column, which
-    only a coordinate whose box straddles 0 has) keep the compact cold LP
-    of _subset_lp.
+    A call switches the rows of the scenarios it does not keep off by
+    raising their rhs above the row's maximum over the LP's bound box, so
+    every subset LP of the run shares c, A, E, lo and hi (LpProblem.derive:
+    the same arrays) and re-solves from the last optimal outcome (solve_lp's
+    dual loop). Instances with a scenario row that has no finite maximum
+    over the box (say, a sup-norm ball's aux column, which only a
+    coordinate whose box straddles 0 has) get the compact LP instead,
+    solved cold: the chain's LP restricted to the kept scenarios' rows, the
+    dual-norm rows and X's rows, which is _subset_lp(instance, keep) row for
+    row. The single-scenario costs of scenario_costs are such compact LPs
+    of one chain.
     Create one per run; it holds that run's LP and its last optimal outcome.
     """
 
     def __init__(self, instance: CcpInstance):
         self.instance = instance
         self.start: Optional[LpOutcome] = None
-        self._built = False
         self._lp: Optional[LpProblem] = None    # every scenario row switched on
-        self._off: Optional[np.ndarray] = None  # the scenario rows' rhs when off
+        self._off: Optional[np.ndarray] = None  # the scenario rows' rhs when off, if finite
         self._per = 0                           # LP rows per scenario
 
     def problem(self, keep: List[int]) -> Optional[LpProblem]:
         """The chain's LP with only the rows of `keep` switched on, or None
         when some scenario row has no finite maximum."""
-        if not self._built:
-            self._build()
-        lp = self._lp
-        if lp is None:
+        lp = self._full()
+        if self._off is None:
             return None
         on = np.zeros(self.instance.scenario_count, dtype=bool)
         on[keep] = True
         b = lp.b.copy()
         b[: self._off.size] = np.where(np.repeat(on, self._per), b[: self._off.size], self._off)
-        return lp.with_rhs(b)
+        return lp.derive(b=b)
 
-    def _build(self) -> None:
-        self._built = True
-        N = self.instance.scenario_count
-        lp = _subset_lp(self.instance, list(range(N)))
-        per = self.instance.constraints.rows.r.shape[1]
-        scen = lp.A[: N * per]
-        # the box corner that maximizes each term; a zero coefficient adds 0
-        corner = np.where(scen > 0, lp.hi, np.where(scen < 0, lp.lo, 0.0))
-        row_max = (scen * corner).sum(axis=1)
-        if np.isfinite(row_max).all():
-            self._lp, self._per = lp, per
-            # the margin keeps an off row's slack at least 1 on the whole
-            # box, so it never ties in a ratio test
-            self._off = np.maximum(lp.b[: N * per], row_max + 1.0)
+    def compact(self, keep: List[int]) -> LpProblem:
+        """The chain's LP with only the rows of `keep`, in that order, of all
+        the scenario rows: _subset_lp(instance, keep)."""
+        lp, per = self._full(), self._per
+        rows = (np.asarray(keep, dtype=int)[:, None] * per + np.arange(per)).ravel()
+        scenario_rows = self.instance.scenario_count * per
+        return lp.derive(rows=np.concatenate([rows, np.arange(scenario_rows, lp.b.size)]))
 
-
-def _subset_min_cost_lp(instance: CcpInstance, keep: List[int], chain: Optional[SubsetChain]):
-    problem = None if chain is None else chain.problem(keep)
-    if problem is None:
-        out = solve_lp(_subset_lp(instance, keep))
-    else:
-        out = solve_lp(problem, start=chain.start)
+    def solve(self, keep: List[int]) -> LpOutcome:
+        """The subset LP of keep, solved: the switched LP warm from the
+        chain's last optimal outcome, else the compact one cold."""
+        problem = self.problem(keep)
+        if problem is None:
+            return solve_lp(self.compact(keep))
+        out = solve_lp(problem, start=self.start)
         if out.status == "optimal":
-            chain.start = out
+            self.start = out
+        return out
+
+    def _full(self) -> LpProblem:
+        if self._lp is None:
+            N = self.instance.scenario_count
+            lp = _subset_lp(self.instance, list(range(N)))
+            per = self.instance.constraints.rows.r.shape[1]
+            scen = lp.A[: N * per]
+            # the box corner that maximizes each term; a zero coefficient adds 0
+            corner = np.where(scen > 0, lp.hi, np.where(scen < 0, lp.lo, 0.0))
+            row_max = (scen * corner).sum(axis=1)
+            if np.isfinite(row_max).all():
+                # the margin keeps an off row's slack at least 1 on the
+                # whole box, so it never ties in a ratio test
+                self._off = np.maximum(lp.b[: N * per], row_max + 1.0)
+            self._lp, self._per = lp, per
+        return self._lp
+
+
+class _CompactChain:
+    """A chain's compact LPs, every one solved cold: how scenario_costs
+    solves its single-scenario LPs, however the chain solves its own."""
+
+    def __init__(self, chain: SubsetChain):
+        self.chain, self.instance = chain, chain.instance
+
+    def solve(self, keep: List[int]) -> LpOutcome:
+        return solve_lp(self.chain.compact(keep))
+
+
+def _subset_min_cost_lp(instance: CcpInstance, keep: List[int], chain):
+    out = solve_lp(_subset_lp(instance, keep)) if chain is None else chain.solve(keep)
     if out.status == "infeasible":
         return np.inf, None
     if out.status == "unbounded":
@@ -242,7 +268,8 @@ def subset_min_cost(
     a feasibility-then-bisection subgradient search returns the cost to
     about 1e-5. With with_point=True returns (value, x) where x is None
     whenever the value is not finite. chain: a SubsetChain of this
-    instance, whose LP the solve uses and warm-starts from (LP path only).
+    instance, whose LP the solve derives its own from and warm-starts from
+    (LP path only).
     """
     keep = list(keep)
     if chain is not None and chain.instance is not instance:
@@ -266,6 +293,12 @@ def scenario_costs(
     On a binary X one lattice pass scores every scenario at once; on any
     other X each h_k is its own subset_min_cost solve.
     """
+    return _scenario_costs(instance, sgd_config, SubsetChain(instance))
+
+
+def _scenario_costs(instance, sgd_config, chain: SubsetChain) -> np.ndarray:
+    """scenario_costs, whose LPs are the compact LPs of chain: one LP over
+    every scenario is built, and each h_k solves its rows of it cold."""
     if instance.x_set.binary:
         tol = default_zero_tol(instance)
 
@@ -274,9 +307,9 @@ def scenario_costs(
 
         found = lattice_argmin(lattice_chunks(instance), kept_costs)
         return np.array([np.inf if pair is None else pair[0] for pair in found])
-    return np.array(
-        [subset_min_cost(instance, [k], sgd_config) for k in range(instance.scenario_count)]
-    )
+    compact = _CompactChain(chain)
+    N = instance.scenario_count
+    return np.array([subset_min_cost(instance, [k], sgd_config, chain=compact) for k in range(N)])
 
 
 def quantile_lower_bound(

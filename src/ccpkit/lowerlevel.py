@@ -14,12 +14,14 @@ with z in [0,1]^N fixed. Backends:
   "auto"  enum for binary sets, lp for the equality model, sgd otherwise
 
 The lp and enum solves return a warm start for the next solve of the same
-instance (solve_lower_level): the LP outcome, or the lattice the scan built.
-The lattice's points, costs c'x and scenario losses depend on neither t nor
-z, so the probes and AM rounds of one budget search build it once and then
-only score it. A lattice is kept only while 2^n (N + n + 1) floats fit in
-_LATTICE_KEEP (32 MB); a larger one is built block by block on every solve,
-and is never held whole.
+instance (solve_lower_level): the hinge LP with its outcome, or the lattice
+the scan built. Neither the LP's rows nor the lattice's points, costs c'x
+and scenario losses depend on t or z, so the probes and AM rounds of one
+budget search build them once. Each later LP is derived from the last one
+(a new t moves one entry of b, new weights only y's cost) and re-solved
+from its basis; the lattice is only scored again. A lattice is kept only
+while 2^n (N + n + 1) floats fit in _LATTICE_KEEP (32 MB); a larger one is
+built block by block on every solve, and is never held whole.
 
 Every LP here and in cvar and covering (hinge, tail, subset, relaxation)
 and the DC pieces come from one builder, _scenario_lp, the one place that
@@ -120,6 +122,12 @@ def _scenario_lp(
     and extra cover the leading columns of x | y, zeros the rest. With no
     y, no aux and no other row, A is the kept rows themselves, not a
     zero-filled copy.
+
+    Only the scenario rows depend on keep: the LP of a subset is the LP of
+    every scenario restricted to the subset's I rows per scenario and every
+    row after the N I scenario rows. The last extra row sits right above
+    X's rows, at row A.shape[0] - (X's row count) - 1: the budget row
+    c'x <= t of a hinge LP.
     """
     rows = _lp_rows(instance.constraints)
     xA, xb, xE, xf, lo, hi = instance.x_set.polyhedron()
@@ -187,10 +195,49 @@ def _hinge_lp(instance: CcpInstance, t: float, z: np.ndarray) -> LpProblem:
     )
 
 
+@dataclass(frozen=True, eq=False)
+class HingeStart:
+    """The lp backend's warm start: an instance's hinge LP and the outcome
+    of its solve (None while it is unsolved). `budget` is the row of c'x <= t
+    in the LP, None when it was built at t = inf and has no such row."""
+
+    instance: CcpInstance
+    problem: LpProblem
+    budget: Optional[int]
+    outcome: Optional[LpOutcome] = None
+
+
+def hinge_start(instance: CcpInstance, t: float = 0.0, z=None) -> HingeStart:
+    """The hinge LP at budget t and weights z (default 1), built but not
+    solved: the start of a budget search on the lp backend, whose probes
+    derive their LPs from it. Raises BackendUnavailable at once when the
+    rows have no LP form."""
+    z = np.ones(instance.scenario_count) if z is None else z
+    problem = _hinge_lp(instance, t, z)
+    budget = None
+    if np.isfinite(t):
+        budget = problem.A.shape[0] - instance.x_set.polyhedron()[1].size - 1
+    return HingeStart(instance, problem, budget)
+
+
 def _solve_hinge_lp(
-    instance: CcpInstance, t: float, z: np.ndarray, start: Optional[LpOutcome] = None
+    instance: CcpInstance, t: float, z: np.ndarray, start: Optional[HingeStart] = None
 ) -> LowerLevelSolution:
-    out = solve_lp(_hinge_lp(instance, t, z), start=start)
+    """The hinge solve at (t, z). From a start of this instance (`is`) at a
+    finite budget, a finite t derives the LP from the start's: b with t in
+    the budget row and y's cost p z, every other array shared, so the
+    start's outcome matches by identity. A start of another instance only
+    offers its outcome to solve_lp, which matches it by value."""
+    own = start is not None and start.instance is instance
+    if own and start.budget is not None and np.isfinite(t):
+        old, n, N = start.problem, instance.n, instance.scenario_count
+        b, c = old.b.copy(), old.c.copy()
+        b[start.budget] = t
+        c[n : n + N] = instance.probabilities * z
+        here = HingeStart(instance, old.derive(c=c, b=b), start.budget)
+    else:
+        here = hinge_start(instance, t, z)
+    out = solve_lp(here.problem, start=None if start is None else start.outcome)
     if out.status == "infeasible":
         raise BadStart(f"hinge lp: S(t) is empty at t={t}")
     if out.status != "optimal":
@@ -198,7 +245,8 @@ def _solve_hinge_lp(
     x = out.x[: instance.n]
     s, value = _hinge_parts(instance, x, z)
     return LowerLevelSolution(
-        x=x, s=s, value=value, backend="lp", iterations=out.pivots, start=out
+        x=x, s=s, value=value, backend="lp", iterations=out.pivots,
+        start=HingeStart(instance, out.problem, here.budget, out),
     )
 
 
@@ -308,21 +356,25 @@ def solve_lower_level(
     """Weighted hinge minimum over S(t); see the module docstring.
 
     start: the `start` of an earlier solve of this instance (the sgd
-    backend's is None). On the lp backend it is the LpOutcome,
-    and the LP warm-starts from its final basis (lp.solve_lp). On the enum
+    backend's is None). On the lp backend it is the HingeStart that holds
+    the hinge LP and its outcome: the LP is derived from that one, with the
+    new t and z, and re-solved from the outcome's final basis (lp.solve_lp);
+    hinge_start builds one before any solve. On the enum
     backend it is the LatticeStart that holds the lattice's points, costs
     and scenario losses, which are the same at every t and z: the scan
     scores them instead of building them again. The enum backend keeps a
     lattice only while 2^n (N + n + 1) floats fit in _LATTICE_KEEP (32 MB);
     a larger one streams, block by block, on every solve, and its start is
     None. A start of another backend or, for enum, of another instance
-    (`is`) is ignored; the sgd backend ignores every start.
+    (`is`) is ignored; an lp start of another instance is only offered to
+    solve_lp, which matches it by value. The sgd backend ignores every
+    start.
     """
     z = np.ones(instance.scenario_count) if z_weights is None else np.asarray(z_weights, dtype=float)
     if backend == "auto":
         backend = pick_backend(instance)
     if backend == "lp":
-        return _solve_hinge_lp(instance, t, z, start if isinstance(start, LpOutcome) else None)
+        return _solve_hinge_lp(instance, t, z, start if isinstance(start, HingeStart) else None)
     if backend == "enum":
         return _solve_hinge_enum(instance, t, z, start)
     if backend == "sgd":
@@ -412,10 +464,10 @@ def am(
     The objective trace is nonincreasing. The lp and enum backends
     minimize each round exactly, each round warm-started from the previous
     round's `start` (the first round from `start`, if given;
-    solve_lower_level): only the cost weights move between rounds, so the
-    LP re-solves from the last basis and the lattice scan reuses the
-    stored lattice. The sgd backend
-    warm-starts each hinge solve from the previous x (x0 for the first),
+    solve_lower_level): only the cost weights move between rounds, so each
+    round's LP is the last one with y's cost re-priced, re-solved from the
+    last basis, and the lattice scan reuses the stored lattice. The sgd
+    backend warm-starts each hinge solve from the previous x (x0 for the first),
     and its best iterate can never exceed its start. When the sgd backend
     leaves an interior point with every active scenario nearly tight, a
     projection onto the exact active face removes the residual hinge mass

@@ -60,14 +60,17 @@ basis changes, never bound flips. Intended for desk-scale problems (at most
 
 Warm re-solves. solve_lp(problem, start=outcome) starts from a copy of the
 final tableau of an optimal outcome of an LP with the same A, E, lo and hi
-(the same arrays, as LpProblem.with_rhs shares them, or equal ones; any other
-start is ignored and the LP is solved cold). The new basic values are B^-1
-times the new right-hand side less the nonbasic columns at their bounds. With
-the same c the old basis is still dual feasible, and the long-step dual loop
-re-solves it. A new c is priced against the old basis: the primal loop goes
-on from a basis that is still primal feasible, the long-step dual loop from
-one that is only dual feasible, and one that is neither is solved cold. The
-start is never modified.
+(the same arrays, as LpProblem.derive shares them, or equal ones; any other
+start is ignored and the LP is solved cold). Every outcome carries the
+problem it solved, so a caller that re-solves with a new budget, cost or
+subset of rows derives the next LP from it (LpProblem.derive) instead of
+building it again, and the start then matches by identity. The new basic
+values are B^-1 times the new right-hand side less the nonbasic columns at
+their bounds. With the same c the old basis is still dual feasible, and the
+long-step dual loop re-solves it. A new c is priced against the old basis:
+the primal loop goes on from a basis that is still primal feasible, the
+long-step dual loop from one that is only dual feasible, and one that is
+neither is solved cold. The start is never modified.
 
 The optimal outcome carries a dual certificate (row multipliers, the most
 negative reduced cost of a nonbasic column measured in its feasible
@@ -126,23 +129,39 @@ class LpProblem:
     def n(self) -> int:
         return self.c.shape[0]
 
-    def with_rhs(self, b) -> "LpProblem":
-        """This LP with the inequality right-hand side b. Only b is checked.
-        The other arrays are shared with this problem, read-only (frozen
-        copies on the first call), so a start from either problem matches
-        the other by identity instead of by comparing matrices."""
-        b = np.array(b, dtype=float)
-        if b.shape != self.b.shape:
-            raise ValidationError("lp: constraint matrix/rhs shapes disagree")
-        if not np.isfinite(b).all():
-            raise NonFinite("lp: non-finite entries in b")
+    def derive(self, rows=None, c=None, b=None) -> "LpProblem":
+        """This LP restricted to the inequality rows `rows` (indices, in
+        that order), with the cost c, or with the inequality right-hand side
+        b (of the kept rows, when rows are given too). Only a new c or b is
+        checked: kept rows were checked with this problem. The arrays the
+        two problems share are shared read-only (frozen copies on the first
+        derivation), so a start from either problem matches the other by
+        identity instead of by comparing matrices."""
+        new = {}
+        if rows is not None:
+            new["A"], new["b"] = self.A[rows], self.b[rows]
+            new["A"].flags.writeable = False
+        if c is not None:
+            new["c"] = _checked("c", c, self.c.shape)
+        if b is not None:
+            new["b"] = _checked("b", b, new.get("b", self.b).shape)
         child = object.__new__(LpProblem)
-        for name in ("c", "A", "E", "f", "lo", "hi"):
-            value = _frozen(getattr(self, name))
-            object.__setattr__(self, name, value)
-            object.__setattr__(child, name, value)
-        object.__setattr__(child, "b", b)
+        for name in ("c", "A", "b", "E", "f", "lo", "hi"):
+            if name not in new:
+                new[name] = _frozen(getattr(self, name))
+                object.__setattr__(self, name, new[name])
+            object.__setattr__(child, name, new[name])
         return child
+
+
+def _checked(name: str, value, shape) -> np.ndarray:
+    """value as a float array of the given shape with finite entries."""
+    value = np.array(value, dtype=float)
+    if value.shape != shape:
+        raise ValidationError(f"lp: {name} has shape {value.shape}, expected {shape}")
+    if not np.isfinite(value).all():
+        raise NonFinite(f"lp: non-finite entries in {name}")
+    return value
 
 
 def _is_frozen(a: np.ndarray) -> bool:
@@ -199,6 +218,7 @@ class LpOutcome:
     pivots: int = 0
     # the final tableau of an optimal solve, for solve_lp(..., start=outcome)
     tableau: Optional["_BoundTableau"] = field(default=None, repr=False)
+    problem: Optional[LpProblem] = field(default=None, repr=False)   # the LP solved
 
 
 def _eliminate(T: np.ndarray, row: int, col: int) -> None:
@@ -509,7 +529,7 @@ def solve_lp(problem: LpProblem, start: Optional[LpOutcome] = None) -> LpOutcome
     if status is None:
         tab, status = _cold(problem)
     if status != "optimal":
-        return LpOutcome(status=status, pivots=tab.pivots)
+        return LpOutcome(status=status, pivots=tab.pivots, problem=problem)
     T, n, m = tab.T, tab.n, tab.m
     x_all = tab.values()
     x_all[tab.basis] = T[:m, -1]
@@ -529,4 +549,5 @@ def solve_lp(problem: LpProblem, start: Optional[LpOutcome] = None) -> LpOutcome
         duality_gap=abs(value - dual_obj) / (1.0 + abs(value)),
         pivots=tab.pivots,
         tableau=tab,
+        problem=problem,
     )

@@ -23,7 +23,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .covering import SubsetChain, scenario_costs, subset_min_cost
+from .covering import SubsetChain, _scenario_costs, subset_min_cost
 from .errors import CapExceeded, Infeasible, NonFinite, ValidationError
 from .lowerlevel import lattice_argmin, lattice_chunks
 from .lp import LpProblem, solve_lp
@@ -119,9 +119,9 @@ def exact_solve(
         drops = sorted(itertools.combinations(range(N), m), key=lambda s: tuple(reversed(s)))
     else:
         drops = _maximal_droppable(instance.probabilities, instance.epsilon, subset_cap)
-    h = scenario_costs(instance, sgd_config)
-    order = np.argsort(-h, kind="stable")
     chain = SubsetChain(instance)
+    h = _scenario_costs(instance, sgd_config, chain)
+    order = np.argsort(-h, kind="stable")
     best = np.inf
     best_x = None
     solves = 0

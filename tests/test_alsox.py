@@ -1,14 +1,22 @@
 """Bisection scheme: frozen optima, exactness cases, failure modes."""
 
 from dataclasses import replace
+from time import perf_counter
 
 import numpy as np
 import pytest
 
 import ccpkit.alsox as alsox_module
+import ccpkit.covering
+import ccpkit.cvar
+import ccpkit.lowerlevel
+import ccpkit.subgrad
 from ccpkit import (
+    L2,
+    BackendUnavailable,
     BiAffine,
     BinaryTiny,
+    DrccpSpec,
     Infeasible,
     NoFeasibleT,
     NonNegOrthant,
@@ -18,6 +26,7 @@ from ccpkit import (
     cvar_solution,
     exact_solve,
     is_feasible,
+    robustify,
     violation_probability,
 )
 from ccpkit.cli import generate_instance
@@ -174,3 +183,48 @@ def test_one_search_builds_each_lattice_block_once(method, monkeypatch):
     # 2^13 points in two blocks: once for the quantile bound, once for the
     # CVaR anchor and once for the whole search, not once per probe or AM round
     assert sizes == [4096] * 6
+
+
+@pytest.mark.parametrize("method", [also_x, also_x_plus])
+def test_rows_with_no_lp_form_fail_on_lp_before_any_bound(method, scalar_chain, monkeypatch):
+    # the L2 ball does not linearize: the search's hinge LP is built first,
+    # so no subgradient bound is computed before the call raises
+    calls = []
+    for module in (ccpkit.covering, ccpkit.lowerlevel, ccpkit.subgrad):
+        monkeypatch.setattr(module, "solve_hinge_sgd", lambda *a, **k: calls.append(a))
+    for module in (ccpkit.cvar, ccpkit.subgrad):
+        monkeypatch.setattr(module, "solve_cvar_lower_sgd", lambda *a, **k: calls.append(a))
+    inst = robustify(DrccpSpec(scalar_chain, 0.05, L2()))
+    begin = perf_counter()
+    with pytest.raises(BackendUnavailable):
+        method(inst, backend="lp")
+    assert perf_counter() - begin < 1.0
+    assert calls == []
+
+
+def _scenario_lp_builds(monkeypatch) -> list:
+    """One entry per _scenario_lp call from now on, in every module that calls it."""
+    builds = []
+    build = ccpkit.lowerlevel._scenario_lp
+
+    def spy(*args, **kwargs):
+        builds.append(1)
+        return build(*args, **kwargs)
+
+    for module in (ccpkit.lowerlevel, ccpkit.covering, ccpkit.cvar):
+        monkeypatch.setattr(module, "_scenario_lp", spy)
+    return builds
+
+
+@pytest.mark.parametrize("method", [also_x, also_x_plus])
+def test_one_search_builds_each_scenario_lp_once(method, monkeypatch):
+    builds = _scenario_lp_builds(monkeypatch)
+    counts = []
+    for N in (10, 30):
+        builds.clear()
+        report = method(generate_instance("linear", 6, N, 0.1, 1), backend="lp")
+        assert report.iterations > 2
+        counts.append(len(builds))
+    # one LP for the quantile bound's N single-scenario LPs, one tail LP for
+    # the anchor, and one hinge LP that every probe and AM round derives from
+    assert counts == [3, 3]

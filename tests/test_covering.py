@@ -10,10 +10,12 @@ import ccpkit.lowerlevel
 from ccpkit import (
     BiAffine,
     BinaryTiny,
+    Box,
     DrccpSpec,
     Halfspaces,
     Infeasible,
     Intersection,
+    L1,
     L2,
     LInf,
     NoConvergence,
@@ -28,11 +30,13 @@ from ccpkit import (
     relax_and_scale,
     robustify,
     scenario_costs,
+    solve_lp,
     subset_min_cost,
 )
 from ccpkit.cli import generate_instance
+from ccpkit.covering import SubsetChain, _subset_lp
 
-from conftest import equiprobable, random_box_instance
+from conftest import FINITE_DOCUMENTS, equiprobable, load_document, random_box_instance
 
 
 def test_quantile_bound_frozen_values(scalar_chain, two_var_cover, duplicated_row_cover):
@@ -195,3 +199,65 @@ def test_binary_quantile_bound_scores_each_lattice_block_once(monkeypatch):
     monkeypatch.setattr(ccpkit.lowerlevel, "scenario_losses", spy)
     assert quantile_lower_bound(inst) == want
     assert calls == [4096, 4096]         # 2^13 points in two blocks, not once per scenario
+
+
+def _several_rows_per_scenario():
+    rng = np.random.default_rng(8)
+    mats = rng.integers(-2, 5, size=(9, 3, 4)).astype(float)
+    offsets = rng.uniform(1.0, 4.0, size=(9, 3))
+    return equiprobable(4, BiAffine(mats, offsets), Box(np.zeros(4), np.ones(4)), -np.ones(4), 0.2)
+
+
+def _sliced_cost_instances():
+    """Instances whose single-scenario LPs differ in layout: the 1-norm
+    ball's one aux column, a sup-norm ball's aux columns on a box that
+    straddles 0, X with rows, several rows per scenario."""
+    linear = generate_instance("linear", 4, 8, 0.25, 2)
+    yield robustify(DrccpSpec(linear, 0.05, L1()))
+    straddling = robustify(DrccpSpec(linear, 0.05, LInf()))
+    yield replace(straddling, x_set=Box(-np.ones(4), np.ones(4)))
+    cut = Halfspaces(np.array([[1.0, 1.0, 0.0, 0.0]]), np.array([1.5]))
+    yield replace(linear, x_set=Intersection((Box(np.zeros(4), np.ones(4)), cut)))
+    yield _several_rows_per_scenario()
+
+
+def _cold_single_scenario_cost(inst, k):
+    out = solve_lp(_subset_lp(inst, [k]))
+    return {"optimal": out.value, "infeasible": np.inf, "unbounded": -np.inf}[out.status]
+
+
+@pytest.mark.parametrize("inst", list(_sliced_cost_instances()))
+def test_single_scenario_costs_are_row_slices_of_one_lp(inst):
+    N = inst.scenario_count
+    want = np.array([_cold_single_scenario_cost(inst, k) for k in range(N)])
+    assert scenario_costs(inst).tobytes() == want.tobytes()
+    chain = SubsetChain(inst)
+    for keep in ([k] for k in range(N)):
+        sliced, built = chain.compact(keep), _subset_lp(inst, keep)
+        for name in ("c", "A", "b", "E", "f", "lo", "hi"):
+            got, ref = getattr(sliced, name), getattr(built, name)
+            assert got.shape == ref.shape and got.tobytes() == ref.tobytes(), name
+    # a slice of several scenarios keeps them in the order asked for
+    keep = [N - 1, 0, 2]
+    assert chain.compact(keep).A.tobytes() == _subset_lp(inst, keep).A.tobytes()
+
+
+@pytest.mark.parametrize("name", FINITE_DOCUMENTS)
+def test_single_scenario_costs_match_unchained_solves_on_demo_documents(name):
+    inst = load_document(name)
+    want = [subset_min_cost(inst, [k]) for k in range(inst.scenario_count)]
+    assert scenario_costs(inst).tobytes() == np.array(want, dtype=float).tobytes()
+
+
+def test_scenario_costs_build_one_lp_for_all_scenarios(monkeypatch):
+    inst = generate_instance("linear", 4, 20, 0.1, 1)
+    builds = []
+    build = ccpkit.covering._scenario_lp
+
+    def spy(instance, keep=slice(None), **kwargs):
+        builds.append(list(keep))
+        return build(instance, keep, **kwargs)
+
+    monkeypatch.setattr(ccpkit.covering, "_scenario_lp", spy)
+    scenario_costs(inst)
+    assert builds == [list(range(20))]

@@ -43,7 +43,7 @@ from ccpkit.cli import generate_instance
 from ccpkit.geometry import dykstra_project
 from ccpkit.covering import _relaxation_lp, _subset_lp
 from ccpkit.cvar import _tail_problem
-from ccpkit.lowerlevel import LatticeStart, _dc_pieces, _exact_face_polish, _hinge_lp
+from ccpkit.lowerlevel import HingeStart, LatticeStart, _dc_pieces, _exact_face_polish, _hinge_lp
 
 from test_lp import certificate_ok
 from conftest import (
@@ -743,3 +743,66 @@ def test_a_lattice_over_the_memory_bound_streams_every_solve(monkeypatch):
         # the quantile and CVaR passes, then every enum solve builds anew
         assert len(solves) >= want[2]
         assert sizes == [64] * (2 + len(solves))
+
+
+def _hinge_solve_spy(monkeypatch):
+    """(t, z, solution) of every lp hinge solve from now on."""
+    solves = []
+    solve = ccpkit.lowerlevel._solve_hinge_lp
+
+    def spy(instance, t, z, start=None):
+        sol = solve(instance, t, z, start)
+        solves.append((t, np.array(z), sol))
+        return sol
+
+    monkeypatch.setattr(ccpkit.lowerlevel, "_solve_hinge_lp", spy)
+    return solves
+
+
+@pytest.mark.parametrize("make", [
+    lambda: generate_instance("linear", 6, 30, 0.1, 1),
+    lambda: robustify(DrccpSpec(generate_instance("linear", 4, 12, 0.2, 3), 0.05, L1())),
+    # X's rows sit below the budget row
+    lambda: replace(generate_instance("linear", 4, 12, 0.2, 3), x_set=Intersection((
+        Box(np.zeros(4), np.ones(4)),
+        Halfspaces(np.array([[1.0, 1.0, 0.0, 0.0]]), np.array([1.5])),
+    ))),
+])
+def test_every_probe_and_am_round_derives_the_hinge_lp_a_fresh_build_gives(monkeypatch, make):
+    inst = make()
+    solves = _hinge_solve_spy(monkeypatch)
+    also_x_plus(inst, backend="lp")
+    # probes at several budgets and AM rounds at several weightings
+    assert len({t for t, _, _ in solves}) > 2 and len({z.tobytes() for _, z, _ in solves}) > 2
+    first = solves[0][2].start.problem
+    for t, z, sol in solves:
+        derived, fresh = sol.start.problem, _hinge_lp(inst, t, z)
+        for name in ("c", "A", "b", "E", "f", "lo", "hi"):
+            got, want = getattr(derived, name), getattr(fresh, name)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes(), name
+        # derived, not built: the matrices are the first probe's
+        assert derived.A is first.A and derived.lo is first.lo
+        assert sol.start.outcome.problem is derived
+
+
+def test_an_lp_start_serves_only_its_own_instance(two_var_cover, monkeypatch):
+    first = solve_lower_level(two_var_cover, 1.0, backend="lp")
+    assert isinstance(first.start, HingeStart) and first.start.instance is two_var_cover
+    again = solve_lower_level(two_var_cover, 0.8, backend="lp", start=first.start)
+    assert again.start.problem.A is first.start.problem.A
+    derived = []
+    derive = LpProblem.derive
+    monkeypatch.setattr(
+        LpProblem, "derive", lambda self, *a, **k: derived.append(1) or derive(self, *a, **k)
+    )
+    # the same data in another instance object: built anew, never derived
+    twin = replace(two_var_cover)
+    other = solve_lower_level(twin, 0.8, backend="lp", start=first.start)
+    assert derived == [] and other.start.instance is twin
+    assert other.start.problem.A is not first.start.problem.A
+    # its outcome still matches by value, so the answer is the warm one
+    key = (again.x.tobytes(), again.value, again.iterations)
+    assert (other.x.tobytes(), other.value, other.iterations) == key
+    # an infinite budget has no budget row to move: built anew
+    unbounded = solve_lower_level(two_var_cover, np.inf, backend="lp", start=first.start)
+    assert derived == [] and unbounded.start.budget is None

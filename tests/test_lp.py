@@ -244,7 +244,7 @@ def test_artificial_columns_leave_the_tableau_after_phase_one(loops):
     # a budget probe re-solves over the same columns
     loops.clear()
     budget_row = inst.constraints.rows.r.size
-    q = p.with_rhs(np.where(np.arange(p.b.size) == budget_row, 4.0, p.b))
+    q = p.derive(b=np.where(np.arange(p.b.size) == budget_row, 4.0, p.b))
     warm, cold = solve_lp(q, start=out), solve_lp(q)
     assert loops == ["dual", "primal", "primal"]
     assert warm.status == "optimal" and certificate_ok(q, warm)
@@ -265,7 +265,7 @@ def test_a_basic_artificial_on_a_redundant_row_stays_and_still_warm_starts(loops
     assert (out.tableau.basis >= 3 + 3).any()
     for b in ([-1.0], [0.5], [-1.5]):
         loops.clear()
-        q = p.with_rhs(b)
+        q = p.derive(b=b)
         warm, cold = solve_lp(q, start=out), solve_lp(q)
         assert loops[0] == "dual" and loops[1:] == ["primal", "primal"]
         assert warm.status == cold.status == "optimal" and certificate_ok(q, warm)
@@ -563,7 +563,7 @@ def test_long_step_lps_match_highs_cold_and_warm(loops):
         assert loops == ["dual"]
         b = p.b + rng.choice([0.1, 1.0, 3.0]) * rng.normal(size=p.b.shape)
         # the shared-array constructor and a fresh problem both match the start
-        q = p.with_rhs(b) if trial % 2 else LpProblem(c=p.c, A=p.A, b=b, lo=p.lo, hi=p.hi)
+        q = p.derive(b=b) if trial % 2 else LpProblem(c=p.c, A=p.A, b=b, lo=p.lo, hi=p.hi)
         warm, cold = solve_lp(q, start=start), solve_lp(q)
         assert warm.status == cold.status
         if cold.status == "optimal":
@@ -601,7 +601,7 @@ def test_long_step_ties_flip_the_lowest_index_first_and_degenerate_steps_certify
     assert certificate_ok(p, out)
     # at b = 0.2, x2 leaves and x3, whose reduced cost is now 0, enters: a
     # zero-length dual step
-    q = p.with_rhs([0.2])
+    q = p.derive(b=[0.2])
     warm = solve_lp(q, start=out)
     assert warm.pivots == 1 and warm.value == pytest.approx(-0.2)
     assert np.allclose(warm.x, [0.0, 0.0, 0.2])
@@ -646,18 +646,41 @@ def test_engine_selection_by_lp_kind(loops):
     assert start(_relaxation_lp(inst)) == "primal"
 
 
-def test_with_rhs_shares_frozen_arrays_and_checks_only_b():
+def test_derive_shares_frozen_arrays_and_checks_only_the_new_data():
     rng = np.random.default_rng(4)
     p = _long_step_lp(rng)
-    q = p.with_rhs(p.b + 1.0)
+    while p.A.shape[0] < 3:
+        p = _long_step_lp(rng)
+    q = p.derive(b=p.b + 1.0)
     for name in ("c", "A", "E", "f", "lo", "hi"):
         assert getattr(q, name) is getattr(p, name)
         assert not getattr(q, name).flags.writeable
     assert np.array_equal(q.b, p.b + 1.0)
+    priced = q.derive(c=-p.c)
+    assert np.array_equal(priced.c, -p.c) and priced.b is q.b and priced.A is p.A
+    # a row restriction keeps the chosen rows in the given order, and a new
+    # b then covers the kept rows only
+    rows = [2, 0]
+    sliced = p.derive(rows=rows)
+    assert np.array_equal(sliced.A, p.A[rows]) and np.array_equal(sliced.b, p.b[rows])
+    assert not sliced.A.flags.writeable
+    assert all(getattr(sliced, name) is getattr(p, name) for name in ("c", "E", "f", "lo", "hi"))
+    assert np.array_equal(p.derive(rows=rows, b=[5.0, 6.0]).b, [5.0, 6.0])
+    # the problem from a derivation solves like the one built from its arrays
+    built = LpProblem(c=sliced.c, A=sliced.A, b=sliced.b, lo=sliced.lo, hi=sliced.hi)
+    got, want = solve_lp(sliced), solve_lp(built)
+    assert got.status == want.status and got.pivots == want.pivots
+    assert got.problem is sliced and (got.x is None or got.x.tobytes() == want.x.tobytes())
     with pytest.raises(ValidationError):
-        p.with_rhs(np.ones(p.b.size + 1))
+        p.derive(b=np.ones(p.b.size + 1))
+    with pytest.raises(ValidationError):
+        p.derive(rows=rows, b=p.b)
+    with pytest.raises(ValidationError):
+        p.derive(c=np.ones(p.n + 1))
     with pytest.raises(NonFinite):
-        p.with_rhs(np.full(p.b.size, np.nan))
+        p.derive(b=np.full(p.b.size, np.nan))
+    with pytest.raises(NonFinite):
+        p.derive(c=np.full(p.n, np.inf))
 
 
 @pytest.mark.parametrize("make", [_long_step_lp, lambda rng: _phase_one_lp(rng, redundant=False)])

@@ -216,6 +216,21 @@ def test_each_chained_subset_is_one_warm_started_lp(monkeypatch, inst):
     assert all(s[0] is not None and s[0].status == "optimal" for s in calls[1:])
 
 
+@pytest.mark.parametrize("make", [
+    lambda: generate_instance("linear", 10, 20, 0.1, 1),
+    _orthant_rows,              # the compact LPs, every one a slice
+])
+def test_the_oracle_builds_one_lp_for_its_scenario_costs_and_its_chain(monkeypatch, make):
+    inst = make()
+    builds = []
+    build = ccpkit.covering._scenario_lp
+    monkeypatch.setattr(ccpkit.covering, "_scenario_lp",
+                        lambda instance, keep, **kw: builds.append(list(keep)) or build(instance, keep, **kw))
+    report = exact_solve(inst)
+    assert report.iterations > 1
+    assert builds == [list(range(inst.scenario_count))]
+
+
 def test_a_chain_serves_one_instance(two_var_cover, duplicated_row_cover):
     chain = SubsetChain(two_var_cover)
     assert subset_min_cost(two_var_cover, [0, 1], chain=chain) == pytest.approx(0.5, abs=1e-8)
