@@ -211,9 +211,12 @@ def hinge_start(instance: CcpInstance, t: float = 0.0, z=None) -> HingeStart:
     """The hinge LP at budget t and weights z (default 1), built but not
     solved: the start of a budget search on the lp backend, whose probes
     derive their LPs from it. Raises BackendUnavailable at once when the
-    rows have no LP form."""
+    rows or X (a binary set) have no LP form."""
     z = np.ones(instance.scenario_count) if z is None else z
-    problem = _hinge_lp(instance, t, z)
+    try:
+        problem = _hinge_lp(instance, t, z)
+    except UnsupportedSet as exc:
+        raise BackendUnavailable(f"lp backend: {exc}") from exc
     budget = None
     if np.isfinite(t):
         budget = problem.A.shape[0] - instance.x_set.polyhedron()[1].size - 1

@@ -430,7 +430,9 @@ class AffineRows:
         g_k(x) = max_i (R[k] x - r[k])_i + theta ||x||_*
 
     R has shape (N, I, n) and r shape (N, I), I >= 1; norm is the ball's
-    norm (None for a model with no theta term). Built once by the model.
+    norm (None for a model with no theta term). Built once by the model;
+    R is kept as a read-only view, so a view handed out of it cannot
+    write into the model.
     """
 
     R: np.ndarray
@@ -441,6 +443,9 @@ class AffineRows:
     def __post_init__(self):
         if self.R.shape[1] == 0:
             raise ValidationError("constraint rows: each scenario needs at least one row")
+        R = self.R.view()
+        R.flags.writeable = False
+        object.__setattr__(self, "R", R)
 
 
 class _Model:
@@ -470,16 +475,24 @@ class _Model:
         return losses + rows.theta * column
 
     def losses_and_grads(self, x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """g(x, xi^k) and one subgradient per scenario, shapes (N,) and (N, n)."""
+        """g(x, xi^k) and one subgradient per scenario, shapes (N,) and (N, n).
+
+        With one row per scenario both are views, with no argmax or copy:
+        the column of R x - r and R[:, 0, :] itself, which is read-only.
+        Callers must not write into either; a theta term is added out of
+        place.
+        """
         rows = self.rows
         values = rows.R @ x - rows.r                        # (N, I)
-        j = np.argmax(values, axis=1)
-        idx = np.arange(values.shape[0])
-        vals = values[idx, j]
-        grads = rows.R[idx, j, :]                           # fancy indexing copies
+        if values.shape[1] == 1:
+            vals, grads = values[:, 0], rows.R[:, 0, :]
+        else:
+            j = np.argmax(values, axis=1)
+            idx = np.arange(values.shape[0])
+            vals, grads = values[idx, j], rows.R[idx, j, :]
         if rows.theta > 0.0:
             vals = vals + rows.theta * rows.norm.dual(x)
-            grads += rows.theta * rows.norm.dual_subgradient(x)[None, :]
+            grads = grads + rows.theta * rows.norm.dual_subgradient(x)[None, :]
         return vals, grads
 
     @property

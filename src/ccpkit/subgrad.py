@@ -1,10 +1,14 @@
 """Projected subgradient descent for weighted hinge objectives.
 
 Works over S(t) = X intersect {c'x <= t}. X is read through its
-polyhedron(): when it has no rows, only bounds lo <= hi, S(t)
-gets an exact O(n log n) projection via the KKT multiplier of the budget
-row; any other X (rows, equalities, a binary set, or bounds that cross) is
-projected by Dykstra sweeps over its pieces and the budget row.
+polyhedron(): when it has no rows, only bounds lo <= hi, S(t) gets an
+exact projection via the KKT multiplier of the budget row, the root of a
+piecewise-linear phi (the continuous quadratic knapsack of Helgason,
+Kennington and Lall): the breakpoints are sorted and phi is evaluated at
+all of them at once (in blocks past n = 181), one vectorized walk per
+projection. Any other X (rows, equalities, a binary set, or bounds that
+cross) is projected by Dykstra sweeps over its pieces and the budget row.
+Each solve sets S(t) up once, for its projection and its feasible start.
 
 Step sizes shrink harmonically by default and directions are normalized
 once their norm exceeds one, which keeps the scheme scale-free across the
@@ -68,6 +72,11 @@ class SgdResult:
 # projection onto X intersect {c'x <= t}
 
 
+# the most floats one block of the breakpoint walk holds: all K <= 2n
+# breakpoints at once while 2 n^2 <= 2^16 (n <= 181), bounded blocks beyond
+_WALK_FLOATS = 2**16
+
+
 def _clip(y, lo, hi) -> np.ndarray:
     # np.clip's values through two ufunc calls, without its dispatch layers
     return np.minimum(np.maximum(y, lo), hi)
@@ -77,9 +86,11 @@ def _box_cap_projector(lo, hi, c, t) -> Callable[[np.ndarray], np.ndarray]:
     """Exact projection onto {lo <= x <= hi, c'x <= t} via the cap multiplier.
 
     phi(lam) = c' clip(y - lam c, lo, hi) is piecewise linear and
-    nonincreasing; the multiplier is the exact root of phi(lam) = t,
-    found by walking the coordinate breakpoints. Everything that does
-    not depend on the point y is computed once, here.
+    nonincreasing; the multiplier is the exact root of phi(lam) = t on the
+    first segment between sorted coordinate breakpoints where phi reaches
+    t. phi is evaluated at a block of breakpoints at once, one (K, n) clip
+    and product per block. Everything that does not depend on the point y
+    is computed once, here.
     """
     # infimum of c'x over the box; 0 * inf corners contribute nothing
     with np.errstate(invalid="ignore"):
@@ -89,11 +100,14 @@ def _box_cap_projector(lo, hi, c, t) -> Callable[[np.ndarray], np.ndarray]:
         cmin = -np.inf
     unreachable = cmin > t + 1e-9 * (1.0 + abs(t))
     cap_tol = 1e-13 * (1.0 + abs(t))
-    # breakpoints (y - bound) / c exist only for c != 0 and a finite bound
-    at_lo = (c != 0.0) & np.isfinite(lo)
-    at_hi = (c != 0.0) & np.isfinite(hi)
-    lo_b, c_lo = lo[at_lo], c[at_lo]
-    hi_b, c_hi = hi[at_hi], c[at_hi]
+    # breakpoints (y_j - bound_j) / c_j exist only for c_j != 0 and a finite
+    # bound: their coordinates, bounds and costs, lower bounds first
+    at_lo = np.flatnonzero((c != 0.0) & np.isfinite(lo))
+    at_hi = np.flatnonzero((c != 0.0) & np.isfinite(hi))
+    where = np.concatenate([at_lo, at_hi])
+    bound = np.concatenate([lo[at_lo], hi[at_hi]])
+    c_at = c[where]
+    block = max(1, _WALK_FLOATS // max(1, c.size))
     # past the last breakpoint only coordinates with an infinite blocking
     # bound keep moving; the rest sit on the cmin corner
     blocking = np.where(c > 0, lo, np.where(c < 0, hi, 0.0))
@@ -107,17 +121,23 @@ def _box_cap_projector(lo, hi, c, t) -> Callable[[np.ndarray], np.ndarray]:
             return x
         if unreachable:
             raise BadStart("budget cap unreachable inside the box")
-        cand = np.concatenate([(y[at_lo] - lo_b) / c_lo, (y[at_hi] - hi_b) / c_hi])
-        # a repeated breakpoint re-evaluates to the same phi, so sorting
-        # without dropping duplicates walks the same path as np.unique
-        lams = np.sort(cand[np.isfinite(cand) & (cand > 0.0)])
+        cand = (y[where] - bound) / c_at
+        # a repeated breakpoint evaluates to the same phi, so duplicates
+        # stay: the first one at or below t is the same as with np.unique
+        lams = cand[np.isfinite(cand) & (cand > 0.0)]
+        lams.sort()
         prev_l, prev_phi = 0.0, cap + t
-        for lam in lams:
-            val = float(c @ _clip(y - lam * c, lo, hi))
-            if val <= t:
-                lam_star = prev_l + (prev_phi - t) * (lam - prev_l) / (prev_phi - val)
+        for head in range(0, lams.size, block):
+            lam = lams[head : head + block]
+            phi = _clip(y - lam[:, None] * c, lo, hi) @ c
+            hit = phi <= t
+            i = int(hit.argmax())
+            if hit[i]:
+                if i:
+                    prev_l, prev_phi = float(lam[i - 1]), float(phi[i - 1])
+                lam_star = prev_l + (prev_phi - t) * (lam[i] - prev_l) / (prev_phi - phi[i])
                 return _clip(y - lam_star * c, lo, hi)
-            prev_l, prev_phi = float(lam), val
+            prev_l, prev_phi = float(lam[-1]), float(phi[-1])
         if slope <= 0.0:
             # phi is flat at cmin ~ t (within the tolerance checked above)
             return _clip(y - (prev_l + 1.0) * c, lo, hi)
@@ -155,7 +175,11 @@ def make_cap_projector(x_set, cost, t: float) -> Callable[[np.ndarray], np.ndarr
     A Dykstra projection that hits its sweep cap returns the best iterate it
     reached, which may lie outside S(t); the closure's `capped` counts them.
     """
-    box, sets = _cap_setup(x_set, np.asarray(cost, dtype=float), t)
+    return _projector(_cap_setup(x_set, np.asarray(cost, dtype=float), t))
+
+
+def _projector(setup) -> Callable[[np.ndarray], np.ndarray]:
+    box, sets = setup
     if box is not None:
         box.capped = 0
         return box
@@ -175,8 +199,12 @@ def make_cap_projector(x_set, cost, t: float) -> Callable[[np.ndarray], np.ndarr
 def feasible_start(x_set, cost, t: float, x0=None) -> np.ndarray:
     """Point of S(t) near x0 (origin by default); BadStart if none is found."""
     c = np.asarray(cost, dtype=float)
+    return _start(_cap_setup(x_set, c, t), c, t, x0)
+
+
+def _start(setup, c: np.ndarray, t: float, x0=None) -> np.ndarray:
+    box, sets = setup
     y = np.zeros(c.shape[0]) if x0 is None else np.asarray(x0, dtype=float)
-    box, sets = _cap_setup(x_set, c, t)
     if box is not None:
         return box(y)
     try:
@@ -260,15 +288,16 @@ def solve_hinge_sgd(
     if z.shape != (instance.scenario_count,):
         raise BadStart("z_weights: wrong length")
     w = instance.probabilities * z
-    proj = make_cap_projector(instance.x_set, instance.cost, t)
-    start = feasible_start(instance.x_set, instance.cost, t, x0)
+    setup = _cap_setup(instance.x_set, instance.cost, t)
+    proj, start = _projector(setup), _start(setup, instance.cost, t, x0)
 
     def objective(x):
         vals, grads = instance.constraints.losses_and_grads(x)
         act = vals > 0.0          # zero subgradient at the hinge kink
         if not act.any():
             return 0.0, np.zeros_like(x)
-        return float(w[act] @ vals[act]), (w[act, None] * grads[act]).sum(axis=0)
+        w_act = w[act]
+        return float(w_act @ vals[act]), (w_act[:, None] * grads[act]).sum(axis=0)
 
     return replace(_descend_with_polish(objective, start, proj, cfg), capped=proj.capped)
 
@@ -283,17 +312,18 @@ def solve_cvar_lower_sgd(instance: CcpInstance, t: float, cfg: Optional[SgdConfi
     cfg = cfg or SgdConfig()
     p = instance.probabilities
     eps = instance.epsilon
-    proj_x = make_cap_projector(instance.x_set, instance.cost, t)
-    x_start = feasible_start(instance.x_set, instance.cost, t)
+    setup = _cap_setup(instance.x_set, instance.cost, t)
+    proj_x, x_start = _projector(setup), _start(setup, instance.cost, t)
     beta_start = min(0.0, float(np.min(instance.constraints.losses(x_start))))
 
     def objective(xb):
         x, beta = xb[:-1], xb[-1]
         vals, grads = instance.constraints.losses_and_grads(x)
         over = vals > beta
-        value = float(p[over] @ vals[over] + (1.0 - float(np.sum(p[over]))) * beta
+        p_over = p[over]
+        value = float(p_over @ vals[over] + (1.0 - float(np.sum(p_over))) * beta
                       - (1.0 - eps) * beta)
-        gx = (p[over, None] * grads[over]).sum(axis=0) if np.any(over) else np.zeros_like(x)
+        gx = (p_over[:, None] * grads[over]).sum(axis=0) if p_over.size else np.zeros_like(x)
         gb = float(np.sum(p[~over])) - (1.0 - eps)
         return value, np.concatenate([gx, [gb]])
 

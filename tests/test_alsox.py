@@ -12,12 +12,14 @@ import ccpkit.cvar
 import ccpkit.lowerlevel
 import ccpkit.subgrad
 from ccpkit import (
+    L1,
     L2,
     BackendUnavailable,
     BiAffine,
     BinaryTiny,
     DrccpSpec,
     Infeasible,
+    LInf,
     NoFeasibleT,
     NonNegOrthant,
     also_x,
@@ -27,6 +29,7 @@ from ccpkit import (
     exact_solve,
     is_feasible,
     robustify,
+    solve_lower_level,
     violation_probability,
 )
 from ccpkit.cli import generate_instance
@@ -200,6 +203,20 @@ def test_rows_with_no_lp_form_fail_on_lp_before_any_bound(method, scalar_chain, 
         method(inst, backend="lp")
     assert perf_counter() - begin < 1.0
     assert calls == []
+
+
+@pytest.mark.parametrize("norm", [None, LInf(), L1()], ids=["plain", "linf", "l1"])
+def test_a_binary_set_is_unavailable_on_the_lp_backend(norm, binary_pair_cover):
+    # a lattice has no polyhedron: like rows with no LP form, the lp backend
+    # does not apply, so every lp entry point raises BackendUnavailable
+    inst = binary_pair_cover
+    if norm is not None:
+        inst = robustify(DrccpSpec(inst, 0.05, norm))
+    for solve in (lambda: also_x(inst, backend="lp"),
+                  lambda: also_x_plus(inst, backend="lp"),
+                  lambda: solve_lower_level(inst, 0.0, backend="lp")):
+        with pytest.raises(BackendUnavailable, match="BinaryTiny"):
+            solve()
 
 
 def _scenario_lp_builds(monkeypatch) -> list:

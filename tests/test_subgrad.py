@@ -97,6 +97,8 @@ def _model_cases():
     for norm in (L1(), L2(), LInf(), Mahalanobis(root @ root.T + np.eye(4))):
         robust = robustify(DrccpSpec(multi, 0.3, norm))
         yield pytest.param(robust, -1.0, 1.0, id=f"robust-{type(norm).__name__}")
+        one_row = robustify(DrccpSpec(linear, 0.3, norm))
+        yield pytest.param(one_row, -1.0, 1.0, id=f"robust-one-row-{type(norm).__name__}")
     for power in (1.0, 1.5, 3.0):
         model = SeparableConvexPower(power, rng.uniform(0.0, 2.0, size=(9, 4)), 1.5)
         inst = equiprobable(4, model, NonNegOrthant(4), np.ones(4), 0.2)
@@ -107,8 +109,11 @@ def _model_cases():
 def test_every_model_answers_its_losses_and_subgradients_in_one_place(inst, low, high):
     # losses, losses_and_grads and scenario_losses agree bit for bit, a
     # block is its rows stacked, and each gradient supports its loss:
-    # g_k(y) >= g_k(x) + grad_k(x)'(y - x) on pairs drawn from the domain
+    # g_k(y) >= g_k(x) + grad_k(x)'(y - x) on pairs drawn from the domain.
+    # One-row gradients are views of the rows that cannot be written, and
+    # no write into any returned gradient reaches the rows
     model = inst.constraints
+    before = None if model.rows is None else model.rows.R.copy()
     rng = np.random.default_rng(17)
     block = rng.uniform(low, high, size=(8, inst.n))
     rows = [model.losses(x) for x in block]
@@ -122,6 +127,14 @@ def test_every_model_answers_its_losses_and_subgradients_in_one_place(inst, low,
         for y in rng.uniform(low, high, size=(5, inst.n)):
             support = vals + grads @ (y - x)
             assert np.all(model.losses(y) >= support - 1e-12 * (1.0 + np.abs(vals)))
+        if before is not None and before.shape[1] == 1 and model.rows.theta == 0.0:
+            assert np.shares_memory(grads, model.rows.R)
+            with pytest.raises(ValueError):
+                grads[0, 0] = 1.0
+        else:
+            grads[...] = np.nan     # the caller's own copy
+    if before is not None:
+        assert np.array_equal(model.rows.R, before)
 
 
 def _linear_rows_over(x_set):
@@ -163,27 +176,74 @@ def test_step_rules():
     assert Constant(0.5).step(9) == pytest.approx(0.5)
 
 
-def test_cap_projector_on_box_is_exact():
-    # projection onto [0,1]^n with c'x <= t, probed against perturbations
+def _cap_projection_by_bisection(y, lo, hi, c, t):
+    """clip(y - lam c, lo, hi) at the least lam >= 0 with phi(lam) <= t, up
+    to 1e-11 (1 + |t|), found by bisection on the multiplier lam: phi(lam)
+    = c' clip(y - lam c, lo, hi) is nonincreasing."""
+    def phi(lam):
+        return float(c @ np.clip(y - lam * c, lo, hi))
+
+    level = t + 1e-11 * (1.0 + abs(t))
+    low, high = 0.0, 1.0
+    if phi(low) <= level:
+        return np.clip(y, lo, hi)
+    while phi(high) > level:
+        low, high = high, 2.0 * high
+    for _ in range(100):
+        mid = 0.5 * (low + high)
+        low, high = (mid, high) if phi(mid) > level else (low, mid)
+    return np.clip(y - high * c, lo, hi)
+
+
+def _cap_cases(rng):
+    """(lo, hi, c, t, y) for the box cap projector, one draw of each kind."""
+    n = int(rng.integers(1, 7))
+    c = rng.choice([-1.0, 1.0], size=n) * rng.uniform(0.2, 2.0, size=n)
+    y = rng.normal(scale=2.0, size=n)
+    zeros, ones = np.zeros(n), np.ones(n)
+    corner = np.where(c > 0, zeros, ones)        # the minimum of c'x over [0, 1]^n
+    t_min = float(c @ corner)
+    yield "unit", zeros, ones, c, float(rng.uniform(t_min, float(np.maximum(c, 0.0).sum()))), y
+    # each coordinate in [0, 1], [0, inf), (-inf, 1] or (-inf, inf)
+    kind = rng.integers(0, 4, size=n)
+    lo = np.where(kind >= 2, -np.inf, 0.0)
+    hi = np.where(kind % 2 == 1, np.inf, 1.0)
+    reach = float(c @ np.clip(y, lo, hi))
+    cmin = float(np.sum(np.where(c > 0, c * lo, c * hi)))
+    t = reach - float(rng.exponential(3.0)) if np.isinf(cmin) else float(rng.uniform(cmin, reach))
+    yield "half-infinite", lo, hi, c, t, y
+    zero = c * (rng.uniform(size=n) < 0.5)
+    yield "zero costs", zeros, ones, zero, float(rng.uniform(float(np.minimum(zero, 0.0).sum()), 0.5)), y
+    same = rng.uniform(size=n) < 0.6
+    rep_c, rep_y = np.where(same, c[0], c), np.where(same, y[0], y)
+    rep_min = float(np.minimum(rep_c, 0.0).sum())
+    yield "repeated breakpoints", zeros, ones, rep_c, float(rng.uniform(rep_min, 0.0)), rep_y
+    # t at the minimum itself, and a hair below it: phi is flat from the last
+    # breakpoint on, and the walk runs past it
+    yield "t at the minimum", zeros, ones, c, t_min, y
+    yield "t below the minimum", zeros, ones, c, t_min - 1e-12, y
+
+
+def test_cap_projector_on_box_is_exact(monkeypatch):
+    # each projection onto {lo <= x <= hi, c'x <= t} equals bisection on
+    # the multiplier within 1e-9 and beats feasible perturbations, with the
+    # breakpoints walked all at once and one by one
     rng = np.random.default_rng(3)
-    for _ in range(300):
-        n = int(rng.integers(1, 5))
-        cost = rng.normal(size=n)
-        box = Box(np.zeros(n), np.ones(n))
-        t_lo = float(np.minimum(cost, 0.0).sum())
-        t_hi = float(np.maximum(cost, 0.0).sum())
-        t = float(rng.uniform(t_lo, t_hi))
-        proj = make_cap_projector(box, cost, t)
-        y = rng.normal(scale=2.0, size=n)
-        p = proj(y)
-        assert np.all(p >= -1e-9) and np.all(p <= 1.0 + 1e-9)
-        assert cost @ p <= t + 1e-7 * (1.0 + abs(t))
-        base = np.linalg.norm(y - p)
-        for _ in range(10):
-            q = np.clip(p + rng.normal(scale=0.05, size=n), 0.0, 1.0)
-            if cost @ q <= t:
-                assert np.linalg.norm(y - q) >= base - 1e-7
-        assert np.allclose(proj(p), p, atol=1e-8)
+    for draw in range(200):
+        monkeypatch.setattr(ccpkit.subgrad, "_WALK_FLOATS", 2**16 if draw % 2 else 1)
+        for kind, lo, hi, cost, t, y in _cap_cases(rng):
+            n = cost.size
+            p = make_cap_projector(Box(lo, hi), cost, t)(y)
+            want = _cap_projection_by_bisection(y, lo, hi, cost, t)
+            assert np.max(np.abs(p - want)) <= 1e-9, kind
+            assert np.all(p >= lo - 1e-9) and np.all(p <= hi + 1e-9)
+            assert cost @ p <= t + 1e-7 * (1.0 + abs(t))
+            base = np.linalg.norm(y - p)
+            for _ in range(10):
+                q = np.clip(p + rng.normal(scale=0.05, size=n), lo, hi)
+                if cost @ q <= t:
+                    assert np.linalg.norm(y - q) >= base - 1e-7
+            assert np.allclose(make_cap_projector(Box(lo, hi), cost, t)(p), p, atol=1e-8)
 
 
 def test_cap_projector_unreachable_budget_raises():
