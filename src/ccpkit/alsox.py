@@ -25,19 +25,73 @@ from .errors import (
     UnsupportedSet,
     ValidationError,
 )
-from .lowerlevel import hinge_start, pick_backend, solve_lower_level
+from .lowerlevel import hinge_start, lattice_start, pick_backend, solve_lower_level
 from .model import CcpInstance, Covering, SolveReport, is_feasible, violation_probability
 from .search import bisect_budget
 from .subgrad import SgdConfig
+
+
+class _Acceptor:
+    """accept(t) for one budget search: the hinge minimizer at budget t if it
+    is chance-feasible, else what rescue(t, minimizer) returns, if a rescue
+    is given; None when S(t) is empty. Only t moves from one probe to the
+    next, so each probe starts from the last solved one's `start`: the LP
+    derived from the last one and re-solved from its basis, the lattice
+    scan from its stored lattice and, at the probes' unchanged weights, its
+    stored hinge column. The search's start is built here, before any
+    bound: on the lp backend the hinge LP, so rows with no LP form raise
+    BackendUnavailable at once; on the enum backend the lattice
+    (lowerlevel.lattice_start, None above its memory bound), which
+    bounds_with_anchor hands to the quantile bound and the CVaR anchor."""
+
+    def __init__(self, instance, backend, sgd_config, rescue=None):
+        self.instance, self.backend, self.sgd_config = instance, backend, sgd_config
+        self.rescue = rescue
+        kind = pick_backend(instance) if backend == "auto" else backend
+        self.start = None
+        if kind == "lp":
+            self.start = hinge_start(instance)
+        elif kind == "enum":
+            self.start = lattice_start(instance)
+
+    def __call__(self, t) -> Optional[np.ndarray]:
+        return self.probe(t, self.rescue)
+
+    def probe(self, t, rescue=None) -> Optional[np.ndarray]:
+        """The hinge minimizer at t if it is chance-feasible, else
+        rescue(t, minimizer) if a rescue is given; None when S(t) is empty."""
+        try:
+            sol = solve_lower_level(
+                self.instance, t, None, backend=self.backend, sgd_config=self.sgd_config,
+                start=self.start,
+            )
+        except BadStart:
+            return None
+        self.start = sol.start
+        if is_feasible(self.instance, sol.x):
+            return sol.x
+        return None if rescue is None else rescue(t, sol)
 
 
 def bounds_with_anchor(
     instance: CcpInstance,
     sgd_config: Optional[SgdConfig] = None,
     backend: str = "auto",
+    *,
+    accept: Optional[_Acceptor] = None,
 ) -> Tuple[float, float, np.ndarray]:
-    """(t_low, t_up, incumbent) with the incumbent chance-feasible at cost t_up."""
-    t_low = quantile_lower_bound(instance, sgd_config)
+    """(t_low, t_up, incumbent) with the incumbent chance-feasible at cost t_up.
+
+    accept: the budget search's acceptor. Its start goes to the quantile
+    bound and the CVaR anchor as their `start` (on a binary X, the
+    search's lattice, so that the bounds build none of their own), and
+    when the tail program is empty the anchor search probes with it, so
+    the budget search goes on from the anchor search's last start. Without
+    one the bounds build their own lattices, and the anchor search, if it
+    runs, its own acceptor on `backend`.
+    """
+    start = None if accept is None else accept.start
+    t_low = quantile_lower_bound(instance, sgd_config, start=start)
     if t_low == np.inf:
         raise NoFeasibleT("a scenario inside the required mass cannot be satisfied")
     anchor = None
@@ -49,55 +103,29 @@ def bounds_with_anchor(
             anchor = None
     if anchor is None:
         try:
-            rep = cvar_solution(instance, sgd_config=sgd_config)
+            rep = cvar_solution(instance, sgd_config=sgd_config, start=start)
             anchor = (rep.objective, rep.x_star)
         except Infeasible:
-            anchor = _anchor_by_search(instance, t_low, backend, sgd_config)
+            accept = accept or _Acceptor(instance, backend, sgd_config)
+            anchor = _anchor_by_search(instance, t_low, accept)
     return t_low, float(anchor[0]), anchor[1]
 
 
-def _anchor_by_search(instance, t_low, backend, sgd_config):
+def _anchor_by_search(instance, t_low, accept: _Acceptor):
+    """The first budget up from t_low whose hinge minimizer is itself
+    chance-feasible (no rescue is tried), and that minimizer."""
     base = t_low if np.isfinite(t_low) else 0.0
-    accept = _acceptor(instance, backend, sgd_config)
-    found = bisect_budget(accept, base, np.inf, tol=np.inf, step=max(1.0, abs(base) / 2.0))
+    found = bisect_budget(accept.probe, base, np.inf, tol=np.inf, step=max(1.0, abs(base) / 2.0))
     if found.witness is None:
         raise NoFeasibleT("no budget produced a chance-feasible hinge minimizer")
     return float(instance.cost @ found.witness), found.witness
 
 
-def _acceptor(instance, backend, sgd_config, rescue=None):
-    """accept(t) for one budget search: the hinge minimizer at budget t if it
-    is chance-feasible, else what rescue(t, minimizer) returns, if a rescue
-    is given; None when S(t) is empty. Only t moves from one probe to the
-    next, so each probe starts from the last solved one's `start`: the LP
-    derived from the last one and re-solved from its basis, the lattice
-    scan from its stored lattice. On the lp backend the search's hinge LP
-    is built here, before any probe, so rows with no LP form raise
-    BackendUnavailable at once."""
-    lp = backend == "lp" or (backend == "auto" and pick_backend(instance) == "lp")
-    last = hinge_start(instance) if lp else None
-
-    def accept(t) -> Optional[np.ndarray]:
-        nonlocal last
-        try:
-            sol = solve_lower_level(
-                instance, t, None, backend=backend, sgd_config=sgd_config, start=last
-            )
-        except BadStart:
-            return None
-        last = sol.start
-        if is_feasible(instance, sol.x):
-            return sol.x
-        return None if rescue is None else rescue(t, sol)
-
-    return accept
-
-
 def _bisect(instance, method, delta1, backend, sgd_config, max_bisections, rescue=None):
     """The scheme of also_x, and of also_x_plus when given its rescue."""
     start = perf_counter()
-    accept = _acceptor(instance, backend, sgd_config, rescue)
-    t_low, t_up, incumbent = bounds_with_anchor(instance, sgd_config, backend)
+    accept = _Acceptor(instance, backend, sgd_config, rescue)
+    t_low, t_up, incumbent = bounds_with_anchor(instance, sgd_config, backend, accept=accept)
     found = bisect_budget(accept, t_low, t_up, delta1, max(1.0, abs(t_up)), max_bisections)
     if found.witness is not None:
         incumbent = found.witness

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import BackendUnavailable, BadStart, Infeasible, NoConvergence, NonFinite, ValidationError
 from .geometry import dykstra_project
-from .lowerlevel import _scenario_lp, _slack_rows, lattice_argmin, lattice_chunks
+from .lowerlevel import _scenario_lp, _slack_rows, lattice_argmin, lattice_chunks, lattice_of
 from .lp import LpOutcome, LpProblem, solve_lp
 from .model import (
     CcpInstance,
@@ -296,16 +296,17 @@ def scenario_costs(
     return _scenario_costs(instance, sgd_config, SubsetChain(instance))
 
 
-def _scenario_costs(instance, sgd_config, chain: SubsetChain) -> np.ndarray:
+def _scenario_costs(instance, sgd_config, chain: SubsetChain, start=None) -> np.ndarray:
     """scenario_costs, whose LPs are the compact LPs of chain: one LP over
-    every scenario is built, and each h_k solves its rows of it cold."""
+    every scenario is built, and each h_k solves its rows of it cold. On a
+    binary X the pass scans start's lattice (lowerlevel.lattice_of)."""
     if instance.x_set.binary:
         tol = default_zero_tol(instance)
 
         def kept_costs(points, costs, losses):
             return np.where(losses <= tol, costs[:, None], np.inf)
 
-        found = lattice_argmin(lattice_chunks(instance), kept_costs)
+        found = lattice_argmin(lattice_of(instance, start), kept_costs)
         return np.array([np.inf if pair is None else pair[0] for pair in found])
     compact = _CompactChain(chain)
     N = instance.scenario_count
@@ -315,6 +316,8 @@ def _scenario_costs(instance, sgd_config, chain: SubsetChain) -> np.ndarray:
 def quantile_lower_bound(
     instance: CcpInstance,
     sgd_config: Optional[SgdConfig] = None,
+    *,
+    start=None,
 ) -> float:
     """Largest single-scenario cost inside the smallest (1-eps) mass prefix.
 
@@ -322,9 +325,11 @@ def quantile_lower_bound(
     accumulate probability until it reaches 1 - eps; every chance-feasible
     point must satisfy some scenario at least that expensive, so the prefix
     maximum bounds v* from below. Returns +inf when the required prefix
-    contains an unsatisfiable scenario.
+    contains an unsatisfiable scenario. start: a budget search's start; on
+    a binary X the costs scan its lattice when it is a LatticeStart of this
+    instance (`is`), and build their own otherwise.
     """
-    h = scenario_costs(instance, sgd_config)
+    h = _scenario_costs(instance, sgd_config, SubsetChain(instance), start)
     order = np.argsort(h, kind="stable")
     mass = 0.0
     for k in order:

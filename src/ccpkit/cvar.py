@@ -25,7 +25,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import BackendUnavailable, BadStart, Infeasible, NonFinite
-from .lowerlevel import _scenario_lp, _slack_rows, lattice_argmin, lattice_chunks
+from .lowerlevel import _scenario_lp, _slack_rows, lattice_argmin, lattice_chunks, lattice_of
 from .lp import LpProblem, solve_lp
 from .model import CcpInstance, SolveReport, is_feasible, violation_probability
 from .search import bisect_from
@@ -85,12 +85,12 @@ def _tail_values(instance: CcpInstance, losses: np.ndarray) -> np.ndarray:
     return best
 
 
-def _cvar_enum(instance: CcpInstance) -> tuple:
+def _cvar_enum(instance: CcpInstance, start=None) -> tuple:
     def tail_cost(points, costs, losses):
         tail = _tail_values(instance, losses)
         return np.where(tail <= 1e-9 * (1.0 + np.abs(tail)), costs, np.inf)
 
-    best = lattice_argmin(lattice_chunks(instance), tail_cost)
+    best = lattice_argmin(lattice_of(instance, start), tail_cost)
     if best is None:
         raise Infeasible("cvar: no binary point satisfies the tail condition")
     return (*best, 2**instance.n)
@@ -114,12 +114,19 @@ def cvar_solution(
     instance: CcpInstance,
     backend: str = "auto",
     sgd_config: Optional[SgdConfig] = None,
+    *,
+    start=None,
 ) -> SolveReport:
-    """Minimize c'x under the tail condition; raises Infeasible when empty."""
-    start = perf_counter()
+    """Minimize c'x under the tail condition; raises Infeasible when empty.
+
+    start: a budget search's start; on a binary X the enumeration scans its
+    lattice when it is a LatticeStart of this instance (`is`), and builds
+    its own otherwise.
+    """
+    begin = perf_counter()
     found = None
     if instance.x_set.binary:
-        found = _cvar_enum(instance)
+        found = _cvar_enum(instance, start)
     elif backend != "sgd":
         found = _cvar_lp(instance)
     value, x, iterations = found or _cvar_bisect(instance, sgd_config)
@@ -133,7 +140,7 @@ def cvar_solution(
         iterations=iterations,
         lower_bound_used=value,
         upper_bound_used=value,
-        wall_time=perf_counter() - start,
+        wall_time=perf_counter() - begin,
     )
 
 

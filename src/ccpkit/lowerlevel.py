@@ -14,14 +14,20 @@ with z in [0,1]^N fixed. Backends:
   "auto"  enum for binary sets, lp for the equality model, sgd otherwise
 
 The lp and enum solves return a warm start for the next solve of the same
-instance (solve_lower_level): the hinge LP with its outcome, or the lattice
-the scan built. Neither the LP's rows nor the lattice's points, costs c'x
-and scenario losses depend on t or z, so the probes and AM rounds of one
-budget search build them once. Each later LP is derived from the last one
-(a new t moves one entry of b, new weights only y's cost) and re-solved
-from its basis; the lattice is only scored again. A lattice is kept only
-while 2^n (N + n + 1) floats fit in _LATTICE_KEEP (32 MB); a larger one is
-built block by block on every solve, and is never held whole.
+instance (solve_lower_level): the hinge LP with its outcome, or the kept
+lattice. Neither the LP's rows nor the lattice's points, costs c'x and
+scenario losses depend on t or z, so one budget search builds them once:
+alsox builds the search's start (hinge_start, lattice_start) before its
+bounds, and on a binary X hands the lattice to the quantile bound and the
+CVaR anchor as well. Each later LP is derived from the last one (a new t
+moves one entry of b, new weights only y's cost) and re-solved from its
+basis. A lattice start also carries the weights p z its last scan used
+and the hinge column sum_k p_k z_k (g_k)_+ they gave: a scan at the same
+weights (every probe of a search, all at z = 1) only masks that column
+by c'x <= t, and new weights (an AM round) compute a new one. A lattice
+is kept only while 2^n (N + n + 1) floats fit in _LATTICE_KEEP (32 MB); a
+larger one is built block by block by every consumer on every solve, and
+is never held whole.
 
 Every LP here and in cvar and covering (hinge, tail, subset, relaxation)
 and the DC pieces come from one builder, _scenario_lp, the one place that
@@ -38,7 +44,7 @@ schemes are calibrated against; the lp backend returns vertices instead.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -307,29 +313,60 @@ def lattice_argmin(chunks, score):
 
 @dataclass(frozen=True, eq=False)
 class LatticeStart:
-    """The enum backend's warm start: an instance's lattice chunks, kept."""
+    """The enum backend's warm start: an instance's lattice chunks, kept
+    (lattice_start), and, once a hinge scan has scored them, the weights
+    p z it used and the hinge column sum_k p_k z_k (g_k)_+ of each chunk at
+    those weights (_hinge_column). The scan that returns it, or the budget
+    search that builds it before its bounds (alsox), owns it; the quantile
+    bound and the CVaR anchor read its chunks (lattice_of)."""
 
     instance: CcpInstance
     chunks: Tuple[tuple, ...]
+    weights: Optional[np.ndarray] = None
+    hinges: Tuple[np.ndarray, ...] = ()
+
+
+def lattice_start(instance: CcpInstance) -> Optional[LatticeStart]:
+    """The instance's lattice, built and kept, while 2^n (N + n + 1) floats
+    fit in _LATTICE_KEEP; None above it, where every consumer streams
+    lattice_chunks block by block instead."""
+    if 2**instance.n * (instance.scenario_count + instance.n + 1) > _LATTICE_KEEP:
+        return None
+    return LatticeStart(instance, tuple(lattice_chunks(instance)))
+
+
+def lattice_of(instance: CcpInstance, start=None):
+    """The lattice chunks of instance: start's when it is a LatticeStart of
+    this instance (`is`), else lattice_chunks(instance), built anew."""
+    if isinstance(start, LatticeStart) and start.instance is instance:
+        return start.chunks
+    return lattice_chunks(instance)
+
+
+def _hinge_column(weights: np.ndarray, losses: np.ndarray) -> np.ndarray:
+    """sum_k w_k (g_k)_+ at each point of one lattice chunk."""
+    return np.sum(weights * np.maximum(losses, 0.0), axis=-1)
 
 
 def _solve_hinge_enum(
     instance: CcpInstance, t: float, z: np.ndarray, start=None
 ) -> LowerLevelSolution:
-    if isinstance(start, LatticeStart) and start.instance is instance:
-        chunks = start.chunks
-    elif 2**instance.n * (instance.scenario_count + instance.n + 1) <= _LATTICE_KEEP:
-        start = LatticeStart(instance, tuple(lattice_chunks(instance)))
-        chunks = start.chunks
-    else:
-        start, chunks = None, lattice_chunks(instance)
-    cap = t + 1e-9 * (1.0 + abs(t)) if np.isfinite(t) else np.inf
+    if not (isinstance(start, LatticeStart) and start.instance is instance):
+        start = lattice_start(instance)
     weights = instance.probabilities * z
+    if start is None:
+        chunks = ((p, c, _hinge_column(weights, g)) for p, c, g in lattice_chunks(instance))
+    else:
+        if start.weights is None or not np.array_equal(start.weights, weights):
+            hinges = tuple(_hinge_column(weights, g) for _, _, g in start.chunks)
+            start = replace(start, weights=weights, hinges=hinges)
+        chunks = ((p, c, h) for (p, c, _), h in zip(start.chunks, start.hinges))
+    cap = t + 1e-9 * (1.0 + abs(t)) if np.isfinite(t) else np.inf
 
-    def hinge(points, costs, losses):
-        return np.where(costs <= cap, np.sum(weights * np.maximum(losses, 0.0), axis=-1), np.inf)
+    def within_budget(points, costs, hinge):
+        return np.where(costs <= cap, hinge, np.inf)
 
-    best = lattice_argmin(chunks, hinge)
+    best = lattice_argmin(chunks, within_budget)
     if best is None:
         raise BadStart(f"hinge enum: no lattice point satisfies c'x <= {t}")
     x = best[1]
@@ -362,16 +399,20 @@ def solve_lower_level(
     backend's is None). On the lp backend it is the HingeStart that holds
     the hinge LP and its outcome: the LP is derived from that one, with the
     new t and z, and re-solved from the outcome's final basis (lp.solve_lp);
-    hinge_start builds one before any solve. On the enum
-    backend it is the LatticeStart that holds the lattice's points, costs
-    and scenario losses, which are the same at every t and z: the scan
-    scores them instead of building them again. The enum backend keeps a
-    lattice only while 2^n (N + n + 1) floats fit in _LATTICE_KEEP (32 MB);
-    a larger one streams, block by block, on every solve, and its start is
-    None. A start of another backend or, for enum, of another instance
-    (`is`) is ignored; an lp start of another instance is only offered to
-    solve_lp, which matches it by value. The sgd backend ignores every
-    start.
+    hinge_start builds one before any solve. On the enum backend it is the
+    LatticeStart that holds the lattice's points, costs and scenario
+    losses, which are the same at every t and z: the scan scores them
+    instead of building them again; lattice_start builds one before any
+    solve, and a solve with no usable start builds its own. The returned
+    start also holds the hinge column at this solve's weights p z: a later
+    solve at equal weights masks that column by c'x <= t and computes
+    nothing else (the start it returns is the one it was given), while new
+    weights compute a new column. The enum backend keeps a lattice only
+    while 2^n (N + n + 1) floats fit in _LATTICE_KEEP (32 MB); a larger one
+    streams, block by block, on every solve, and its start is None. A
+    start of another backend or, for enum, of another instance (`is`) is
+    ignored; an lp start of another instance is only offered to solve_lp,
+    which matches it by value. The sgd backend ignores every start.
     """
     z = np.ones(instance.scenario_count) if z_weights is None else np.asarray(z_weights, dtype=float)
     if backend == "auto":

@@ -28,11 +28,13 @@ from ccpkit import (
     cvar_solution,
     exact_solve,
     is_feasible,
+    quantile_lower_bound,
     robustify,
     solve_lower_level,
     violation_probability,
 )
 from ccpkit.cli import generate_instance
+from ccpkit.lowerlevel import hinge_start, lattice_start
 
 from conftest import (
     FINITE_DOCUMENTS,
@@ -154,8 +156,19 @@ def test_anchor_search_probes_with_the_callers_backend(monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(alsox_module, "solve_lower_level", spy)
+    builds = []
+    build = ccpkit.lowerlevel._hinge_lp
+
+    def counted(*args, **kwargs):
+        builds.append(1)
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(ccpkit.lowerlevel, "_hinge_lp", counted)
     out = also_x(inst, backend="lp")
     assert seen and set(seen) == {"lp"}
+    # the anchor search probes with the budget search's acceptor: one hinge
+    # LP, built before the bounds, serves both searches
+    assert len(builds) == 1
     assert out.objective == pytest.approx(0.0)
     check_report(inst, out)
 
@@ -183,9 +196,67 @@ def test_one_search_builds_each_lattice_block_once(method, monkeypatch):
     sizes = lattice_block_spy(monkeypatch)
     out = method(inst)
     assert out.iterations == 10
-    # 2^13 points in two blocks: once for the quantile bound, once for the
-    # CVaR anchor and once for the whole search, not once per probe or AM round
-    assert sizes == [4096] * 6
+    # 2^13 points in two blocks, built once before the bounds: the quantile
+    # bound, the CVaR anchor and every probe and AM round scan that lattice
+    assert sizes == [4096] * 2
+
+
+@pytest.mark.parametrize("method", [also_x, also_x_plus])
+def test_one_hinge_column_per_distinct_weight_vector(method, monkeypatch):
+    # 2^10 points: the lattice is one block, so each column is one computation
+    inst = replace(generate_instance("linear", 10, 30, 0.1, 1), x_set=BinaryTiny(10))
+    columns, solved = [], []
+    column = ccpkit.lowerlevel._hinge_column
+    enum = ccpkit.lowerlevel._solve_hinge_enum
+
+    def computed(weights, losses):
+        columns.append(weights.tobytes())
+        return column(weights, losses)
+
+    def scanned(instance, t, z, start=None):
+        solved.append((instance.probabilities * z).tobytes())
+        return enum(instance, t, z, start)
+
+    monkeypatch.setattr(ccpkit.lowerlevel, "_hinge_column", computed)
+    monkeypatch.setattr(ccpkit.lowerlevel, "_solve_hinge_enum", scanned)
+    out = method(inst)
+    assert out.iterations == 10
+    # a scan computes a column only when its weights differ from those of
+    # the start it was given: the probes, all at z = 1, share the first
+    # probe's column, and an AM round computes one only when its z differs
+    # from the round (or, for the first round, the probe) before it
+    probes = inst.probabilities.tobytes()
+    moved = [w for before, w in zip(solved, solved[1:]) if w not in (before, probes)]
+    assert columns == [probes] + moved
+    # six AM rescues of two rounds each; each second round has its first's z
+    assert len(columns) == (1 if method is also_x else 7)
+
+
+def test_the_bounds_build_their_own_lattice_from_a_start_not_theirs(monkeypatch):
+    inst = replace(generate_instance("linear", 6, 12, 0.2, 3), x_set=BinaryTiny(6))
+    other = replace(generate_instance("linear", 6, 12, 0.2, 4), x_set=BinaryTiny(6))
+
+    def answers(start=None):
+        rep = cvar_solution(inst, start=start)
+        t_low = quantile_lower_bound(inst, start=start)
+        return float(t_low).hex(), float(rep.objective).hex(), rep.x_star.tobytes()
+
+    want = answers()
+    foreign = [
+        lattice_start(other),
+        lattice_start(replace(inst)),            # the same data, another object
+        hinge_start(generate_instance("linear", 6, 12, 0.2, 3)),
+    ]
+    sizes = lattice_block_spy(monkeypatch)
+    for start in foreign:
+        sizes.clear()
+        assert answers(start) == want
+        assert sizes == [64, 64]
+    # the instance's own lattice is scanned, not built again
+    own = lattice_start(inst)
+    sizes.clear()
+    assert answers(own) == want
+    assert sizes == []
 
 
 @pytest.mark.parametrize("method", [also_x, also_x_plus])
