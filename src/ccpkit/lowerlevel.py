@@ -234,9 +234,10 @@ def _solve_hinge_lp(
 ) -> LowerLevelSolution:
     """The hinge solve at (t, z). From a start of this instance (`is`) at a
     finite budget, a finite t derives the LP from the start's: b with t in
-    the budget row and y's cost p z, every other array shared, so the
-    start's outcome matches by identity. A start of another instance only
-    offers its outcome to solve_lp, which matches it by value."""
+    the budget row and y's cost p z, every other array shared, and
+    re-solves it from the start's outcome. Any other LP is built anew and
+    solved cold."""
+    offered = None
     own = start is not None and start.instance is instance
     if own and start.budget is not None and np.isfinite(t):
         old, n, N = start.problem, instance.n, instance.scenario_count
@@ -244,9 +245,10 @@ def _solve_hinge_lp(
         b[start.budget] = t
         c[n : n + N] = instance.probabilities * z
         here = HingeStart(instance, old.derive(c=c, b=b), start.budget)
+        offered = start.outcome
     else:
         here = hinge_start(instance, t, z)
-    out = solve_lp(here.problem, start=None if start is None else start.outcome)
+    out = solve_lp(here.problem, start=offered)
     if out.status == "infeasible":
         raise BadStart(f"hinge lp: S(t) is empty at t={t}")
     if out.status != "optimal":
@@ -410,9 +412,9 @@ def solve_lower_level(
     weights compute a new column. The enum backend keeps a lattice only
     while 2^n (N + n + 1) floats fit in _LATTICE_KEEP (32 MB); a larger one
     streams, block by block, on every solve, and its start is None. A
-    start of another backend or, for enum, of another instance (`is`) is
-    ignored; an lp start of another instance is only offered to solve_lp,
-    which matches it by value. The sgd backend ignores every start.
+    start of another backend or of another instance (`is`) is ignored, and
+    so is an lp start built at t = inf or a solve at t = inf: those LPs
+    are built anew and solved cold. The sgd backend ignores every start.
     """
     z = np.ones(instance.scenario_count) if z_weights is None else np.asarray(z_weights, dtype=float)
     if backend == "auto":
@@ -552,6 +554,9 @@ def am(
 # ---------------------------------------------------------------------------
 # difference-of-convex scheme on the exact complementarity objective
 
+# projected-gradient steps per round of dc_solve
+_DC_INNER_ITERS = 400
+
 
 @dataclass(frozen=True, eq=False)
 class DcResult:
@@ -609,7 +614,6 @@ def dc_solve(
     z0=None,
     delta2: float = 1e-2,
     max_rounds: int = 100,
-    inner_iters: int = 400,
 ) -> DcResult:
     """Difference-of-convex descent on E[z s] over the coupled (x, s, z) set.
 
@@ -655,7 +659,7 @@ def dc_solve(
         for rounds in range(1, max_rounds + 1):
             _, s_, z_ = split(u)
             w = z_ - s_
-            for _ in range(inner_iters):
+            for _ in range(_DC_INNER_ITERS):
                 _, s_, z_ = split(u)
                 grad = np.zeros_like(u)
                 grad[n : n + N] = p * (0.5 * (z_ + s_) + 0.5 * w)

@@ -58,19 +58,23 @@ against rounding and raises CycleGuardTripped if exhausted. `pivots` counts
 basis changes, never bound flips. Intended for desk-scale problems (at most
 10_000 columns); everything is dense numpy.
 
-Warm re-solves. solve_lp(problem, start=outcome) starts from a copy of the
-final tableau of an optimal outcome of an LP with the same A, E, lo and hi
-(the same arrays, as LpProblem.derive shares them, or equal ones; any other
-start is ignored and the LP is solved cold). Every outcome carries the
-problem it solved, so a caller that re-solves with a new budget, cost or
-subset of rows derives the next LP from it (LpProblem.derive) instead of
-building it again, and the start then matches by identity. The new basic
-values are B^-1 times the new right-hand side less the nonbasic columns at
-their bounds. With the same c the old basis is still dual feasible, and the
-long-step dual loop re-solves it. A new c is priced against the old basis:
-the primal loop goes on from a basis that is still primal feasible, the
-long-step dual loop from one that is only dual feasible, and one that is
-neither is solved cold. The start is never modified.
+Warm re-solves. Every LpProblem owns its arrays, read-only: it keeps a
+caller's array only when that is read-only and owns its data, and copies
+any other, so no later write can change a problem. solve_lp(problem,
+start=outcome) starts from a copy of the final tableau of an optimal
+outcome of an LP with the same A, E, lo and hi: the same array objects,
+as LpProblem.derive shares them. Any other start is ignored and the LP
+is solved cold; equal arrays in other objects do not match. Every outcome
+carries the problem it solved, so a caller that re-solves with a new
+budget, cost or subset of rows derives the next LP from it instead of
+building it again. The new basic values are B^-1 times the new right-hand
+side less the nonbasic columns at their bounds. With an equal c (compared
+by value, since a derived c may repeat the start's) the old basis is
+still dual feasible, and the long-step dual loop re-solves it. A new c is
+priced against the old basis: the primal loop goes on from a basis that
+is still primal feasible, the long-step dual loop from one that is only
+dual feasible, and one that is neither is solved cold. The start is
+never modified.
 
 The optimal outcome carries a dual certificate (row multipliers, the most
 negative reduced cost of a nonbasic column measured in its feasible
@@ -102,16 +106,16 @@ class LpProblem:
     hi: Optional[np.ndarray] = None  # defaults to +inf
 
     def __post_init__(self):
-        c = np.asarray(self.c, dtype=float)
+        c = _owned(self.c)
         if c.ndim != 1 or c.size == 0:
             raise ValidationError("lp: cost must be a nonempty vector")
         n = c.shape[0]
-        A = np.zeros((0, n)) if self.A is None else np.asarray(self.A, dtype=float)
-        b = np.zeros(0) if self.b is None else np.asarray(self.b, dtype=float)
-        E = np.zeros((0, n)) if self.E is None else np.asarray(self.E, dtype=float)
-        f = np.zeros(0) if self.f is None else np.asarray(self.f, dtype=float)
-        lo = np.zeros(n) if self.lo is None else np.asarray(self.lo, dtype=float)
-        hi = np.full(n, np.inf) if self.hi is None else np.asarray(self.hi, dtype=float)
+        A = np.zeros((0, n)) if self.A is None else _owned(self.A)
+        b = np.zeros(0) if self.b is None else _owned(self.b)
+        E = np.zeros((0, n)) if self.E is None else _owned(self.E)
+        f = np.zeros(0) if self.f is None else _owned(self.f)
+        lo = np.zeros(n) if self.lo is None else _owned(self.lo)
+        hi = np.full(n, np.inf) if self.hi is None else _owned(self.hi)
         if A.shape != (b.shape[0], n) or E.shape != (f.shape[0], n):
             raise ValidationError("lp: constraint matrix/rhs shapes disagree")
         if lo.shape != (n,) or hi.shape != (n,):
@@ -123,6 +127,7 @@ class LpProblem:
         if not (data_ok and (lo <= hi).all() and lo.max() < np.inf and hi.min() > -np.inf):
             _reject(c, A, b, E, f, lo, hi)
         for name, value in (("c", c), ("A", A), ("b", b), ("E", E), ("f", f), ("lo", lo), ("hi", hi)):
+            value.flags.writeable = False
             object.__setattr__(self, name, value)
 
     @property
@@ -133,24 +138,21 @@ class LpProblem:
         """This LP restricted to the inequality rows `rows` (indices, in
         that order), with the cost c, or with the inequality right-hand side
         b (of the kept rows, when rows are given too). Only a new c or b is
-        checked: kept rows were checked with this problem. The arrays the
-        two problems share are shared read-only (frozen copies on the first
-        derivation), so a start from either problem matches the other by
-        identity instead of by comparing matrices."""
-        new = {}
+        checked: kept rows were checked with this problem. Every other
+        array is this problem's own object, so an optimal outcome of either
+        problem is a warm start for the other when they share A, E, lo and
+        hi (solve_lp); this problem is left as it was."""
+        new = {name: getattr(self, name) for name in ("c", "A", "b", "E", "f", "lo", "hi")}
         if rows is not None:
             new["A"], new["b"] = self.A[rows], self.b[rows]
-            new["A"].flags.writeable = False
         if c is not None:
             new["c"] = _checked("c", c, self.c.shape)
         if b is not None:
-            new["b"] = _checked("b", b, new.get("b", self.b).shape)
+            new["b"] = _checked("b", b, new["b"].shape)
         child = object.__new__(LpProblem)
-        for name in ("c", "A", "b", "E", "f", "lo", "hi"):
-            if name not in new:
-                new[name] = _frozen(getattr(self, name))
-                object.__setattr__(self, name, new[name])
-            object.__setattr__(child, name, new[name])
+        for name, value in new.items():
+            value.flags.writeable = False
+            object.__setattr__(child, name, value)
         return child
 
 
@@ -164,33 +166,15 @@ def _checked(name: str, value, shape) -> np.ndarray:
     return value
 
 
-def _is_frozen(a: np.ndarray) -> bool:
-    """Read-only and owning its data (a read-only view of a writeable
-    array can still change)."""
-    flags = a.flags
-    return not flags.writeable and flags.owndata
-
-
-def _frozen(a: np.ndarray) -> np.ndarray:
-    """a itself when it is frozen, else a frozen copy."""
-    if _is_frozen(a):
-        return a
-    a = a.copy()
-    a.flags.writeable = False
+def _owned(value) -> np.ndarray:
+    """value as a float array that no one else can write to: value itself
+    when it is a read-only array owning its data, else a new array (a
+    caller could still write to a writeable array or to the base of a
+    view)."""
+    a = np.asarray(value, dtype=float)
+    if not a.flags.owndata or (a is value and a.flags.writeable):
+        a = a.copy()
     return a
-
-
-def _kept(a: np.ndarray) -> np.ndarray:
-    """What a warm-start match keeps of a problem's array: the array itself
-    when it is frozen, else a private copy, so that a caller's later edit
-    of its array cannot pass the match."""
-    return a if _is_frozen(a) else a.copy()
-
-
-def _same(kept: np.ndarray, given: np.ndarray) -> bool:
-    """Whether given equals an array that _kept returned: by identity, else
-    by value."""
-    return kept is given or np.array_equal(kept, given)
 
 
 def _reject(c, A, b, E, f, lo, hi):
@@ -260,7 +244,7 @@ class _BoundTableau:
             raise ValidationError(f"lp: {n} columns exceeds the {_MAX_COLUMNS} cap")
         m = m_ineq + E.shape[0]
         ncols = n + m + n_art
-        self.c, self.A, self.E, self.lo, self.hi = map(_kept, (problem.c, A, E, lo, problem.hi))
+        self.c, self.A, self.E, self.lo, self.hi = problem.c, A, E, lo, problem.hi
         self.n, self.m = n, m
         self.lo_all = np.zeros(ncols)
         self.lo_all[:n] = lo
@@ -293,8 +277,10 @@ class _BoundTableau:
         self.pivots = 0
 
     def fits(self, problem: LpProblem) -> bool:
-        return (_same(self.A, problem.A) and _same(self.E, problem.E)
-                and _same(self.lo, problem.lo) and _same(self.hi, problem.hi))
+        """Whether problem has this tableau's A, E, lo and hi: the same
+        objects, as LpProblem.derive shares them."""
+        return (self.A is problem.A and self.E is problem.E
+                and self.lo is problem.lo and self.hi is problem.hi)
 
     def copy(self) -> "_BoundTableau":
         new = object.__new__(_BoundTableau)
@@ -502,8 +488,10 @@ def _warm(problem: LpProblem, tab: _BoundTableau) -> Optional[str]:
     rhs = np.concatenate([problem.b, problem.f])
     # x_B = B^-1 (rhs - N x_N), with B^-1 in the slack columns
     T[:m, -1] = T[:m, n:n + m] @ rhs - T[:m, :n] @ tab.values()[:n]
-    if not _same(tab.c, problem.c):
-        tab.c = _kept(problem.c)
+    # a derived cost equal to the start's (a probe at unchanged weights)
+    # keeps its reduced costs
+    if not (tab.c is problem.c or np.array_equal(tab.c, problem.c)):
+        tab.c = problem.c
         cost = np.zeros(T.shape[1])
         cost[:n] = problem.c
         tab.price(cost)
@@ -518,8 +506,9 @@ def _warm(problem: LpProblem, tab: _BoundTableau) -> Optional[str]:
 def solve_lp(problem: LpProblem, start: Optional[LpOutcome] = None) -> LpOutcome:
     """Solve an LpProblem; outcome status is "optimal", "infeasible" or "unbounded".
 
-    start: an optimal outcome of an LP with the same A, E, lo and hi, which
-    the solve re-solves from (module docstring); any other start is ignored.
+    start: an optimal outcome of an LP with the same A, E, lo and hi
+    objects (LpProblem.derive), which the solve re-solves from (module
+    docstring); any other start is ignored.
     """
     old = None if start is None else start.tableau
     status = None

@@ -722,21 +722,19 @@ def default_zero_tol(instance: CcpInstance) -> float:
     return 1e-8 * (1.0 + instance.constraints.offset_scale)
 
 
-def violation_probability(instance: CcpInstance, x, tol_zero: Optional[float] = None) -> float:
-    """Probability mass of scenarios with g(x, xi^k) > tol_zero (per row of a block)."""
-    if tol_zero is None:
-        tol_zero = default_zero_tol(instance)
-    if tol_zero < 0:
-        raise ValidationError("tol_zero must be >= 0")
+def violation_probability(instance: CcpInstance, x) -> float:
+    """Probability mass of scenarios with g(x, xi^k) > default_zero_tol
+    (per row of a block)."""
+    tol_zero = default_zero_tol(instance)
     losses = scenario_losses(instance, x)
     if losses.ndim == 2:
         return np.sum(np.where(losses > tol_zero, instance.probabilities, 0.0), axis=-1)
     return float(np.sum(instance.probabilities[losses > tol_zero]))
 
 
-def is_feasible(instance: CcpInstance, x, tol_zero: Optional[float] = None) -> bool:
+def is_feasible(instance: CcpInstance, x) -> bool:
     """Chance feasibility (per row of a block); a violation mass of exactly epsilon passes."""
-    return violation_probability(instance, x, tol_zero) <= instance.epsilon + _FEAS_TOL
+    return violation_probability(instance, x) <= instance.epsilon + _FEAS_TOL
 
 
 # ---------------------------------------------------------------------------

@@ -202,22 +202,13 @@ def check_nullspace_property(
         f = np.zeros(E.shape[0])
         f[-1] = 1.0                     # total signed slack mass fixed to one
         # only the cost changes between the subsets of one sign pattern, so
-        # each LP re-prices the last optimal basis
+        # each subset's LP is derived from the pattern's and re-prices the
+        # last optimal basis
+        pattern = LpProblem(c=np.zeros(n), A=-signed, b=np.zeros(N), E=E, f=f,
+                            lo=np.full(n, -np.inf), hi=np.full(n, np.inf))
         start = None
         for subset in subsets:
-            obj = -signed[list(subset)].sum(axis=0)
-            out = solve_lp(
-                LpProblem(
-                    c=obj,
-                    A=-signed,
-                    b=np.zeros(N),
-                    E=E,
-                    f=f,
-                    lo=np.full(n, -np.inf),
-                    hi=np.full(n, np.inf),
-                ),
-                start=start,
-            )
+            out = solve_lp(pattern.derive(c=-signed[list(subset)].sum(axis=0)), start=start)
             solved += 1
             if out.status == "optimal":
                 start = out

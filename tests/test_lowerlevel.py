@@ -800,9 +800,11 @@ def test_an_lp_start_serves_only_its_own_instance(two_var_cover, monkeypatch):
     other = solve_lower_level(twin, 0.8, backend="lp", start=first.start)
     assert derived == [] and other.start.instance is twin
     assert other.start.problem.A is not first.start.problem.A
-    # its outcome still matches by value, so the answer is the warm one
-    key = (again.x.tobytes(), again.value, again.iterations)
+    # and solved cold: the answer of a solve with no start, not the warm one
+    cold = solve_lower_level(twin, 0.8, backend="lp")
+    key = (cold.x.tobytes(), cold.value, cold.iterations)
     assert (other.x.tobytes(), other.value, other.iterations) == key
+    assert again.iterations < cold.iterations
     # an infinite budget has no budget row to move: built anew
     unbounded = solve_lower_level(two_var_cover, np.inf, backend="lp", start=first.start)
     assert derived == [] and unbounded.start.budget is None

@@ -25,7 +25,7 @@ from ccpkit import (
 from ccpkit.cli import generate_instance
 from ccpkit.covering import _relaxation_lp, _subset_lp
 from ccpkit.cvar import _tail_problem
-from ccpkit.lowerlevel import _hinge_lp
+from ccpkit.lowerlevel import _hinge_lp, hinge_start
 
 
 def certificate_ok(problem: LpProblem, out, tol=1e-7) -> bool:
@@ -461,17 +461,19 @@ def test_budget_cut_takes_one_dual_pivot_per_dropped_item(loops):
                              lo=np.zeros(4 + len(extra)), hi=np.ones(4 + len(extra)))
 
         loops.clear()
-        start = solve_lp(knapsack(3.5))
+        full = knapsack(3.5)
+        start = solve_lp(full)
         assert loops == [first]
-        assert start.value == pytest.approx(-6.25) and certificate_ok(knapsack(3.5), start)
+        assert start.value == pytest.approx(-6.25) and certificate_ok(full, start)
         for k, value in ((1, -5.5), (2, -4.0), (3, -1.5)):
             loops.clear()
-            warm = solve_lp(knapsack(3.5 - k), start=start)
+            cut = full.derive(b=[3.5 - k])
+            warm = solve_lp(cut, start=start)
             assert loops == ["dual"]
             assert warm.status == "optimal" and warm.value == pytest.approx(value)
             assert warm.pivots == 1
-            assert certificate_ok(knapsack(3.5 - k), warm)
-        assert solve_lp(knapsack(-0.5), start=start).status == "infeasible"
+            assert certificate_ok(cut, warm)
+        assert solve_lp(full.derive(b=[-0.5]), start=start).status == "infeasible"
 
 
 def _reference_eliminate(T, row, col):
@@ -500,8 +502,16 @@ def _solve_sequence():
     for family in ("linear", "covering"):
         inst = generate_instance(family, 10, 20, 0.1, 2)
         z = np.ones(20)
+        # the LP at t = inf has no budget row; each t below 5 moves the
+        # budget row of the last LP
+        budget = hinge_start(inst).budget
         for t in (np.inf, 5.0, 2.0, -5.0, -20.0):
-            p = _hinge_lp(inst, t, z)
+            if t < 5.0:
+                b = p.b.copy()
+                b[budget] = t
+                p = p.derive(b=b)
+            else:
+                p = _hinge_lp(inst, t, z)
             solves.append((p, solve_lp(p, start=solves[-1][1])))
         chain = SubsetChain(inst)
         for drop in ((0, 1), (0, 2), (1, 2), (0, 3), (2, 3), (5, 9)):
@@ -681,6 +691,56 @@ def test_derive_shares_frozen_arrays_and_checks_only_the_new_data():
         p.derive(b=np.full(p.b.size, np.nan))
     with pytest.raises(NonFinite):
         p.derive(c=np.full(p.n, np.inf))
+
+
+def test_a_problems_arrays_refuse_writes_and_ignore_the_callers_later_edits():
+    rng = np.random.default_rng(6)
+    p = _phase_one_lp(rng, redundant=False)
+    for name in ("c", "A", "b", "E", "f", "lo", "hi"):
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(p, name).reshape(-1)[:1] = 0.0
+    # a caller's writeable array and a view are copied, a read-only array
+    # owning its data is kept
+    A, b = p.A.copy(), np.concatenate([p.b, [0.0]])
+    q = LpProblem(c=p.c, A=A, b=b[:-1], E=p.E, f=p.f, lo=p.lo, hi=p.hi)
+    assert q.A is not A and not np.shares_memory(q.b, b)
+    assert all(getattr(q, name) is getattr(p, name) for name in ("c", "E", "f", "lo", "hi"))
+    A[0, 0] += 1.0
+    b[0] += 1.0
+    assert np.array_equal(q.A, p.A) and np.array_equal(q.b, p.b)
+
+
+def test_a_start_serves_only_the_array_objects_it_was_solved_on():
+    rng = np.random.default_rng(12)
+    p = _long_step_lp(rng)
+    while p.A.shape[0] < 3:
+        p = _long_step_lp(rng)
+    start = solve_lp(p)
+    b = p.b - 0.5
+    derived = solve_lp(p.derive(b=b), start=start)
+    # equal arrays in other objects: solved as if no start were given
+    twin = LpProblem(c=p.c.copy(), A=p.A.copy(), b=b, E=p.E.copy(), f=p.f.copy(),
+                     lo=p.lo.copy(), hi=p.hi.copy())
+    warm, cold = solve_lp(twin, start=start), solve_lp(twin)
+    assert warm.pivots == cold.pivots > derived.pivots
+    assert warm.value == cold.value == pytest.approx(derived.value)
+    assert np.array_equal(warm.x, cold.x)
+
+
+def test_derive_leaves_every_array_of_its_parent_the_same_object():
+    rng = np.random.default_rng(4)
+    p = _phase_one_lp(rng, redundant=False)
+    while p.A.shape[0] < 2:
+        p = _phase_one_lp(rng, redundant=False)
+    before = {name: getattr(p, name) for name in ("c", "A", "b", "E", "f", "lo", "hi")}
+    sliced = p.derive(rows=slice(0, 2))
+    kept = {name: getattr(sliced, name) for name in before}
+    p.derive(rows=[1, 0])
+    p.derive(c=-p.c)
+    p.derive(b=p.b + 1.0)
+    sliced.derive(c=-p.c, b=[1.0, 2.0])
+    assert all(getattr(p, name) is before[name] for name in before)
+    assert all(getattr(sliced, name) is kept[name] for name in kept)
 
 
 @pytest.mark.parametrize("make", [_long_step_lp, lambda rng: _phase_one_lp(rng, redundant=False)])

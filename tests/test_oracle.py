@@ -14,6 +14,7 @@ from ccpkit import (
     CapExceeded,
     DrccpSpec,
     LInf,
+    LpProblem,
     NonNegOrthant,
     SubsetChain,
     ValidationError,
@@ -269,3 +270,27 @@ def test_nullspace_check_warm_starts_match_cold(monkeypatch, finite_instances, n
         assert warm.witness["subset"] == cold.witness["subset"]
         assert warm.witness["signs"] == cold.witness["signs"]
     assert warm_pivots < cold_pivots
+
+
+def test_nullspace_check_derives_each_subset_lp_from_its_patterns_lp(monkeypatch, equality_pair):
+    derive = LpProblem.derive
+    parents, children = [], []
+
+    def spy(self, *args, **kwargs):
+        child = derive(self, *args, **kwargs)
+        parents.append(self)
+        children.append(child)
+        return child
+
+    monkeypatch.setattr(LpProblem, "derive", spy)
+    solve = ccpkit.oracle.solve_lp
+    solved = []
+    monkeypatch.setattr(ccpkit.oracle, "solve_lp",
+                        lambda problem, start=None: solved.append(problem) or solve(problem, start))
+    verdict = check_nullspace_property(equality_pair)
+    assert verdict.holds and verdict.lps_solved == len(solved) == 24
+    # every LP solved is a derivation that shares its pattern's A, one
+    # pattern LP per sign pattern (2^3 of them) and 3 subsets each
+    assert [id(p) for p in solved] == [id(c) for c in children]
+    assert all(c.A is p.A and c.E is p.E for p, c in zip(parents, children))
+    assert len({id(p) for p in parents}) == 8
