@@ -64,24 +64,39 @@ def _tail_values(instance: CcpInstance, losses: np.ndarray) -> np.ndarray:
     each loss; its slope is 1 - (1/eps) P{g > beta}, so it is smallest at the
     largest loss whose mass at or above it reaches eps (Rockafellar and
     Uryasev 2000), and on the whole segment below that loss when the mass
-    there is exactly eps. One sort per row finds that loss. The expression
-    is evaluated only at it, at its neighbours in sorted order (the other
-    end of a flat segment, or the breakpoint rounding in the cumulative mass
-    may have passed over), each capped at 0, and at 0 itself: O(N log N) per
-    row, where every breakpoint would cost O(N^2).
+    there is exactly eps. The expression is evaluated at 0 for every row in
+    one pass. A row's sort finds that loss, at position `at` in descending
+    order, and the expression is also evaluated there and at its neighbours
+    in sorted order (the other end of a flat segment, or the breakpoint
+    rounding in the cumulative mass may have passed over), each capped at 0.
+
+    Only the rows that can need it are sorted. The m + 1 largest losses hold
+    mass at least (m + 1) min p, which is eps + min p or more for
+    m = ceil(eps / min p): a margin that no rounding of the cumulative mass
+    closes, so `at` <= m. A row with K = min(N, m + 2) or more nonnegative
+    losses thus has all three sorted candidates capped to 0, and its tail is
+    the value at 0, bit for bit. K = N when eps / min p is not below N,
+    which includes min p = 0.
     """
     p = instance.probabilities
     eps = instance.epsilon
     B, N = losses.shape
-    order = np.argsort(-losses, axis=1, kind="stable")
-    ranked = np.take_along_axis(losses, order, axis=1)
+
+    def tail(beta, block):
+        return beta + (1.0 / eps) * np.sum(p * np.maximum(block - beta[:, None], 0.0), axis=1)
+
+    best = tail(np.zeros(B), losses)
+    K = min(N, int(np.ceil(eps / p.min())) + 2) if eps < N * p.min() else N
+    rows = np.flatnonzero(np.count_nonzero(losses >= 0.0, axis=1) < K)
+    few = losses[rows]
+    order = np.argsort(-few, axis=1, kind="stable")
+    ranked = np.take_along_axis(few, order, axis=1)
     at = np.minimum(np.sum(np.cumsum(p[order], axis=1) < eps, axis=1), N - 1)
     near = np.clip(at[:, None] + np.arange(-1, 2), 0, N - 1)
-    betas = np.minimum(np.take_along_axis(ranked, near, axis=1), 0.0)
-    best = np.full(B, np.inf)
-    for beta in np.concatenate([betas, np.zeros((B, 1))], axis=1).T:
-        tail = beta + (1.0 / eps) * np.sum(p * np.maximum(losses - beta[:, None], 0.0), axis=1)
-        best = np.minimum(best, tail)
+    kept = best[rows]
+    for beta in np.minimum(np.take_along_axis(ranked, near, axis=1), 0.0).T:
+        kept = np.minimum(kept, tail(beta, few))
+    best[rows] = kept
     return best
 
 

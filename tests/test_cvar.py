@@ -1,13 +1,20 @@
 """Tail-average baseline: frozen optima and the budget bridge."""
 
+import math
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import ccpkit.cvar
 from ccpkit import (
+    BinaryTiny,
+    CcpInstance,
+    Covering,
     Infeasible,
     SgdConfig,
+    also_x,
     cvar_lower_value,
     cvar_solution,
     is_feasible,
@@ -110,3 +117,88 @@ def test_sorted_tail_matches_every_breakpoint_bit_for_bit(scale):
         got = _tail_values(SimpleNamespace(probabilities=p, epsilon=eps), losses)
         want = _tail_values_at_every_breakpoint(p, eps, losses)
         assert got.tobytes() == want.tobytes(), (trial, N, eps)
+
+
+def _rows_with_nonnegative_counts(rng, N, counts, rows_each=48):
+    """Rows with exactly c nonnegative losses for each c in counts, in
+    random order: half of them real-valued, half small integers (ties, and
+    zeros among the nonnegative ones)."""
+    rows = []
+    for c in counts:
+        for r in range(rows_each):
+            if r % 2:
+                up, down = rng.uniform(0.0, 2.0, size=c), -rng.uniform(0.01, 2.0, size=N - c)
+            else:
+                up, down = rng.integers(0, 3, size=c), -rng.integers(1, 4, size=N - c)
+            rows.append(rng.permutation(np.concatenate([up, down]).astype(float)))
+    return np.array(rows)
+
+
+@pytest.mark.parametrize("N", [1, 2, 3, 7, 10, 12, 14, 20])
+def test_rows_around_the_skip_count_match_every_breakpoint_bit_for_bit(N):
+    # rows with K = min(N, ceil(eps / min p) + 2) or more nonnegative losses
+    # skip the sort; K - 1, K and K + 1 straddle that line
+    rng = np.random.default_rng(N)
+    grid = [k / N for k in range(1, N)]
+    for p in (np.full(N, 1.0 / N), rng.dirichlet(np.full(N, 2.0))):
+        for eps in grid + [0.05, 0.3, 0.77, float(rng.uniform(0.01, 0.99))]:
+            K = min(N, math.ceil(eps / p.min()) + 2)
+            counts = sorted({c for c in (K - 1, K, K + 1) if 0 <= c <= N})
+            losses = _rows_with_nonnegative_counts(rng, N, counts)
+            assert set(np.count_nonzero(losses >= 0.0, axis=1)) == set(counts)
+            got = _tail_values(SimpleNamespace(probabilities=p, epsilon=eps), losses)
+            want = _tail_values_at_every_breakpoint(p, eps, losses)
+            assert got.tobytes() == want.tobytes(), (N, eps, K)
+
+
+def _tail_at_every_breakpoint(instance, losses):
+    return _tail_values_at_every_breakpoint(instance.probabilities, instance.epsilon, losses)
+
+
+def test_zero_mass_scenarios_keep_the_binary_answers(monkeypatch):
+    # the binary pair cover x1 >= 1, x2 >= 1 with a third, massless scenario
+    # x1 + x2 >= 1: eps / min p is infinite
+    inst = CcpInstance(
+        n=2,
+        scenario_count=3,
+        probabilities=np.array([0.5, 0.5, 0.0]),
+        constraints=Covering(np.array([[[1.0, 0.0]], [[0.0, 1.0]], [[1.0, 1.0]]])),
+        x_set=BinaryTiny(2),
+        cost=np.array([1.0, 2.0]),
+        epsilon=1.0 / 3.0,
+    )
+    out = cvar_solution(inst)
+    lower = [cvar_lower_value(inst, t) for t in (3.0, 2.5, 1.0)]
+    assert out.objective == 3.0 and np.array_equal(out.x_star, [1.0, 1.0])
+    assert lower[0] == 0.0 and lower[1] > 0.0
+    monkeypatch.setattr(ccpkit.cvar, "_tail_values", _tail_at_every_breakpoint)
+    assert out.objective.hex() == cvar_solution(inst).objective.hex()
+    assert [v.hex() for v in lower] == [cvar_lower_value(inst, t).hex() for t in (3.0, 2.5, 1.0)]
+    # a subnormal mass, where eps / min p would overflow
+    p = np.array([0.5, 0.5, 5e-324])
+    losses = np.random.default_rng(3).normal(size=(64, 3))
+    got = _tail_values(SimpleNamespace(probabilities=p, epsilon=0.1), losses)
+    assert got.tobytes() == _tail_values_at_every_breakpoint(p, 0.1, losses).tobytes()
+
+
+def _binary_answers(inst):
+    """float.hex of the objectives and the bytes of x of cvar_solution and
+    also_x, and float.hex of cvar_lower_value at and below the CVaR optimum."""
+    reports = [cvar_solution(inst), also_x(inst)]
+    budgets = [reports[0].objective - d for d in (0.0, 1.0, 3.0)]
+    return [(r.objective.hex(), r.x_star.tobytes()) for r in reports] + [
+        cvar_lower_value(inst, t).hex() for t in budgets
+    ]
+
+
+@pytest.mark.parametrize("family", ["linear", "covering"])
+@pytest.mark.parametrize("N", [20, 50])
+def test_binary_answers_equal_the_every_breakpoint_scan(family, N, monkeypatch):
+    cases = []
+    for seed in range(1, 6):
+        inst = replace(generate_instance(family, 10, N, 0.1, seed), x_set=BinaryTiny(10))
+        weights = np.random.default_rng(seed).uniform(0.2, 1.0, size=N)
+        cases += [inst, replace(inst, probabilities=weights / weights.sum())]
+    got = [_binary_answers(inst) for inst in cases]
+    monkeypatch.setattr(ccpkit.cvar, "_tail_values", _tail_at_every_breakpoint)
+    assert got == [_binary_answers(inst) for inst in cases]
