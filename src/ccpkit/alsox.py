@@ -25,7 +25,7 @@ from .errors import (
     UnsupportedSet,
     ValidationError,
 )
-from .lowerlevel import hinge_start, lattice_start, pick_backend, solve_lower_level
+from .lowerlevel import Lattice, hinge_start, pick_backend, solve_lower_level
 from .model import CcpInstance, Covering, SolveReport, is_feasible, violation_probability
 from .search import bisect_budget
 from .subgrad import SgdConfig
@@ -36,13 +36,12 @@ class _Acceptor:
     is chance-feasible, else what rescue(t, minimizer) returns, if a rescue
     is given; None when S(t) is empty. Only t moves from one probe to the
     next, so each probe starts from the last solved one's `start`: the LP
-    derived from the last one and re-solved from its basis, the lattice
-    scan from its stored lattice and, at the probes' unchanged weights, its
-    stored hinge column. The search's start is built here, before any
-    bound: on the lp backend the hinge LP, so rows with no LP form raise
-    BackendUnavailable at once; on the enum backend the lattice
-    (lowerlevel.lattice_start, None above its memory bound), which
-    bounds_with_anchor hands to the quantile bound and the CVaR anchor."""
+    derived from the last one and re-solved from its basis, or the search's
+    Lattice and its one hinge column at the probes' weights. The search's
+    start is built here, before any bound: on the lp backend the hinge LP,
+    so rows with no LP form raise BackendUnavailable at once; on the enum
+    backend the instance's lowerlevel.Lattice, which bounds_with_anchor
+    hands to the quantile bound and the CVaR anchor."""
 
     def __init__(self, instance, backend, sgd_config, rescue=None):
         self.instance, self.backend, self.sgd_config = instance, backend, sgd_config
@@ -52,7 +51,7 @@ class _Acceptor:
         if kind == "lp":
             self.start = hinge_start(instance)
         elif kind == "enum":
-            self.start = lattice_start(instance)
+            self.start = Lattice(instance)
 
     def __call__(self, t) -> Optional[np.ndarray]:
         return self.probe(t, self.rescue)
@@ -84,11 +83,11 @@ def bounds_with_anchor(
 
     accept: the budget search's acceptor. Its start goes to the quantile
     bound and the CVaR anchor as their `start` (on a binary X, the
-    search's lattice, so that the bounds build none of their own), and
-    when the tail program is empty the anchor search probes with it, so
-    the budget search goes on from the anchor search's last start. Without
-    one the bounds build their own lattices, and the anchor search, if it
-    runs, its own acceptor on `backend`.
+    search's Lattice, which the bounds scan instead of building their
+    own), and when the tail program is empty the anchor search probes with
+    it, so the budget search goes on from the anchor search's last start.
+    Without one each bound builds its own Lattice, and the anchor search,
+    if it runs, its own acceptor on `backend`.
     """
     start = None if accept is None else accept.start
     t_low = quantile_lower_bound(instance, sgd_config, start=start)

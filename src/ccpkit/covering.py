@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import BackendUnavailable, BadStart, Infeasible, NoConvergence, NonFinite, ValidationError
 from .geometry import dykstra_project
-from .lowerlevel import _scenario_lp, _slack_rows, lattice_argmin, lattice_chunks, lattice_of
+from .lowerlevel import Lattice, _scenario_lp, _slack_rows, lattice_argmin
 from .lp import LpOutcome, LpProblem, solve_lp
 from .model import (
     CcpInstance,
@@ -216,7 +216,7 @@ def _subset_min_cost_enum(instance: CcpInstance, keep: Iterable[int]):
     def kept_cost(points, costs, losses):
         return np.where(np.all(losses[:, keep] <= tol, axis=1), costs, np.inf)
 
-    return lattice_argmin(lattice_chunks(instance), kept_cost) or (np.inf, None)
+    return lattice_argmin(Lattice(instance), kept_cost) or (np.inf, None)
 
 
 def _subset_min_cost_sgd(
@@ -299,14 +299,14 @@ def scenario_costs(
 def _scenario_costs(instance, sgd_config, chain: SubsetChain, start=None) -> np.ndarray:
     """scenario_costs, whose LPs are the compact LPs of chain: one LP over
     every scenario is built, and each h_k solves its rows of it cold. On a
-    binary X the pass scans start's lattice (lowerlevel.lattice_of)."""
+    binary X the pass scans Lattice.of(instance, start)."""
     if instance.x_set.binary:
         tol = default_zero_tol(instance)
 
         def kept_costs(points, costs, losses):
             return np.where(losses <= tol, costs[:, None], np.inf)
 
-        found = lattice_argmin(lattice_of(instance, start), kept_costs)
+        found = lattice_argmin(Lattice.of(instance, start), kept_costs)
         return np.array([np.inf if pair is None else pair[0] for pair in found])
     compact = _CompactChain(chain)
     N = instance.scenario_count
@@ -326,8 +326,8 @@ def quantile_lower_bound(
     point must satisfy some scenario at least that expensive, so the prefix
     maximum bounds v* from below. Returns +inf when the required prefix
     contains an unsatisfiable scenario. start: a budget search's start; on
-    a binary X the costs scan its lattice when it is a LatticeStart of this
-    instance (`is`), and build their own otherwise.
+    a binary X the costs scan it when it is a lowerlevel.Lattice of this
+    instance (`is`), and a new Lattice otherwise.
     """
     h = _scenario_costs(instance, sgd_config, SubsetChain(instance), start)
     order = np.argsort(h, kind="stable")

@@ -25,7 +25,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import BackendUnavailable, BadStart, Infeasible, NonFinite
-from .lowerlevel import _scenario_lp, _slack_rows, lattice_argmin, lattice_chunks, lattice_of
+from .lowerlevel import Lattice, _scenario_lp, _slack_rows, lattice_argmin
 from .lp import LpProblem, solve_lp
 from .model import CcpInstance, SolveReport, is_feasible, violation_probability
 from .search import bisect_from
@@ -105,7 +105,7 @@ def _cvar_enum(instance: CcpInstance, start=None) -> tuple:
         tail = _tail_values(instance, losses)
         return np.where(tail <= 1e-9 * (1.0 + np.abs(tail)), costs, np.inf)
 
-    best = lattice_argmin(lattice_of(instance, start), tail_cost)
+    best = lattice_argmin(Lattice.of(instance, start), tail_cost)
     if best is None:
         raise Infeasible("cvar: no binary point satisfies the tail condition")
     return (*best, 2**instance.n)
@@ -134,9 +134,9 @@ def cvar_solution(
 ) -> SolveReport:
     """Minimize c'x under the tail condition; raises Infeasible when empty.
 
-    start: a budget search's start; on a binary X the enumeration scans its
-    lattice when it is a LatticeStart of this instance (`is`), and builds
-    its own otherwise.
+    start: a budget search's start; on a binary X the enumeration scans it
+    when it is a lowerlevel.Lattice of this instance (`is`), and a new
+    Lattice otherwise.
     """
     begin = perf_counter()
     found = None
@@ -190,7 +190,7 @@ def cvar_lower_value(
         def tail(points, costs, losses):
             return np.where(costs <= cap, eps * _tail_values(instance, losses), np.inf)
 
-        best = lattice_argmin(lattice_chunks(instance), tail)
+        best = lattice_argmin(Lattice(instance), tail)
         if best is None:
             raise BadStart(f"cvar lower level: no lattice point satisfies c'x <= {t}")
         return max(best[0], 0.0)

@@ -14,20 +14,15 @@ with z in [0,1]^N fixed. Backends:
   "auto"  enum for binary sets, lp for the equality model, sgd otherwise
 
 The lp and enum solves return a warm start for the next solve of the same
-instance (solve_lower_level): the hinge LP with its outcome, or the kept
-lattice. Neither the LP's rows nor the lattice's points, costs c'x and
-scenario losses depend on t or z, so one budget search builds them once:
-alsox builds the search's start (hinge_start, lattice_start) before its
+instance (solve_lower_level): the hinge LP with its outcome, or the
+Lattice they scanned. Neither the LP's rows nor the lattice depend on t
+or z, so alsox builds the search's start (hinge_start, Lattice) before its
 bounds, and on a binary X hands the lattice to the quantile bound and the
 CVaR anchor as well. Each later LP is derived from the last one (a new t
 moves one entry of b, new weights only y's cost) and re-solved from its
-basis. A lattice start also carries the weights p z its last scan used
-and the hinge column sum_k p_k z_k (g_k)_+ they gave: a scan at the same
-weights (every probe of a search, all at z = 1) only masks that column
-by c'x <= t, and new weights (an AM round) compute a new one. A lattice
-is kept only while 2^n (N + n + 1) floats fit in _LATTICE_KEEP (32 MB); a
-larger one is built block by block by every consumer on every solve, and
-is never held whole.
+basis; each later scan masks by c'x <= t the lattice's hinge column at
+its weights p z, which a kept lattice computes once per weight vector
+(Lattice.hinges).
 
 Every LP here and in cvar and covering (hinge, tail, subset, relaxation)
 and the DC pieces come from one builder, _scenario_lp, the one place that
@@ -44,7 +39,7 @@ schemes are calibrated against; the lp backend returns vertices instead.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -268,36 +263,82 @@ _LATTICE_BLOCK = 4096
 _LATTICE_KEEP = 2**22
 
 
-def lattice_chunks(instance: CcpInstance):
-    """X cap {0,1}^n as (points, costs c'x, scenario losses) triples, one
-    _LATTICE_BLOCK of codes at a time, in itertools.product order."""
-    if sum(p.binary for p in instance.x_set.pieces()) != 1:
-        raise BackendUnavailable("lattice scan: needs exactly one binary set")
-    n = instance.n
-    shifts = np.arange(n - 1, -1, -1)
-    for first in range(0, 2**n, _LATTICE_BLOCK):
-        codes = np.arange(first, min(first + _LATTICE_BLOCK, 2**n))
-        points = ((codes[:, None] >> shifts) & 1).astype(float)
-        points = points[instance.x_set.contains(points)]
-        yield points, _times(instance.cost, points), scenario_losses(instance, points)
+def _hinge_column(weights: np.ndarray, losses: np.ndarray) -> np.ndarray:
+    """sum_k w_k (g_k)_+ at each point of one lattice block."""
+    return np.sum(weights * np.maximum(losses, 0.0), axis=-1)
 
 
-def lattice_argmin(chunks, score):
+def _read_only(arrays: tuple) -> tuple:
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
+class Lattice:
+    """X cap {0,1}^n of one instance as read-only (points, costs c'x,
+    scenario losses) blocks of up to _LATTICE_BLOCK codes, in
+    itertools.product order: what every binary scan reads (lattice_argmin).
+    The blocks are kept while 2^n (N + n + 1) floats fit in _LATTICE_KEEP;
+    above it `blocks` is None and every pass builds them again, one at a
+    time, so a large lattice is never held whole."""
+
+    def __init__(self, instance: CcpInstance):
+        if sum(p.binary for p in instance.x_set.pieces()) != 1:
+            raise BackendUnavailable("lattice scan: needs exactly one binary set")
+        self.instance, self._hinges = instance, {}
+        keep = 2**instance.n * (instance.scenario_count + instance.n + 1) <= _LATTICE_KEEP
+        self.blocks = tuple(self._build()) if keep else None
+
+    @classmethod
+    def of(cls, instance: CcpInstance, start=None) -> "Lattice":
+        """start when it is a Lattice of this instance (`is`), else a new one."""
+        return start if isinstance(start, cls) and start.instance is instance else cls(instance)
+
+    def _build(self):
+        instance, n = self.instance, self.instance.n
+        shifts = np.arange(n - 1, -1, -1)
+        for first in range(0, 2**n, _LATTICE_BLOCK):
+            codes = np.arange(first, min(first + _LATTICE_BLOCK, 2**n))
+            points = ((codes[:, None] >> shifts) & 1).astype(float)
+            points = points[instance.x_set.contains(points)]
+            yield _read_only((points, _times(instance.cost, points), scenario_losses(instance, points)))
+
+    def __iter__(self):
+        return self._build() if self.blocks is None else iter(self.blocks)
+
+    def hinges(self, weights: np.ndarray):
+        """(points, costs, hinge column sum_k w_k (g_k)_+) blocks. A kept
+        lattice keeps the columns of the N weight vectors last used, keyed
+        by their bytes (the values depend on nothing else), so they never
+        hold more floats than its losses."""
+        if self.blocks is None:
+            return ((p, c, _hinge_column(weights, g)) for p, c, g in self._build())
+        key = weights.tobytes()
+        columns = self._hinges.pop(key, None)
+        if columns is None:
+            columns = _read_only(tuple(_hinge_column(weights, g) for _, _, g in self.blocks))
+            if len(self._hinges) == self.instance.scenario_count:
+                del self._hinges[next(iter(self._hinges))]      # the least recently used
+        self._hinges[key] = columns
+        return ((p, c, h) for (p, c, _), h in zip(self.blocks, columns))
+
+
+def lattice_argmin(blocks, score):
     """(value, x) at the first minimizer of score over a lattice, or None.
 
-    chunks: the lattice's (points, costs, losses) triples in scan order, as
-    lattice_chunks yields them; score(points, costs, losses) maps a chunk to
+    blocks: the lattice's (points, costs, losses) triples in scan order, as
+    a Lattice yields them; score(points, costs, losses) maps a block to
     one value per point, inf to skip the point. A later point replaces the
     best only when it is lower by more than 1e-15.
 
-    A score may instead map a chunk of B points to a (B, K) array: K
+    A score may instead map a block of B points to a (B, K) array: K
     objectives scored in the same pass, each column minimized on its own
     under the same rule. The result is then a list of K such (value, x)
-    pairs or None. Every chunk is scored once, so K minima cost one scan of
+    pairs or None. Every block is scored once, so K minima cost one scan of
     the lattice rather than K.
     """
     best = best_x = None
-    for points, costs, losses in chunks:
+    for points, costs, losses in blocks:
         values = score(points, costs, losses)
         columns = values[:, None] if values.ndim == 1 else values
         if best is None:
@@ -306,75 +347,32 @@ def lattice_argmin(chunks, score):
         # earlier value of the column, so only those running minima need the
         # in-order check
         earlier = np.minimum.accumulate(np.vstack([best, columns]), axis=0)[:-1]
+        won = {}
         for k, i in zip(*np.nonzero((columns < earlier).T)):
             if columns[i, k] < best[k] - 1e-15:
-                best[k], best_x[k] = columns[i, k], points[i].copy()
+                best[k], won[k] = columns[i, k], i
+        for k, i in won.items():          # one copy per winner, not per improvement
+            best_x[k] = points[i].copy()
     found = [None if x is None else (float(v), x) for v, x in zip(best, best_x)]
     return found if values.ndim == 2 else found[0]
-
-
-@dataclass(frozen=True, eq=False)
-class LatticeStart:
-    """The enum backend's warm start: an instance's lattice chunks, kept
-    (lattice_start), and, once a hinge scan has scored them, the weights
-    p z it used and the hinge column sum_k p_k z_k (g_k)_+ of each chunk at
-    those weights (_hinge_column). The scan that returns it, or the budget
-    search that builds it before its bounds (alsox), owns it; the quantile
-    bound and the CVaR anchor read its chunks (lattice_of)."""
-
-    instance: CcpInstance
-    chunks: Tuple[tuple, ...]
-    weights: Optional[np.ndarray] = None
-    hinges: Tuple[np.ndarray, ...] = ()
-
-
-def lattice_start(instance: CcpInstance) -> Optional[LatticeStart]:
-    """The instance's lattice, built and kept, while 2^n (N + n + 1) floats
-    fit in _LATTICE_KEEP; None above it, where every consumer streams
-    lattice_chunks block by block instead."""
-    if 2**instance.n * (instance.scenario_count + instance.n + 1) > _LATTICE_KEEP:
-        return None
-    return LatticeStart(instance, tuple(lattice_chunks(instance)))
-
-
-def lattice_of(instance: CcpInstance, start=None):
-    """The lattice chunks of instance: start's when it is a LatticeStart of
-    this instance (`is`), else lattice_chunks(instance), built anew."""
-    if isinstance(start, LatticeStart) and start.instance is instance:
-        return start.chunks
-    return lattice_chunks(instance)
-
-
-def _hinge_column(weights: np.ndarray, losses: np.ndarray) -> np.ndarray:
-    """sum_k w_k (g_k)_+ at each point of one lattice chunk."""
-    return np.sum(weights * np.maximum(losses, 0.0), axis=-1)
 
 
 def _solve_hinge_enum(
     instance: CcpInstance, t: float, z: np.ndarray, start=None
 ) -> LowerLevelSolution:
-    if not (isinstance(start, LatticeStart) and start.instance is instance):
-        start = lattice_start(instance)
-    weights = instance.probabilities * z
-    if start is None:
-        chunks = ((p, c, _hinge_column(weights, g)) for p, c, g in lattice_chunks(instance))
-    else:
-        if start.weights is None or not np.array_equal(start.weights, weights):
-            hinges = tuple(_hinge_column(weights, g) for _, _, g in start.chunks)
-            start = replace(start, weights=weights, hinges=hinges)
-        chunks = ((p, c, h) for (p, c, _), h in zip(start.chunks, start.hinges))
+    lattice = Lattice.of(instance, start)
     cap = t + 1e-9 * (1.0 + abs(t)) if np.isfinite(t) else np.inf
 
     def within_budget(points, costs, hinge):
         return np.where(costs <= cap, hinge, np.inf)
 
-    best = lattice_argmin(chunks, within_budget)
+    best = lattice_argmin(lattice.hinges(instance.probabilities * z), within_budget)
     if best is None:
         raise BadStart(f"hinge enum: no lattice point satisfies c'x <= {t}")
     x = best[1]
     s, value = _hinge_parts(instance, x, z)
     return LowerLevelSolution(
-        x=x, s=s, value=value, backend="enum", iterations=2**instance.n, start=start
+        x=x, s=s, value=value, backend="enum", iterations=2**instance.n, start=lattice
     )
 
 
@@ -402,19 +400,12 @@ def solve_lower_level(
     the hinge LP and its outcome: the LP is derived from that one, with the
     new t and z, and re-solved from the outcome's final basis (lp.solve_lp);
     hinge_start builds one before any solve. On the enum backend it is the
-    LatticeStart that holds the lattice's points, costs and scenario
-    losses, which are the same at every t and z: the scan scores them
-    instead of building them again; lattice_start builds one before any
-    solve, and a solve with no usable start builds its own. The returned
-    start also holds the hinge column at this solve's weights p z: a later
-    solve at equal weights masks that column by c'x <= t and computes
-    nothing else (the start it returns is the one it was given), while new
-    weights compute a new column. The enum backend keeps a lattice only
-    while 2^n (N + n + 1) floats fit in _LATTICE_KEEP (32 MB); a larger one
-    streams, block by block, on every solve, and its start is None. A
-    start of another backend or of another instance (`is`) is ignored, and
-    so is an lp start built at t = inf or a solve at t = inf: those LPs
-    are built anew and solved cold. The sgd backend ignores every start.
+    instance's Lattice, with its points, costs, losses and hinge columns,
+    and the solve returns the Lattice it scanned: this one or, with no
+    usable start, its own (Lattice.of). A start of another backend or of
+    another instance (`is`) is ignored, and so is an lp start built at
+    t = inf or a solve at t = inf: those LPs are built anew and solved
+    cold. The sgd backend ignores every start.
     """
     z = np.ones(instance.scenario_count) if z_weights is None else np.asarray(z_weights, dtype=float)
     if backend == "auto":
@@ -512,7 +503,7 @@ def am(
     round's `start` (the first round from `start`, if given;
     solve_lower_level): only the cost weights move between rounds, so each
     round's LP is the last one with y's cost re-priced, re-solved from the
-    last basis, and the lattice scan reuses the stored lattice. The sgd
+    last basis, and the lattice scan reuses the start's Lattice. The sgd
     backend warm-starts each hinge solve from the previous x (x0 for the first),
     and its best iterate can never exceed its start. When the sgd backend
     leaves an interior point with every active scenario nearly tight, a

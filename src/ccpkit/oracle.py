@@ -25,7 +25,7 @@ import numpy as np
 
 from .covering import SubsetChain, _scenario_costs, subset_min_cost
 from .errors import CapExceeded, Infeasible, NonFinite, ValidationError
-from .lowerlevel import lattice_argmin, lattice_chunks
+from .lowerlevel import Lattice, lattice_argmin
 from .lp import LpProblem, solve_lp
 from .model import (
     BiAffineEquality,
@@ -44,7 +44,7 @@ def exact_solve_binary(instance: CcpInstance) -> SolveReport:
     def feasible_cost(points, costs, losses):
         return np.where(is_feasible(instance, points), costs, np.inf)
 
-    found = lattice_argmin(lattice_chunks(instance), feasible_cost)
+    found = lattice_argmin(Lattice(instance), feasible_cost)
     if found is None:
         raise Infeasible("no lattice point is chance-feasible")
     return _exact_report(instance, *found, 2**instance.n, start)

@@ -34,7 +34,7 @@ from ccpkit import (
     violation_probability,
 )
 from ccpkit.cli import generate_instance
-from ccpkit.lowerlevel import hinge_start, lattice_start
+from ccpkit.lowerlevel import Lattice, hinge_start
 
 from conftest import (
     FINITE_DOCUMENTS,
@@ -182,7 +182,7 @@ def test_warm_probe_chain_matches_a_cold_one(name, monkeypatch):
 
 
 @pytest.mark.parametrize("method", [also_x, also_x_plus])
-def test_lattice_starts_give_the_answers_of_cold_scans(method, monkeypatch):
+def test_search_lattices_give_the_answers_of_cold_scans(method, monkeypatch):
     # the linear, sup-norm-robust, cut and covering binary instances
     insts = list(_binary_cost_instances())
     warm = [answer_key(method, inst) for inst in insts]
@@ -221,15 +221,12 @@ def test_one_hinge_column_per_distinct_weight_vector(method, monkeypatch):
     monkeypatch.setattr(ccpkit.lowerlevel, "_solve_hinge_enum", scanned)
     out = method(inst)
     assert out.iterations == 10
-    # a scan computes a column only when its weights differ from those of
-    # the start it was given: the probes, all at z = 1, share the first
-    # probe's column, and an AM round computes one only when its z differs
-    # from the round (or, for the first round, the probe) before it
-    probes = inst.probabilities.tobytes()
-    moved = [w for before, w in zip(solved, solved[1:]) if w not in (before, probes)]
-    assert columns == [probes] + moved
-    # six AM rescues of two rounds each; each second round has its first's z
-    assert len(columns) == (1 if method is also_x else 7)
+    # the search's lattice keeps one column per weight vector: the probes,
+    # all at z = 1, share the first probe's column, and an AM round computes
+    # one only at a z that no earlier scan used
+    assert columns == list(dict.fromkeys(solved))
+    # six AM rescues of two rounds each, every one at the same z
+    assert len(columns) == (1 if method is also_x else 2)
 
 
 def test_the_bounds_build_their_own_lattice_from_a_start_not_theirs(monkeypatch):
@@ -243,8 +240,8 @@ def test_the_bounds_build_their_own_lattice_from_a_start_not_theirs(monkeypatch)
 
     want = answers()
     foreign = [
-        lattice_start(other),
-        lattice_start(replace(inst)),            # the same data, another object
+        Lattice(other),
+        Lattice(replace(inst)),            # the same data, another object
         hinge_start(generate_instance("linear", 6, 12, 0.2, 3)),
     ]
     sizes = lattice_block_spy(monkeypatch)
@@ -253,7 +250,7 @@ def test_the_bounds_build_their_own_lattice_from_a_start_not_theirs(monkeypatch)
         assert answers(start) == want
         assert sizes == [64, 64]
     # the instance's own lattice is scanned, not built again
-    own = lattice_start(inst)
+    own = Lattice(inst)
     sizes.clear()
     assert answers(own) == want
     assert sizes == []

@@ -180,7 +180,7 @@ def test_each_scenario_column_keeps_the_scan_tie_rule():
     assert h.tolist() == [1.0 + 2.0**-52, 1.0, np.inf]
     assert h.tolist() == [subset_min_cost(inst, [k]) for k in range(3)]
     pairs = ccpkit.lowerlevel.lattice_argmin(
-        ccpkit.lowerlevel.lattice_chunks(inst),
+        ccpkit.lowerlevel.Lattice(inst),
         lambda points, costs, losses: np.where(losses <= 0.0, costs[:, None], np.inf))
     points = [None if pair is None else pair[1].tolist() for pair in pairs]
     assert points == [[0.0, 1.0], [1.0, 0.0], None]

@@ -43,7 +43,7 @@ from ccpkit.cli import generate_instance
 from ccpkit.geometry import dykstra_project
 from ccpkit.covering import _relaxation_lp, _subset_lp
 from ccpkit.cvar import _tail_problem
-from ccpkit.lowerlevel import HingeStart, LatticeStart, _dc_pieces, _exact_face_polish, _hinge_lp
+from ccpkit.lowerlevel import HingeStart, Lattice, _dc_pieces, _exact_face_polish, _hinge_lp
 
 from test_lp import certificate_ok
 from conftest import (
@@ -696,11 +696,11 @@ def test_an_empty_face_never_reaches_dykstra(monkeypatch):
     assert calls == [1] and np.array_equal(got, x)
 
 
-def test_a_lattice_start_serves_only_its_own_instance(
+def test_a_lattice_serves_only_its_own_instance(
     binary_pair_cover, two_var_cover, monkeypatch
 ):
     first = solve_lower_level(binary_pair_cover, 3.0)
-    assert isinstance(first.start, LatticeStart) and first.start.instance is binary_pair_cover
+    assert isinstance(first.start, Lattice) and first.start.instance is binary_pair_cover
     sizes = lattice_block_spy(monkeypatch)
     again = solve_lower_level(binary_pair_cover, 1.0, start=first.start)
     assert sizes == [] and again.start is first.start
@@ -718,6 +718,36 @@ def test_a_lattice_start_serves_only_its_own_instance(
     assert (crossed.x.tobytes(), crossed.value) == (lp.x.tobytes(), lp.value)
 
 
+def test_a_kept_lattice_holds_at_most_n_hinge_columns(monkeypatch):
+    inst = replace(generate_instance("linear", 6, 12, 0.2, 3), x_set=BinaryTiny(6))
+    N, t = inst.scenario_count, float(inst.cost.sum()) / 2.0
+    weights = np.random.default_rng(0).uniform(size=(N + 3, N))
+    lattice = Lattice(inst)
+    # no score can write into a kept lattice
+    assert not any(a.flags.writeable for block in lattice.blocks for a in block)
+    for z in weights:
+        got = solve_lower_level(inst, t, z, start=lattice)
+        fresh = solve_lower_level(inst, t, z, start=Lattice(inst))
+        assert got.start is lattice
+        assert (got.x.tobytes(), got.value) == (fresh.x.tobytes(), fresh.value)
+    # N + 3 weight vectors leave the N last used; the first ones are dropped
+    assert len(lattice._hinges) == N
+    computed = []
+    column = ccpkit.lowerlevel._hinge_column
+
+    def spy(w, losses):
+        computed.append(w.tobytes())
+        return column(w, losses)
+
+    monkeypatch.setattr(ccpkit.lowerlevel, "_hinge_column", spy)
+    for z in weights[3:]:
+        solve_lower_level(inst, t, z, start=lattice)
+    assert computed == []
+    solve_lower_level(inst, t, weights[0], start=lattice)
+    assert computed == [(inst.probabilities * weights[0]).tobytes()]
+    assert len(lattice._hinges) == N
+
+
 def test_a_lattice_over_the_memory_bound_streams_every_solve(monkeypatch):
     # a dim-20 lattice is never kept, whatever N
     assert 2**20 * (1 + 20 + 1) > ccpkit.lowerlevel._LATTICE_KEEP
@@ -726,7 +756,8 @@ def test_a_lattice_over_the_memory_bound_streams_every_solve(monkeypatch):
     kept = [answer_key(solve, inst) for solve in methods]
     monkeypatch.setattr(ccpkit.lowerlevel, "_LATTICE_KEEP", 2**6 * (12 + 6 + 1) - 1)
     sizes = lattice_block_spy(monkeypatch)
-    assert solve_lower_level(inst, np.inf).start is None
+    start = solve_lower_level(inst, np.inf).start
+    assert isinstance(start, Lattice) and start.blocks is None
     assert sizes == [64]
     solves = []
     enum = ccpkit.lowerlevel._solve_hinge_enum
