@@ -140,6 +140,7 @@ class SubsetChain:
         self._lp: Optional[LpProblem] = None    # every scenario row switched on
         self._off: Optional[np.ndarray] = None  # the scenario rows' rhs when off, if finite
         self._per = 0                           # LP rows per scenario
+        self._tail: Optional[np.ndarray] = None  # the LP rows after the scenario rows
 
     def problem(self, keep: List[int]) -> Optional[LpProblem]:
         """The chain's LP with only the rows of `keep` switched on, or None
@@ -158,8 +159,7 @@ class SubsetChain:
         the scenario rows: _subset_lp(instance, keep)."""
         lp, per = self._full(), self._per
         rows = (np.asarray(keep, dtype=int)[:, None] * per + np.arange(per)).ravel()
-        scenario_rows = self.instance.scenario_count * per
-        return lp.derive(rows=np.concatenate([rows, np.arange(scenario_rows, lp.b.size)]))
+        return lp.derive(rows=np.concatenate([rows, self._tail]))
 
     def solve(self, keep: List[int]) -> LpOutcome:
         """The subset LP of keep, solved: the switched LP warm from the
@@ -185,7 +185,7 @@ class SubsetChain:
                 # the margin keeps an off row's slack at least 1 on the
                 # whole box, so it never ties in a ratio test
                 self._off = np.maximum(lp.b[: N * per], row_max + 1.0)
-            self._lp, self._per = lp, per
+            self._lp, self._per, self._tail = lp, per, np.arange(N * per, lp.b.size)
         return self._lp
 
 

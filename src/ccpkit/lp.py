@@ -76,15 +76,18 @@ is still primal feasible, the long-step dual loop from one that is only
 dual feasible, and one that is neither is solved cold. The start is
 never modified.
 
-The optimal outcome carries a dual certificate (row multipliers, the most
-negative reduced cost of a nonbasic column measured in its feasible
+An optimal outcome also holds a dual certificate (row multipliers, the
+most negative reduced cost of a nonbasic column measured in its feasible
 direction, and the primal-dual gap) so callers can verify optimality
-independently.
+independently. It is computed from the outcome's final tableau and problem
+when first read, not on every solve: a warm solve copies its start's
+tableau and never modifies it, so a later read gives the same values.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional, Tuple
 
 import numpy as np
@@ -93,6 +96,8 @@ from .errors import CycleGuardTripped, NonFinite, ValidationError
 
 _PIVOT_TOL = 1e-9
 _MAX_COLUMNS = 10_000
+_NO_INDEX = np.zeros(0, dtype=int)   # shared, never written
+_NO_INDEX.flags.writeable = False
 
 
 @dataclass(frozen=True, eq=False)
@@ -142,17 +147,17 @@ class LpProblem:
         array is this problem's own object, so an optimal outcome of either
         problem is a warm start for the other when they share A, E, lo and
         hi (solve_lp); this problem is left as it was."""
-        new = {name: getattr(self, name) for name in ("c", "A", "b", "E", "f", "lo", "hi")}
+        new = {}
         if rows is not None:
             new["A"], new["b"] = self.A[rows], self.b[rows]
         if c is not None:
             new["c"] = _checked("c", c, self.c.shape)
         if b is not None:
-            new["b"] = _checked("b", b, new["b"].shape)
-        child = object.__new__(LpProblem)
-        for name, value in new.items():
+            new["b"] = _checked("b", b, new.get("b", self.b).shape)
+        for value in new.values():
             value.flags.writeable = False
-            object.__setattr__(child, name, value)
+        child = object.__new__(LpProblem)
+        child.__dict__.update(self.__dict__, **new)
         return child
 
 
@@ -195,14 +200,30 @@ class LpOutcome:
     status: str                      # "optimal" | "infeasible" | "unbounded"
     x: Optional[np.ndarray] = None
     value: Optional[float] = None
-    dual_ineq: Optional[np.ndarray] = None   # multipliers of A x <= b, <= 0 orientation
-    dual_eq: Optional[np.ndarray] = None     # multipliers of E x = f
-    reduced_cost_min: Optional[float] = None
-    duality_gap: Optional[float] = None
     pivots: int = 0
     # the final tableau of an optimal solve, for solve_lp(..., start=outcome)
     tableau: Optional["_BoundTableau"] = field(default=None, repr=False)
     problem: Optional[LpProblem] = field(default=None, repr=False)   # the LP solved
+
+    @cached_property
+    def _certificate(self) -> tuple:
+        """(dual_ineq, dual_eq, reduced_cost_min, duality_gap) read from the
+        final tableau, all None when there is none (not optimal)."""
+        tab, problem = self.tableau, self.problem
+        if tab is None:
+            return None, None, None, None
+        n, m, m_ineq = tab.n, tab.m, problem.A.shape[0]
+        d = tab.T[m, :n + m]
+        # a slack column is e_i with cost 0, so its reduced cost is -y_i
+        y = -d[n:]
+        dual_obj = float(y @ np.concatenate([problem.b, problem.f]) + d[:n] @ tab.solution())
+        return (y[:m_ineq], y[m_ineq:], float(tab.score()[: n + m].min(initial=0.0)),
+                abs(self.value - dual_obj) / (1.0 + abs(self.value)))
+
+    dual_ineq = property(lambda self: self._certificate[0], doc="multipliers of A x <= b, <= 0 orientation")
+    dual_eq = property(lambda self: self._certificate[1], doc="multipliers of E x = f")
+    reduced_cost_min = property(lambda self: self._certificate[2])
+    duality_gap = property(lambda self: self._certificate[3])
 
 
 def _eliminate(T: np.ndarray, row: int, col: int) -> None:
@@ -215,14 +236,6 @@ def _eliminate(T: np.ndarray, row: int, col: int) -> None:
     T -= np.multiply.outer(fac, prow)
     T[:, col] = 0.0
     T[row, col] = 1.0
-
-
-def _long_step_applies(problem: LpProblem) -> bool:
-    """No equality rows, and every cost is nonzero with a finite bound on
-    its cheaper side: the start at those bounds is strictly dual feasible."""
-    c = problem.c
-    return (problem.E.shape[0] == 0 and bool(c.all())
-            and bool(np.isfinite(np.where(c > 0, problem.lo, problem.hi)).all()))
 
 
 class _BoundTableau:
@@ -250,12 +263,12 @@ class _BoundTableau:
         self.lo_all[:n] = lo
         self.hi_all = np.full(ncols, np.inf)
         self.hi_all[:n] = problem.hi
-        self.hi_all[n + m_ineq : n + m] = 0.0     # equality rows' slacks
-        self.width = self.hi_all - self.lo_all
         self.sgn = np.ones(ncols)
         self.sgn[:n] = sgn
-        self.sgn[n + m_ineq : n + m] = 0.0
-        self.free = np.flatnonzero((sgn == 0.0) & (lo == -np.inf))
+        if m > m_ineq:                             # equality rows' slacks, fixed at 0
+            self.hi_all[n + m_ineq : n + m] = self.sgn[n + m_ineq : n + m] = 0.0
+        self.width = self.hi_all - self.lo_all
+        self.free = _NO_INDEX if sgn.all() else np.flatnonzero((sgn == 0.0) & (lo == -np.inf))
         self.base = self.lo_all                    # where a column with sgn >= 0 sits
         if self.free.size:
             self.base = self.lo_all.copy()
@@ -295,6 +308,13 @@ class _BoundTableau:
         x = np.where(self.sgn < 0, self.hi_all, self.base)
         x[self.basis] = 0.0
         return x
+
+    def solution(self) -> np.ndarray:
+        """x at this basis: its nonbasic columns at their bounds, its basic
+        ones at their values."""
+        x = self.values()
+        x[self.basis] = self.T[: self.m, -1]
+        return x[: self.n]
 
     def price(self, cost: np.ndarray) -> None:
         """Reduced costs of cost (one entry per column of T, 0 on the last)."""
@@ -433,14 +453,17 @@ class _BoundTableau:
 
 def _cold(problem: LpProblem) -> Tuple[_BoundTableau, str]:
     """A new tableau for problem and its status after solving it from the
-    start rule of the module docstring."""
+    start rule of the module docstring. One pass over sign(c) places every
+    column at the bound on its cheaper side and decides whether that start
+    applies: with no equality rows, and every cost nonzero with a finite
+    bound on its cheaper side, it is strictly dual feasible and the
+    long-step dual loop solves it; every other LP takes the phase-1 start."""
     c, lo, hi = problem.c, problem.lo, problem.hi
     n, m_ineq = problem.n, problem.A.shape[0]
-    dual_start = _long_step_applies(problem)
-    if dual_start:
-        sgn = np.sign(c)
-        home = np.where(sgn < 0.0, hi, lo)
-    else:
+    sgn = np.sign(c)
+    home = np.where(sgn < 0.0, hi, lo)
+    dual_start = problem.E.shape[0] == 0 and bool(sgn.all()) and bool(np.isfinite(home).all())
+    if not dual_start:
         lo_fin = np.isfinite(lo)
         sgn = np.where(lo_fin, 1.0, np.where(hi < np.inf, -1.0, 0.0))
         home = np.where(lo_fin, lo, np.where(sgn < 0.0, hi, 0.0))
@@ -448,7 +471,7 @@ def _cold(problem: LpProblem) -> Tuple[_BoundTableau, str]:
     residual = problem.b - problem.A @ home
     if problem.E.shape[0]:
         residual = np.concatenate([residual, problem.f - problem.E @ home])
-    art = np.zeros(0, dtype=int)
+    art = _NO_INDEX
     if not dual_start:
         needs = residual < 0.0
         needs[m_ineq:] = True
@@ -519,24 +542,6 @@ def solve_lp(problem: LpProblem, start: Optional[LpOutcome] = None) -> LpOutcome
         tab, status = _cold(problem)
     if status != "optimal":
         return LpOutcome(status=status, pivots=tab.pivots, problem=problem)
-    T, n, m = tab.T, tab.n, tab.m
-    x_all = tab.values()
-    x_all[tab.basis] = T[:m, -1]
-    x = x_all[:n]
-    value = float(problem.c @ x)
-    d = T[m, :n + m]
-    # a slack column is e_i with cost 0, so its reduced cost is -y_i
-    y = -d[n:]
-    dual_obj = float(y @ np.concatenate([problem.b, problem.f]) + d[:n] @ x)
-    return LpOutcome(
-        status="optimal",
-        x=x,
-        value=value,
-        dual_ineq=y[: problem.A.shape[0]],
-        dual_eq=y[problem.A.shape[0]:],
-        reduced_cost_min=float(tab.score()[: n + m].min(initial=0.0)),
-        duality_gap=abs(value - dual_obj) / (1.0 + abs(value)),
-        pivots=tab.pivots,
-        tableau=tab,
-        problem=problem,
-    )
+    x = tab.solution()
+    return LpOutcome(status="optimal", x=x, value=float(problem.c @ x), pivots=tab.pivots,
+                     tableau=tab, problem=problem)

@@ -261,3 +261,50 @@ def test_scenario_costs_build_one_lp_for_all_scenarios(monkeypatch):
     monkeypatch.setattr(ccpkit.covering, "_scenario_lp", spy)
     scenario_costs(inst)
     assert builds == [list(range(20))]
+
+
+def _knapsack_min(c, a, b, lo, hi):
+    """min c'x s.t. a'x <= b, lo <= x <= hi, in closed form: every
+    coordinate at its cheaper bound (the one that lowers a'x when c_j = 0),
+    then, while the row is violated, the coordinates whose move toward
+    their other bound lowers a'x move in increasing order of |c_j| / |a_j|,
+    each at most to that bound; +inf when the row never holds."""
+    x = np.where((c > 0) | ((c == 0) & (a > 0)), lo, hi)
+    assert np.isfinite(x).all()
+    excess = a @ x - b
+    if excess <= 0.0:
+        return float(c @ x)
+    movable = ((x == lo) & (a < 0)) | ((x == hi) & (a > 0))
+    movable &= lo < hi
+    value = float(c @ x)
+    for j in sorted(np.flatnonzero(movable), key=lambda j: abs(c[j]) / abs(a[j])):
+        step = min(excess / abs(a[j]), hi[j] - lo[j])
+        value += abs(c[j]) * step
+        excess -= abs(a[j]) * step
+        if excess <= 1e-12 * (1.0 + abs(b)):
+            return value
+    return np.inf
+
+
+def _one_row_cost_instances():
+    for seed in (1, 2, 3):
+        for family in ("linear", "covering"):
+            yield generate_instance(family, 10, 45, 0.1, seed)
+        # the lp-bisect benchmark's sup-norm robust case
+        yield robustify(DrccpSpec(generate_instance("linear", 10, 45, 0.1, seed), 0.05, LInf()))
+
+
+@pytest.mark.parametrize("inst", list(_one_row_cost_instances()))
+def test_one_row_scenario_costs_match_a_closed_form_knapsack(inst):
+    chain = SubsetChain(inst)
+    want = []
+    for k in range(inst.scenario_count):
+        lp = chain.compact([k])
+        assert lp.A.shape[0] == 1 and lp.E.shape[0] == 0   # one row, no equalities
+        want.append(_knapsack_min(lp.c, lp.A[0], lp.b[0], lp.lo, lp.hi))
+    got = scenario_costs(inst)
+    for h, ref in zip(got, want):
+        if ref == np.inf:
+            assert h == np.inf
+        else:
+            assert abs(h - ref) <= 1e-12 * (1.0 + abs(ref))

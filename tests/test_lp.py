@@ -109,12 +109,22 @@ def test_infeasible_detected():
         A=np.array([[1.0]]),
         b=np.array([-1.0]),
     )
-    assert solve_lp(p).status == "infeasible"
+    out = solve_lp(p)
+    assert out.status == "infeasible"
+    assert _certificate(out) == (None, None, None, None)
 
 
 def test_unbounded_detected():
     p = LpProblem(c=np.array([-1.0]))
-    assert solve_lp(p).status == "unbounded"
+    out = solve_lp(p)
+    assert out.status == "unbounded"
+    assert _certificate(out) == (None, None, None, None)
+
+
+def _certificate(out):
+    """The four certificate fields, arrays as bytes so that tuples compare."""
+    fields = (out.dual_ineq, out.dual_eq, out.reduced_cost_min, out.duality_gap)
+    return tuple(v.tobytes() if isinstance(v, np.ndarray) else v for v in fields)
 
 
 def test_free_variable_via_lo():
@@ -421,14 +431,19 @@ def test_warm_solves_match_cold_solves_and_highs():
 def test_warm_solve_leaves_its_start_alone_and_repeats_exactly():
     rng = np.random.default_rng(5)
     p = _phase_one_lp(rng, redundant=False)
-    start = solve_lp(p)
+    start, twin = solve_lp(p), solve_lp(p)
     before = start.tableau.T.copy(), start.tableau.basis.copy()
+    certificate = _certificate(start)
     q = LpProblem(c=p.c, A=p.A, b=p.b + 0.5 * rng.normal(size=p.b.shape), E=p.E, f=p.f,
                   lo=p.lo, hi=p.hi)
     first, second = solve_lp(q, start=start), solve_lp(q, start=start)
+    solve_lp(q, start=twin)
     assert first.status != "optimal" or certificate_ok(q, first)
     assert np.array_equal(start.tableau.T, before[0])
     assert np.array_equal(start.tableau.basis, before[1])
+    # the certificate is read from the start's tableau: the same before and
+    # after warm solves from it, also when first read after them (twin)
+    assert _certificate(start) == certificate == _certificate(twin)
     for name in ("status", "value", "reduced_cost_min", "duality_gap", "pivots"):
         assert getattr(first, name) == getattr(second, name)
     for name in ("x", "dual_ineq", "dual_eq"):
