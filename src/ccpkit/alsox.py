@@ -30,6 +30,9 @@ from .model import CcpInstance, Covering, SolveReport, is_feasible, violation_pr
 from .search import bisect_budget
 from .subgrad import SgdConfig
 
+# a safety cap on the probes of one budget bisection; a delta1 above the
+# budgets' float spacing ends every search long before it
+_MAX_BISECTIONS = 200
 
 class _Acceptor:
     """accept(t) for one budget search: the hinge minimizer at budget t if it
@@ -120,12 +123,12 @@ def _anchor_by_search(instance, t_low, accept: _Acceptor):
     return float(instance.cost @ found.witness), found.witness
 
 
-def _bisect(instance, method, delta1, backend, sgd_config, max_bisections, rescue=None):
+def _bisect(instance, method, delta1, backend, sgd_config, rescue=None):
     """The scheme of also_x, and of also_x_plus when given its rescue."""
     start = perf_counter()
     accept = _Acceptor(instance, backend, sgd_config, rescue)
     t_low, t_up, incumbent = bounds_with_anchor(instance, sgd_config, backend, accept=accept)
-    found = bisect_budget(accept, t_low, t_up, delta1, max(1.0, abs(t_up)), max_bisections)
+    found = bisect_budget(accept, t_low, t_up, delta1, max(1.0, abs(t_up)), _MAX_BISECTIONS)
     if found.witness is not None:
         incumbent = found.witness
     return SolveReport(
@@ -147,7 +150,6 @@ def also_x(
     delta1: float = 1e-2,
     backend: str = "auto",
     sgd_config: Optional[SgdConfig] = None,
-    max_bisections: int = 200,
 ) -> SolveReport:
     """Bisect the budget, accepting chance-feasible hinge minimizers."""
-    return _bisect(instance, "alsox", delta1, backend, sgd_config, max_bisections)
+    return _bisect(instance, "alsox", delta1, backend, sgd_config)

@@ -26,7 +26,6 @@ def also_x_plus(
     backend: str = "auto",
     sgd_config: Optional[SgdConfig] = None,
     rescue: str = "am",
-    max_bisections: int = 200,
     max_rounds: int = 100,
 ) -> SolveReport:
     """Bisect the budget; rescue rejected hinge minimizers before giving up."""
@@ -73,4 +72,4 @@ def also_x_plus(
         return None
 
     method = "alsoxplus" if rescue == "am" else "dc"
-    return _bisect(instance, method, delta1, backend, sgd_config, max_bisections, rescued)
+    return _bisect(instance, method, delta1, backend, sgd_config, rescued)

@@ -61,7 +61,6 @@ EXIT_LIMIT = 3
 
 _INFEASIBLE = (NoFeasibleT, Infeasible)
 _LIMIT = (CapExceeded, CycleGuardTripped, BackendUnavailable, NoConvergence)
-_METHODS = ("alsox", "alsoxplus", "cvar", "dc", "oracle")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -139,61 +138,81 @@ def _prepare(problem, args):
     return robustify(DrccpSpec(problem, theta, norm, getattr(args, "mode", None) or "dual"))
 
 
+def _conic_report(ec: EllipticalCcp, robust: bool) -> SolveReport:
+    """The exact conic optimum of a Gaussian document as a report."""
+    start = perf_counter()
+    value, x = exact_conic_solve(ec, robust=robust)
+    return SolveReport(
+        method="exact_conic",
+        t_star=value,
+        x_star=x,
+        objective=value,
+        feasible=True,
+        violation_prob=gaussian_violation(ec, x),
+        iterations=0,
+        lower_bound_used=value,
+        upper_bound_used=value,
+        wall_time=perf_counter() - start,
+    )
+
+
+# every method the CLI runs: a name and its runner(problem, args) on a
+# finite-scenario problem; the keys are the --method choices
+_FINITE = {
+    "alsox": lambda p, a: also_x(p, delta1=a.delta1),
+    "alsoxplus": lambda p, a: also_x_plus(p, delta1=a.delta1, delta2=a.delta2),
+    "cvar": lambda p, a: cvar_solution(p),
+    "dc": lambda p, a: also_x_plus(p, delta1=a.delta1, delta2=a.delta2, rescue="dc"),
+    "oracle": lambda p, a: exact_solve(p, subset_cap=getattr(a, "subset_cap", 200_000)),
+}
+# the methods with a Gaussian form, robust when --theta is given
+_GAUSSIAN = {
+    "alsox": lambda ec, a: also_x_elliptical(ec, delta1=a.delta1, robust=a.theta is not None),
+    "oracle": lambda ec, a: _conic_report(ec, robust=a.theta is not None),
+}
+
+
 def _run_method(problem, method: str, args) -> SolveReport:
-    """One method on a prepared problem."""
-    if isinstance(problem, EllipticalCcp):
-        return _run_elliptical(problem, method, args)
-    if method == "alsox":
-        return also_x(problem, delta1=args.delta1)
-    if method == "alsoxplus":
-        return also_x_plus(problem, delta1=args.delta1, delta2=args.delta2)
-    if method == "dc":
-        return also_x_plus(problem, delta1=args.delta1, delta2=args.delta2, rescue="dc")
-    if method == "cvar":
-        return cvar_solution(problem)
-    if method == "oracle":
-        return exact_solve(problem, subset_cap=getattr(args, "subset_cap", 200_000))
-    raise ValueError(f"unknown method {method!r}")
+    """One method on a prepared problem, from the table of its kind."""
+    table = _GAUSSIAN if isinstance(problem, EllipticalCcp) else _FINITE
+    if method not in table:
+        raise BackendUnavailable(f"method {method!r} needs finite scenarios")
+    return table[method](problem, args)
 
 
-def _run_elliptical(ec: EllipticalCcp, method: str, args) -> SolveReport:
-    robust = getattr(args, "theta", None) is not None
-    if method == "alsox":
-        return also_x_elliptical(ec, delta1=args.delta1, robust=robust)
-    if method == "oracle":
-        start = perf_counter()
-        value, x = exact_conic_solve(ec, robust=robust)
-        return SolveReport(
-            method="exact_conic",
-            t_star=value,
-            x_star=x,
-            objective=value,
-            feasible=True,
-            violation_prob=gaussian_violation(ec, x),
-            iterations=0,
-            lower_bound_used=value,
-            upper_bound_used=value,
-            wall_time=perf_counter() - start,
-        )
-    raise BackendUnavailable(f"method {method!r} needs finite scenarios")
+def _method_list(text: str) -> List[str]:
+    """--methods as a list of table keys; ValueError on any other name."""
+    methods = [m.strip() for m in text.split(",") if m.strip()]
+    for m in methods:
+        if m not in _FINITE:
+            raise ValueError(f"unknown method {m!r}")
+    return methods
 
 
-def _config_dict(args, method: str) -> dict:
-    return {
-        "method": method,
-        "delta1": args.delta1,
-        "delta2": args.delta2,
-        "theta": getattr(args, "theta", None),
-        "norm": getattr(args, "norm", None),
-        "mode": getattr(args, "mode", None),
-    }
+def _row(problem, method: str, args) -> dict:
+    """One compare or bench row: the method's headline numbers, or the
+    error that stopped it and its message."""
+    begin = perf_counter()
+    try:
+        report = _run_method(problem, method, args)
+    except CcpError as exc:
+        return {"method": method, "error": type(exc).__name__, "message": str(exc),
+                "time": perf_counter() - begin}
+    return {"method": method, "objective": report.objective, "feasible": report.feasible,
+            "violation_prob": report.violation_prob, "time": report.wall_time}
 
 
 def cmd_solve(args) -> int:
     problem = _prepare(_load_document(args.instance), args)
-    report = _run_method(problem, args.method, args)
-    doc = report.to_dict()
-    doc["config"] = _config_dict(args, args.method)
+    doc = _run_method(problem, args.method, args).to_dict()
+    doc["config"] = {
+        "method": args.method,
+        "delta1": args.delta1,
+        "delta2": args.delta2,
+        "theta": args.theta,
+        "norm": args.norm,
+        "mode": args.mode,
+    }
     if args.format == "csv":
         row = dict(doc)
         row.update(row.pop("config"))
@@ -206,33 +225,10 @@ def cmd_solve(args) -> int:
 
 def cmd_compare(args) -> int:
     problem = _load_document(args.instance)
-    methods = [m.strip() for m in args.methods.split(",") if m.strip()]
-    for m in methods:
-        if m not in _METHODS:
-            raise ValueError(f"unknown method {m!r}")
+    methods = _method_list(args.methods)
     # a mistake every method shares is a usage error, not one per row
     problem = _prepare(problem, args)
-
-    def run(method: str) -> dict:
-        begin = perf_counter()
-        try:
-            report = _run_method(problem, method, args)
-        except CcpError as exc:
-            return {
-                "method": method,
-                "error": type(exc).__name__,
-                "message": str(exc),
-                "time": perf_counter() - begin,
-            }
-        return {
-            "method": method,
-            "objective": report.objective,
-            "feasible": report.feasible,
-            "violation_prob": report.violation_prob,
-            "time": report.wall_time,
-        }
-
-    rows = [run(method) for method in methods]
+    rows = [_row(problem, method, args) for method in methods]
     values = {r["method"]: r["objective"] for r in rows if "objective" in r}
     v_cvar = values.get("cvar")
     if v_cvar is not None and abs(v_cvar) > 0:
@@ -309,41 +305,12 @@ def cmd_gen(args) -> int:
 
 def cmd_bench(args) -> int:
     seeds = [int(s) for s in args.seeds.split(",") if s.strip()]
-    methods = [m.strip() for m in args.methods.split(",") if m.strip()]
-    for m in methods:
-        if m not in _METHODS:
-            raise ValueError(f"unknown method {m!r}")
-    jobs = []
+    methods = _method_list(args.methods)
+    rows = []
     for seed in seeds:
         instance = generate_instance(args.family, args.n, args.N, args.epsilon, seed)
-        for method in methods:
-            jobs.append((seed, method, instance))
-
-    def run(job) -> dict:
-        seed, method, instance = job
-        base = {
-            "family": args.family,
-            "n": args.n,
-            "N": args.N,
-            "epsilon": args.epsilon,
-            "seed": seed,
-            "method": method,
-        }
-        begin = perf_counter()
-        try:
-            report = _run_method(instance, method, args)
-        except CcpError as exc:
-            base.update(error=type(exc).__name__, time=perf_counter() - begin)
-            return base
-        base.update(
-            objective=report.objective,
-            feasible=report.feasible,
-            violation_prob=report.violation_prob,
-            time=report.wall_time,
-        )
-        return base
-
-    rows = [run(job) for job in jobs]
+        base = {"family": args.family, "n": args.n, "N": args.N, "epsilon": args.epsilon, "seed": seed}
+        rows += [{**base, **_row(instance, method, args)} for method in methods]
     if args.format == "json":
         text = json.dumps({"rows": rows}, indent=2, sort_keys=True) + "\n"
     else:
@@ -359,13 +326,12 @@ def build_parser() -> _Parser:
     def common(p, methods=True):
         p.add_argument("--instance", required=True, help="instance JSON path")
         if methods:
-            p.add_argument("--method", required=True, choices=_METHODS)
+            p.add_argument("--method", required=True, choices=_FINITE)
         p.add_argument("--delta1", type=float, default=1e-2)
         p.add_argument("--delta2", type=float, default=1e-2)
         p.add_argument("--theta", type=float, default=None, help="ambiguity radius")
         p.add_argument("--norm", choices=("l1", "l2", "linf", "mahalanobis"), default=None)
         p.add_argument("--mode", choices=("dual", "shift"), default=None)
-        p.add_argument("--seed", type=int, default=None, help="accepted for scripting; solvers are deterministic")
         p.add_argument("--out", default=None)
         p.add_argument("--format", choices=("json", "csv"), default="json")
 

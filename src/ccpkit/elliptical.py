@@ -55,6 +55,8 @@ _SQRT2PI = math.sqrt(2.0 * math.pi)
 _MAX_CUTS = 120
 _MARGIN_TOL = 1e-8
 _HINGE_TOL = 1e-9
+# relative width at which the exact conic solve's budget bisection stops
+_CONIC_TOL = 1e-7
 
 
 def std_normal_pdf(x: float) -> float:
@@ -179,16 +181,35 @@ def gaussian_violation(ec: EllipticalCcp, x) -> float:
     return std_normal_cdf(mean / sd)
 
 
-def conic_margin(ec: EllipticalCcp, x) -> float:
-    """-mean - quant(1-eps) sd; nonnegative iff x is chance-feasible.
+def _radius(ec: EllipticalCcp, robust: bool) -> float:
+    """quant(1-eps), plus theta when robust: the number of standard
+    deviations a feasible point's mean loss must keep below zero. A robust
+    radius needs theta (ValidationError) and a ball measured in the
+    Mahalanobis norm of this instance's sigma (NormMismatch)."""
+    r = std_normal_quantile(1.0 - ec.epsilon)
+    if not robust:
+        return r
+    if ec.theta is None:
+        raise ValidationError("robust margin needs a wasserstein radius theta")
+    if not isinstance(ec.wasserstein_norm, Mahalanobis) or not np.allclose(
+        ec.wasserstein_norm.sigma, ec.sigma, atol=1e-12
+    ):
+        raise NormMismatch("robust margin needs the Mahalanobis norm of sigma")
+    return r + ec.theta
 
-    With sd = 0 the verdict is deterministic and the margin is +-inf by the
-    sign of the mean.
-    """
+
+def _margin(ec: EllipticalCcp, r: float, x) -> float:
+    """-mean - r sd; with sd = 0 the verdict is deterministic and the margin
+    is +-inf by the sign of the mean."""
     mean, sd = ec.loss_moments(x)
     if sd < 1e-15:
         return np.inf if mean <= 0.0 else -np.inf
-    return -mean - std_normal_quantile(1.0 - ec.epsilon) * sd
+    return -mean - r * sd
+
+
+def conic_margin(ec: EllipticalCcp, x) -> float:
+    """-mean - quant(1-eps) sd; nonnegative iff x is chance-feasible."""
+    return _margin(ec, _radius(ec, False), x)
 
 
 def robust_conic_margin(ec: EllipticalCcp, x) -> float:
@@ -197,17 +218,7 @@ def robust_conic_margin(ec: EllipticalCcp, x) -> float:
     The ball must be measured in the Mahalanobis norm of this instance's
     sigma; the radius then simply inflates the quantile.
     """
-    if ec.theta is None:
-        raise ValidationError("robust margin needs a wasserstein radius theta")
-    if not isinstance(ec.wasserstein_norm, Mahalanobis) or not np.allclose(
-        ec.wasserstein_norm.sigma, ec.sigma, atol=1e-12
-    ):
-        raise NormMismatch("robust margin needs the Mahalanobis norm of sigma")
-    mean, sd = ec.loss_moments(x)
-    if sd < 1e-15:
-        return np.inf if mean <= 0.0 else -np.inf
-    r = std_normal_quantile(1.0 - ec.epsilon) + ec.theta
-    return -mean - r * sd
+    return _margin(ec, _radius(ec, True), x)
 
 
 # ---------------------------------------------------------------------------
@@ -306,26 +317,18 @@ def _hinge_cut_min(ec: EllipticalCcp, t: float) -> np.ndarray:
     )[1]
 
 
-def exact_conic_solve(
-    ec: EllipticalCcp,
-    robust: bool = False,
-    tol: float = 1e-7,
-) -> Tuple[float, np.ndarray]:
+def exact_conic_solve(ec: EllipticalCcp, robust: bool = False) -> Tuple[float, np.ndarray]:
     """Bisection on the budget against the concave margin; needs eps <= 1/2."""
     if ec.epsilon > 0.5:
         raise ValidationError("exact conic solve needs eps <= 1/2 (concave margin)")
-    r = std_normal_quantile(1.0 - ec.epsilon)
-    if robust:
-        if ec.theta is None:
-            raise ValidationError("robust solve needs a wasserstein radius theta")
-        r += ec.theta
+    r = _radius(ec, robust)
 
     def accept(t: float) -> Optional[np.ndarray]:
         value, witness = _margin_ascent(ec, t, r)
         return witness if value >= 0.0 else None
 
     t0 = float(ec.cost @ feasible_start(ec.domain(), ec.cost, np.inf))
-    found = bisect_from(accept, t0, tol, relative=True)
+    found = bisect_from(accept, t0, _CONIC_TOL, relative=True)
     if found.witness is None:
         raise Infeasible("conic program: no feasible budget found")
     if found.lo == -np.inf:
@@ -345,14 +348,14 @@ def also_x_elliptical(
     not the conic optimum.
     """
     start = perf_counter()
-    margin = (lambda x: robust_conic_margin(ec, x)) if robust else (lambda x: conic_margin(ec, x))
+    r = _radius(ec, robust)
 
     def accept(t: float) -> Optional[np.ndarray]:
         try:
             x = _hinge_cut_min(ec, t)
         except BadStart:
             return None
-        return x if margin(x) >= 0.0 else None
+        return x if _margin(ec, r, x) >= 0.0 else None
 
     t_low, _ = exact_conic_solve(ec, robust=robust)
     found = bisect_budget(accept, t_low, np.inf, delta1, max(1.0, abs(t_low) / 2.0))

@@ -196,10 +196,10 @@ def _projector(setup) -> Callable[[np.ndarray], np.ndarray]:
     return proj
 
 
-def feasible_start(x_set, cost, t: float, x0=None) -> np.ndarray:
-    """Point of S(t) near x0 (origin by default); BadStart if none is found."""
+def feasible_start(x_set, cost, t: float) -> np.ndarray:
+    """Point of S(t) near the origin; BadStart if none is found."""
     c = np.asarray(cost, dtype=float)
-    return _start(_cap_setup(x_set, c, t), c, t, x0)
+    return _start(_cap_setup(x_set, c, t), c, t)
 
 
 def _start(setup, c: np.ndarray, t: float, x0=None) -> np.ndarray:

@@ -98,6 +98,8 @@ def test_solve_infeasible_exit(clash_path, capsys):
 def test_usage_errors_exit_one(chain_path, capsys):
     assert main(["solve", "--instance", chain_path, "--method", "nosuch"]) == 1
     capsys.readouterr()
+    assert main(["solve", "--instance", chain_path, "--method", "alsox", "--seed", "1"]) == 1
+    assert json.loads(capsys.readouterr().err)["error"] == "usage"
     assert main(["solve", "--instance", "/nonexistent.json", "--method", "alsox"]) == 1
     capsys.readouterr()
 
@@ -232,6 +234,19 @@ def test_bench_deterministic_modulo_time(tmp_path, capsys):
     assert len(rows) == 5
 
 
+def test_bench_error_rows_carry_their_message(capsys):
+    argv = ["bench", "--family", "covering", "--n", "3", "--N", "60", "--seeds", "1",
+            "--methods", "oracle,cvar", "--format", "json"]
+    code, doc, _ = run_json(argv, capsys)
+    assert code == 0
+    oracle, cvar = doc["rows"]
+    assert oracle["error"] == "CapExceeded"
+    assert oracle["message"] == "50063860 droppable sets exceed cap 200000"
+    assert "objective" not in oracle
+    assert cvar["method"] == "cvar" and "error" not in cvar
+    assert np.isfinite(cvar["objective"])
+
+
 def test_elliptical_documents_route(plane_path, capsys):
     code, doc, _ = run_json(
         ["solve", "--instance", plane_path, "--method", "oracle"], capsys
@@ -243,6 +258,20 @@ def test_elliptical_documents_route(plane_path, capsys):
     )
     assert code == 0
     assert doc["objective"] >= -1.43
+
+
+def test_compare_runs_every_method_on_a_gaussian_document(plane_path, capsys):
+    code, doc, _ = run_json(
+        ["compare", "--instance", plane_path, "--methods", "alsox,alsoxplus,cvar,dc,oracle"], capsys
+    )
+    assert code == 0
+    rows = {r["method"]: r for r in doc["results"]}
+    assert list(rows) == ["alsox", "alsoxplus", "cvar", "dc", "oracle"]
+    assert rows["oracle"]["objective"] == pytest.approx(-1.55432057, abs=1e-4)
+    assert rows["alsox"]["objective"] >= rows["oracle"]["objective"]
+    for method in ("alsoxplus", "cvar", "dc"):
+        assert rows[method]["error"] == "BackendUnavailable", method
+        assert "needs finite scenarios" in rows[method]["message"], method
 
 
 def test_elliptical_radius_requires_matching_norm(plane_path, capsys):

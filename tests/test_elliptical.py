@@ -8,9 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ccpkit.elliptical
 from ccpkit import (
+    L1,
+    L2,
     BackendUnavailable,
     Mahalanobis,
+    NormMismatch,
     ValidationError,
     also_x_elliptical,
     conic_margin,
@@ -134,6 +138,35 @@ def test_robust_margin_shrinks(gaussian_plane):
     base_value, _ = exact_conic_solve(gaussian_plane)
     robust_value, _ = exact_conic_solve(robust, robust=True)
     assert robust_value >= base_value - 1e-9
+
+
+@pytest.mark.parametrize(
+    "ball",
+    [lambda ec: L1(), lambda ec: L2(), lambda ec: None, lambda ec: Mahalanobis(2.0 * ec.sigma)],
+    ids=["l1", "l2", "none", "mahalanobis-2sigma"],
+)
+def test_robust_solvers_refuse_every_other_ball_before_any_solve(gaussian_plane, ball, monkeypatch):
+    robust = replace(gaussian_plane, theta=0.1, wasserstein_norm=ball(gaussian_plane))
+    calls = []
+    real = ccpkit.elliptical._margin_ascent
+
+    def spy(*args):
+        calls.append(args[1])
+        return real(*args)
+
+    monkeypatch.setattr(ccpkit.elliptical, "_margin_ascent", spy)
+    with pytest.raises(NormMismatch):
+        exact_conic_solve(robust, robust=True)
+    with pytest.raises(NormMismatch):
+        also_x_elliptical(robust, robust=True)
+    assert calls == []
+
+
+def test_the_sigma_ball_keeps_its_robust_values(gaussian_plane):
+    robust = replace(gaussian_plane, theta=0.1, wasserstein_norm=Mahalanobis(gaussian_plane.sigma))
+    value, _ = exact_conic_solve(robust, robust=True)
+    assert value == -1.363608479499817
+    assert also_x_elliptical(robust, robust=True).objective == -1.2932959794998455
 
 
 def test_document_round_trip(gaussian_plane, simplex_portfolio):
