@@ -17,15 +17,8 @@ import numpy as np
 
 from .covering import quantile_lower_bound, relax_and_scale
 from .cvar import cvar_solution
-from .errors import (
-    BadStart,
-    Infeasible,
-    NoFeasibleT,
-    NonFinite,
-    UnsupportedSet,
-    ValidationError,
-)
-from .lowerlevel import Lattice, hinge_start, pick_backend, solve_lower_level
+from .errors import BadStart, Infeasible, NoFeasibleT, NonFinite, ValidationError
+from .lowerlevel import Lattice, engine, hinge_start, pick_backend, solve_lower_level
 from .model import CcpInstance, Covering, SolveReport, is_feasible, violation_probability
 from .search import bisect_budget
 from .subgrad import SgdConfig
@@ -40,16 +33,17 @@ class _Acceptor:
     is given; None when S(t) is empty. Only t moves from one probe to the
     next, so each probe starts from the last solved one's `start`: the LP
     derived from the last one and re-solved from its basis, or the search's
-    Lattice and its one hinge column at the probes' weights. The search's
-    start is built here, before any bound: on the lp backend the hinge LP,
-    so rows with no LP form raise BackendUnavailable at once; on the enum
+    Lattice and its one hinge column at the probes' weights. The backend
+    is resolved here, before any bound (lowerlevel.engine), so a backend
+    the instance cannot take raises BackendUnavailable at once, and so is
+    the search's start: on the lp backend the hinge LP; on the enum
     backend the instance's lowerlevel.Lattice, which bounds_with_anchor
     hands to the quantile bound and the CVaR anchor."""
 
     def __init__(self, instance, backend, sgd_config, rescue=None):
-        self.instance, self.backend, self.sgd_config = instance, backend, sgd_config
+        kind = pick_backend(instance) if backend == "auto" else engine(instance, backend)
+        self.instance, self.backend, self.sgd_config = instance, kind, sgd_config
         self.rescue = rescue
-        kind = pick_backend(instance) if backend == "auto" else backend
         self.start = None
         if kind == "lp":
             self.start = hinge_start(instance)
@@ -97,11 +91,12 @@ def bounds_with_anchor(
     if t_low == np.inf:
         raise NoFeasibleT("a scenario inside the required mass cannot be satisfied")
     anchor = None
-    if isinstance(instance.constraints, Covering) and instance.equiprobable:
+    covering = isinstance(instance.constraints, Covering) and instance.equiprobable
+    if covering and engine(instance) == "lp":
         try:
             rep = relax_and_scale(instance)
             anchor = (rep.objective, rep.x_star)
-        except (Infeasible, ValidationError, UnsupportedSet, NonFinite):
+        except (Infeasible, ValidationError, NonFinite):
             anchor = None
     if anchor is None:
         try:

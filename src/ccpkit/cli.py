@@ -138,10 +138,10 @@ def _prepare(problem, args):
     return robustify(DrccpSpec(problem, theta, norm, getattr(args, "mode", None) or "dual"))
 
 
-def _conic_report(ec: EllipticalCcp, robust: bool) -> SolveReport:
+def _conic_report(ec: EllipticalCcp) -> SolveReport:
     """The exact conic optimum of a Gaussian document as a report."""
     start = perf_counter()
-    value, x = exact_conic_solve(ec, robust=robust)
+    value, x = exact_conic_solve(ec)
     return SolveReport(
         method="exact_conic",
         t_star=value,
@@ -165,10 +165,11 @@ _FINITE = {
     "dc": lambda p, a: also_x_plus(p, delta1=a.delta1, delta2=a.delta2, rescue="dc"),
     "oracle": lambda p, a: exact_solve(p, subset_cap=getattr(a, "subset_cap", 200_000)),
 }
-# the methods with a Gaussian form, robust when --theta is given
+# the methods with a Gaussian form, robust when the problem carries a
+# radius theta (its document's, or --theta's)
 _GAUSSIAN = {
-    "alsox": lambda ec, a: also_x_elliptical(ec, delta1=a.delta1, robust=a.theta is not None),
-    "oracle": lambda ec, a: _conic_report(ec, robust=a.theta is not None),
+    "alsox": lambda ec, a: also_x_elliptical(ec, delta1=a.delta1),
+    "oracle": lambda ec, a: _conic_report(ec),
 }
 
 

@@ -19,9 +19,9 @@ from typing import Iterable, List, Optional
 
 import numpy as np
 
-from .errors import BackendUnavailable, BadStart, Infeasible, NoConvergence, NonFinite, ValidationError
+from .errors import BadStart, Infeasible, NoConvergence, NonFinite, ValidationError
 from .geometry import dykstra_project
-from .lowerlevel import Lattice, _scenario_lp, _slack_rows, lattice_argmin
+from .lowerlevel import Lattice, _scenario_lp, _slack_rows, engine, lattice_argmin
 from .lp import LpOutcome, LpProblem, solve_lp
 from .model import (
     CcpInstance,
@@ -264,23 +264,23 @@ def subset_min_cost(
 ):
     """min c'x over x in X with g(x, xi^k) <= 0 for every kept k; inf if none.
 
-    Exact for affine rows over polyhedral or binary sets; for other models
-    a feasibility-then-bisection subgradient search returns the cost to
-    about 1e-5. With with_point=True returns (value, x) where x is None
-    whenever the value is not finite. chain: a SubsetChain of this
-    instance, whose LP the solve derives its own from and warm-starts from
-    (LP path only).
+    Solved on the instance's engine (lowerlevel.engine): exact on a binary
+    X and where the LP builds; elsewhere a feasibility-then-bisection
+    subgradient search returns the cost to about 1e-5. With
+    with_point=True returns (value, x) where x is None whenever the value
+    is not finite. chain: a SubsetChain of this instance, whose LP the
+    solve derives its own from and warm-starts from (lp engine only).
     """
     keep = list(keep)
     if chain is not None and chain.instance is not instance:
         raise ValidationError("subset_min_cost: the chain belongs to another instance")
-    if instance.x_set.binary:
+    kind = engine(instance)
+    if kind == "enum":
         pair = _subset_min_cost_enum(instance, keep)
+    elif kind == "lp":
+        pair = _subset_min_cost_lp(instance, keep, chain)
     else:
-        try:
-            pair = _subset_min_cost_lp(instance, keep, chain)
-        except BackendUnavailable:            # rows with no LP form
-            pair = _subset_min_cost_sgd(instance, keep, sgd_config)
+        pair = _subset_min_cost_sgd(instance, keep, sgd_config)
     return pair if with_point else pair[0]
 
 
@@ -300,7 +300,7 @@ def _scenario_costs(instance, sgd_config, chain: SubsetChain, start=None) -> np.
     """scenario_costs, whose LPs are the compact LPs of chain: one LP over
     every scenario is built, and each h_k solves its rows of it cold. On a
     binary X the pass scans Lattice.of(instance, start)."""
-    if instance.x_set.binary:
+    if engine(instance) == "enum":
         tol = default_zero_tol(instance)
 
         def kept_costs(points, costs, losses):

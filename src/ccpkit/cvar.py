@@ -4,10 +4,12 @@ Replacing P{g > 0} <= eps by the convex tail condition
 
     min_{beta <= 0}  beta + (1/eps) E[(g - beta)_+]  <=  0
 
-gives a conservative (upper-bounding) solvable program. With affine
-scenario rows and a polyhedral X this is one linear program in
-(x, w, beta); binary sets enumerate; everything else bisects the budget t
-against the tail lower-level value.
+gives a conservative (upper-bounding) solvable program. Which solver
+runs is lowerlevel.engine's rule: on the lp engine (affine rows over a
+polyhedral X, no ball or a 1-norm or sup-norm ball) it is one linear
+program in (x, w, beta); on a binary X the lattice is enumerated; on the
+sgd engine, or when a caller passes backend="sgd" where the LP builds,
+the budget t is bisected against the subgradient tail lower level.
 
 `cvar_lower_value` is the t-parametric companion
 
@@ -24,8 +26,8 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import BackendUnavailable, BadStart, Infeasible, NonFinite
-from .lowerlevel import Lattice, _scenario_lp, _slack_rows, lattice_argmin
+from .errors import BadStart, Infeasible, NonFinite
+from .lowerlevel import Lattice, _scenario_lp, _slack_rows, engine, lattice_argmin
 from .lp import LpProblem, solve_lp
 from .model import CcpInstance, SolveReport, is_feasible, violation_probability
 from .search import bisect_from
@@ -111,13 +113,9 @@ def _cvar_enum(instance: CcpInstance, start=None) -> tuple:
     return (*best, 2**instance.n)
 
 
-def _cvar_lp(instance: CcpInstance) -> Optional[tuple]:
-    """(value, x, pivots) of the tail-constrained LP; None for rows with no LP form."""
-    try:
-        problem = _tail_problem(instance, None, relaxed=False)
-    except BackendUnavailable:
-        return None
-    out = solve_lp(problem)
+def _cvar_lp(instance: CcpInstance) -> tuple:
+    """(value, x, pivots) of the tail-constrained LP."""
+    out = solve_lp(_tail_problem(instance, None, relaxed=False))
     if out.status == "infeasible":
         raise Infeasible("cvar: the tail-constrained program is empty")
     if out.status != "optimal":
@@ -134,17 +132,19 @@ def cvar_solution(
 ) -> SolveReport:
     """Minimize c'x under the tail condition; raises Infeasible when empty.
 
-    start: a budget search's start; on a binary X the enumeration scans it
-    when it is a lowerlevel.Lattice of this instance (`is`), and a new
-    Lattice otherwise.
+    backend: lowerlevel.engine's; one the instance cannot take raises
+    BackendUnavailable before any solve. start: a budget search's start;
+    on a binary X the enumeration scans it when it is a lowerlevel.Lattice
+    of this instance (`is`), and a new Lattice otherwise.
     """
     begin = perf_counter()
-    found = None
-    if instance.x_set.binary:
-        found = _cvar_enum(instance, start)
-    elif backend != "sgd":
-        found = _cvar_lp(instance)
-    value, x, iterations = found or _cvar_bisect(instance, sgd_config)
+    kind = engine(instance, backend)
+    if kind == "enum":
+        value, x, iterations = _cvar_enum(instance, start)
+    elif kind == "lp":
+        value, x, iterations = _cvar_lp(instance)
+    else:
+        value, x, iterations = _cvar_bisect(instance, sgd_config)
     return SolveReport(
         method="cvar",
         t_star=value,
@@ -182,8 +182,10 @@ def cvar_lower_value(
     t: float,
     sgd_config: Optional[SgdConfig] = None,
 ) -> float:
-    """Tail lower-level value at budget t, clamped below at zero."""
-    if instance.x_set.binary:
+    """Tail lower-level value at budget t, clamped below at zero, on the
+    instance's engine (lowerlevel.engine)."""
+    kind = engine(instance)
+    if kind == "enum":
         cap = t + 1e-9 * (1.0 + abs(t))
         eps = instance.epsilon
 
@@ -194,12 +196,9 @@ def cvar_lower_value(
         if best is None:
             raise BadStart(f"cvar lower level: no lattice point satisfies c'x <= {t}")
         return max(best[0], 0.0)
-    try:
-        problem = _tail_problem(instance, t, relaxed=True)
-    except BackendUnavailable:                # rows with no LP form
-        res = solve_cvar_lower_sgd(instance, t, sgd_config or SgdConfig())
-        return max(float(res.value), 0.0)
-    out = solve_lp(problem)
+    if kind == "sgd":
+        return max(float(solve_cvar_lower_sgd(instance, t, sgd_config or SgdConfig()).value), 0.0)
+    out = solve_lp(_tail_problem(instance, t, relaxed=True))
     if out.status == "infeasible":
         raise BadStart(f"cvar lower level: S(t) is empty at t={t}")
     if out.status != "optimal":

@@ -10,7 +10,10 @@ probability have closed forms through the loss mean/deviation
 so the approximation scheme needs no scenario sampling: a point is
 chance-feasible iff the conic margin -m(x) - quant(1-eps) sd(x) is
 nonnegative. For eps <= 1/2 the margin is concave and the exact optimum
-is a budget bisection around a supergradient ascent of the margin.
+is a budget bisection around a supergradient ascent of the margin. A
+problem that carries a Wasserstein radius theta, with the ball in the
+Mahalanobis norm of sigma, is solved robustly: theta is added to the
+quantile.
 """
 
 from __future__ import annotations
@@ -181,16 +184,15 @@ def gaussian_violation(ec: EllipticalCcp, x) -> float:
     return std_normal_cdf(mean / sd)
 
 
-def _radius(ec: EllipticalCcp, robust: bool) -> float:
-    """quant(1-eps), plus theta when robust: the number of standard
-    deviations a feasible point's mean loss must keep below zero. A robust
-    radius needs theta (ValidationError) and a ball measured in the
-    Mahalanobis norm of this instance's sigma (NormMismatch)."""
+def _radius(ec: EllipticalCcp) -> float:
+    """quant(1-eps), plus theta when the problem carries a Wasserstein
+    radius theta: the number of standard deviations a feasible point's mean
+    loss must keep below zero. A radius needs a ball measured in the
+    Mahalanobis norm of this instance's sigma (NormMismatch); it then
+    simply inflates the quantile."""
     r = std_normal_quantile(1.0 - ec.epsilon)
-    if not robust:
-        return r
     if ec.theta is None:
-        raise ValidationError("robust margin needs a wasserstein radius theta")
+        return r
     if not isinstance(ec.wasserstein_norm, Mahalanobis) or not np.allclose(
         ec.wasserstein_norm.sigma, ec.sigma, atol=1e-12
     ):
@@ -208,17 +210,10 @@ def _margin(ec: EllipticalCcp, r: float, x) -> float:
 
 
 def conic_margin(ec: EllipticalCcp, x) -> float:
-    """-mean - quant(1-eps) sd; nonnegative iff x is chance-feasible."""
-    return _margin(ec, _radius(ec, False), x)
-
-
-def robust_conic_margin(ec: EllipticalCcp, x) -> float:
-    """Margin against every distribution within theta in Wasserstein metric.
-
-    The ball must be measured in the Mahalanobis norm of this instance's
-    sigma; the radius then simply inflates the quantile.
-    """
-    return _margin(ec, _radius(ec, True), x)
+    """-mean - r sd with r = _radius(ec); nonnegative iff x is
+    chance-feasible, against every distribution within theta in the
+    Wasserstein metric when ec carries a radius."""
+    return _margin(ec, _radius(ec), x)
 
 
 # ---------------------------------------------------------------------------
@@ -317,11 +312,12 @@ def _hinge_cut_min(ec: EllipticalCcp, t: float) -> np.ndarray:
     )[1]
 
 
-def exact_conic_solve(ec: EllipticalCcp, robust: bool = False) -> Tuple[float, np.ndarray]:
-    """Bisection on the budget against the concave margin; needs eps <= 1/2."""
+def exact_conic_solve(ec: EllipticalCcp) -> Tuple[float, np.ndarray]:
+    """Bisection on the budget against the concave margin (conic_margin,
+    robust when ec carries a radius theta); needs eps <= 1/2."""
     if ec.epsilon > 0.5:
         raise ValidationError("exact conic solve needs eps <= 1/2 (concave margin)")
-    r = _radius(ec, robust)
+    r = _radius(ec)
 
     def accept(t: float) -> Optional[np.ndarray]:
         value, witness = _margin_ascent(ec, t, r)
@@ -336,19 +332,16 @@ def exact_conic_solve(ec: EllipticalCcp, robust: bool = False) -> Tuple[float, n
     return found.hi, found.witness
 
 
-def also_x_elliptical(
-    ec: EllipticalCcp,
-    delta1: float = 1e-2,
-    robust: bool = False,
-) -> SolveReport:
-    """Hinge-based budget bisection with the closed-form feasibility check.
+def also_x_elliptical(ec: EllipticalCcp, delta1: float = 1e-2) -> SolveReport:
+    """Hinge-based budget bisection with the closed-form feasibility check
+    (conic_margin, robust when ec carries a radius theta).
 
     The bracket starts at the exact conic value. Only hinge minimizers
     become incumbents, so the report shows what the hinge scheme achieves,
     not the conic optimum.
     """
     start = perf_counter()
-    r = _radius(ec, robust)
+    r = _radius(ec)
 
     def accept(t: float) -> Optional[np.ndarray]:
         try:
@@ -357,7 +350,7 @@ def also_x_elliptical(
             return None
         return x if _margin(ec, r, x) >= 0.0 else None
 
-    t_low, _ = exact_conic_solve(ec, robust=robust)
+    t_low, _ = exact_conic_solve(ec)
     found = bisect_budget(accept, t_low, np.inf, delta1, max(1.0, abs(t_low) / 2.0))
     if found.witness is None:
         raise NoFeasibleT("no budget made the hinge minimizer chance-feasible")

@@ -6,12 +6,20 @@ The weighted hinge problem is
 
     v(t; z) = min { sum_k p_k z_k (g(x, xi^k))_+ : x in X, c'x <= t }
 
-with z in [0,1]^N fixed. Backends:
+with z in [0,1]^N fixed. One rule, engine(instance), names the solver
+family every program of an instance takes (hinge, tail, single-scenario
+and subset costs, DC pieces):
 
-  "lp"    exact simplex solve; needs affine scenario rows and a polyhedral X
-  "sgd"   projected subgradient descent; works for every constraint model
-  "enum"  lattice enumeration; needs a binary feasible set
-  "auto"  enum for binary sets, lp for the equality model, sgd otherwise
+  "enum"  lattice enumeration, on a binary X
+  "lp"    exact simplex solves, where every scenario-row LP builds: affine
+          rows over a polyhedral X, with no ball, a 1-norm or a sup-norm ball
+  "sgd"   projected subgradient descent, everywhere else
+
+A backend of "auto" takes that engine; an explicit one must name it,
+except that "sgd" may stand in for "lp". Any other backend is refused
+with BackendUnavailable before any solve, never swapped for another. The
+hinge's own auto backend (pick_backend) is the engine with sgd in place
+of lp, except on the equality model.
 
 The lp and enum solves return a warm start for the next solve of the same
 instance (solve_lower_level): the hinge LP with its outcome, or the
@@ -28,9 +36,10 @@ Every LP here and in cvar and covering (hinge, tail, subset, relaxation)
 and the DC pieces come from one builder, _scenario_lp, the one place that
 knows their layout and how they linearize the norm term. It and the
 exact-face pieces read one thing from the constraint model: its rows,
-model.rows, g_k(x) = max_i (R[k] x - r[k])_i + theta ||x||_*. The power
-model has no rows (None); its LPs raise BackendUnavailable. Verdicts still
-read the exact g (scenario_losses).
+model.rows, g_k(x) = max_i (R[k] x - r[k])_i + theta ||x||_*. Where the
+engine is not lp (a lattice, the power model's missing rows, a ball that
+does not linearize) it raises BackendUnavailable. Verdicts still read the
+exact g (scenario_losses).
 
 The sgd default for affine rows is deliberate: its minimizers land in the
 interior of flat optimal faces, which is the behavior the approximation
@@ -44,12 +53,11 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .errors import BackendUnavailable, BadStart, NoConvergence, NonFinite, UnsupportedSet
+from .errors import BackendUnavailable, BadStart, NoConvergence, NonFinite
 from .geometry import dykstra_project
 from .lp import LpOutcome, LpProblem, solve_lp
 from .model import (
     AffineEqualities,
-    AffineRows,
     BiAffineEquality,
     Box,
     CcpInstance,
@@ -78,17 +86,36 @@ def _hinge_parts(instance: CcpInstance, x: np.ndarray, z: np.ndarray):
     return s, float(np.sum(instance.probabilities * z * s))
 
 
-def _lp_rows(model) -> AffineRows:
-    """The model's rows; BackendUnavailable when they are not affine."""
-    if model.rows is None:
-        raise BackendUnavailable(f"no LP form: {type(model).__name__} rows are not affine")
-    return model.rows
+def engine(instance: CcpInstance, backend: str = "auto") -> str:
+    """The solver family of instance's programs under `backend` (see the
+    module docstring): "enum" on a binary X; "lp" for affine rows over a
+    polyhedral X with no ball, a 1-norm or a sup-norm ball; "sgd" otherwise.
+    "auto" gives that engine, and "sgd" may stand in for "lp". Any other
+    backend, an unknown name included, raises BackendUnavailable naming
+    the backend and what the instance lacks."""
+    x_set, model = instance.x_set, instance.constraints
+    rows = model.rows
+    if x_set.binary:
+        kind, lacks = "enum", f"X is a {type(x_set).__name__} lattice, not a convex set"
+    elif rows is None:
+        kind, lacks = "sgd", f"{type(model).__name__} rows are not affine"
+    elif rows.theta != 0.0 and not isinstance(rows.norm, (L1, LInf)):
+        kind, lacks = "sgd", f"{type(rows.norm).__name__} balls have no LP form"
+    else:
+        kind, lacks = "lp", f"X is a {type(x_set).__name__}, not a binary set"
+    if backend == "auto":
+        return kind
+    if backend == kind or (backend, kind) == ("sgd", "lp"):
+        return backend
+    if backend not in ("enum", "lp", "sgd"):
+        raise BackendUnavailable(f"unknown backend {backend!r}")
+    raise BackendUnavailable(f"{backend} backend: {lacks}")
 
 
 def _slack_rows(instance: CcpInstance) -> np.ndarray:
     """y_rows for one slack column per scenario: -1 in column k on each row
     of scenario k."""
-    N, per = _lp_rows(instance.constraints).r.shape
+    N, per = instance.constraints.rows.r.shape
     out = np.zeros((N * per, N))
     out[np.arange(N * per), np.repeat(np.arange(N), per)] = -1.0
     return out
@@ -128,9 +155,11 @@ def _scenario_lp(
     every scenario restricted to the subset's I rows per scenario and every
     row after the N I scenario rows. The last extra row sits right above
     X's rows, at row A.shape[0] - (X's row count) - 1: the budget row
-    c'x <= t of a hinge LP.
+    c'x <= t of a hinge LP. Raises BackendUnavailable where the engine is
+    not lp.
     """
-    rows = _lp_rows(instance.constraints)
+    engine(instance, "lp")
+    rows = instance.constraints.rows
     xA, xb, xE, xf, lo, hi = instance.x_set.polyhedron()
     if x_lo is not None:
         lo = np.maximum(lo, x_lo)
@@ -143,10 +172,8 @@ def _scenario_lp(
             x_rows = x_rows + theta * np.where(lo >= 0.0, 1.0, np.where(hi <= 0.0, -1.0, 0.0))
             aux_j = np.flatnonzero((lo < 0.0) & (hi > 0.0))
             n_aux = aux_j.size
-        elif isinstance(rows.norm, L1):
-            aux_j, n_aux = np.arange(n), 1
         else:
-            raise BackendUnavailable("lp backend: only 1-norm / sup-norm balls linearize")
+            aux_j, n_aux = np.arange(n), 1
     b = rows.r[keep].reshape(-1)
     x_cost = np.zeros(n) if x_cost is None else x_cost
     ny = len(y_lo)
@@ -210,14 +237,10 @@ class HingeStart:
 
 def hinge_start(instance: CcpInstance, t: float = 0.0, z=None) -> HingeStart:
     """The hinge LP at budget t and weights z (default 1), built but not
-    solved: the start of a budget search on the lp backend, whose probes
-    derive their LPs from it. Raises BackendUnavailable at once when the
-    rows or X (a binary set) have no LP form."""
+    solved: the start of a budget search on the lp engine, whose probes
+    derive their LPs from it."""
     z = np.ones(instance.scenario_count) if z is None else z
-    try:
-        problem = _hinge_lp(instance, t, z)
-    except UnsupportedSet as exc:
-        raise BackendUnavailable(f"lp backend: {exc}") from exc
+    problem = _hinge_lp(instance, t, z)
     budget = None
     if np.isfinite(t):
         budget = problem.A.shape[0] - instance.x_set.polyhedron()[1].size - 1
@@ -377,11 +400,12 @@ def _solve_hinge_enum(
 
 
 def pick_backend(instance: CcpInstance) -> str:
-    if instance.x_set.binary:
-        return "enum"
-    if isinstance(instance.constraints, BiAffineEquality):
-        return "lp"
-    return "sgd"
+    """The hinge's auto backend: the engine, with sgd in place of lp except
+    on the equality model (see the module docstring)."""
+    kind = engine(instance)
+    if kind == "lp" and not isinstance(instance.constraints, BiAffineEquality):
+        return "sgd"
+    return kind
 
 
 def solve_lower_level(
@@ -408,17 +432,14 @@ def solve_lower_level(
     cold. The sgd backend ignores every start.
     """
     z = np.ones(instance.scenario_count) if z_weights is None else np.asarray(z_weights, dtype=float)
-    if backend == "auto":
-        backend = pick_backend(instance)
+    backend = pick_backend(instance) if backend == "auto" else engine(instance, backend)
     if backend == "lp":
         return _solve_hinge_lp(instance, t, z, start if isinstance(start, HingeStart) else None)
     if backend == "enum":
         return _solve_hinge_enum(instance, t, z, start)
-    if backend == "sgd":
-        out = solve_hinge_sgd(instance, t, z, x0, sgd_config)
-        s, value = _hinge_parts(instance, out.x, z)
-        return LowerLevelSolution(x=out.x, s=s, value=value, backend="sgd", iterations=out.iterations)
-    raise BackendUnavailable(f"unknown backend {backend!r}")
+    out = solve_hinge_sgd(instance, t, z, x0, sgd_config)
+    s, value = _hinge_parts(instance, out.x, z)
+    return LowerLevelSolution(x=out.x, s=s, value=value, backend="sgd", iterations=out.iterations)
 
 
 # ---------------------------------------------------------------------------
@@ -460,7 +481,7 @@ class AmResult:
 def _face_pieces(instance: CcpInstance, t: float, z: np.ndarray):
     """Affine pieces of {x in X, c'x <= t, g_k(x) <= 0 for z_k > 0} or None."""
     rows = instance.constraints.rows
-    if rows is None or rows.theta != 0.0 or instance.x_set.binary:
+    if engine(instance) != "lp" or rows.theta != 0.0:
         return None
     pieces = instance.x_set.pieces()
     if np.isfinite(t):
@@ -563,29 +584,27 @@ class DcResult:
 def _dc_pieces(instance: CcpInstance, t: float):
     """Convex pieces of the coupled set over (x, s, z): one box (X's bounds,
     s >= 0, z in [0, 1]), X's equality rows, then one system of X's rows,
-    the budget row, the scenario rows and the mass row."""
-    model = instance.constraints
-    rows = model.rows
-    if rows is None or rows.theta != 0.0:
+    the budget row, the scenario rows and the mass row: affine rows with no
+    ball over a polyhedral X, else BackendUnavailable."""
+    rows = instance.constraints.rows
+    if engine(instance) != "lp" or rows.theta != 0.0:
         raise BackendUnavailable(
-            f"dc scheme: {type(model).__name__} rows do not embed as halfspaces"
+            f"dc scheme: {type(instance.constraints).__name__} rows over "
+            f"{type(instance.x_set).__name__} do not embed as halfspaces"
         )
     n, N, finite = instance.n, instance.scenario_count, int(np.isfinite(t))
     extra = np.zeros((finite + 1, n + 2 * N))
     extra[:finite, :n] = instance.cost
     # probability mass kept by z must reach 1 - eps
     extra[finite, n + N :] = -instance.probabilities
-    try:
-        lp = _scenario_lp(
-            instance,
-            y_rows=_slack_rows(instance),
-            y_lo=np.zeros(2 * N),
-            y_hi=np.concatenate([np.full(N, np.inf), np.ones(N)]),
-            extra=extra,
-            extra_rhs=[t] * finite + [-(1.0 - instance.epsilon)],
-        )
-    except UnsupportedSet as exc:
-        raise BackendUnavailable(f"dc scheme: {exc}") from exc
+    lp = _scenario_lp(
+        instance,
+        y_rows=_slack_rows(instance),
+        y_lo=np.zeros(2 * N),
+        y_hi=np.concatenate([np.full(N, np.inf), np.ones(N)]),
+        extra=extra,
+        extra_rhs=[t] * finite + [-(1.0 - instance.epsilon)],
+    )
     pieces = [Box(lp.lo, lp.hi)]
     if lp.E.shape[0]:
         pieces.append(AffineEqualities(lp.E.T, lp.f))

@@ -9,8 +9,9 @@ search. Everything here is meant for desk-scale instances: the subset
 count is capped. Each subset is one LP on affine rows. When every
 scenario row has a finite maximum over X's bounds, those LPs form one
 SubsetChain: consecutive droppable sets differ in one or two scenarios,
-so each LP re-solves from the previous optimal basis. Other affine rows
-take a cold LP per subset, and other models a full subgradient search.
+so each LP re-solves from the previous optimal basis. Other rows on the
+lp engine take a cold LP per subset, and the sgd engine a full
+subgradient search (lowerlevel.engine).
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import numpy as np
 
 from .covering import SubsetChain, _scenario_costs, subset_min_cost
 from .errors import CapExceeded, Infeasible, NonFinite, ValidationError
-from .lowerlevel import Lattice, lattice_argmin
+from .lowerlevel import Lattice, engine, lattice_argmin
 from .lp import LpProblem, solve_lp
 from .model import (
     BiAffineEquality,
@@ -109,7 +110,7 @@ def exact_solve(
     are pruned using single-scenario bounds.
     """
     start = perf_counter()
-    if instance.x_set.binary:
+    if engine(instance) == "enum":
         return exact_solve_binary(instance)
     N = instance.scenario_count
     if instance.equiprobable:

@@ -10,19 +10,21 @@ projection. Any other X (rows, equalities, a binary set, or bounds that
 cross) is projected by Dykstra sweeps over its pieces and the budget row.
 Each solve sets S(t) up once, for its projection and its feasible start.
 
-Step sizes shrink harmonically by default and directions are normalized
-once their norm exceeds one, which keeps the scheme scale-free across the
-coefficient magnitudes the scenario generators produce. The losses and
-their subgradients come from the constraint model (losses_and_grads). The
-reported minimizer is the best iterate seen, not the last one; a Dykstra
-projection cut off at its sweep cap is counted in SgdResult.capped.
+Step sizes shrink harmonically, 1 / (k + 1) at step k, and a polish then
+restarts from the best iterate with a few constant steps. Directions are
+normalized once their norm exceeds one, which keeps the scheme scale-free
+across the coefficient magnitudes the scenario generators produce. The
+losses and their subgradients come from the constraint model
+(losses_and_grads). The reported minimizer is the best iterate seen, not
+the last one; a Dykstra projection cut off at its sweep cap is counted in
+SgdResult.capped.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Optional, Union
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -32,29 +34,8 @@ from .model import CcpInstance, Halfspaces
 
 
 @dataclass(frozen=True)
-class Harmonic:
-    scale: float = 1.0
-
-    def step(self, k: int) -> float:
-        return self.scale / (k + 1.0)
-
-
-@dataclass(frozen=True)
-class Constant:
-    gamma: float
-
-    def step(self, k: int) -> float:
-        return self.gamma
-
-
-StepRule = Union[Harmonic, Constant]
-
-
-@dataclass(frozen=True)
 class SgdConfig:
     max_iter: int = 5000
-    step_rule: StepRule = Harmonic()
-    stop_tol: float = 1e-10
     stall_window: int = 500
 
 
@@ -64,8 +45,12 @@ class SgdResult:
     value: float
     iterations: int
     stalled: bool
-    beta: Optional[float] = None
     capped: int = 0             # projections cut off at Dykstra's sweep cap
+
+
+# an improvement of the best value by less than this does not restart the
+# stall window
+_STOP_TOL = 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -221,31 +206,33 @@ def _start(setup, c: np.ndarray, t: float, x0=None) -> np.ndarray:
 # solvers
 
 
-def _descend(objective, x0: np.ndarray, proj, cfg: SgdConfig) -> SgdResult:
-    """Shared loop: objective(x) -> (value, subgradient)."""
+def _descend(objective, x0: np.ndarray, proj, max_iter: int, stall_window: int,
+             gamma: Optional[float] = None) -> SgdResult:
+    """Shared loop: objective(x) -> (value, subgradient). Step k is
+    1 / (k + 1), or the constant gamma when one is given."""
     x = np.asarray(x0, dtype=float).copy()
     best_val, _ = objective(x)
     best_x = x.copy()
     last_improve = 0
     k = 0
-    for k in range(cfg.max_iter):
+    for k in range(max_iter):
         val, grad = objective(x)
         if not math.isfinite(val):
             raise NonFinite("sgd: objective became non-finite")
-        if val < best_val - cfg.stop_tol:
+        if val < best_val - _STOP_TOL:
             best_val = val
             best_x = x.copy()
             last_improve = k
         elif val < best_val:
             best_val = val
             best_x = x.copy()
-        if k - last_improve >= cfg.stall_window:
+        if k - last_improve >= stall_window:
             return SgdResult(best_x, float(best_val), k + 1, True)
         nrm = math.sqrt(float(grad @ grad))   # np.linalg.norm's own formula
         if nrm > 1.0:
             grad = grad / nrm
-        x = proj(x - cfg.step_rule.step(k) * grad)
-    return SgdResult(best_x, float(best_val), cfg.max_iter, False)
+        x = proj(x - (1.0 / (k + 1.0) if gamma is None else gamma) * grad)
+    return SgdResult(best_x, float(best_val), max_iter, False)
 
 
 def _descend_with_polish(objective, x0: np.ndarray, proj, cfg: SgdConfig) -> SgdResult:
@@ -256,23 +243,19 @@ def _descend_with_polish(objective, x0: np.ndarray, proj, cfg: SgdConfig) -> Sgd
     tracking makes each pass monotone, so the chain can only improve.
     Budgets under 1000 iterations skip the polish (they are deliberate).
     """
-    out = _descend(objective, x0, proj, cfg)
+    out = _descend(objective, x0, proj, cfg.max_iter, cfg.stall_window)
     if cfg.max_iter < 1000:
         return out
     best = out
     total = out.iterations
     span = 1.0 + float(np.max(np.abs(best.x))) if best.x.size else 1.0
-    pol_iters = max(400, cfg.max_iter // 8)
-    pol = SgdConfig(max_iter=pol_iters, stop_tol=cfg.stop_tol,
-                    stall_window=min(cfg.stall_window, 150))
+    pol_iters, pol_window = max(400, cfg.max_iter // 8), min(cfg.stall_window, 150)
     for gamma in (1e-2 * span, 1e-3 * span, 1e-4 * span):
-        res = _descend(objective, best.x,
-                       proj, SgdConfig(pol.max_iter, Constant(gamma),
-                                       pol.stop_tol, pol.stall_window))
+        res = _descend(objective, best.x, proj, pol_iters, pol_window, gamma)
         total += res.iterations
         if res.value < best.value:
             best = res
-    return SgdResult(best.x, best.value, total, out.stalled, beta=best.beta)
+    return SgdResult(best.x, best.value, total, out.stalled)
 
 
 def solve_hinge_sgd(
@@ -331,5 +314,4 @@ def solve_cvar_lower_sgd(instance: CcpInstance, t: float, cfg: Optional[SgdConfi
         return np.concatenate([proj_x(xb[:-1]), [min(0.0, xb[-1])]])
 
     out = _descend_with_polish(objective, np.concatenate([x_start, [beta_start]]), proj, cfg)
-    return SgdResult(out.x[:-1], out.value, out.iterations, out.stalled, beta=float(out.x[-1]),
-                     capped=proj_x.capped)
+    return SgdResult(out.x[:-1], out.value, out.iterations, out.stalled, capped=proj_x.capped)

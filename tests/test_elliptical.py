@@ -26,7 +26,6 @@ from ccpkit import (
     gaussian_violation,
     hinge_factor,
     load_elliptical,
-    robust_conic_margin,
     sample_losses,
     std_normal_cdf,
     std_normal_pdf,
@@ -134,9 +133,9 @@ def test_robust_margin_shrinks(gaussian_plane):
         gaussian_plane, theta=0.05, wasserstein_norm=Mahalanobis(gaussian_plane.sigma)
     )
     x = np.array([0.5, 0.5])
-    assert robust_conic_margin(robust, x) < conic_margin(robust, x)
+    assert conic_margin(robust, x) < conic_margin(gaussian_plane, x)
     base_value, _ = exact_conic_solve(gaussian_plane)
-    robust_value, _ = exact_conic_solve(robust, robust=True)
+    robust_value, _ = exact_conic_solve(robust)
     assert robust_value >= base_value - 1e-9
 
 
@@ -156,17 +155,17 @@ def test_robust_solvers_refuse_every_other_ball_before_any_solve(gaussian_plane,
 
     monkeypatch.setattr(ccpkit.elliptical, "_margin_ascent", spy)
     with pytest.raises(NormMismatch):
-        exact_conic_solve(robust, robust=True)
+        exact_conic_solve(robust)
     with pytest.raises(NormMismatch):
-        also_x_elliptical(robust, robust=True)
+        also_x_elliptical(robust)
     assert calls == []
 
 
 def test_the_sigma_ball_keeps_its_robust_values(gaussian_plane):
     robust = replace(gaussian_plane, theta=0.1, wasserstein_norm=Mahalanobis(gaussian_plane.sigma))
-    value, _ = exact_conic_solve(robust, robust=True)
+    value, _ = exact_conic_solve(robust)
     assert value == -1.363608479499817
-    assert also_x_elliptical(robust, robust=True).objective == -1.2932959794998455
+    assert also_x_elliptical(robust).objective == -1.2932959794998455
 
 
 def test_document_round_trip(gaussian_plane, simplex_portfolio):

@@ -1,5 +1,6 @@
 """Lower-level solvers: backends, weight updates, AM and DC heuristics."""
 
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -8,6 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ccpkit.lowerlevel
+import ccpkit.lp
+import ccpkit.subgrad
 from ccpkit import (
     AffineEqualities,
     BackendUnavailable,
@@ -29,6 +32,7 @@ from ccpkit import (
     also_x,
     also_x_plus,
     am,
+    cvar_solution,
     dc_solve,
     is_feasible,
     pick_backend,
@@ -37,21 +41,25 @@ from ccpkit import (
     solve_lower_level,
     solve_lp,
     violation_probability,
+    worst_case_solve,
     z_update,
 )
 from ccpkit.cli import generate_instance
 from ccpkit.geometry import dykstra_project
 from ccpkit.covering import _relaxation_lp, _subset_lp
 from ccpkit.cvar import _tail_problem
-from ccpkit.lowerlevel import HingeStart, Lattice, _dc_pieces, _exact_face_polish, _hinge_lp
+from ccpkit.lowerlevel import HingeStart, Lattice, _dc_pieces, _exact_face_polish, _hinge_lp, engine
 
 from test_lp import certificate_ok
 from conftest import (
+    FINITE_DOCUMENTS,
     answer_key,
     equiprobable,
     lattice_block_spy,
+    load_document,
     make_binary_pair_cover,
     make_equality_pair,
+    make_scalar_chain,
     make_two_var_cover,
     random_hinge_problem,
 )
@@ -61,6 +69,71 @@ def test_backend_dispatch(binary_pair_cover, equality_pair, two_var_cover):
     assert pick_backend(binary_pair_cover) == "enum"
     assert pick_backend(equality_pair) == "lp"
     assert pick_backend(two_var_cover) == "sgd"
+
+
+@pytest.mark.parametrize("name", FINITE_DOCUMENTS)
+def test_one_engine_rule_on_every_demo_document(name):
+    # the engine: the lattice on a binary X, the subgradient search on rows
+    # whose ball has no LP form (L2), the LP otherwise; the hinge's auto
+    # backend is the engine with sgd in place of lp off the equality model
+    base = load_document(name)
+    variants = {"plain": base}
+    for norm in (LInf(), L1(), L2()):
+        variants[type(norm).__name__] = robustify(DrccpSpec(base, 0.05, norm))
+    for tag, inst in variants.items():
+        lattice = inst.x_set.binary
+        assert engine(inst) == ("enum" if lattice else "sgd" if tag == "L2" else "lp"), tag
+        hinge = "enum" if lattice else "lp" if (name, tag) == ("equality_pair", "plain") else "sgd"
+        assert pick_backend(inst) == hinge, tag
+    assert (name == "binary_pair_cover") == base.x_set.binary
+
+
+def _swap_cases():
+    """(spec, backend) pairs that an earlier rule answered on another
+    backend or another solver family; theta 0 leaves the rows as they are."""
+    linear3 = generate_instance("linear", 3, 10, 0.1, 1)
+    linear6 = generate_instance("linear", 6, 20, 0.1, 2)
+    return {
+        "lattice-on-lp": (DrccpSpec(replace(linear3, x_set=BinaryTiny(3)), 0.0, LInf()), "lp"),
+        "lattice-on-sgd": (DrccpSpec(replace(linear6, x_set=BinaryTiny(6)), 0.0, LInf()), "sgd"),
+        "box-on-enum": (DrccpSpec(linear3, 0.0, LInf()), "enum"),
+        "l2-ball-on-lp": (DrccpSpec(make_scalar_chain(), 0.05, L2()), "lp"),
+        "power-rows-on-lp": (
+            DrccpSpec(generate_instance("nonlinear", 3, 10, 0.1, 1), 0.0, LInf(), mode="shift"), "lp"
+        ),
+        "unknown-name": (DrccpSpec(linear3, 0.0, LInf()), "bogus"),
+    }
+
+
+_ENTRY_POINTS = {
+    "also_x": lambda spec, inst, b: also_x(inst, backend=b),
+    "also_x_plus": lambda spec, inst, b: also_x_plus(inst, backend=b),
+    "cvar_solution": lambda spec, inst, b: cvar_solution(inst, backend=b),
+    "solve_lower_level": lambda spec, inst, b: solve_lower_level(inst, 0.0, backend=b),
+    "am": lambda spec, inst, b: am(inst, 0.0, backend=b),
+    **{
+        f"worst_case_solve-{m}": lambda spec, inst, b, m=m: worst_case_solve(spec, method=m, backend=b)
+        for m in ("alsox", "alsoxplus", "cvar")
+    },
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_ENTRY_POINTS))
+@pytest.mark.parametrize("case", sorted(_swap_cases()))
+def test_a_backend_the_instance_cannot_take_is_refused_before_any_solve(case, entry, monkeypatch):
+    spec, backend = _swap_cases()[case]
+    inst = robustify(spec)
+    calls = []
+    for target in (ccpkit.lp.solve_lp, ccpkit.subgrad.solve_hinge_sgd,
+                   ccpkit.subgrad.solve_cvar_lower_sgd):
+        for module in [m for k, m in sys.modules.items() if k.startswith("ccpkit")]:
+            for attr, value in list(vars(module).items()):
+                if value is target:
+                    monkeypatch.setattr(module, attr, lambda *a, _n=attr, **k: calls.append(_n))
+    monkeypatch.setattr(Lattice, "_build", lambda self: calls.append("Lattice._build") or iter(()))
+    with pytest.raises(BackendUnavailable, match="BinaryTiny|backend"):
+        _ENTRY_POINTS[entry](spec, inst, backend)
+    assert calls == []
 
 
 def test_z_update_frozen_values():

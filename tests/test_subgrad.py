@@ -11,10 +11,8 @@ from ccpkit import (
     BiAffine,
     BiAffineEquality,
     Box,
-    Constant,
     DrccpSpec,
     Halfspaces,
-    Harmonic,
     Intersection,
     LInf,
     Mahalanobis,
@@ -167,13 +165,6 @@ def test_sgd_counts_the_projections_cut_off_at_the_sweep_cap(monkeypatch):
     box = _linear_rows_over(Box(np.zeros(4), np.ones(4)))
     assert solve_hinge_sgd(box, -5.0, np.ones(12), None, cfg).capped == 0
     assert solve_cvar_lower_sgd(box, -5.0, cfg).capped == 0
-
-
-def test_step_rules():
-    h = Harmonic(2.0)
-    assert h.step(0) == pytest.approx(2.0)
-    assert h.step(1) == pytest.approx(1.0)
-    assert Constant(0.5).step(9) == pytest.approx(0.5)
 
 
 def _cap_projection_by_bisection(y, lo, hi, c, t):
