@@ -346,7 +346,7 @@ def build_parser() -> _Parser:
     p_cmp.add_argument("--methods", default="alsox,alsoxplus,cvar")
     p_cmp.set_defaults(func=cmd_compare)
 
-    p_oracle = sub.add_parser("oracle", help="exact optimum by enumeration")
+    p_oracle = sub.add_parser("oracle", help="exact optimum by branching on scenarios")
     common(p_oracle, methods=False)
     p_oracle.add_argument("--subset-cap", type=int, default=200_000, dest="subset_cap")
     p_oracle.set_defaults(func=cmd_oracle)

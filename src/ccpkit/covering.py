@@ -293,13 +293,13 @@ def scenario_costs(
     On a binary X one lattice pass scores every scenario at once; on any
     other X each h_k is its own subset_min_cost solve.
     """
-    return _scenario_costs(instance, sgd_config, SubsetChain(instance))
+    return _scenario_costs(instance, sgd_config)
 
 
-def _scenario_costs(instance, sgd_config, chain: SubsetChain, start=None) -> np.ndarray:
-    """scenario_costs, whose LPs are the compact LPs of chain: one LP over
-    every scenario is built, and each h_k solves its rows of it cold. On a
-    binary X the pass scans Lattice.of(instance, start)."""
+def _scenario_costs(instance, sgd_config, start=None) -> np.ndarray:
+    """scenario_costs, whose LPs are the compact LPs of one SubsetChain: one
+    LP over every scenario is built, and each h_k solves its rows of it
+    cold. On a binary X the pass scans Lattice.of(instance, start)."""
     if engine(instance) == "enum":
         tol = default_zero_tol(instance)
 
@@ -308,7 +308,7 @@ def _scenario_costs(instance, sgd_config, chain: SubsetChain, start=None) -> np.
 
         found = lattice_argmin(Lattice.of(instance, start), kept_costs)
         return np.array([np.inf if pair is None else pair[0] for pair in found])
-    compact = _CompactChain(chain)
+    compact = _CompactChain(SubsetChain(instance))
     N = instance.scenario_count
     return np.array([subset_min_cost(instance, [k], sgd_config, chain=compact) for k in range(N)])
 
@@ -329,7 +329,7 @@ def quantile_lower_bound(
     a binary X the costs scan it when it is a lowerlevel.Lattice of this
     instance (`is`), and a new Lattice otherwise.
     """
-    h = _scenario_costs(instance, sgd_config, SubsetChain(instance), start)
+    h = _scenario_costs(instance, sgd_config, start)
     order = np.argsort(h, kind="stable")
     mass = 0.0
     for k in order:

@@ -1,38 +1,36 @@
-"""Exact reference solver by scenario-subset enumeration.
+"""Exact reference solver by branching on scenarios.
 
 A point is chance-feasible iff the scenarios it violates carry mass at
 most eps, so the exact optimum is the cheapest min-cost solve over any
-"kept" scenario set whose complement is droppable. Equiprobable masses
-make the droppable sets exactly those of size floor(N eps); general
-masses need the maximal droppable sets, enumerated by depth-first
-search. Everything here is meant for desk-scale instances: the subset
-count is capped. Each subset is one LP on affine rows. When every
-scenario row has a finite maximum over X's bounds, those LPs form one
-SubsetChain: consecutive droppable sets differ in one or two scenarios,
-so each LP re-solves from the previous optimal basis. Other rows on the
-lp engine take a cold LP per subset, and the sgd engine a full
-subgradient search (lowerlevel.engine).
+"kept" scenario set whose complement is droppable. exact_solve finds it
+by a depth-first search that keeps or drops one violated scenario per
+branch. Each subset program is one LP on affine rows, derived from one
+SubsetChain and warm from the last optimal basis when every scenario row
+has a finite maximum over X's bounds, cold otherwise; the sgd engine runs
+a subgradient search (lowerlevel.engine). A binary X takes a lattice scan.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from time import perf_counter
 from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .covering import SubsetChain, _scenario_costs, subset_min_cost
+from .covering import SubsetChain, subset_min_cost
 from .errors import CapExceeded, Infeasible, NonFinite, ValidationError
 from .lowerlevel import Lattice, engine, lattice_argmin
 from .lp import LpProblem, solve_lp
 from .model import (
+    _FEAS_TOL,
     BiAffineEquality,
     CcpInstance,
     SolveReport,
+    default_zero_tol,
     is_feasible,
+    scenario_losses,
     violation_probability,
 )
 from .subgrad import SgdConfig
@@ -57,7 +55,7 @@ def _exact_report(instance, value, x, iterations, start) -> SolveReport:
         t_star=value,
         x_star=x,
         objective=value,
-        feasible=True,
+        feasible=is_feasible(instance, x),
         violation_prob=violation_probability(instance, x),
         iterations=iterations,
         lower_bound_used=value,
@@ -66,81 +64,63 @@ def _exact_report(instance, value, x, iterations, start) -> SolveReport:
     )
 
 
-def _maximal_droppable(p: np.ndarray, eps: float, cap: int) -> List[Tuple[int, ...]]:
-    """All inclusion-maximal index sets with mass <= eps (ties allowed)."""
-    n = len(p)
-    tol = 1e-12
-    out: List[Tuple[int, ...]] = []
-    nodes = 0
-
-    def rec(start: int, chosen: List[int], mass: float) -> None:
-        nonlocal nodes
-        nodes += 1
-        if nodes > cap or len(out) > cap:
-            raise CapExceeded(f"droppable-set enumeration passed {cap} nodes")
-        extended = False
-        for k in range(start, n):
-            if mass + p[k] <= eps + tol:
-                extended = True
-                chosen.append(k)
-                rec(k + 1, chosen, mass + float(p[k]))
-                chosen.pop()
-        if extended:
-            return
-        inside = set(chosen)
-        # indices skipped earlier must not fit either, else not maximal
-        if any(k not in inside and mass + p[k] <= eps + tol for k in range(start)):
-            return
-        out.append(tuple(chosen))
-
-    rec(0, [], 0.0)
-    return out
-
-
 def exact_solve(
     instance: CcpInstance,
     subset_cap: int = 200_000,
     sgd_config: Optional[SgdConfig] = None,
 ) -> SolveReport:
-    """Exhaustive optimum over droppable scenario sets.
+    """The optimum by depth-first branching on scenarios.
 
-    Exact whenever the inner min-cost solves are (affine rows or a binary
-    domain); inherits the ~1e-5 bisection accuracy otherwise. Subsets
-    whose kept scenarios already force a cost at or above the incumbent
-    are pruned using single-scenario bounds.
+    A node keeps a scenario set F and drops a set D of mass at most eps
+    (+ _FEAS_TOL), from F = D = {} at the root. It solves subset_min_cost
+    over F (one SubsetChain per search) and is pruned when that is +inf or
+    not below the incumbent by more than 1e-15. If the scenarios outside F
+    that its minimizer violates carry mass at most eps, the minimizer is
+    the incumbent. Else it pushes (F + k, D) for the most violated k
+    outside F and D (lowest index on ties), and while D + k fits, drops k
+    at the same node (same minimizer) and branches on the next. An optimum
+    violates no scenario of F and all of D along one path, so the search is
+    exact whenever the subset solves are (kept scenarios are trusted to
+    their accuracy). A node unbounded below branches on the scenarios
+    outside F and D by index, and raises NonFinite when the mass outside F
+    is droppable. iterations counts the subset solves; CapExceeded past
+    subset_cap of them. A binary X takes exact_solve_binary's lattice scan.
     """
     start = perf_counter()
     if engine(instance) == "enum":
         return exact_solve_binary(instance)
-    N = instance.scenario_count
-    if instance.equiprobable:
-        m = int(np.floor(N * instance.epsilon + 1e-12))
-        if math.comb(N, m) > subset_cap:
-            raise CapExceeded(f"{math.comb(N, m)} droppable sets exceed cap {subset_cap}")
-        drops = sorted(itertools.combinations(range(N), m), key=lambda s: tuple(reversed(s)))
-    else:
-        drops = _maximal_droppable(instance.probabilities, instance.epsilon, subset_cap)
+    p = instance.probabilities
+    room = instance.epsilon + _FEAS_TOL
+    tol = default_zero_tol(instance)
     chain = SubsetChain(instance)
-    h = _scenario_costs(instance, sgd_config, chain)
-    order = np.argsort(-h, kind="stable")
-    best = np.inf
-    best_x = None
-    solves = 0
-    for drop in drops:
-        dropped = set(drop)
-        bound = next((float(h[k]) for k in order if k not in dropped), -np.inf)
-        # a kept set must beat best by more than 1e-15 to replace it (below),
-        # so one whose bound is within that of best is skipped: which sets are
-        # solved does not hang on the last bit of an LP value
-        if bound >= best - 1e-15:
-            continue
-        keep = [k for k in range(N) if k not in dropped]
-        val, x = subset_min_cost(instance, keep, sgd_config, with_point=True, chain=chain)
+    best, best_x, solves = np.inf, None, 0
+    stack: List[Tuple[List[int], List[int]]] = [([], [])]
+    while stack:
+        kept, dropped = stack.pop()
+        if solves == subset_cap:
+            raise CapExceeded(f"scenario branching passed {subset_cap} subset solves")
+        val, x = subset_min_cost(instance, kept, sgd_config, with_point=True, chain=chain)
         solves += 1
-        if val == -np.inf:
-            raise NonFinite("exact solve: objective unbounded below on a kept set")
-        if val < best - 1e-15:
+        # a node must beat best by more than 1e-15 to be kept or replace it,
+        # so which nodes are solved does not hang on the last bit of an LP value
+        if not val < best - 1e-15:
+            continue
+        # an unbounded node has no minimizer: every scenario outside F counts
+        loss = np.full(p.size, np.inf) if x is None else scenario_losses(instance, x)
+        loss[kept] = -np.inf
+        violated = np.flatnonzero(loss > tol)
+        if p[violated].sum() <= room:
+            if x is None:
+                raise NonFinite("exact solve: objective unbounded below on a kept set")
             best, best_x = val, x
+            continue
+        order = violated[np.argsort(-loss[violated], kind="stable")]
+        mass = p[dropped].sum()
+        for k in order[~np.isin(order, dropped)]:
+            stack.append((sorted(kept + [int(k)]), dropped))
+            if mass + p[k] > room:
+                break
+            dropped, mass = dropped + [int(k)], mass + p[k]
     if best_x is None:
         raise Infeasible("every droppable scenario set leaves an unsatisfiable core")
     return _exact_report(instance, best, best_x, solves, start)

@@ -235,16 +235,27 @@ def test_bench_deterministic_modulo_time(tmp_path, capsys):
 
 
 def test_bench_error_rows_carry_their_message(capsys):
-    argv = ["bench", "--family", "covering", "--n", "3", "--N", "60", "--seeds", "1",
-            "--methods", "oracle,cvar", "--format", "json"]
+    argv = ["bench", "--family", "covering", "--n", "2", "--N", "5", "--epsilon", "0.5",
+            "--seeds", "1", "--methods", "cvar,oracle", "--format", "json"]
     code, doc, _ = run_json(argv, capsys)
     assert code == 0
-    oracle, cvar = doc["rows"]
-    assert oracle["error"] == "CapExceeded"
-    assert oracle["message"] == "50063860 droppable sets exceed cap 200000"
-    assert "objective" not in oracle
-    assert cvar["method"] == "cvar" and "error" not in cvar
-    assert np.isfinite(cvar["objective"])
+    cvar, oracle = doc["rows"]
+    assert cvar["error"] == "Infeasible"
+    assert cvar["message"] == "cvar: the tail-constrained program is empty"
+    assert "objective" not in cvar
+    assert oracle["method"] == "oracle" and "error" not in oracle
+    assert oracle["objective"] == pytest.approx(10.25, abs=1e-9)
+
+
+def test_bench_oracle_solves_past_the_old_enumeration_cap(capsys):
+    # C(60, 6) = 50,063,860 droppable sets, which no enumeration under the
+    # default subset_cap reaches
+    argv = ["bench", "--family", "covering", "--n", "3", "--N", "60", "--seeds", "1",
+            "--methods", "oracle", "--format", "json"]
+    code, doc, _ = run_json(argv, capsys)
+    assert code == 0
+    (oracle,) = doc["rows"]
+    assert oracle["objective"] == pytest.approx(9.82609, abs=1e-5)
 
 
 def test_elliptical_documents_route(plane_path, capsys):

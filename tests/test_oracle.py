@@ -1,4 +1,4 @@
-"""Enumeration oracle, subset solves, nullspace verdicts."""
+"""Scenario-branching oracle, subset solves, nullspace verdicts."""
 
 from dataclasses import replace
 
@@ -15,6 +15,7 @@ from ccpkit import (
     DrccpSpec,
     LInf,
     LpProblem,
+    NonFinite,
     NonNegOrthant,
     SubsetChain,
     ValidationError,
@@ -76,6 +77,62 @@ def test_subset_min_cost(two_var_cover):
 def test_subset_cap_guard(tight_cover_family):
     with pytest.raises(CapExceeded):
         exact_solve(tight_cover_family, subset_cap=1)
+
+
+def test_subset_cap_counts_the_subset_solves(monkeypatch):
+    inst = generate_instance("covering", 10, 20, 0.1, 1)
+    assert exact_solve(inst).iterations > 5
+    calls = []
+    subset = ccpkit.oracle.subset_min_cost
+    monkeypatch.setattr(ccpkit.oracle, "subset_min_cost",
+                        lambda *args, **kwargs: calls.append(1) or subset(*args, **kwargs))
+    with pytest.raises(CapExceeded, match="5 subset solves"):
+        exact_solve(inst, subset_cap=5)
+    assert len(calls) == 5
+
+
+@pytest.mark.parametrize("epsilon,value", [(0.2, -1.0), (0.25, None), (0.5, None)])
+def test_an_unbounded_node_branches_until_a_droppable_set_is_unbounded(epsilon, value):
+    # x <= 1 bounds min -x on the orthant; the three rows -x <= 0 do not, so
+    # dropping the first scenario (mass 0.25) leaves the objective unbounded
+    rows = BiAffine(np.array([1.0, -1.0, -1.0, -1.0])[:, None, None],
+                    np.array([1.0, 0.0, 0.0, 0.0])[:, None])
+    inst = equiprobable(1, rows, NonNegOrthant(1), [-1.0], epsilon)
+    if value is None:
+        with pytest.raises(NonFinite, match="unbounded below on a kept set"):
+            exact_solve(inst)
+    else:
+        assert exact_solve(inst).objective == value
+
+
+def _milp_optimum(inst):
+    """min c'x over [0, 1]^n with one binary z_k per scenario that lifts its
+    row by the row's largest excess over the box, and sum z <= floor(N eps)."""
+    optimize = pytest.importorskip("scipy.optimize")
+    rows = inst.constraints.rows
+    A, r = rows.R[:, 0, :], rows.r[:, 0]
+    N, n = A.shape
+    big = np.maximum(np.maximum(A, 0.0).sum(axis=1) - r, 0.0)
+    cons = [
+        optimize.LinearConstraint(np.hstack([A, -np.diag(big)]), -np.inf, r),
+        optimize.LinearConstraint(np.hstack([np.zeros(n), np.ones(N)])[None, :], 0,
+                                  np.floor(N * inst.epsilon + 1e-12)),
+    ]
+    out = optimize.milp(np.hstack([inst.cost, np.zeros(N)]), constraints=cons,
+                        integrality=np.hstack([np.zeros(n), np.ones(N)]),
+                        bounds=optimize.Bounds(0.0, 1.0))
+    assert out.success
+    return out.fun
+
+
+@pytest.mark.parametrize("family", ["linear", "covering"])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_branching_matches_a_milp_at_fifty_scenarios(family, seed):
+    inst = generate_instance(family, 10, 50, 0.1, seed)
+    expected = _milp_optimum(inst)
+    out = exact_solve(inst)
+    assert out.objective == pytest.approx(expected, rel=0, abs=1e-8 * (1 + abs(expected)))
+    assert out.feasible and is_feasible(inst, out.x_star)
 
 
 def test_oracle_lower_bounds_methods():
@@ -204,8 +261,7 @@ def test_each_chained_subset_is_one_warm_started_lp(monkeypatch, inst):
         return subset(*args, **kwargs)
 
     def spy_lp(problem, start=None):
-        if calls:           # the scenario costs come first and stay compact
-            calls[-1].append(start)
+        calls[-1].append(start)
         return solve(problem, start)
 
     monkeypatch.setattr(ccpkit.oracle, "subset_min_cost", spy_subset)
@@ -221,7 +277,7 @@ def test_each_chained_subset_is_one_warm_started_lp(monkeypatch, inst):
     lambda: generate_instance("linear", 10, 20, 0.1, 1),
     _orthant_rows,              # the compact LPs, every one a slice
 ])
-def test_the_oracle_builds_one_lp_for_its_scenario_costs_and_its_chain(monkeypatch, make):
+def test_the_oracle_builds_one_lp_for_its_chain(monkeypatch, make):
     inst = make()
     builds = []
     build = ccpkit.covering._scenario_lp
