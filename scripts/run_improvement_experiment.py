@@ -4,11 +4,14 @@
 For each (family, epsilon, seed) cell the script runs the tail baseline,
 both bisection schemes and the exact oracle, then reports the percentage
 improvement (v_cvar - v_method) / |v_cvar| * 100 and the gap above the
-optimum (v_method - v_oracle) / |v_oracle| * 100. The oracle and gap cells
-are blank where the oracle passes its subset cap (CapExceeded). The
-oracle solves its subset programs on the instance's engine, so on the
-nonlinear family each is a subgradient search of seconds. Writes one CSV
-row per cell and a mean summary per epsilon.
+optimum (v_method - v_oracle) / |v_oracle| * 100. A method that raises a
+toolkit error (the oracle past its subset cap, an empty tail program) leaves
+its cell blank and is named on the cell's stderr line; an improvement or gap
+cell is blank when either of its values is, or when its reference is 0, and
+each mean is taken over the filled cells. The oracle solves its subset
+programs on the instance's engine, so on the nonlinear family each is a
+subgradient search of seconds. Writes one CSV row per cell and a mean
+summary per epsilon.
 """
 
 import argparse
@@ -18,37 +21,55 @@ from time import perf_counter
 
 import numpy as np
 
-from ccpkit import CapExceeded, also_x, also_x_plus, cvar_solution, exact_solve
+from ccpkit import CcpError, also_x, also_x_plus, cvar_solution, exact_solve
 from ccpkit.cli import generate_instance
 
 
+def _pct(a, b, ref):
+    """(a - b) / |ref| * 100, or None when a value is blank or ref is 0."""
+    if a is None or b is None or not ref:
+        return None
+    return (a - b) / abs(ref) * 100.0
+
+
 def run_cell(family, n, count, epsilon, seed, delta1, delta2, backend):
+    """One row: each method's objective, or None with its error in
+    row["errors"], and the improvement and gap cells."""
     inst = generate_instance(family, n, count, epsilon, seed)
+    solvers = {
+        "cvar": lambda: cvar_solution(inst, backend=backend),
+        "alsox": lambda: also_x(inst, delta1=delta1, backend=backend),
+        "alsoxplus": lambda: also_x_plus(inst, delta1=delta1, delta2=delta2, backend=backend),
+        "oracle": lambda: exact_solve(inst),
+    }
     row = {"family": family, "n": n, "N": count, "epsilon": epsilon, "seed": seed}
+    errors = {}
     begin = perf_counter()
-    v_cvar = cvar_solution(inst, backend=backend).objective
-    v_a = also_x(inst, delta1=delta1, backend=backend).objective
-    v_p = also_x_plus(inst, delta1=delta1, delta2=delta2, backend=backend).objective
-    try:
-        v_or = exact_solve(inst).objective
-    except CapExceeded:
-        v_or = None
-
-    def gap(v):
-        return None if v_or is None else (v - v_or) / abs(v_or) * 100.0
-
+    for name, solve in solvers.items():
+        try:
+            row[name] = solve().objective
+        except CcpError as exc:
+            row[name] = None
+            errors[name] = f"{type(exc).__name__}: {exc}"
+    v_cvar, v_a, v_p, v_or = (row[name] for name in solvers)
     row.update(
-        cvar=v_cvar,
-        alsox=v_a,
-        alsoxplus=v_p,
-        oracle=v_or,
-        improvement_alsox=(v_cvar - v_a) / abs(v_cvar) * 100.0,
-        improvement_alsoxplus=(v_cvar - v_p) / abs(v_cvar) * 100.0,
-        gap_alsox=gap(v_a),
-        gap_alsoxplus=gap(v_p),
+        improvement_alsox=_pct(v_cvar, v_a, v_cvar),
+        improvement_alsoxplus=_pct(v_cvar, v_p, v_cvar),
+        gap_alsox=_pct(v_a, v_or, v_or),
+        gap_alsoxplus=_pct(v_p, v_or, v_or),
         time=perf_counter() - begin,
+        errors=errors,
     )
     return row
+
+
+def _fmt(value, spec="%.6g"):
+    return "blank" if value is None else spec % value
+
+
+def _mean(cells, key):
+    filled = [r[key] for r in cells if r[key] is not None]
+    return _fmt(float(np.mean(filled)) if filled else None, "%+.2f%%")
 
 
 def main() -> int:
@@ -75,41 +96,43 @@ def main() -> int:
             )
             rows.append(row)
             print(
-                "eps=%.3g seed=%d cvar=%.6g alsox=%.6g (%+.2f%%) "
-                "alsoxplus=%.6g (%+.2f%%) oracle=%s %.1fs"
+                "eps=%.3g seed=%d cvar=%s alsox=%s (%s) alsoxplus=%s (%s) oracle=%s %.1fs%s"
                 % (
                     epsilon,
                     seed,
-                    row["cvar"],
-                    row["alsox"],
-                    row["improvement_alsox"],
-                    row["alsoxplus"],
-                    row["improvement_alsoxplus"],
-                    "capped" if row["oracle"] is None else "%.6g" % row["oracle"],
+                    _fmt(row["cvar"]),
+                    _fmt(row["alsox"]),
+                    _fmt(row["improvement_alsox"], "%+.2f%%"),
+                    _fmt(row["alsoxplus"]),
+                    _fmt(row["improvement_alsoxplus"], "%+.2f%%"),
+                    _fmt(row["oracle"]),
                     row["time"],
+                    "".join("; %s %s" % item for item in row["errors"].items()),
                 ),
                 file=sys.stderr,
             )
 
     for epsilon in epsilons:
         cells = [r for r in rows if r["epsilon"] == epsilon]
-        mean_a = float(np.mean([r["improvement_alsox"] for r in cells]))
-        mean_p = float(np.mean([r["improvement_alsoxplus"] for r in cells]))
-        solved = [r for r in cells if r["oracle"] is not None]
-        gaps = ", ".join(
-            "%s %+.2f%%" % (m, float(np.mean([r["gap_" + m] for r in solved])))
-            for m in ("alsox", "alsoxplus")
-        ) if solved else "none"
         print(
-            "epsilon=%.3g mean improvement: alsox %+.2f%%, alsoxplus %+.2f%%; "
-            "mean gap to optimum: %s; oracle capped on %d of %d cells"
-            % (epsilon, mean_a, mean_p, gaps, len(cells) - len(solved), len(cells)),
+            "epsilon=%.3g mean improvement: alsox %s, alsoxplus %s; "
+            "mean gap to optimum: alsox %s, alsoxplus %s; oracle blank on %d of %d cells"
+            % (
+                epsilon,
+                _mean(cells, "improvement_alsox"),
+                _mean(cells, "improvement_alsoxplus"),
+                _mean(cells, "gap_alsox"),
+                _mean(cells, "gap_alsoxplus"),
+                sum(r["oracle"] is None for r in cells),
+                len(cells),
+            ),
             file=sys.stderr,
         )
 
     handle = open(args.out, "w", newline="", encoding="utf-8") if args.out else sys.stdout
     try:
-        writer = csv.DictWriter(handle, fieldnames=list(rows[0]))
+        fieldnames = [k for k in rows[0] if k != "errors"]
+        writer = csv.DictWriter(handle, fieldnames=fieldnames, extrasaction="ignore")
         writer.writeheader()
         for row in rows:
             writer.writerow({k: ("%.6g" % v if isinstance(v, float) else v) for k, v in row.items()})

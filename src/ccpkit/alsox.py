@@ -19,7 +19,7 @@ from .covering import quantile_lower_bound, relax_and_scale
 from .cvar import cvar_solution
 from .errors import BadStart, Infeasible, NoFeasibleT, NonFinite, ValidationError
 from .lowerlevel import Lattice, engine, hinge_start, pick_backend, solve_lower_level
-from .model import CcpInstance, Covering, SolveReport, is_feasible, violation_probability
+from .model import CcpInstance, Covering, SolveReport, _report, is_feasible
 from .search import bisect_budget
 from .subgrad import SgdConfig
 
@@ -126,18 +126,8 @@ def _bisect(instance, method, delta1, backend, sgd_config, rescue=None):
     found = bisect_budget(accept, t_low, t_up, delta1, max(1.0, abs(t_up)), _MAX_BISECTIONS)
     if found.witness is not None:
         incumbent = found.witness
-    return SolveReport(
-        method=method,
-        t_star=found.hi,
-        x_star=incumbent,
-        objective=float(instance.cost @ incumbent),
-        feasible=is_feasible(instance, incumbent),
-        violation_prob=violation_probability(instance, incumbent),
-        iterations=found.probes,
-        lower_bound_used=found.marched[0],
-        upper_bound_used=t_up,
-        wall_time=perf_counter() - start,
-    )
+    return _report(instance, method, incumbent, start, found.probes,
+                   t_star=found.hi, lower=found.marched[0], upper=t_up)
 
 
 def also_x(

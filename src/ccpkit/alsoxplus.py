@@ -15,7 +15,7 @@ from typing import Optional
 from .alsox import _bisect
 from .errors import BadStart
 from .lowerlevel import am, dc_solve, z_update
-from .model import CcpInstance, SolveReport, is_feasible
+from .model import CcpInstance, SolveReport, _count, is_feasible
 from .subgrad import SgdConfig
 
 
@@ -28,9 +28,11 @@ def also_x_plus(
     rescue: str = "am",
     max_rounds: int = 100,
 ) -> SolveReport:
-    """Bisect the budget; rescue rejected hinge minimizers before giving up."""
+    """Bisect the budget; rescue rejected hinge minimizers before giving up.
+    ValidationError unless max_rounds is an integer >= 1."""
     if rescue not in ("am", "dc"):
         raise ValueError(f"rescue must be 'am' or 'dc', got {rescue!r}")
+    max_rounds = _count(max_rounds, "max_rounds", 1)
 
     def rescued(t: float, sol):
         """The rescue's point from a rejected hinge minimizer, if it lies in

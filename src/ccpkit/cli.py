@@ -22,13 +22,7 @@ from .alsox import also_x
 from .alsoxplus import also_x_plus
 from .cvar import cvar_solution
 from .drccp import DrccpSpec, robustify
-from .elliptical import (
-    EllipticalCcp,
-    also_x_elliptical,
-    elliptical_from_doc,
-    exact_conic_solve,
-    gaussian_violation,
-)
+from .elliptical import EllipticalCcp, _conic_report, also_x_elliptical, elliptical_from_doc
 from .errors import (
     BackendUnavailable,
     CapExceeded,
@@ -136,24 +130,6 @@ def _prepare(problem, args):
         )
     norm = norm_from_tag(tag or "linf")
     return robustify(DrccpSpec(problem, theta, norm, getattr(args, "mode", None) or "dual"))
-
-
-def _conic_report(ec: EllipticalCcp) -> SolveReport:
-    """The exact conic optimum of a Gaussian document as a report."""
-    start = perf_counter()
-    value, x = exact_conic_solve(ec)
-    return SolveReport(
-        method="exact_conic",
-        t_star=value,
-        x_star=x,
-        objective=value,
-        feasible=True,
-        violation_prob=gaussian_violation(ec, x),
-        iterations=0,
-        lower_bound_used=value,
-        upper_bound_used=value,
-        wall_time=perf_counter() - start,
-    )
 
 
 # every method the CLI runs: a name and its runner(problem, args) on a

@@ -23,14 +23,7 @@ from .errors import BadStart, Infeasible, NoConvergence, NonFinite, ValidationEr
 from .geometry import dykstra_project
 from .lowerlevel import Lattice, _scenario_lp, _slack_rows, engine, lattice_argmin
 from .lp import LpOutcome, LpProblem, solve_lp
-from .model import (
-    CcpInstance,
-    Covering,
-    SolveReport,
-    default_zero_tol,
-    is_feasible,
-    violation_probability,
-)
+from .model import CcpInstance, Covering, SolveReport, _report, default_zero_tol
 from .search import bisect_budget
 from .subgrad import SgdConfig, solve_hinge_sgd
 
@@ -88,21 +81,10 @@ def relax_and_scale(instance: CcpInstance) -> SolveReport:
     x = scale * rel.x
     if not instance.x_set.contains(x):
         x = dykstra_project([instance.x_set], x)
-    if not is_feasible(instance, x):
+    report = _report(instance, "relax_and_scale", x, start, rel.iterations, lower=rel.value)
+    if not report.feasible:
         raise Infeasible("relax-and-scale: scaled point failed the chance constraint")
-    value = float(instance.cost @ x)
-    return SolveReport(
-        method="relax_and_scale",
-        t_star=value,
-        x_star=x,
-        objective=value,
-        feasible=True,
-        violation_prob=violation_probability(instance, x),
-        iterations=rel.iterations,
-        lower_bound_used=rel.value,
-        upper_bound_used=value,
-        wall_time=perf_counter() - start,
-    )
+    return report
 
 
 # ---------------------------------------------------------------------------

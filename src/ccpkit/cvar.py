@@ -29,7 +29,7 @@ import numpy as np
 from .errors import BadStart, Infeasible, NonFinite
 from .lowerlevel import Lattice, _scenario_lp, _slack_rows, engine, lattice_argmin
 from .lp import LpProblem, solve_lp
-from .model import CcpInstance, SolveReport, is_feasible, violation_probability
+from .model import CcpInstance, SolveReport, _report
 from .search import bisect_from
 from .subgrad import SgdConfig, feasible_start, solve_cvar_lower_sgd
 
@@ -145,18 +145,7 @@ def cvar_solution(
         value, x, iterations = _cvar_lp(instance)
     else:
         value, x, iterations = _cvar_bisect(instance, sgd_config)
-    return SolveReport(
-        method="cvar",
-        t_star=value,
-        x_star=x,
-        objective=value,
-        feasible=is_feasible(instance, x),
-        violation_prob=violation_probability(instance, x),
-        iterations=iterations,
-        lower_bound_used=value,
-        upper_bound_used=value,
-        wall_time=perf_counter() - begin,
-    )
+    return _report(instance, "cvar", x, begin, iterations, value)
 
 
 def _cvar_bisect(instance: CcpInstance, sgd_config: Optional[SgdConfig]):

@@ -354,18 +354,24 @@ def also_x_elliptical(ec: EllipticalCcp, delta1: float = 1e-2) -> SolveReport:
     found = bisect_budget(accept, t_low, np.inf, delta1, max(1.0, abs(t_low) / 2.0))
     if found.witness is None:
         raise NoFeasibleT("no budget made the hinge minimizer chance-feasible")
-    return SolveReport(
-        method="alsox_elliptical",
-        t_star=found.hi,
-        x_star=found.witness,
-        objective=float(ec.cost @ found.witness),
-        feasible=True,
-        violation_prob=gaussian_violation(ec, found.witness),
-        iterations=found.probes,
-        lower_bound_used=found.lo,
-        upper_bound_used=found.marched[1],
-        wall_time=perf_counter() - start,
-    )
+    x = found.witness
+    return _gaussian_report(ec, "alsox_elliptical", x, start, found.probes, found.hi,
+                            float(ec.cost @ x), found.lo, found.marched[1])
+
+
+def _conic_report(ec: EllipticalCcp) -> SolveReport:
+    """The exact conic optimum (exact_conic_solve) as a report."""
+    start = perf_counter()
+    value, x = exact_conic_solve(ec)
+    return _gaussian_report(ec, "exact_conic", x, start, 0, value, value, value, value)
+
+
+def _gaussian_report(ec, method, x, start, iterations, t_star, objective, lower, upper):
+    """model._report for a Gaussian document: the violation mass in closed
+    form (gaussian_violation), feasible because both callers return a
+    witness of nonnegative conic margin, and the wall time read last."""
+    return SolveReport(method, t_star, x, objective, True, gaussian_violation(ec, x),
+                       iterations, lower, upper, perf_counter() - start)
 
 
 def sample_losses(ec: EllipticalCcp, x, count: int, seed: int = 0) -> np.ndarray:

@@ -65,6 +65,7 @@ from .model import (
     Intersection,
     L1,
     LInf,
+    _count,
     _times,
     scenario_losses,
 )
@@ -531,17 +532,15 @@ def am(
     projection onto the exact active face removes the residual hinge mass
     so downstream feasibility verdicts see exact zeros.
 
-    Stops when consecutive objectives differ by less than delta2.
+    Stops when consecutive objectives differ by less than delta2, or after
+    max_rounds rounds; ValidationError unless max_rounds is an integer >= 1.
     """
+    max_rounds = _count(max_rounds, "max_rounds", 1)
     p = instance.probabilities
     z = np.ones(instance.scenario_count) if z0 is None else np.asarray(z0, dtype=float)
     x_warm = x0
     prev_obj: Optional[float] = None
     trace: List[float] = []
-    x = None
-    s = None
-    obj = np.nan
-    rounds = 0
     for rounds in range(1, max_rounds + 1):
         sol = solve_lower_level(
             instance, t, z, backend=backend, x0=x_warm, sgd_config=sgd_config, start=start
@@ -634,8 +633,10 @@ def dc_solve(
     E[z s] values differ by less than delta2, or immediately once the
     product is numerically zero. A projection that hits Dykstra's sweep cap
     goes on from the best iterate it reached, which may lie outside the
-    set; `capped` counts them.
+    set; `capped` counts them. ValidationError unless max_rounds is an
+    integer >= 1.
     """
+    max_rounds = _count(max_rounds, "max_rounds", 1)
     n, N = instance.n, instance.scenario_count
     p = instance.probabilities
     pieces = _dc_pieces(instance, t)

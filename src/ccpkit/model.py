@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import MISSING, dataclass, fields
+from time import perf_counter
 from typing import Optional, Tuple, Union
 
 import numpy as np
@@ -692,6 +693,13 @@ class CcpInstance:
 
 @dataclass(frozen=True, eq=False)
 class SolveReport:
+    """What a solver returned and what it is worth. Every finite-scenario
+    report is recounted at x_star in one place (_report): feasible and
+    violation_prob by is_feasible and violation_probability, objective as
+    c'x_star, except that cvar_solution reports its program's value and
+    the oracle its best subset value. A Gaussian report counts the
+    violation in closed form (elliptical.gaussian_violation)."""
+
     method: str
     t_star: float
     x_star: np.ndarray
@@ -735,6 +743,27 @@ def violation_probability(instance: CcpInstance, x) -> float:
 def is_feasible(instance: CcpInstance, x) -> bool:
     """Chance feasibility (per row of a block); a violation mass of exactly epsilon passes."""
     return violation_probability(instance, x) <= instance.epsilon + _FEAS_TOL
+
+
+def _report(instance, method, x, start, iterations, objective=None, *,
+            t_star=None, lower=None, upper=None) -> SolveReport:
+    """A finite-scenario solver's report on its returned point x, recounted
+    there: the objective is c'x unless the solver passes its own value;
+    t_star and both bracket ends are the objective unless given; the wall
+    time since the solver's perf_counter() start is read last."""
+    value = float(instance.cost @ x) if objective is None else objective
+    return SolveReport(
+        method=method,
+        t_star=value if t_star is None else t_star,
+        x_star=x,
+        objective=value,
+        feasible=is_feasible(instance, x),
+        violation_prob=violation_probability(instance, x),
+        iterations=iterations,
+        lower_bound_used=value if lower is None else lower,
+        upper_bound_used=value if upper is None else upper,
+        wall_time=perf_counter() - start,
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -28,10 +28,11 @@ from .model import (
     BiAffineEquality,
     CcpInstance,
     SolveReport,
+    _count,
+    _report,
     default_zero_tol,
     is_feasible,
     scenario_losses,
-    violation_probability,
 )
 from .subgrad import SgdConfig
 
@@ -46,22 +47,7 @@ def exact_solve_binary(instance: CcpInstance) -> SolveReport:
     found = lattice_argmin(Lattice(instance), feasible_cost)
     if found is None:
         raise Infeasible("no lattice point is chance-feasible")
-    return _exact_report(instance, *found, 2**instance.n, start)
-
-
-def _exact_report(instance, value, x, iterations, start) -> SolveReport:
-    return SolveReport(
-        method="oracle",
-        t_star=value,
-        x_star=x,
-        objective=value,
-        feasible=is_feasible(instance, x),
-        violation_prob=violation_probability(instance, x),
-        iterations=iterations,
-        lower_bound_used=value,
-        upper_bound_used=value,
-        wall_time=perf_counter() - start,
-    )
+    return _report(instance, "oracle", found[1], start, 2**instance.n, found[0])
 
 
 def exact_solve(
@@ -84,9 +70,11 @@ def exact_solve(
     their accuracy). A node unbounded below branches on the scenarios
     outside F and D by index, and raises NonFinite when the mass outside F
     is droppable. iterations counts the subset solves; CapExceeded past
-    subset_cap of them. A binary X takes exact_solve_binary's lattice scan.
+    subset_cap of them, ValidationError unless subset_cap is an integer
+    >= 0. A binary X takes exact_solve_binary's lattice scan.
     """
     start = perf_counter()
+    subset_cap = _count(subset_cap, "subset_cap")
     if engine(instance) == "enum":
         return exact_solve_binary(instance)
     p = instance.probabilities
@@ -123,7 +111,7 @@ def exact_solve(
             dropped, mass = dropped + [int(k)], mass + p[k]
     if best_x is None:
         raise Infeasible("every droppable scenario set leaves an unsatisfiable core")
-    return _exact_report(instance, best, best_x, solves, start)
+    return _report(instance, "oracle", best_x, start, solves, best)
 
 
 # ---------------------------------------------------------------------------
@@ -152,8 +140,10 @@ def check_nullspace_property(
     with every signed slack nonnegative, then maximize the share carried
     by a small index set S with |S| <= floor(eps N). The property holds
     when no pattern lets such a set carry half the mass or more; the
-    hinge scheme is then exact for this instance family.
+    hinge scheme is then exact for this instance family. ValidationError
+    unless lp_budget is an integer >= 0.
     """
+    lp_budget = _count(lp_budget, "lp_budget")
     model = instance.constraints
     if not isinstance(model, BiAffineEquality):
         raise ValidationError("nullspace check applies to the equality scenario model")

@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 
+import ccpkit.alsox
 import ccpkit.lowerlevel
 from ccpkit import (
     NoConvergence,
+    ValidationError,
     am,
     also_x,
     also_x_plus,
@@ -61,6 +63,29 @@ def test_dc_rescue_variant(two_var_cover):
     plain = also_x(two_var_cover)
     assert out.feasible
     assert out.objective <= plain.objective + 1e-2
+
+
+@pytest.mark.parametrize("rounds", [0, -1, 1.5, "3"])
+@pytest.mark.parametrize("rescue", ["am", "dc"])
+def test_a_bad_round_budget_is_refused_before_the_bounds(monkeypatch, duplicated_row_cover,
+                                                         rounds, rescue):
+    # with no round am has no point to return, and the first rescue would fail inside numpy
+    calls = []
+    bound = ccpkit.alsox.quantile_lower_bound
+    monkeypatch.setattr(ccpkit.alsox, "quantile_lower_bound",
+                        lambda *args, **kwargs: calls.append(1) or bound(*args, **kwargs))
+    with pytest.raises(ValidationError, match="max_rounds"):
+        also_x_plus(duplicated_row_cover, backend="lp", rescue=rescue, max_rounds=rounds)
+    assert calls == []
+
+
+@pytest.mark.parametrize("rounds", [0, -1, 1.5])
+@pytest.mark.parametrize("solver", [lambda inst, **kw: am(inst, 3.0, backend="lp", **kw),
+                                    lambda inst, **kw: dc_solve(inst, 3.0, **kw)],
+                         ids=["am", "dc_solve"])
+def test_the_rescues_refuse_a_bad_round_budget(duplicated_row_cover, rounds, solver):
+    with pytest.raises(ValidationError, match="max_rounds"):
+        solver(duplicated_row_cover, max_rounds=rounds)
 
 
 def test_round_budget_smoke(two_var_cover):

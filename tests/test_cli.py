@@ -104,6 +104,14 @@ def test_usage_errors_exit_one(chain_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("command", [["solve", "--method", "oracle"], ["oracle"]])
+def test_a_negative_subset_cap_exits_one(cover_path, capsys, command):
+    code = main(command + ["--instance", cover_path, "--subset-cap", "-3"])
+    err = capsys.readouterr().err.splitlines()
+    assert code == 1
+    assert len(err) == 1 and json.loads(err[0])["error"] == "ValidationError"
+
+
 def test_cap_exit_three(tmp_path, capsys):
     path = tmp_path / "family.json"
     path.write_text(dump_instance(make_tight_cover_family()))

@@ -91,6 +91,21 @@ def test_subset_cap_counts_the_subset_solves(monkeypatch):
     assert len(calls) == 5
 
 
+@pytest.mark.parametrize("cap", [-1, -3, 2.5, True, "5"])
+@pytest.mark.parametrize("binary", [False, True])
+def test_a_bad_subset_cap_is_refused_before_any_solve(monkeypatch, binary_pair_cover, cap, binary):
+    # the solve count never equals a negative or fractional cap, so such a cap would mean none
+    inst = binary_pair_cover if binary else generate_instance("linear", 10, 50, 0.1, 1)
+    calls = []
+    subset = ccpkit.oracle.subset_min_cost
+    monkeypatch.setattr(ccpkit.oracle, "subset_min_cost",
+                        lambda *args, **kwargs: calls.append(1) or subset(*args, **kwargs))
+    monkeypatch.setattr(ccpkit.oracle, "exact_solve_binary", lambda *args: calls.append(1))
+    with pytest.raises(ValidationError, match="subset_cap"):
+        exact_solve(inst, subset_cap=cap)
+    assert calls == []
+
+
 @pytest.mark.parametrize("epsilon,value", [(0.2, -1.0), (0.25, None), (0.5, None)])
 def test_an_unbounded_node_branches_until_a_droppable_set_is_unbounded(epsilon, value):
     # x <= 1 bounds min -x on the orthant; the three rows -x <= 0 do not, so
@@ -157,6 +172,13 @@ def test_nullspace_verdicts(equality_pair, violated_equality):
 def test_nullspace_budget_guard(equality_pair):
     capped = check_nullspace_property(equality_pair, lp_budget=1)
     assert capped.status == "cap_exceeded"
+
+
+@pytest.mark.parametrize("budget", [-1, 2.5])
+def test_nullspace_refuses_a_bad_budget(equality_pair, budget):
+    # a negative budget read as "every pattern is past the budget"
+    with pytest.raises(ValidationError, match="lp_budget"):
+        check_nullspace_property(equality_pair, lp_budget=budget)
 
 
 # ---------------------------------------------------------------------------
