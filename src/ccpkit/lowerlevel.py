@@ -34,12 +34,12 @@ its weights p z, which a kept lattice computes once per weight vector
 
 Every LP here and in cvar and covering (hinge, tail, subset, relaxation)
 and the DC pieces come from one builder, _scenario_lp, the one place that
-knows their layout and how they linearize the norm term. It and the
-exact-face pieces read one thing from the constraint model: its rows,
-model.rows, g_k(x) = max_i (R[k] x - r[k])_i + theta ||x||_*. Where the
-engine is not lp (a lattice, the power model's missing rows, a ball that
-does not linearize) it raises BackendUnavailable. Verdicts still read the
-exact g (scenario_losses).
+knows their layout and how they linearize the norm term. It reads one
+thing from the constraint model: its rows, model.rows,
+g_k(x) = max_i (R[k] x - r[k])_i + theta ||x||_*. Where the engine is not
+lp (a lattice, the power model's missing rows, a ball that does not
+linearize) it raises BackendUnavailable. Verdicts still read the exact g
+(scenario_losses).
 
 The sgd default for affine rows is deliberate: its minimizers land in the
 interior of flat optimal faces, which is the behavior the approximation
@@ -62,7 +62,6 @@ from .model import (
     Box,
     CcpInstance,
     Halfspaces,
-    Intersection,
     L1,
     LInf,
     _count,
@@ -479,34 +478,6 @@ class AmResult:
     objective_trace: Tuple[float, ...]
 
 
-def _face_pieces(instance: CcpInstance, t: float, z: np.ndarray):
-    """Affine pieces of {x in X, c'x <= t, g_k(x) <= 0 for z_k > 0} or None."""
-    rows = instance.constraints.rows
-    if engine(instance) != "lp" or rows.theta != 0.0:
-        return None
-    pieces = instance.x_set.pieces()
-    if np.isfinite(t):
-        pieces.append(Halfspaces(instance.cost[None, :], np.array([t])))
-    for k in np.nonzero(z > 0.0)[0]:
-        pieces.append(Halfspaces(rows.R[k], rows.r[k]))
-    return pieces
-
-
-def _exact_face_polish(instance, t, z, x) -> Optional[np.ndarray]:
-    pieces = _face_pieces(instance, t, z)
-    if pieces is None:
-        return None
-    # Dykstra cannot converge on an empty face and would spend its whole
-    # sweep budget finding that out; one feasibility LP proves it at once
-    A, b, E, f, lo, hi = Intersection(pieces).polyhedron()
-    if solve_lp(LpProblem(np.zeros(instance.n), A, b, E, f, lo, hi)).status == "infeasible":
-        return None
-    try:
-        return dykstra_project(pieces, x)
-    except NoConvergence:
-        return None               # active face may be empty; keep the sgd point
-
-
 def am(
     instance: CcpInstance,
     t: float,
@@ -520,17 +491,16 @@ def am(
 ) -> AmResult:
     """Alternate weighted hinge solves with the closed-form z update.
 
-    The objective trace is nonincreasing. The lp and enum backends
-    minimize each round exactly, each round warm-started from the previous
-    round's `start` (the first round from `start`, if given;
-    solve_lower_level): only the cost weights move between rounds, so each
-    round's LP is the last one with y's cost re-priced, re-solved from the
-    last basis, and the lattice scan reuses the start's Lattice. The sgd
-    backend warm-starts each hinge solve from the previous x (x0 for the first),
-    and its best iterate can never exceed its start. When the sgd backend
-    leaves an interior point with every active scenario nearly tight, a
-    projection onto the exact active face removes the residual hinge mass
-    so downstream feasibility verdicts see exact zeros.
+    Every round, on every backend, is one solve_lower_level call at the
+    current weights followed by z_update on its hinge values s. Each solve
+    is warm-started from the previous round: from its `start` (the first
+    round from `start`, if given) and its x (the first from x0). The lp and
+    enum backends minimize each round exactly: only the cost weights move
+    between rounds, so each round's LP is the last one with y's cost
+    re-priced, re-solved from the last basis, and the lattice scan reuses
+    the start's Lattice. The sgd backend starts from the previous x, and its
+    best iterate can never exceed its start. So the objective trace is
+    nonincreasing.
 
     Stops when consecutive objectives differ by less than delta2, or after
     max_rounds rounds; ValidationError unless max_rounds is an integer >= 1.
@@ -547,12 +517,6 @@ def am(
         )
         x, s, obj = sol.x, sol.s, sol.value
         start = sol.start
-        if sol.backend == "sgd" and np.min(z) == 0.0:
-            polished = _exact_face_polish(instance, t, z, x)
-            if polished is not None:
-                s_pol, obj_pol = _hinge_parts(instance, polished, z)
-                if obj_pol <= obj + 1e-12:
-                    x, s, obj = polished, s_pol, obj_pol
         trace.append(float(obj))
         if prev_obj is not None and abs(obj - prev_obj) < delta2:
             break

@@ -695,7 +695,7 @@ class CcpInstance:
 class SolveReport:
     """What a solver returned and what it is worth. Every finite-scenario
     report is recounted at x_star in one place (_report): feasible and
-    violation_prob by is_feasible and violation_probability, objective as
+    violation_prob by one count of the violation mass, objective as
     c'x_star, except that cvar_solution reports its program's value and
     the oracle its best subset value. A Gaussian report counts the
     violation in closed form (elliptical.gaussian_violation)."""
@@ -730,19 +730,28 @@ def default_zero_tol(instance: CcpInstance) -> float:
     return 1e-8 * (1.0 + instance.constraints.offset_scale)
 
 
+def _violation_mass(instance: CcpInstance, losses):
+    """(mass, fits) from scenario losses g(x, xi^k): the probability mass of
+    the scenarios with a loss above default_zero_tol, and whether it is at
+    most epsilon + _FEAS_TOL (a mass of exactly epsilon passes). Per row of
+    a (B, N) block of losses. The one rule of every verdict."""
+    tol_zero = default_zero_tol(instance)
+    if losses.ndim == 2:
+        mass = np.sum(np.where(losses > tol_zero, instance.probabilities, 0.0), axis=-1)
+    else:
+        mass = float(np.sum(instance.probabilities[losses > tol_zero]))
+    return mass, mass <= instance.epsilon + _FEAS_TOL
+
+
 def violation_probability(instance: CcpInstance, x) -> float:
     """Probability mass of scenarios with g(x, xi^k) > default_zero_tol
     (per row of a block)."""
-    tol_zero = default_zero_tol(instance)
-    losses = scenario_losses(instance, x)
-    if losses.ndim == 2:
-        return np.sum(np.where(losses > tol_zero, instance.probabilities, 0.0), axis=-1)
-    return float(np.sum(instance.probabilities[losses > tol_zero]))
+    return _violation_mass(instance, scenario_losses(instance, x))[0]
 
 
 def is_feasible(instance: CcpInstance, x) -> bool:
     """Chance feasibility (per row of a block); a violation mass of exactly epsilon passes."""
-    return violation_probability(instance, x) <= instance.epsilon + _FEAS_TOL
+    return _violation_mass(instance, scenario_losses(instance, x))[1]
 
 
 def _report(instance, method, x, start, iterations, objective=None, *,
@@ -752,13 +761,14 @@ def _report(instance, method, x, start, iterations, objective=None, *,
     t_star and both bracket ends are the objective unless given; the wall
     time since the solver's perf_counter() start is read last."""
     value = float(instance.cost @ x) if objective is None else objective
+    mass, fits = _violation_mass(instance, scenario_losses(instance, x))
     return SolveReport(
         method=method,
         t_star=value if t_star is None else t_star,
         x_star=x,
         objective=value,
-        feasible=is_feasible(instance, x),
-        violation_prob=violation_probability(instance, x),
+        feasible=fits,
+        violation_prob=mass,
         iterations=iterations,
         lower_bound_used=value if lower is None else lower,
         upper_bound_used=value if upper is None else upper,

@@ -30,8 +30,8 @@ from .model import (
     SolveReport,
     _count,
     _report,
+    _violation_mass,
     default_zero_tol,
-    is_feasible,
     scenario_losses,
 )
 from .subgrad import SgdConfig
@@ -42,7 +42,7 @@ def exact_solve_binary(instance: CcpInstance) -> SolveReport:
     start = perf_counter()
 
     def feasible_cost(points, costs, losses):
-        return np.where(is_feasible(instance, points), costs, np.inf)
+        return np.where(_violation_mass(instance, losses)[1], costs, np.inf)
 
     found = lattice_argmin(Lattice(instance), feasible_cost)
     if found is None:

@@ -48,7 +48,7 @@ from ccpkit.cli import generate_instance
 from ccpkit.geometry import dykstra_project
 from ccpkit.covering import _relaxation_lp, _subset_lp
 from ccpkit.cvar import _tail_problem
-from ccpkit.lowerlevel import HingeStart, Lattice, _dc_pieces, _exact_face_polish, _hinge_lp, engine
+from ccpkit.lowerlevel import HingeStart, Lattice, _dc_pieces, _hinge_lp, engine
 
 from test_lp import certificate_ok
 from conftest import (
@@ -749,7 +749,7 @@ def test_dc_pieces_reject_a_binary_set(binary_pair_cover):
         _dc_pieces(binary_pair_cover, 1.0)
 
 
-def test_an_empty_face_never_reaches_dykstra(monkeypatch):
+def test_the_am_rescue_never_projects(monkeypatch):
     calls = []
 
     def spy(pieces, y, *args, **kwargs):
@@ -757,16 +757,11 @@ def test_an_empty_face_never_reaches_dykstra(monkeypatch):
         return dykstra_project(pieces, y, *args, **kwargs)
 
     monkeypatch.setattr("ccpkit.lowerlevel.dykstra_project", spy)
-    inst = generate_instance("linear", 4, 12, 0.1, 1)
-    x = np.full(4, 0.5)
-    # no point of [0, 1]^4 reaches c'x <= sum(c) - 1: the feasibility LP says
-    # so, and the polish returns None before any sweep
-    empty_t = float(inst.cost.sum()) - 1.0
-    assert _exact_face_polish(inst, empty_t, np.ones(12), x) is None
+    # every AM round is one hinge solve and one weight update, on the sgd
+    # engine too: rounds that leave weights of exactly 0 project nothing
+    out = also_x_plus(generate_instance("linear", 4, 8, 0.25, 3), sgd_config=SgdConfig(400, 400))
     assert calls == []
-    # a face with points still goes to Dykstra
-    got = _exact_face_polish(inst, np.inf, np.zeros(12), x)
-    assert calls == [1] and np.array_equal(got, x)
+    assert out.objective == pytest.approx(-20.165342809364546, abs=1e-9)
 
 
 def test_a_lattice_serves_only_its_own_instance(

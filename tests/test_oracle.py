@@ -1,15 +1,19 @@
 """Scenario-branching oracle, subset solves, nullspace verdicts."""
 
+import itertools
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import ccpkit.covering
+import ccpkit.lowerlevel
+import ccpkit.model
 import ccpkit.oracle
 from ccpkit import (
     BiAffine,
     BiAffineEquality,
+    BinaryTiny,
     Box,
     CapExceeded,
     DrccpSpec,
@@ -58,6 +62,31 @@ def test_frozen_optima(finite_instances, name, value):
 def test_known_minimizers(duplicated_row_cover, scalar_chain):
     assert np.allclose(exact_solve(duplicated_row_cover).x_star, [0.0, 1.0], atol=1e-6)
     assert exact_solve(scalar_chain).x_star[0] == pytest.approx(2.0, abs=1e-8)
+
+
+def test_the_binary_oracle_scores_each_block_once(monkeypatch):
+    inst = replace(generate_instance("linear", 10, 50, 0.1, 1), x_set=BinaryTiny(10))
+    expected = exact_solve_binary(inst)
+    monkeypatch.setattr(ccpkit.lowerlevel, "_LATTICE_BLOCK", 256)
+    blocks = []
+    for module in (ccpkit.lowerlevel, ccpkit.model):
+        def spy(instance, x, losses=module.scenario_losses):
+            if np.ndim(x) == 2:
+                blocks.append(np.shape(x)[0])
+            return losses(instance, x)
+
+        monkeypatch.setattr(module, "scenario_losses", spy)
+    got = exact_solve_binary(inst)
+    # four blocks of 256 codes, each evaluated once: the scan reads the
+    # losses the lattice built
+    assert len(blocks) == 4
+    assert np.array_equal(got.x_star, expected.x_star)
+    for field in ("objective", "feasible", "violation_prob", "iterations"):
+        assert getattr(got, field) == getattr(expected, field), field
+    # and it is the cheapest chance-feasible lattice point
+    points = np.array(list(itertools.product((0.0, 1.0), repeat=10)))
+    costs = np.where([is_feasible(inst, x) for x in points], points @ inst.cost, np.inf)
+    assert got.objective == pytest.approx(costs.min(), abs=1e-12)
 
 
 def test_binary_enumerator_agrees(binary_pair_cover):
