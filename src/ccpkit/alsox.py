@@ -19,7 +19,7 @@ from .covering import quantile_lower_bound, relax_and_scale
 from .cvar import cvar_solution
 from .errors import BadStart, Infeasible, NoFeasibleT, NonFinite, ValidationError
 from .lowerlevel import Lattice, engine, hinge_start, pick_backend, solve_lower_level
-from .model import CcpInstance, Covering, SolveReport, _report, is_feasible
+from .model import CcpInstance, Covering, SolveReport, _report, _violation_mass
 from .search import bisect_budget
 from .subgrad import SgdConfig
 
@@ -64,7 +64,8 @@ class _Acceptor:
         except BadStart:
             return None
         self.start = sol.start
-        if is_feasible(self.instance, sol.x):
+        # sol.s is (g)_+ at sol.x: above the verdict's tolerance it is g
+        if _violation_mass(self.instance, sol.s)[1]:
             return sol.x
         return None if rescue is None else rescue(t, sol)
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import Optional
 
 from .alsox import _bisect
-from .errors import BadStart
+from .errors import BadStart, ValidationError
 from .lowerlevel import am, dc_solve, z_update
 from .model import CcpInstance, SolveReport, _count, is_feasible
 from .subgrad import SgdConfig
@@ -29,9 +29,9 @@ def also_x_plus(
     max_rounds: int = 100,
 ) -> SolveReport:
     """Bisect the budget; rescue rejected hinge minimizers before giving up.
-    ValidationError unless max_rounds is an integer >= 1."""
+    ValidationError unless rescue is "am" or "dc" and max_rounds an integer >= 1."""
     if rescue not in ("am", "dc"):
-        raise ValueError(f"rescue must be 'am' or 'dc', got {rescue!r}")
+        raise ValidationError(f"rescue must be 'am' or 'dc', got {rescue!r}")
     max_rounds = _count(max_rounds, "max_rounds", 1)
 
     def rescued(t: float, sol):

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import BadStart, Infeasible, NoConvergence, NonFinite, ValidationError
 from .geometry import dykstra_project
-from .lowerlevel import Lattice, _scenario_lp, _slack_rows, engine, lattice_argmin
+from .lowerlevel import Lattice, _scenario_lp, _slack_rows, engine
 from .lp import LpOutcome, LpProblem, solve_lp
 from .model import CcpInstance, Covering, SolveReport, _report, default_zero_tol
 from .search import bisect_budget
@@ -195,10 +195,10 @@ def _subset_min_cost_enum(instance: CcpInstance, keep: Iterable[int]):
     keep = list(keep)
     tol = default_zero_tol(instance)
 
-    def kept_cost(points, costs, losses):
+    def kept_cost(costs, losses):
         return np.where(np.all(losses[:, keep] <= tol, axis=1), costs, np.inf)
 
-    return lattice_argmin(Lattice(instance), kept_cost) or (np.inf, None)
+    return Lattice(instance).argmin(kept_cost) or (np.inf, None)
 
 
 def _subset_min_cost_sgd(
@@ -285,10 +285,10 @@ def _scenario_costs(instance, sgd_config, start=None) -> np.ndarray:
     if engine(instance) == "enum":
         tol = default_zero_tol(instance)
 
-        def kept_costs(points, costs, losses):
+        def kept_costs(costs, losses):
             return np.where(losses <= tol, costs[:, None], np.inf)
 
-        found = lattice_argmin(Lattice.of(instance, start), kept_costs)
+        found = Lattice.of(instance, start).argmin(kept_costs)
         return np.array([np.inf if pair is None else pair[0] for pair in found])
     compact = _CompactChain(SubsetChain(instance))
     N = instance.scenario_count

@@ -27,7 +27,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import BadStart, Infeasible, NonFinite
-from .lowerlevel import Lattice, _scenario_lp, _slack_rows, engine, lattice_argmin
+from .lowerlevel import Lattice, _scenario_lp, _slack_rows, engine
 from .lp import LpProblem, solve_lp
 from .model import CcpInstance, SolveReport, _report
 from .search import bisect_from
@@ -103,11 +103,11 @@ def _tail_values(instance: CcpInstance, losses: np.ndarray) -> np.ndarray:
 
 
 def _cvar_enum(instance: CcpInstance, start=None) -> tuple:
-    def tail_cost(points, costs, losses):
+    def tail_cost(costs, losses):
         tail = _tail_values(instance, losses)
         return np.where(tail <= 1e-9 * (1.0 + np.abs(tail)), costs, np.inf)
 
-    best = lattice_argmin(Lattice.of(instance, start), tail_cost)
+    best = Lattice.of(instance, start).argmin(tail_cost)
     if best is None:
         raise Infeasible("cvar: no binary point satisfies the tail condition")
     return (*best, 2**instance.n)
@@ -178,10 +178,10 @@ def cvar_lower_value(
         cap = t + 1e-9 * (1.0 + abs(t))
         eps = instance.epsilon
 
-        def tail(points, costs, losses):
+        def tail(costs, losses):
             return np.where(costs <= cap, eps * _tail_values(instance, losses), np.inf)
 
-        best = lattice_argmin(Lattice(instance), tail)
+        best = Lattice(instance).argmin(tail)
         if best is None:
             raise BadStart(f"cvar lower level: no lattice point satisfies c'x <= {t}")
         return max(best[0], 0.0)

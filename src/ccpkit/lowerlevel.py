@@ -30,7 +30,7 @@ CVaR anchor as well. Each later LP is derived from the last one (a new t
 moves one entry of b, new weights only y's cost) and re-solved from its
 basis; each later scan masks by c'x <= t the lattice's hinge column at
 its weights p z, which a kept lattice computes once per weight vector
-(Lattice.hinges).
+(Lattice.argmin).
 
 Every LP here and in cvar and covering (hinge, tail, subset, relaxation)
 and the DC pieces come from one builder, _scenario_lp, the one place that
@@ -279,10 +279,10 @@ def _solve_hinge_lp(
     )
 
 
-# points of a lattice scan scored at once; a dim-20 scan holds one block at a time
+# codes of a lattice scan scored at once; a dim-20 scan holds one block at a time
 _LATTICE_BLOCK = 4096
-# the most floats a kept lattice may hold, counted as 2^n (N + n + 1) for
-# its points, costs and losses: 2^22 floats, 32 MB
+# the most floats a kept lattice may hold, counted as 2^n (N + 2) for its
+# codes, costs and losses: 2^22 floats, 32 MB
 _LATTICE_KEEP = 2**22
 
 
@@ -297,19 +297,24 @@ def _read_only(arrays: tuple) -> tuple:
     return arrays
 
 
+def _points(codes: np.ndarray, n: int) -> np.ndarray:
+    """The (B, n) 0/1 points of B lattice codes: bit n-1-j of a code is x_j."""
+    return ((codes[:, None] >> np.arange(n - 1, -1, -1)) & 1).astype(float)
+
+
 class Lattice:
-    """X cap {0,1}^n of one instance as read-only (points, costs c'x,
-    scenario losses) blocks of up to _LATTICE_BLOCK codes, in
-    itertools.product order: what every binary scan reads (lattice_argmin).
-    The blocks are kept while 2^n (N + n + 1) floats fit in _LATTICE_KEEP;
-    above it `blocks` is None and every pass builds them again, one at a
-    time, so a large lattice is never held whole."""
+    """X cap {0,1}^n of one instance as read-only (codes, costs c'x,
+    scenario losses) blocks of up to _LATTICE_BLOCK codes in
+    itertools.product order, a point being the n bits of its code: what
+    every binary scan reads (argmin). The blocks are kept while 2^n (N + 2)
+    floats fit in _LATTICE_KEEP; above it `blocks` is None and every scan
+    builds them again, one at a time, so a large lattice is never held whole."""
 
     def __init__(self, instance: CcpInstance):
         if sum(p.binary for p in instance.x_set.pieces()) != 1:
             raise BackendUnavailable("lattice scan: needs exactly one binary set")
         self.instance, self._hinges = instance, {}
-        keep = 2**instance.n * (instance.scenario_count + instance.n + 1) <= _LATTICE_KEEP
+        keep = 2**instance.n * (instance.scenario_count + 2) <= _LATTICE_KEEP
         self.blocks = tuple(self._build()) if keep else None
 
     @classmethod
@@ -319,65 +324,58 @@ class Lattice:
 
     def _build(self):
         instance, n = self.instance, self.instance.n
-        shifts = np.arange(n - 1, -1, -1)
         for first in range(0, 2**n, _LATTICE_BLOCK):
             codes = np.arange(first, min(first + _LATTICE_BLOCK, 2**n))
-            points = ((codes[:, None] >> shifts) & 1).astype(float)
-            points = points[instance.x_set.contains(points)]
-            yield _read_only((points, _times(instance.cost, points), scenario_losses(instance, points)))
+            points = _points(codes, n)
+            inside = instance.x_set.contains(points)
+            points = points[inside]
+            yield _read_only((codes[inside], _times(instance.cost, points), scenario_losses(instance, points)))
 
-    def __iter__(self):
-        return self._build() if self.blocks is None else iter(self.blocks)
+    def argmin(self, score, weights: Optional[np.ndarray] = None):
+        """(value, x) at the first minimizer of score over the lattice, or
+        None. score(costs, losses) maps a block to one value per point, inf
+        to skip the point; with weights, the block's hinge column sum_k w_k
+        (g_k)_+ stands in for its losses, and a kept lattice keeps the
+        columns of the N weight vectors last used, keyed by their bytes, so
+        they never hold more floats than its losses. A later point replaces
+        the best only when it is lower by more than 1e-15.
 
-    def hinges(self, weights: np.ndarray):
-        """(points, costs, hinge column sum_k w_k (g_k)_+) blocks. A kept
-        lattice keeps the columns of the N weight vectors last used, keyed
-        by their bytes (the values depend on nothing else), so they never
-        hold more floats than its losses."""
-        if self.blocks is None:
-            return ((p, c, _hinge_column(weights, g)) for p, c, g in self._build())
-        key = weights.tobytes()
-        columns = self._hinges.pop(key, None)
-        if columns is None:
-            columns = _read_only(tuple(_hinge_column(weights, g) for _, _, g in self.blocks))
-            if len(self._hinges) == self.instance.scenario_count:
-                del self._hinges[next(iter(self._hinges))]      # the least recently used
-        self._hinges[key] = columns
-        return ((p, c, h) for (p, c, _), h in zip(self.blocks, columns))
-
-
-def lattice_argmin(blocks, score):
-    """(value, x) at the first minimizer of score over a lattice, or None.
-
-    blocks: the lattice's (points, costs, losses) triples in scan order, as
-    a Lattice yields them; score(points, costs, losses) maps a block to
-    one value per point, inf to skip the point. A later point replaces the
-    best only when it is lower by more than 1e-15.
-
-    A score may instead map a block of B points to a (B, K) array: K
-    objectives scored in the same pass, each column minimized on its own
-    under the same rule. The result is then a list of K such (value, x)
-    pairs or None. Every block is scored once, so K minima cost one scan of
-    the lattice rather than K.
-    """
-    best = best_x = None
-    for points, costs, losses in blocks:
-        values = score(points, costs, losses)
-        columns = values[:, None] if values.ndim == 1 else values
-        if best is None:
-            best, best_x = np.full(columns.shape[1], np.inf), [None] * columns.shape[1]
-        # a point that beats a column's best by the tie rule is below every
-        # earlier value of the column, so only those running minima need the
-        # in-order check
-        earlier = np.minimum.accumulate(np.vstack([best, columns]), axis=0)[:-1]
-        won = {}
-        for k, i in zip(*np.nonzero((columns < earlier).T)):
-            if columns[i, k] < best[k] - 1e-15:
-                best[k], won[k] = columns[i, k], i
-        for k, i in won.items():          # one copy per winner, not per improvement
-            best_x[k] = points[i].copy()
-    found = [None if x is None else (float(v), x) for v, x in zip(best, best_x)]
-    return found if values.ndim == 2 else found[0]
+        A score may instead map a block of B points to a (B, K) array: K
+        objectives scored in the same pass, each column minimized on its own
+        under the same rule. The result is then a list of K such (value, x)
+        pairs or None. Every block is scored once, so K minima cost one scan
+        of the lattice rather than K, and the winners are decoded from their
+        codes once, after the scan.
+        """
+        blocks = self.blocks
+        if blocks is None:
+            blocks = self._build()
+            if weights is not None:
+                blocks = ((c, k, _hinge_column(weights, g)) for c, k, g in blocks)
+        elif weights is not None:
+            key = weights.tobytes()
+            hinges = self._hinges.pop(key, None)
+            if hinges is None:
+                hinges = _read_only(tuple(_hinge_column(weights, g) for _, _, g in blocks))
+                if len(self._hinges) == self.instance.scenario_count:
+                    del self._hinges[next(iter(self._hinges))]      # the least recently used
+            self._hinges[key] = hinges
+            blocks = ((c, k, h) for (c, k, _), h in zip(blocks, hinges))
+        best = best_code = None
+        for codes, costs, losses in blocks:
+            values = score(costs, losses)
+            columns = values[:, None] if values.ndim == 1 else values
+            if best is None:
+                best, best_code = np.full(columns.shape[1], np.inf), np.full(columns.shape[1], -1)
+            # a point that beats a column's best by the tie rule is below every earlier
+            # value of the column, so only those running minima need the in-order check
+            earlier = np.minimum.accumulate(np.vstack([best, columns]), axis=0)[:-1]
+            for k, i in zip(*np.nonzero((columns < earlier).T)):
+                if columns[i, k] < best[k] - 1e-15:
+                    best[k], best_code[k] = columns[i, k], codes[i]
+        xs = _points(best_code, self.instance.n)
+        found = [None if code < 0 else (float(v), x) for v, code, x in zip(best, best_code, xs)]
+        return found if values.ndim == 2 else found[0]
 
 
 def _solve_hinge_enum(
@@ -386,10 +384,10 @@ def _solve_hinge_enum(
     lattice = Lattice.of(instance, start)
     cap = t + 1e-9 * (1.0 + abs(t)) if np.isfinite(t) else np.inf
 
-    def within_budget(points, costs, hinge):
+    def within_budget(costs, hinge):
         return np.where(costs <= cap, hinge, np.inf)
 
-    best = lattice_argmin(lattice.hinges(instance.probabilities * z), within_budget)
+    best = lattice.argmin(within_budget, instance.probabilities * z)
     if best is None:
         raise BadStart(f"hinge enum: no lattice point satisfies c'x <= {t}")
     x = best[1]
@@ -424,7 +422,7 @@ def solve_lower_level(
     the hinge LP and its outcome: the LP is derived from that one, with the
     new t and z, and re-solved from the outcome's final basis (lp.solve_lp);
     hinge_start builds one before any solve. On the enum backend it is the
-    instance's Lattice, with its points, costs, losses and hinge columns,
+    instance's Lattice, with its codes, costs, losses and hinge columns,
     and the solve returns the Lattice it scanned: this one or, with no
     usable start, its own (Lattice.of). A start of another backend or of
     another instance (`is`) is ignored, and so is an lp start built at

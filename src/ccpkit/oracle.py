@@ -21,7 +21,7 @@ import numpy as np
 
 from .covering import SubsetChain, subset_min_cost
 from .errors import CapExceeded, Infeasible, NonFinite, ValidationError
-from .lowerlevel import Lattice, engine, lattice_argmin
+from .lowerlevel import Lattice, engine
 from .lp import LpProblem, solve_lp
 from .model import (
     _FEAS_TOL,
@@ -41,10 +41,10 @@ def exact_solve_binary(instance: CcpInstance) -> SolveReport:
     """Full lattice scan; first strict minimizer wins ties."""
     start = perf_counter()
 
-    def feasible_cost(points, costs, losses):
+    def feasible_cost(costs, losses):
         return np.where(_violation_mass(instance, losses)[1], costs, np.inf)
 
-    found = lattice_argmin(Lattice(instance), feasible_cost)
+    found = Lattice(instance).argmin(feasible_cost)
     if found is None:
         raise Infeasible("no lattice point is chance-feasible")
     return _report(instance, "oracle", found[1], start, 2**instance.n, found[0])

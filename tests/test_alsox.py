@@ -10,6 +10,7 @@ import ccpkit.alsox as alsox_module
 import ccpkit.covering
 import ccpkit.cvar
 import ccpkit.lowerlevel
+import ccpkit.model
 import ccpkit.subgrad
 from ccpkit import (
     L1,
@@ -199,6 +200,31 @@ def test_one_search_builds_each_lattice_block_once(method, monkeypatch):
     # 2^13 points in two blocks, built once before the bounds: the quantile
     # bound, the CVaR anchor and every probe and AM round scan that lattice
     assert sizes == [4096] * 2
+
+
+def test_a_dim_17_lattice_with_20_scenarios_is_kept():
+    # 2^17 (20 + 2) floats of codes, costs and losses fit the memory bound
+    inst = replace(generate_instance("linear", 17, 20, 0.1, 1), x_set=BinaryTiny(17))
+    assert Lattice(inst).blocks is not None
+    for method in (also_x, also_x_plus):
+        out = method(inst)
+        assert (out.objective, out.iterations) == (-23.0, 11), method.__name__
+
+
+def test_a_probe_reads_its_verdict_from_the_hinge_values(monkeypatch):
+    # each probe's minimizer comes with (g)_+ at it: the verdict does not
+    # evaluate the losses again, so only the two reports do (the CVaR
+    # anchor's and the search's)
+    inst = generate_instance("linear", 10, 45, 0.1, 1)
+    want = also_x(inst, backend="lp")
+    calls = []
+    losses = ccpkit.model.scenario_losses
+    monkeypatch.setattr(ccpkit.model, "scenario_losses",
+                        lambda *args: calls.append(1) or losses(*args))
+    out = also_x(inst, backend="lp")
+    assert out.objective.hex() == want.objective.hex() and out.iterations == want.iterations
+    assert out.x_star.tobytes() == want.x_star.tobytes()
+    assert len(calls) == 2
 
 
 @pytest.mark.parametrize("method", [also_x, also_x_plus])

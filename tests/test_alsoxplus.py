@@ -79,6 +79,16 @@ def test_a_bad_round_budget_is_refused_before_the_bounds(monkeypatch, duplicated
     assert calls == []
 
 
+def test_an_unknown_rescue_is_refused_before_the_bounds(monkeypatch, duplicated_row_cover):
+    calls = []
+    bound = ccpkit.alsox.quantile_lower_bound
+    monkeypatch.setattr(ccpkit.alsox, "quantile_lower_bound",
+                        lambda *args, **kwargs: calls.append(1) or bound(*args, **kwargs))
+    with pytest.raises(ValidationError, match="rescue"):
+        also_x_plus(duplicated_row_cover, rescue="x")
+    assert calls == []
+
+
 @pytest.mark.parametrize("rounds", [0, -1, 1.5])
 @pytest.mark.parametrize("solver", [lambda inst, **kw: am(inst, 3.0, backend="lp", **kw),
                                     lambda inst, **kw: dc_solve(inst, 3.0, **kw)],

@@ -179,9 +179,8 @@ def test_each_scenario_column_keeps_the_scan_tie_rule():
     h = scenario_costs(inst)
     assert h.tolist() == [1.0 + 2.0**-52, 1.0, np.inf]
     assert h.tolist() == [subset_min_cost(inst, [k]) for k in range(3)]
-    pairs = ccpkit.lowerlevel.lattice_argmin(
-        ccpkit.lowerlevel.Lattice(inst),
-        lambda points, costs, losses: np.where(losses <= 0.0, costs[:, None], np.inf))
+    pairs = ccpkit.lowerlevel.Lattice(inst).argmin(
+        lambda costs, losses: np.where(losses <= 0.0, costs[:, None], np.inf))
     points = [None if pair is None else pair[1].tolist() for pair in pairs]
     assert points == [[0.0, 1.0], [1.0, 0.0], None]
 

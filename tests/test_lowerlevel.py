@@ -816,13 +816,28 @@ def test_a_kept_lattice_holds_at_most_n_hinge_columns(monkeypatch):
     assert len(lattice._hinges) == N
 
 
+def test_a_kept_lattice_holds_codes_costs_and_losses_only():
+    inst = replace(generate_instance("linear", 13, 6, 0.2, 2), x_set=BinaryTiny(13))
+    lattice = Lattice(inst)
+    assert [block[0].size for block in lattice.blocks] == [4096, 4096]
+    for codes, costs, losses in lattice.blocks:
+        # no (B, n) copy of the points: a point is the n bits of its code
+        assert codes.dtype.kind == "i" and codes.shape == costs.shape
+        assert costs.dtype == float and losses.shape == (codes.size, 6)
+        assert not any(a.flags.writeable for a in (codes, costs, losses))
+    codes, costs, losses = lattice.blocks[1]
+    points = (codes[:, None] >> np.arange(12, -1, -1)) & 1
+    assert np.array_equal(costs, points @ inst.cost)
+    assert np.array_equal(losses[7], ccpkit.lowerlevel.scenario_losses(inst, points[7].astype(float)))
+
+
 def test_a_lattice_over_the_memory_bound_streams_every_solve(monkeypatch):
-    # a dim-20 lattice is never kept, whatever N
-    assert 2**20 * (1 + 20 + 1) > ccpkit.lowerlevel._LATTICE_KEEP
+    # a dim-20 lattice with N >= 3 is never kept
+    assert 2**20 * (3 + 2) > ccpkit.lowerlevel._LATTICE_KEEP
     inst = replace(generate_instance("linear", 6, 12, 0.2, 3), x_set=BinaryTiny(6))
     methods = (also_x, also_x_plus)
     kept = [answer_key(solve, inst) for solve in methods]
-    monkeypatch.setattr(ccpkit.lowerlevel, "_LATTICE_KEEP", 2**6 * (12 + 6 + 1) - 1)
+    monkeypatch.setattr(ccpkit.lowerlevel, "_LATTICE_KEEP", 2**6 * (12 + 2) - 1)
     sizes = lattice_block_spy(monkeypatch)
     start = solve_lower_level(inst, np.inf).start
     assert isinstance(start, Lattice) and start.blocks is None
